@@ -4,17 +4,21 @@ Subcommands: gen-data, train, estimate, bench.  Exit statuses are a
 stable contract: 0 success, 2 usage error (bad flags or config file),
 1 runtime error (bad data, divergence, I/O failures).
 
-Each subcommand accepts ``--config FILE`` naming a JSON object whose
-keys mirror the flag names (underscores for dashes); explicit flags
-override config values.  All randomness flows from ``--seed``; derived
-sub-seeds are stable hashes of (seed, purpose), so every run is
-reproducible from its echoed configuration alone.
+Each subcommand accepts ``--config FILE`` naming a JSON object.  A key
+is the name of one of the subcommand's flags with ``_`` for ``-``
+(``noise_std`` for ``--noise-std``), and its value is checked exactly
+like that flag given on the command line: a string or a number, or a
+list of strings for ``--models``.  Required flags may come from the
+file, and explicit flags override config values.  All randomness flows
+from ``--seed``; derived sub-seeds are stable hashes of (seed, purpose),
+so every run is reproducible from its echoed configuration alone.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from pathlib import Path
 
@@ -55,6 +59,14 @@ class _UsageError(Exception):
     pass
 
 
+class _Parser(argparse.ArgumentParser):
+    """Reports bad flags and config values as a usage error, exit 2."""
+
+    def error(self, message):
+        self.print_usage(sys.stderr)
+        raise _UsageError(f"{self.prog}: {message}")
+
+
 def _span(text: str) -> tuple[int, int]:
     """Parse a half-open scene range written as ``start:stop``."""
     try:
@@ -88,6 +100,8 @@ def _float_min(minimum: float):
             value = float(text)
         except ValueError:
             raise argparse.ArgumentTypeError(f"expected a number, got {text!r}") from None
+        if not math.isfinite(value):
+            raise argparse.ArgumentTypeError(f"must be finite, got {value}")
         if value < minimum:
             raise argparse.ArgumentTypeError(f"must be >= {minimum}, got {value}")
         return value
@@ -95,160 +109,56 @@ def _float_min(minimum: float):
     return parse
 
 
-# ---------------------------------------------------------------------------
-# Config-file handling.  A config file is a JSON object whose keys mirror
-# flag names; values are validated here because they bypass argparse's own
-# type and choices checks.
-
-
-def _conf_int(minimum=None):
-    def check(value):
-        if isinstance(value, bool) or not isinstance(value, int):
-            raise _UsageError(f"expected an integer, got {value!r}")
-        if minimum is not None and value < minimum:
-            raise _UsageError(f"must be >= {minimum}, got {value}")
-        return value
-
-    return check
-
-
-def _conf_float(minimum=None):
-    def check(value):
-        if isinstance(value, bool) or not isinstance(value, (int, float)):
-            raise _UsageError(f"expected a number, got {value!r}")
-        value = float(value)
-        if minimum is not None and value < minimum:
-            raise _UsageError(f"must be >= {minimum}, got {value}")
-        return value
-
-    return check
-
-
-def _conf_str(choices=None):
-    def check(value):
-        if not isinstance(value, str):
-            raise _UsageError(f"expected a string, got {value!r}")
-        if choices is not None and value not in choices:
-            raise _UsageError(f"must be one of {sorted(choices)}, got {value!r}")
-        return value
-
-    return check
-
-
-def _conf_str_list(value):
-    if not (isinstance(value, list) and value and all(isinstance(v, str) for v in value)):
-        raise _UsageError(f"expected a non-empty list of strings, got {value!r}")
+def _dropout_rate(text: str) -> float:
+    value = _float_min(0.0)(text)
+    if value >= 1.0:
+        raise argparse.ArgumentTypeError(f"must be < 1, got {value}")
     return value
 
 
-def _conf_span(value):
-    if not isinstance(value, str):
-        raise _UsageError(f"expected a start:stop string, got {value!r}")
-    try:
-        return _span(value)
-    except argparse.ArgumentTypeError as exc:
-        raise _UsageError(str(exc)) from None
+def _config_tokens(parser: argparse.ArgumentParser, path: str) -> list[str]:
+    """Flag tokens equivalent to the config file at ``path``.
 
-
-_POOL_NAMES = tuple(sorted(POOLS))
-_ARCH_NAMES = tuple(sorted(ARCHITECTURES))
-_VARIANTS = ("linear", "log")
-
-_CONFIG_KEYS: dict[str, dict] = {
-    "gen-data": {
-        "scenes": _conf_int(1),
-        "width": _conf_int(8),
-        "height": _conf_int(8),
-        "patches": _conf_int(1),
-        "pool": _conf_str(_POOL_NAMES),
-        "noise_std": _conf_float(0.0),
-        "seed": _conf_int(),
-        "out": _conf_str(),
-    },
-    "train": {
-        "arch": _conf_str(_ARCH_NAMES),
-        "data": _conf_str(),
-        "out": _conf_str(),
-        "epochs": _conf_int(0),
-        "lr": _conf_float(0.0),
-        "batch_size": _conf_int(1),
-        "channels": _conf_int(1),
-        "dropout": _conf_float(0.0),
-        "seed": _conf_int(),
-        "subset": _conf_span,
-    },
-    "estimate": {
-        "models": _conf_str_list,
-        "data": _conf_str(),
-        "index": _conf_int(0),
-        "nu": _conf_int(1),
-        "seed": _conf_int(),
-        "variant": _conf_str(_VARIANTS),
-        "save_corrected": _conf_str(),
-    },
-    "bench": {
-        "data": _conf_str(),
-        "out": _conf_str(),
-        "k": _conf_int(2),
-        "nu": _conf_int(1),
-        "seed": _conf_int(),
-        "epochs": _conf_int(0),
-        "lr": _conf_float(0.0),
-        "batch_size": _conf_int(1),
-        "channels": _conf_int(1),
-        "dropout": _conf_float(0.0),
-        "sog_p": _conf_float(1.0),
-        "workers": _conf_int(1),
-    },
-}
-
-_REQUIRED = {
-    "gen-data": ("scenes", "out"),
-    "train": ("arch", "data", "out"),
-    "estimate": ("models", "data"),
-    "bench": ("data", "out"),
-}
-
-
-def _load_config_values(path: str, command: str) -> dict:
+    Each key names one of ``parser``'s flags by its dest; the tokens go
+    through the same parser, so they get the same type, range and
+    choices checks as typed flags.
+    """
     try:
         values = json.loads(Path(path).read_text(encoding="utf-8"))
     except OSError as exc:
         raise _UsageError(f"cannot read config file: {exc}") from None
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # bad JSON, bad UTF-8 or an over-long integer
         raise _UsageError(f"config file is not valid JSON: {exc}") from None
     if not isinstance(values, dict):
         raise _UsageError("config file must hold a JSON object")
-    checks = _CONFIG_KEYS[command]
-    resolved = {}
+    actions = {
+        action.dest: action
+        for action in parser._actions
+        if action.dest not in ("help", "config")
+    }
+    tokens = []
     for key, value in values.items():
-        if key not in checks:
+        action = actions.get(key)
+        if action is None:
             raise _UsageError(
-                f"unknown config key {key!r} for {command} "
-                f"(allowed: {sorted(checks)})"
+                f"unknown config key {key!r} for {parser.prog} "
+                f"(allowed: {sorted(actions)})"
             )
-        try:
-            resolved[key] = checks[key](value)
-        except _UsageError as exc:
-            raise _UsageError(f"config key {key!r}: {exc}") from None
-    return resolved
-
-
-def _prescan_config(argv: list[str]):
-    """Subcommand name and --config path, read before real parsing."""
-    command = argv[0] if argv and argv[0] in _CONFIG_KEYS else None
-    config_path = None
-    i = 0
-    while i < len(argv):
-        token = argv[i]
-        if token == "--config":
-            if i + 1 < len(argv):
-                config_path = argv[i + 1]
-                i += 1
-        elif token.startswith("--config="):
-            config_path = token.split("=", 1)[1]
-        i += 1
-    return command, config_path
+        # JSON kinds argparse cannot see: a flag without a numeric type
+        # takes only a string, and only a multi-value flag takes a list.
+        multi = action.nargs == "+" and isinstance(value, list)
+        items = value if multi else [value]
+        kinds = str if action.type is None else (str, int, float)
+        if not items or any(
+            isinstance(item, bool) or not isinstance(item, kinds) for item in items
+        ):
+            raise _UsageError(f"config key {key!r}: unexpected value {value!r}")
+        option = action.option_strings[0]
+        if multi:
+            tokens += [option, *items]
+        else:
+            tokens.append(f"{option}={value}")
+    return tokens
 
 
 # ---------------------------------------------------------------------------
@@ -409,59 +319,59 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
 
 
 def _build_parser():
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="mcde",
         description="Monte Carlo dropout ensembles for illuminant estimation.",
     )
     sub = parser.add_subparsers(dest="command", required=True, metavar="command")
 
     p = sub.add_parser("gen-data", help="generate a synthetic scene dataset")
-    p.add_argument("--scenes", type=_int_min(1), default=None, help="number of scenes")
-    p.add_argument("--out", default=None, help="output dataset directory")
+    p.add_argument("--scenes", type=_int_min(1), required=True, help="number of scenes")
+    p.add_argument("--out", required=True, help="output dataset directory")
     p.add_argument("--width", type=_int_min(8), default=16)
     p.add_argument("--height", type=_int_min(8), default=16)
     p.add_argument("--patches", type=_int_min(1), default=25)
-    p.add_argument("--pool", choices=_POOL_NAMES, default="full",
+    p.add_argument("--pool", choices=sorted(POOLS), default="full",
                    help="illuminant pool to draw labels from")
     p.add_argument("--noise-std", type=_float_min(0.0), default=0.01)
     _add_common(p)
     p.set_defaults(func=_cmd_gen_data)
 
     p = sub.add_parser("train", help="train one stock architecture")
-    p.add_argument("--arch", choices=_ARCH_NAMES, default=None)
-    p.add_argument("--data", default=None, help="dataset directory")
-    p.add_argument("--out", default=None, help="output model path")
+    p.add_argument("--arch", choices=sorted(ARCHITECTURES), required=True)
+    p.add_argument("--data", required=True, help="dataset directory")
+    p.add_argument("--out", required=True, help="output model path")
     p.add_argument("--epochs", type=_int_min(0), default=30)
     p.add_argument("--lr", type=_float_min(0.0), default=0.05)
     p.add_argument("--batch-size", type=_int_min(1), default=8)
     p.add_argument("--channels", type=_int_min(1), default=12)
-    p.add_argument("--dropout", type=_float_min(0.0), default=0.3)
+    p.add_argument("--dropout", type=_dropout_rate, default=0.3)
     p.add_argument("--subset", type=_span, default=None, metavar="START:STOP",
                    help="train on a half-open scene range")
     _add_common(p)
     p.set_defaults(func=_cmd_train)
 
     p = sub.add_parser("estimate", help="fused illuminant estimate for one scene")
-    p.add_argument("--models", nargs="+", default=None, help="model paths")
-    p.add_argument("--data", default=None, help="dataset directory")
+    p.add_argument("--models", nargs="+", required=True, help="model paths")
+    p.add_argument("--data", required=True, help="dataset directory")
     p.add_argument("--index", type=_int_min(0), default=0, help="scene index")
     p.add_argument("--nu", type=_int_min(1), default=30, help="MC passes per model")
-    p.add_argument("--variant", choices=_VARIANTS, default="log")
+    p.add_argument("--variant", choices=("linear", "log"), default="log")
     p.add_argument("--save-corrected", default=None, metavar="FILE",
                    help="write the corrected scene as little-endian float32")
     _add_common(p)
     p.set_defaults(func=_cmd_estimate)
 
     p = sub.add_parser("bench", help="cross-validated benchmark report")
-    p.add_argument("--data", default=None, help="dataset directory")
-    p.add_argument("--out", default=None, help="output report directory")
+    p.add_argument("--data", required=True, help="dataset directory")
+    p.add_argument("--out", required=True, help="output report directory")
     p.add_argument("--k", type=_int_min(2), default=10, help="number of folds")
     p.add_argument("--nu", type=_int_min(1), default=30)
     p.add_argument("--epochs", type=_int_min(0), default=30)
     p.add_argument("--lr", type=_float_min(0.0), default=0.05)
     p.add_argument("--batch-size", type=_int_min(1), default=8)
     p.add_argument("--channels", type=_int_min(1), default=12)
-    p.add_argument("--dropout", type=_float_min(0.0), default=0.3)
+    p.add_argument("--dropout", type=_dropout_rate, default=0.3)
     p.add_argument("--sog-p", type=_float_min(1.0), default=6.0,
                    help="Minkowski norm for the shades-of-grey baseline")
     p.add_argument("--workers", type=_int_min(1), default=1,
@@ -469,28 +379,25 @@ def _build_parser():
     _add_common(p)
     p.set_defaults(func=_cmd_bench)
 
-    return parser, {name: sub.choices[name] for name in sub.choices}
+    return parser, sub.choices
 
 
 def main(argv=None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
     parser, subparsers = _build_parser()
     try:
-        command, config_path = _prescan_config(argv)
-        if config_path is not None and command is not None:
-            subparsers[command].set_defaults(
-                **_load_config_values(config_path, command)
-            )
-        try:
-            args = parser.parse_args(argv)
-        except SystemExit as exc:
-            return int(exc.code or 0)
-        for key in _REQUIRED[args.command]:
-            if getattr(args, key) is None:
-                raise _UsageError(
-                    f"missing required flag --{key.replace('_', '-')} "
-                    f"(or config key {key!r})"
-                )
+        if argv and argv[0] in subparsers:
+            # A --config without a value reads as None here; the
+            # subcommand's own parser reports it.
+            pre = _Parser(add_help=False)
+            pre.add_argument("--config", nargs="?")
+            config_path = pre.parse_known_args(argv[1:])[0].config
+            if config_path is not None:
+                # Ahead of the typed flags, so that an explicit flag wins.
+                argv[1:1] = _config_tokens(subparsers[argv[0]], config_path)
+        args = parser.parse_args(argv)
+    except SystemExit as exc:  # --help
+        return int(exc.code or 0)
     except _UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 2

@@ -92,8 +92,8 @@ class GenConfig:
             raise ValueError("width and height must be at least 8")
         if self.n_patches < 1:
             raise ValueError("n_patches must be at least 1")
-        if self.noise_std < 0.0:
-            raise ValueError("noise_std must be non-negative")
+        if not (math.isfinite(self.noise_std) and self.noise_std >= 0.0):
+            raise ValueError("noise_std must be finite and non-negative")
         if self.pool not in POOLS:
             raise ValueError(f"unknown pool {self.pool!r}; choose from {sorted(POOLS)}")
 

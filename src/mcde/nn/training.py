@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -29,6 +30,8 @@ class TrainConfig:
             raise ValueError("epochs must be non-negative")
         if self.batch_size < 1:
             raise ValueError("batch_size must be at least 1")
+        if not (math.isfinite(self.learning_rate) and self.learning_rate >= 0.0):
+            raise ValueError("learning_rate must be finite and non-negative")
 
 
 def train(net: Network, scenes, config: TrainConfig):

@@ -289,12 +289,6 @@ class TestConfigFile:
         assert cli.main(["gen-data", "--config", str(conf)]) == 2
         assert "shape" in capsys.readouterr().err
 
-    def test_wrong_value_type_is_usage_error(self, tmp_path, capsys):
-        conf = tmp_path / "gen.json"
-        conf.write_text(json.dumps({"scenes": "six", "out": "d"}))
-        assert cli.main(["gen-data", "--config", str(conf)]) == 2
-        assert "scenes" in capsys.readouterr().err
-
     def test_malformed_json_is_usage_error(self, tmp_path, capsys):
         conf = tmp_path / "gen.json"
         conf.write_text("{scenes: 3")
@@ -324,10 +318,61 @@ class TestConfigFile:
         assert cli.main(["train", "--config", str(conf)]) == 0
         assert (tmp_path / "m.net").is_file()
 
-    def test_config_bad_choice_is_usage_error(self, tmp_path, capsys):
+    @pytest.mark.parametrize(
+        "command, key, value",
+        [
+            pytest.param("gen-data", "scenes", "six", id="scenes-six"),
+            pytest.param("gen-data", "pool", "band-z", id="pool-band-z"),
+            pytest.param("gen-data", "scenes", True, id="scenes-true"),
+            pytest.param("gen-data", "scenes", 3.0, id="scenes-3.0"),
+            pytest.param("gen-data", "out", 6, id="out-6"),
+            pytest.param("gen-data", "noise_std", float("nan"), id="noise_std-nan"),
+            pytest.param("estimate", "models", [], id="models-empty"),
+            pytest.param("train", "subset", "4", id="subset-4"),
+            pytest.param("train", "subset", [0, 4], id="subset-list"),
+            pytest.param("train", "dropout", 1.0, id="train-dropout-1"),
+            pytest.param("bench", "dropout", 1.0, id="bench-dropout-1"),
+            pytest.param("bench", "k", 0, id="k-0"),
+        ],
+    )
+    def test_bad_config_value_is_usage_error(
+        self, command, key, value, tmp_path, capsys
+    ):
+        """Every other key is valid, so the bad value alone must make the
+        run a usage error that names the key or its flag."""
+        missing = str(tmp_path / "nope")
+        valid = {
+            "gen-data": {"scenes": 3, "out": str(tmp_path / "d")},
+            "train": {"arch": "g-net", "data": missing, "out": missing},
+            "estimate": {"models": [missing], "data": missing},
+            "bench": {"data": missing, "out": missing},
+        }[command]
+        conf = tmp_path / "conf.json"
+        conf.write_text(json.dumps({**valid, key: value}))
+        assert cli.main([command, "--config", str(conf)]) == 2
+        err = capsys.readouterr().err
+        flag = "--" + key.replace("_", "-")
+        assert f"config key {key!r}" in err or f"argument {flag}" in err
+
+    def test_abbreviated_config_flag_applies_file(self, tmp_path):
         conf = tmp_path / "gen.json"
-        conf.write_text(json.dumps({"scenes": 3, "out": "d", "pool": "band-z"}))
+        conf.write_text(json.dumps({"seed": 5}))
+        out = tmp_path / "d"
+        assert cli.main(
+            ["gen-data", "--scenes", "1", "--width", "8", "--height", "8",
+             "--out", str(out), "--conf", str(conf)]
+        ) == 0
+        assert datagen.load(out).config.base_seed == 5
+
+    @pytest.mark.parametrize(
+        "content", [b"\xff\xfe{}", b'{"scenes": ' + b"1" * 5000 + b"}"],
+        ids=["bad-utf8", "huge-integer"],
+    )
+    def test_undecodable_config_is_usage_error(self, tmp_path, capsys, content):
+        conf = tmp_path / "gen.json"
+        conf.write_bytes(content)
         assert cli.main(["gen-data", "--config", str(conf)]) == 2
+        assert "not valid JSON" in capsys.readouterr().err
 
 
 class TestTopLevel:
@@ -340,6 +385,23 @@ class TestTopLevel:
     def test_help_exits_zero(self, capsys):
         assert cli.main(["--help"]) == 0
         assert "gen-data" in capsys.readouterr().out
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["gen-data", "--scenes", "1", "--noise-std", "nan"],
+            ["gen-data", "--scenes", "1", "--noise-std", "inf"],
+            ["train", "--arch", "g-net", "--data", "d", "--lr", "inf"],
+            ["train", "--arch", "g-net", "--data", "d", "--dropout", "1.0"],
+            ["bench", "--data", "d", "--dropout", "1.0"],
+        ],
+        ids=["noise-std-nan", "noise-std-inf", "lr-inf", "train-dropout-1",
+             "bench-dropout-1"],
+    )
+    def test_out_of_range_float_flag_is_usage_error(self, argv, tmp_path, capsys):
+        flag = argv[-2]
+        assert cli.main([*argv, "--out", str(tmp_path / "out")]) == 2
+        assert f"argument {flag}" in capsys.readouterr().err
 
     def test_subcommand_help_exits_zero(self, capsys):
         assert cli.main(["bench", "--help"]) == 0

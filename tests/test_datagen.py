@@ -65,8 +65,9 @@ class TestGenScene:
             GenConfig(n_scenes=1, width=4)
         with pytest.raises(ValueError):
             GenConfig(n_scenes=1, pool="band-z")
-        with pytest.raises(ValueError):
-            GenConfig(n_scenes=1, noise_std=-0.1)
+        for noise_std in (-0.1, float("nan"), float("inf")):
+            with pytest.raises(ValueError, match="noise_std"):
+                GenConfig(n_scenes=1, noise_std=noise_std)
         with pytest.raises(ValueError):
             GenConfig(n_scenes=-1)
 

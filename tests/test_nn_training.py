@@ -128,3 +128,6 @@ class TestTrainingErrors:
             TrainConfig(epochs=-1)
         with pytest.raises(ValueError):
             TrainConfig(epochs=1, batch_size=0)
+        for learning_rate in (float("inf"), float("nan"), -0.1):
+            with pytest.raises(ValueError, match="learning_rate"):
+                TrainConfig(epochs=1, learning_rate=learning_rate, batch_size=4)
