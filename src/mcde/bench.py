@@ -15,6 +15,11 @@ Report directory layout:
     per_sample.csv  sample, method, metric, error_deg
     scatter_*.csv   per-sample joins for the usual diagnostic plots
 
+Methods are the grey-world and shades-of-grey baselines, each trained
+member, both fusion variants, and the ideal row: ``fusion.ideal_combine``
+applied per metric, i.e. the member estimate with the lowest error under
+that metric.  Every method is scored with every metric in ``METRICS``.
+
 CSV files are UTF-8, comma-separated, one header row, full-precision
 (17 significant digit) decimals.  Human-readable renderings round to
 one decimal; the files never do.
@@ -24,14 +29,14 @@ from __future__ import annotations
 
 import json
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, astuple, dataclass, fields
 from functools import partial
 from pathlib import Path
 
 import numpy as np
 
 from mcde import baselines, fusion
-from mcde.color import recovery_error, reproduction_error
+from mcde.color import METRICS
 from mcde.datagen import Dataset, GenConfig, folds, gen_dataset
 from mcde.nn.archs import build
 from mcde.nn.training import TrainConfig, train
@@ -50,10 +55,6 @@ __all__ = [
     "ScenarioConfig",
     "band_shift_scenario",
 ]
-
-METRICS = ("recovery", "reproduction")
-_METRIC_FNS = {"recovery": recovery_error, "reproduction": reproduction_error}
-
 
 @dataclass(frozen=True)
 class ErrorStats:
@@ -159,45 +160,41 @@ def _evaluate_samples(models, scenes, sample_ids, nu, base_seed, sog_p):
 
     ``models`` is a list of (name, network) pairs; MC seeds are keyed
     by each sample's global id so results are independent of batching.
+    An error from one scene is re-raised naming its sample id.
     """
     model_names = [name for name, _ in models]
     nets = [net for _, net in models]
-    methods = _method_list(model_names)
-    errors = {(m, metric): [] for m in methods for metric in METRICS}
+    errors = {(m, metric): [] for m in _method_list(model_names) for metric in METRICS}
     uncertainties: dict[str, list[float]] = {name: [] for name in model_names}
 
     for sample_id, scene in zip(sample_ids, scenes):
-        estimates = []
-        fused = {}
-        if nets:
-            estimates = fusion.ensemble_estimates(
-                nets, scene.pixels, nu, derive_seed("sample-mc", base_seed, sample_id)
-            )
-            for variant in ("linear", "log"):
-                fused[variant] = fusion.fuse(estimates, variant).fused
-            for name, est in zip(model_names, estimates):
-                uncertainties[name].append(est.mu)
-        gw = baselines.grey_world(scene.pixels)
-        sog = baselines.shades_of_grey(scene.pixels, sog_p)
-        for metric in METRICS:
-            fn = _METRIC_FNS[metric]
-            errors[("grey-world", metric)].append(float(fn(scene.label, gw)))
-            errors[("shades-of-grey", metric)].append(float(fn(scene.label, sog)))
+        try:
+            estimates = {
+                "grey-world": baselines.grey_world(scene.pixels),
+                "shades-of-grey": baselines.shades_of_grey(scene.pixels, sog_p),
+            }
             if nets:
-                member_errors = [
-                    float(fn(scene.label, est.mean)) for est in estimates
-                ]
-                for name, err in zip(model_names, member_errors):
-                    errors[(name, metric)].append(err)
+                members = fusion.ensemble_estimates(
+                    nets, scene.pixels, nu, derive_seed("sample-mc", base_seed, sample_id)
+                )
+                means = [est.mean for est in members]
+                estimates.update(zip(model_names, means))
                 for variant in ("linear", "log"):
-                    errors[(f"mcde-{variant}", metric)].append(
-                        float(fn(scene.label, fused[variant]))
-                    )
-                errors[("ideal", metric)].append(min(member_errors))
+                    estimates[f"mcde-{variant}"] = fusion.fuse(members, variant).fused
+                for name, est in zip(model_names, members):
+                    uncertainties[name].append(est.mu)
+            for metric, fn in METRICS.items():
+                if nets:
+                    estimates["ideal"] = fusion.ideal_combine(means, scene.label, metric)
+                for method, est in estimates.items():
+                    errors[(method, metric)].append(float(fn(scene.label, est)))
+        except Exception as exc:
+            raise RuntimeError(f"sample {sample_id}: {exc}") from exc
     return errors, uncertainties
 
 
-def _merge_batches(batches):
+def _report(echo: dict, model_names, batches) -> BenchReport:
+    """One report from per-batch (errors, uncertainties), merged in order."""
     errors: dict[tuple[str, str], list[float]] = {}
     uncertainties: dict[str, list[float]] = {}
     for batch_errors, batch_unc in batches:
@@ -205,9 +202,15 @@ def _merge_batches(batches):
             errors.setdefault(key, []).extend(values)
         for name, values in batch_unc.items():
             uncertainties.setdefault(name, []).extend(values)
-    return (
-        {key: np.array(values) for key, values in errors.items()},
-        {name: np.array(values) for name, values in uncertainties.items()},
+    errors = {key: np.array(values) for key, values in errors.items()}
+    return BenchReport(
+        config=echo,
+        methods=_method_list(model_names),
+        model_names=tuple(model_names),
+        sample_ids=np.arange(len(errors[("grey-world", "recovery")])),
+        errors=errors,
+        summary={key: stats(values) for key, values in errors.items()},
+        uncertainties={name: np.array(values) for name, values in uncertainties.items()},
     )
 
 
@@ -270,9 +273,6 @@ def crossval(dataset: Dataset, config: BenchConfig = BenchConfig()) -> BenchRepo
             batches = list(pool.map(runner, range(len(spans))))
     else:
         batches = [runner(i) for i in range(len(spans))]
-    errors, uncertainties = _merge_batches(batches)
-    model_names = tuple(spec.name for spec in config.trainables)
-    summary = {key: stats(values) for key, values in errors.items()}
     echo = {
         "protocol": "cross-validation",
         "folds": config.folds,
@@ -283,15 +283,7 @@ def crossval(dataset: Dataset, config: BenchConfig = BenchConfig()) -> BenchRepo
         "dataset": asdict(dataset.config),
         "format_version": 1,
     }
-    return BenchReport(
-        config=echo,
-        methods=_method_list(model_names),
-        model_names=model_names,
-        sample_ids=np.arange(len(dataset.scenes)),
-        errors=errors,
-        summary=summary,
-        uncertainties=uncertainties,
-    )
+    return _report(echo, [spec.name for spec in config.trainables], batches)
 
 
 def scatter_export(report: BenchReport, kind: str, model_a: str | None = None,
@@ -348,22 +340,11 @@ def write_report(report: BenchReport, out_dir) -> None:
         json.dumps(report.config, indent=2, sort_keys=True) + "\n", encoding="utf-8"
     )
 
-    stat_fields = (
-        "best25_mean",
-        "mean",
-        "median",
-        "trimean",
-        "worst25_mean",
-        "worst10_mean",
-        "worst5_mean",
-    )
+    stat_fields = [field.name for field in fields(ErrorStats)]
     summary_rows = []
     for method in report.methods:
         for metric in METRICS:
-            entry = report.summary[(method, metric)]
-            summary_rows.append(
-                (method, metric, *(getattr(entry, f) for f in stat_fields))
-            )
+            summary_rows.append((method, metric, *astuple(report.summary[(method, metric)])))
     _write_csv(out / "summary.csv", ["method", "metric", *stat_fields], summary_rows)
 
     sample_rows = []
@@ -417,20 +398,23 @@ class ScenarioConfig:
 
 def band_shift_scenario(config: ScenarioConfig = ScenarioConfig()) -> BenchReport:
     """Train one member per band, evaluate on the union of both bands."""
-    members = (("g-net", "band-a"), ("m-net", "band-b"))
-    models = []
-    for name, band in members:
-        train_ds = gen_dataset(
+
+    def band_scenes(n_scenes: int, band: str, purpose: str):
+        return gen_dataset(
             GenConfig(
-                n_scenes=config.train_per_band,
+                n_scenes=n_scenes,
                 width=config.width,
                 height=config.height,
                 n_patches=config.n_patches,
                 pool=band,
                 noise_std=config.noise_std,
-                base_seed=derive_seed("scenario-train", config.seed, band),
+                base_seed=derive_seed(purpose, config.seed, band),
             )
-        )
+        ).scenes
+
+    members = (("g-net", "band-a"), ("m-net", "band-b"))
+    models = []
+    for name, band in members:
         spec = TrainableSpec(
             name=name,
             arch=name,
@@ -442,46 +426,24 @@ def band_shift_scenario(config: ScenarioConfig = ScenarioConfig()) -> BenchRepor
         )
         net = _train_member(
             spec,
-            train_ds.scenes,
+            band_scenes(config.train_per_band, band, "scenario-train"),
             init_seed=derive_seed("scenario-init", config.seed, name),
             train_seed=derive_seed("scenario-train-loop", config.seed, name),
         )
         models.append((name, net))
 
-    eval_scenes = []
-    for _, band in members:
-        eval_scenes.extend(
-            gen_dataset(
-                GenConfig(
-                    n_scenes=config.eval_per_band,
-                    width=config.width,
-                    height=config.height,
-                    n_patches=config.n_patches,
-                    pool=band,
-                    noise_std=config.noise_std,
-                    base_seed=derive_seed("scenario-eval", config.seed, band),
-                )
-            ).scenes
-        )
-
-    sample_ids = list(range(len(eval_scenes)))
-    errors_lists, unc_lists = _evaluate_samples(
+    eval_scenes = [
+        scene
+        for _, band in members
+        for scene in band_scenes(config.eval_per_band, band, "scenario-eval")
+    ]
+    batch = _evaluate_samples(
         models,
         eval_scenes,
-        sample_ids,
+        range(len(eval_scenes)),
         config.nu,
         derive_seed("scenario-mc", config.seed),
         config.sog_p,
     )
-    errors, uncertainties = _merge_batches([(errors_lists, unc_lists)])
-    model_names = tuple(name for name, _ in members)
     echo = {"protocol": "band-shift-scenario", "format_version": 1, **asdict(config)}
-    return BenchReport(
-        config=echo,
-        methods=_method_list(model_names),
-        model_names=model_names,
-        sample_ids=np.arange(len(eval_scenes)),
-        errors=errors,
-        summary={key: stats(values) for key, values in errors.items()},
-        uncertainties=uncertainties,
-    )
+    return _report(echo, [name for name, _ in members], [batch])

@@ -31,9 +31,7 @@ from mcde.datagen import POOLS, DatasetFormatError, GenConfig
 from mcde.nn import (
     ARCHITECTURES,
     ModelFormatError,
-    NumericError,
     TrainConfig,
-    TrainingError,
     build,
     load_network,
     save_network,
@@ -50,8 +48,7 @@ _RUNTIME_ERRORS = (
     OSError,
     DatasetFormatError,
     ModelFormatError,
-    TrainingError,
-    NumericError,
+    RuntimeError,  # includes TrainingError, NumericError and failed folds
 )
 
 

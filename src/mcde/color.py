@@ -34,6 +34,7 @@ __all__ = [
     "normalize",
     "recovery_error",
     "reproduction_error",
+    "METRICS",
     "to_spherical",
     "from_spherical",
     "apply_von_kries",
@@ -138,6 +139,10 @@ def reproduction_error(gt, est):
     if np.any(neutral):
         ang = np.where(neutral, recovery_error(gt, NEUTRAL), ang)
     return _scalar(np.asarray(ang))
+
+
+# Error metric by name, in report order.
+METRICS = {"recovery": recovery_error, "reproduction": reproduction_error}
 
 
 def to_spherical(illuminant) -> SphericalDir:

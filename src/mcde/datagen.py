@@ -204,11 +204,20 @@ def load(path) -> Dataset:
     if len(labels_text) != n_scenes + 1 or labels_text[0] != "index,r,g,b":
         raise DatasetFormatError("labels.csv does not match the manifest")
     labels = []
-    for expected, line in enumerate(labels_text[1:]):
+    for row, line in enumerate(labels_text[1:]):
         fields = line.split(",")
-        if len(fields) != 4 or int(fields[0]) != expected:
-            raise DatasetFormatError(f"bad labels.csv row {expected}")
-        labels.append(np.array([float(v) for v in fields[1:]], dtype=np.float64))
+        try:
+            index = int(fields[0])
+            label = np.array([float(v) for v in fields[1:]], dtype=np.float64)
+        except ValueError as exc:
+            raise DatasetFormatError(f"bad labels.csv row {row}: {exc}") from exc
+        if len(fields) != 4 or index != row:
+            raise DatasetFormatError(f"bad labels.csv row {row}")
+        if not np.all(np.isfinite(label) & (label > 0.0)):
+            raise DatasetFormatError(
+                f"bad labels.csv row {row}: components must be finite and positive"
+            )
+        labels.append(label)
 
     expected_len = config.height * config.width * 3 * 4
     scenes = []

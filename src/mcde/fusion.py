@@ -22,13 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from mcde.color import (
-    SphericalDir,
-    from_spherical,
-    recovery_error,
-    reproduction_error,
-    to_spherical,
-)
+from mcde.color import METRICS, SphericalDir, from_spherical, to_spherical
 from mcde.mc import MCEstimate, derive_member_seed, mc_estimate
 
 __all__ = [
@@ -46,8 +40,6 @@ __all__ = [
 
 SIGMA_FLOOR = 1e-12
 CONFIDENCE_FLOOR = 1e-6
-
-_METRIC_FNS = {"recovery": recovery_error, "reproduction": reproduction_error}
 
 
 def _g(variant: str):
@@ -141,7 +133,7 @@ def ideal_combine(estimates, gt, metric: str = "recovery") -> np.ndarray:
     estimator.  Ties go to the lowest member index.
     """
     try:
-        fn = _METRIC_FNS[metric]
+        fn = METRICS[metric]
     except KeyError:
         raise ValueError(f"unknown metric {metric!r}") from None
     estimates = [np.asarray(e, dtype=np.float64) for e in estimates]

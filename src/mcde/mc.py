@@ -16,7 +16,7 @@ import numpy as np
 from mcde.nn.layers import Mode, PassSeed
 from mcde.seeding import derive_seed
 
-__all__ = ["MCEstimate", "mc_estimate", "deterministic_estimate", "uncertainty_scalar"]
+__all__ = ["MCEstimate", "mc_estimate", "deterministic_estimate"]
 
 
 @dataclass(frozen=True)
@@ -62,11 +62,6 @@ def mc_estimate(net, pixels, nu: int = 30, base_seed: int = 0) -> MCEstimate:
 def deterministic_estimate(net, pixels) -> np.ndarray:
     """Single dropout-free forward pass."""
     return net.forward(pixels, Mode.DETERMINISTIC)
-
-
-def uncertainty_scalar(estimate: MCEstimate) -> float:
-    """Total uncertainty of an estimate: sigma_r * sigma_g * sigma_b."""
-    return estimate.mu
 
 
 def derive_member_seed(base_seed: int, model_index: int) -> int:

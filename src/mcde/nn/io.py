@@ -13,14 +13,19 @@ Binary layout (all integers little-endian):
                      uint8 name length + ascii name, uint8 ndim,
                      uint32 dims, raw float64 data (C order)
 
-Weights round-trip bit-exactly.  The sidecar at ``<path>.json``
-describes the architecture and, when provided, the training config and
-loss trace; it is documentation, the binary alone rebuilds the network.
+Weights round-trip bit-exactly.  Loading checks every layer record
+before it builds a layer, so a malformed header fails with
+ModelFormatError instead of a large allocation.  The sidecar at
+``<path>.json`` describes the architecture and, when provided, the
+training config and loss trace; it is documentation, the binary alone
+rebuilds the network.
 """
 
 from __future__ import annotations
 
 import json
+import math
+import os
 import struct
 from pathlib import Path
 
@@ -42,56 +47,28 @@ __all__ = ["ModelFormatError", "save_network", "load_network", "FORMAT_VERSION"]
 MAGIC = b"MCDENET1"
 FORMAT_VERSION = 1
 
-_KIND_CODES = {
-    "conv3x3": 1,
-    "affine": 2,
-    "relu": 3,
-    "mean-pool": 4,
-    "max-pool": 5,
-    "dropout": 6,
-    "positive-head": 7,
+# Kind code -> (layer class, the constructor fields that the record's
+# a, b and f slots hold; None marks an unused slot, written as 0).  The
+# binary record and the sidecar are both written and read from here.
+_LAYERS = {
+    1: (Conv3x3, ("c_in", "c_out", None)),
+    2: (Affine, ("c_in", "c_out", None)),
+    3: (Relu, (None, None, None)),
+    4: (MeanPool, (None, None, None)),
+    5: (MaxPool, (None, None, None)),
+    6: (Dropout, (None, None, "rate")),
+    7: (PositiveHead, (None, None, None)),
 }
+_CODES = {cls.kind: code for code, (cls, _) in _LAYERS.items()}
 
 
 class ModelFormatError(Exception):
     """Malformed, truncated, or version-incompatible model file."""
 
 
-def _layer_record(layer) -> tuple[int, int, int, float]:
-    code = _KIND_CODES[layer.kind]
-    if isinstance(layer, (Conv3x3, Affine)):
-        return code, layer.c_in, layer.c_out, 0.0
-    if isinstance(layer, Dropout):
-        return code, 0, 0, layer.rate
-    return code, 0, 0, 0.0
-
-
-def _layer_from_record(code: int, a: int, b: int, f: float):
-    if code == 1:
-        return Conv3x3(a, b)
-    if code == 2:
-        return Affine(a, b)
-    if code == 3:
-        return Relu()
-    if code == 4:
-        return MeanPool()
-    if code == 5:
-        return MaxPool()
-    if code == 6:
-        return Dropout(f)
-    if code == 7:
-        return PositiveHead()
-    raise ModelFormatError(f"unknown layer kind code {code}")
-
-
-def _layer_sidecar(layer) -> dict:
-    entry: dict = {"kind": layer.kind}
-    if isinstance(layer, (Conv3x3, Affine)):
-        entry["c_in"] = layer.c_in
-        entry["c_out"] = layer.c_out
-    if isinstance(layer, Dropout):
-        entry["rate"] = layer.rate
-    return entry
+def _fields(layer) -> dict:
+    _, slots = _LAYERS[_CODES[layer.kind]]
+    return {name: getattr(layer, name) for name in slots if name}
 
 
 def save_network(net: Network, path, training: dict | None = None, loss_trace=None) -> None:
@@ -105,7 +82,9 @@ def save_network(net: Network, path, training: dict | None = None, loss_trace=No
         fh.write(arch)
         fh.write(struct.pack("<I", len(net.layers)))
         for layer in net.layers:
-            fh.write(struct.pack("<IIId", *_layer_record(layer)))
+            code = _CODES[layer.kind]
+            values = (getattr(layer, name) if name else 0 for name in _LAYERS[code][1])
+            fh.write(struct.pack("<IIId", code, *values))
         for layer in net.layers:
             names = sorted(layer.params)
             fh.write(struct.pack("<I", len(names)))
@@ -120,7 +99,7 @@ def save_network(net: Network, path, training: dict | None = None, loss_trace=No
     sidecar = {
         "format_version": FORMAT_VERSION,
         "arch": net.arch,
-        "layers": [_layer_sidecar(layer) for layer in net.layers],
+        "layers": [{"kind": layer.kind, **_fields(layer)} for layer in net.layers],
         "training": training,
         "loss_trace": list(loss_trace) if loss_trace is not None else None,
     }
@@ -136,6 +115,40 @@ def _read(fh, n: int) -> bytes:
     return data
 
 
+def _check_records(records, remaining: int) -> list:
+    """Each layer record as (layer class, constructor kwargs).
+
+    Runs before any layer is built.  Rejects, naming the layer, an
+    unknown kind code, a conv or affine whose c_in is not 3 (the first)
+    or the previous one's c_out, and parameters that need more than the
+    ``remaining`` bytes of the file.
+    """
+    specs = []
+    channels = 3
+    param_bytes = 0
+    for i, (code, *values) in enumerate(records):
+        if code not in _LAYERS:
+            raise ModelFormatError(f"layer {i}: unknown layer kind code {code}")
+        cls, slots = _LAYERS[code]
+        kwargs = {name: value for name, value in zip(slots, values) if name}
+        if "c_in" in kwargs:
+            if kwargs["c_in"] != channels:
+                raise ModelFormatError(
+                    f"layer {i}: {cls.kind} takes {kwargs['c_in']} channels "
+                    f"but its input has {channels}"
+                )
+            channels = kwargs["c_out"]
+            shapes = cls.param_shapes(**kwargs).values()
+            param_bytes += 8 * sum(math.prod(shape) for shape in shapes)
+            if param_bytes > remaining:
+                raise ModelFormatError(
+                    f"truncated model file: the parameters of layers 0-{i} need "
+                    f"{param_bytes} bytes, but only {remaining} remain"
+                )
+        specs.append((cls, kwargs))
+    return specs
+
+
 def load_network(path) -> Network:
     """Rebuild a Network from the binary container, bit-exactly."""
     with open(path, "rb") as fh:
@@ -149,13 +162,14 @@ def load_network(path) -> Network:
         (arch_len,) = struct.unpack("<H", _read(fh, 2))
         arch = _read(fh, arch_len).decode("utf-8")
         (n_layers,) = struct.unpack("<I", _read(fh, 4))
+        records = [struct.unpack("<IIId", _read(fh, 20)) for _ in range(n_layers)]
+        specs = _check_records(records, os.fstat(fh.fileno()).st_size - fh.tell())
         layers = []
-        for _ in range(n_layers):
-            code, a, b, f = struct.unpack("<IIId", _read(fh, 20))
+        for i, (cls, kwargs) in enumerate(specs):
             try:
-                layers.append(_layer_from_record(code, a, b, f))
+                layers.append(cls(**kwargs))
             except ValueError as exc:
-                raise ModelFormatError(f"invalid layer record: {exc}") from exc
+                raise ModelFormatError(f"invalid record for layer {i}: {exc}") from exc
         for i, layer in enumerate(layers):
             (n_params,) = struct.unpack("<I", _read(fh, 4))
             for _ in range(n_params):
@@ -163,13 +177,13 @@ def load_network(path) -> Network:
                 name = _read(fh, name_len).decode("ascii")
                 (ndim,) = struct.unpack("<B", _read(fh, 1))
                 shape = struct.unpack(f"<{ndim}I", _read(fh, 4 * ndim))
-                count = int(np.prod(shape, dtype=np.int64)) if ndim else 1
-                arr = np.frombuffer(_read(fh, 8 * count), dtype="<f8").reshape(shape)
-                if name not in layer.params or layer.params[name].shape != arr.shape:
+                held = layer.params.get(name)
+                if held is None or held.shape != shape:
                     raise ModelFormatError(
                         f"parameter {name!r} of layer {i} does not fit its layer record"
                     )
-                layer.params[name] = arr.copy()
+                data = _read(fh, 8 * held.size)
+                layer.params[name] = np.frombuffer(data, dtype="<f8").reshape(shape).copy()
         if fh.read(1):
             raise ModelFormatError("trailing bytes after weight blobs")
     return Network(layers, arch=arch)

@@ -56,13 +56,14 @@ class Conv3x3:
 
     kind = "conv3x3"
 
+    @staticmethod
+    def param_shapes(c_in: int, c_out: int) -> dict[str, tuple[int, ...]]:
+        return {"W": (3, 3, c_in, c_out), "b": (c_out,)}
+
     def __init__(self, c_in: int, c_out: int):
         self.c_in = c_in
         self.c_out = c_out
-        self.params = {
-            "W": np.zeros((3, 3, c_in, c_out)),
-            "b": np.zeros(c_out),
-        }
+        self.params = {k: np.zeros(v) for k, v in self.param_shapes(c_in, c_out).items()}
 
     def init(self, rng: np.random.Generator) -> None:
         span = np.sqrt(6.0 / (9 * self.c_in + 9 * self.c_out))
@@ -104,10 +105,14 @@ class Affine:
 
     kind = "affine"
 
+    @staticmethod
+    def param_shapes(c_in: int, c_out: int) -> dict[str, tuple[int, ...]]:
+        return {"W": (c_in, c_out), "b": (c_out,)}
+
     def __init__(self, c_in: int, c_out: int):
         self.c_in = c_in
         self.c_out = c_out
-        self.params = {"W": np.zeros((c_in, c_out)), "b": np.zeros(c_out)}
+        self.params = {k: np.zeros(v) for k, v in self.param_shapes(c_in, c_out).items()}
 
     def init(self, rng: np.random.Generator) -> None:
         span = np.sqrt(6.0 / (self.c_in + self.c_out))

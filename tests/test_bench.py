@@ -192,6 +192,14 @@ class TestCrossval:
             np.testing.assert_array_equal(a.errors[key], b.errors[key])
             np.testing.assert_array_equal(a.errors[key], c.errors[key])
 
+    def test_degenerate_scene_fails_naming_its_sample(self):
+        """One scene without a grey-world estimate stops the run, and
+        the error names the fold and the sample."""
+        dataset = grey_scene_dataset(n=6)
+        dataset.scenes[4].pixels[..., 1] = 0.0
+        with pytest.raises(RuntimeError, match=r"^fold 1 failed: sample 4: illuminant"):
+            crossval(dataset, tiny_config(trainables=()))
+
     def test_config_echo_omits_execution_details(self, tiny_report):
         echo = tiny_report.config
         assert "workers" not in echo
@@ -292,6 +300,24 @@ class TestBandShiftScenario:
         report = band_shift_scenario(config)
         assert report.config["protocol"] == "band-shift-scenario"
         assert report.config["seed"] == 5
-        assert len(report.sample_ids) == 6
-        assert ("mcde-log", "recovery") in report.errors
+        assert list(report.sample_ids) == list(range(6))
         assert report.model_names == ("g-net", "m-net")
+        assert report.methods == (
+            "grey-world",
+            "shades-of-grey",
+            "g-net",
+            "m-net",
+            "mcde-linear",
+            "mcde-log",
+            "ideal",
+        )
+        keys = {(m, metric) for m in report.methods for metric in ("recovery", "reproduction")}
+        assert set(report.errors) == set(report.summary) == keys
+        for key, errors in report.errors.items():
+            assert errors.shape == (6,)
+            assert report.summary[key] == stats(errors)
+        for metric in ("recovery", "reproduction"):
+            members = np.stack([report.errors[(name, metric)] for name in report.model_names])
+            np.testing.assert_array_equal(report.errors[("ideal", metric)], members.min(axis=0))
+        for name in report.model_names:
+            assert report.uncertainties[name].shape == (6,)

@@ -245,6 +245,24 @@ class TestBench:
         )
         assert not mismatch and not errors
 
+    def test_degenerate_scene_is_runtime_error_naming_it(
+        self, dataset_dir, tmp_path, capsys
+    ):
+        """A scene whose blue channel is all black has no grey-world
+        estimate: the run stops with one error line naming the sample."""
+        dataset = datagen.load(dataset_dir)
+        dataset.scenes[3].pixels[..., 2] = 0.0
+        datagen.save(dataset, tmp_path / "black")
+        code = cli.main(
+            ["bench", "--data", str(tmp_path / "black"), "--out",
+             str(tmp_path / "r"), *BENCH_FLAGS]
+        )
+        assert code == 1
+        assert capsys.readouterr().err == (
+            "error: fold 1 failed: sample 3: "
+            "illuminant components must be strictly positive\n"
+        )
+
     def test_too_few_folds_is_usage_error(self, dataset_dir, tmp_path):
         assert cli.main(
             ["bench", "--data", str(dataset_dir), "--out",

@@ -134,6 +134,27 @@ class TestDatasetIO:
         with pytest.raises(DatasetFormatError):
             load(tmp_path / "nowhere")
 
+    @pytest.mark.parametrize(
+        "row, message",
+        [
+            ("1,abc,0.5,0.5", "row 1: could not convert string to float"),
+            ("x,0.5,0.5,0.5", "row 1: invalid literal for int"),
+            ("1,nan,0.5,-0.5", "row 1: components must be finite and positive"),
+            ("1,inf,0.5,0.5", "row 1: components must be finite and positive"),
+            ("1,0.5,0.0,0.5", "row 1: components must be finite and positive"),
+            ("1,0.5,0.5", "row 1$"),
+            ("2,0.5,0.5,0.5", "row 1$"),
+        ],
+    )
+    def test_bad_label_row_is_rejected(self, tmp_path, row, message):
+        save(gen_dataset(GenConfig(n_scenes=3, base_seed=15)), tmp_path / "ds")
+        labels = tmp_path / "ds" / "labels.csv"
+        lines = labels.read_text().splitlines()
+        lines[2] = row
+        labels.write_text("\n".join(lines) + "\n")
+        with pytest.raises(DatasetFormatError, match=f"bad labels.csv {message}"):
+            load(tmp_path / "ds")
+
 
 class TestFolds:
     def test_sizes_and_coverage(self):

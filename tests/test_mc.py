@@ -10,13 +10,7 @@ import math
 import numpy as np
 import pytest
 
-from mcde.mc import (
-    MCEstimate,
-    derive_member_seed,
-    deterministic_estimate,
-    mc_estimate,
-    uncertainty_scalar,
-)
+from mcde.mc import derive_member_seed, deterministic_estimate, mc_estimate
 from mcde.nn import Mode, PassSeed, build
 
 
@@ -132,15 +126,6 @@ class TestRealNetworks:
 
 
 class TestHelpers:
-    def test_uncertainty_scalar_is_the_sigma_product(self):
-        est = MCEstimate(
-            mean=np.ones(3) / np.sqrt(3.0),
-            sigma=np.array([0.5, 0.25, 0.125]),
-            mu=float(0.5 * 0.25 * 0.125),
-            passes=3,
-        )
-        assert uncertainty_scalar(est) == 0.015625
-
     def test_member_seeds_are_distinct_and_stable(self):
         seeds = [derive_member_seed(9, k) for k in range(6)]
         assert len(set(seeds)) == 6

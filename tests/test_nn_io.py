@@ -1,6 +1,9 @@
 """Binary network container: bit-exact round trips and format errors."""
 
+import hashlib
 import json
+import struct
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -8,9 +11,15 @@ import pytest
 from mcde.mc import mc_estimate
 from mcde.nn import (
     FORMAT_VERSION,
+    Affine,
+    Conv3x3,
+    MeanPool,
     Mode,
     ModelFormatError,
+    Network,
     PassSeed,
+    PositiveHead,
+    Relu,
     TrainConfig,
     build,
     load_network,
@@ -72,6 +81,30 @@ class TestRoundTrip:
         save_network(net, tmp_path / "a.net")
         save_network(net, tmp_path / "b.net")
         assert (tmp_path / "a.net").read_bytes() == (tmp_path / "b.net").read_bytes()
+
+    @pytest.mark.parametrize(
+        "arch, net_sha, sidecar_sha",
+        [
+            (
+                "g-net",
+                "3ec0237062d0955ec85a124773720448045434de46e9cfb791b751e2582bf7bc",
+                "b70dde6dae634c7eaa2d3b1a60f18f3d99cad461fe3b0e3a331bacfb8f1ae384",
+            ),
+            (
+                "m-net",
+                "92400d71e3490a8e99416e7c2523db5b3472440be34e47fa73cfd81996fa6664",
+                "4de3cd7385db903fb13bd3c8cf38fb54b2fe89f1f9367d9087777558d7f40782",
+            ),
+        ],
+    )
+    def test_stock_files_are_pinned(self, arch, net_sha, sidecar_sha, tmp_path):
+        """The bytes of a saved stock network and its sidecar are part of
+        the format: any change to them breaks files already written."""
+        path = tmp_path / "model.net"
+        save_network(build(arch, seed=7), path, training={"epochs": 2}, loss_trace=[0.5, 0.25])
+        assert hashlib.sha256(path.read_bytes()).hexdigest() == net_sha
+        sidecar = (tmp_path / "model.net.json").read_bytes()
+        assert hashlib.sha256(sidecar).hexdigest() == sidecar_sha
 
 
 class TestSidecar:
@@ -138,3 +171,56 @@ class TestFormatErrors:
         path.write_bytes(b"definitely not a network")
         with pytest.raises(ModelFormatError):
             load_network(path)
+
+
+class TestStructureChecks:
+    """Records are checked before any layer is built."""
+
+    def _saved(self, tmp_path, layers):
+        path = tmp_path / "model.net"
+        save_network(Network(layers, arch="custom"), path)
+        return path
+
+    def test_broken_channel_chain_names_the_layer(self, tmp_path):
+        path = self._saved(
+            tmp_path, [Conv3x3(3, 4), Relu(), MeanPool(), Affine(5, 3), PositiveHead()]
+        )
+        with pytest.raises(
+            ModelFormatError, match="layer 3: affine takes 5 channels but its input has 4"
+        ):
+            load_network(path)
+
+    def test_first_layer_must_take_rgb(self, tmp_path):
+        path = self._saved(
+            tmp_path, [Conv3x3(5, 4), Relu(), MeanPool(), Affine(4, 3), PositiveHead()]
+        )
+        with pytest.raises(
+            ModelFormatError, match="layer 0: conv3x3 takes 5 channels but its input has 3"
+        ):
+            load_network(path)
+
+    def test_parameters_beyond_the_file_are_not_allocated(self, tmp_path):
+        """A conv(3 -> 100000) record in a ~100 byte file would need
+        22.4 MB of parameters; it is rejected as truncated before
+        anything that size is allocated."""
+        arch = b"custom"
+        blob = b"".join([
+            b"MCDENET1",
+            struct.pack("<IH", FORMAT_VERSION, len(arch)),
+            arch,
+            struct.pack("<I", 2),
+            struct.pack("<IIId", 1, 3, 100000, 0.0),
+            struct.pack("<IIId", 3, 0, 0, 0.0),
+            b"\x00" * 40,
+        ])
+        path = tmp_path / "model.net"
+        path.write_bytes(blob)
+        assert len(blob) < 120
+        tracemalloc.start()
+        try:
+            with pytest.raises(ModelFormatError, match="layers 0-0 need 22400000 bytes"):
+                load_network(path)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1_000_000
