@@ -5,6 +5,12 @@ stochastic forward passes; its uncertainty is the per-channel
 population standard deviation of those passes (computed against the
 raw, pre-normalization mean), compressed to a single scalar as the
 product sigma_r * sigma_g * sigma_b.
+
+The passes come from ``Network.forward_passes``, which runs the layers
+before the first Dropout once per call and replays only the rest of
+the stack per pass.  Each pass still sees the same input and masks as
+a whole-stack ``forward``, so the passes are bit-identical to nu
+separate forwards.
 """
 
 from __future__ import annotations
@@ -46,9 +52,7 @@ def mc_estimate(net, pixels, nu: int = 30, base_seed: int = 0) -> MCEstimate:
     """
     if nu < 1:
         raise ValueError("nu must be at least 1")
-    outs = np.stack(
-        [net.forward(pixels, Mode.MC, PassSeed(base_seed, i)) for i in range(nu)]
-    )
+    outs = net.forward_passes(pixels, [PassSeed(base_seed, i) for i in range(nu)])
     if np.all(outs == outs[0]):
         raw_mean = outs[0]
         sigma = np.zeros(3)

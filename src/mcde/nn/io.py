@@ -120,11 +120,14 @@ def _check_records(records, remaining: int) -> list:
 
     Runs before any layer is built.  Rejects, naming the layer, an
     unknown kind code, a conv or affine whose c_in is not 3 (the first)
-    or the previous one's c_out, and parameters that need more than the
-    ``remaining`` bytes of the file.
+    or the previous one's c_out, parameters that need more than the
+    ``remaining`` bytes of the file, a last layer that is not the
+    positive head, and a chain whose last conv or affine does not give
+    3 channels.
     """
     specs = []
     channels = 3
+    channel_layer = None
     param_bytes = 0
     for i, (code, *values) in enumerate(records):
         if code not in _LAYERS:
@@ -138,6 +141,7 @@ def _check_records(records, remaining: int) -> list:
                     f"but its input has {channels}"
                 )
             channels = kwargs["c_out"]
+            channel_layer = i
             shapes = cls.param_shapes(**kwargs).values()
             param_bytes += 8 * sum(math.prod(shape) for shape in shapes)
             if param_bytes > remaining:
@@ -146,6 +150,18 @@ def _check_records(records, remaining: int) -> list:
                     f"{param_bytes} bytes, but only {remaining} remain"
                 )
         specs.append((cls, kwargs))
+    if not specs:
+        raise ModelFormatError("model file has no layers")
+    if specs[-1][0] is not PositiveHead:
+        raise ModelFormatError(
+            f"layer {len(specs) - 1}: the last layer is {specs[-1][0].kind}, "
+            f"not {PositiveHead.kind}"
+        )
+    if channels != 3:
+        raise ModelFormatError(
+            f"layer {channel_layer}: {specs[channel_layer][0].kind} gives {channels} "
+            "channels, but the chain must end at 3"
+        )
     return specs
 
 

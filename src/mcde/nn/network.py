@@ -31,6 +31,12 @@ def _mask_rng(seed: PassSeed, layer_index: int) -> np.random.Generator:
 class Network:
     """Ordered layer stack mapping an (H, W, 3) image to an illuminant.
 
+    Every layer before the first ``Dropout`` (the prefix) gives the same
+    output on every stochastic pass, so ``forward_passes`` runs it once
+    and replays only the rest of the stack (the suffix) per pass.  All
+    entry points share one layer loop, which checks the activations
+    after every layer it runs.
+
     Single-writer: training mutates ``layers[i].params`` in place, so a
     network must not be trained and evaluated concurrently.  Forward
     passes themselves are read-only and safe to replay.
@@ -48,12 +54,34 @@ class Network:
         out, _ = self._run(np.asarray(pixels, dtype=np.float64), mode, seed, False)
         return out
 
-    def _run(self, x, mode, seed, want_caches):
+    def forward_passes(self, pixels, seeds) -> np.ndarray:
+        """One MC-mode forward per PassSeed in ``seeds``, as a (len(seeds), 3) array.
+
+        Row k equals ``forward(pixels, Mode.MC, seeds[k])`` bit for bit:
+        the prefix runs once, and each pass's suffix starts from that
+        same activation under its own masks.
+        """
+        seeds = list(seeds)
+        if not seeds:
+            raise ValueError("forward_passes needs at least one PassSeed")
+        split = next(
+            (i for i, layer in enumerate(self.layers) if isinstance(layer, Dropout)),
+            len(self.layers),
+        )
+        x = np.asarray(pixels, dtype=np.float64)
+        # The prefix holds no Dropout, so it reads no seed.
+        shared, _ = self._run(x, Mode.MC, seeds[0], False, stop=split)
+        return np.stack(
+            [self._run(shared, Mode.MC, seed, False, start=split)[0] for seed in seeds]
+        )
+
+    def _run(self, x, mode, seed, want_caches, start=0, stop=None):
+        """Apply ``layers[start:stop]`` to ``x``; returns (activation, caches)."""
         if mode is not Mode.DETERMINISTIC and seed is None:
             raise ValueError("train/mc forward passes require a PassSeed")
         caches = []
         a = x
-        for i, layer in enumerate(self.layers):
+        for i, layer in enumerate(self.layers[start:stop], start):
             rng = None
             if isinstance(layer, Dropout) and mode is not Mode.DETERMINISTIC:
                 rng = _mask_rng(seed, i)

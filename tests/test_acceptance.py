@@ -61,6 +61,9 @@ class StubNet:
             return self.outputs[0]
         return self.outputs[seed.pass_index % len(self.outputs)]
 
+    def forward_passes(self, pixels, seeds):
+        return np.stack([self.forward(pixels, Mode.MC, seed) for seed in seeds])
+
 
 @pytest.fixture(scope="module")
 def scenario_report():

@@ -8,9 +8,12 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from mcde.color import (
     DIV_EPS,
+    METRICS,
     NEUTRAL,
     Scene,
     SphericalDir,
@@ -39,6 +42,12 @@ def oracle_reproduction_deg(gt, est) -> float:
 def random_positive_units(rng, n):
     v = rng.uniform(0.05, 1.0, (n, 3))
     return v / np.linalg.norm(v, axis=1, keepdims=True)
+
+
+# Strictly positive RGB vectors of any scale and chromaticity.
+positive_rgb = st.tuples(*[st.floats(1e-3, 1e3)] * 3).map(np.array)
+open_angle = st.floats(1e-6, math.pi / 2 - 1e-6)
+scale = st.floats(1e-3, 1e3)
 
 
 class TestNormalize:
@@ -239,6 +248,27 @@ class TestSphericalMaps:
         out = from_spherical(SphericalDir(phi, varphi))
         assert out.shape == (5, 3)
         np.testing.assert_allclose(np.linalg.norm(out, axis=1), 1.0, atol=1e-15)
+
+
+class TestProperties:
+    @given(positive_rgb)
+    def test_roundtrip_from_vectors(self, v):
+        np.testing.assert_allclose(
+            from_spherical(to_spherical(v)), v / np.linalg.norm(v), atol=1e-12, rtol=0.0
+        )
+
+    @given(open_angle, open_angle)
+    def test_roundtrip_from_angles(self, phi, varphi):
+        got_phi, got_varphi = to_spherical(from_spherical((phi, varphi)))
+        assert got_phi == pytest.approx(phi, abs=1e-12)
+        assert got_varphi == pytest.approx(varphi, abs=1e-12)
+
+    @pytest.mark.parametrize("metric", METRICS)
+    @given(gt=positive_rgb, est=positive_rgb, a=scale, b=scale)
+    def test_metrics_are_scale_invariant(self, metric, gt, est, a, b):
+        """Tolerance: a cosine one rounding below 1 is already ~2e-6 degrees."""
+        fn = METRICS[metric]
+        assert fn(a * gt, b * est) == pytest.approx(fn(gt, est), abs=1e-5)
 
 
 class TestApplyVonKries:

@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from mcde.color import SphericalDir, from_spherical, recovery_error, to_spherical
 from mcde.fusion import (
@@ -26,6 +28,11 @@ def stub_estimate(mean, mu):
     mean = mean / np.linalg.norm(mean)
     sigma = np.full(3, mu ** (1.0 / 3.0)) if mu > 0 else np.zeros(3)
     return MCEstimate(mean=mean, sigma=sigma, mu=float(mu), passes=30)
+
+
+uncertainties = st.lists(st.floats(0.0, 1e6), min_size=1, max_size=6).map(np.array)
+variants = st.sampled_from(["linear", "log"])
+positive_rgb = st.tuples(*[st.floats(1e-3, 1.0)] * 3).map(np.array)
 
 
 def direction(phi_deg, varphi_deg):
@@ -78,6 +85,24 @@ class TestConfidenceScores:
             mus = np.sort(rng.uniform(1e-6, 1.5, 5))
             w = confidence_scores(mus, variant)
             assert np.all(np.diff(w) <= 1e-15)
+
+
+class TestProperties:
+    @given(uncertainties, variants)
+    def test_confidence_scores_lie_on_the_simplex(self, mus, variant):
+        w = confidence_scores(mus, variant)
+        assert w.shape == mus.shape
+        assert np.all(w > 0.0)
+        assert abs(w.sum() - 1.0) <= 1e-12
+
+    @given(st.lists(st.tuples(positive_rgb, st.floats(0.0, 2.0)), min_size=1, max_size=5), variants)
+    def test_aggregate_stays_inside_the_envelope(self, members, variant):
+        means = np.stack([v / np.linalg.norm(v) for v, _ in members])
+        weights = confidence_scores([mu for _, mu in members], variant)
+        phis, varphis = to_spherical(means)
+        phi, varphi = to_spherical(aggregate(means, weights))
+        assert phis.min() - 1e-12 <= phi <= phis.max() + 1e-12
+        assert varphis.min() - 1e-12 <= varphi <= varphis.max() + 1e-12
 
 
 class TestAggregate:

@@ -11,7 +11,19 @@ import numpy as np
 import pytest
 
 from mcde.mc import derive_member_seed, deterministic_estimate, mc_estimate
-from mcde.nn import Mode, PassSeed, build
+from mcde.nn import (
+    Affine,
+    Conv3x3,
+    Dropout,
+    MeanPool,
+    Mode,
+    Network,
+    NumericError,
+    PassSeed,
+    PositiveHead,
+    Relu,
+    build,
+)
 
 
 class StubNet:
@@ -24,6 +36,9 @@ class StubNet:
         if mode is Mode.DETERMINISTIC:
             return self.outputs[0]
         return self.outputs[seed.pass_index % len(self.outputs)]
+
+    def forward_passes(self, pixels, seeds):
+        return np.stack([self.forward(pixels, Mode.MC, seed) for seed in seeds])
 
 
 def brute_force(outputs):
@@ -123,6 +138,89 @@ class TestRealNetworks:
         est = mc_estimate(net, pixels, nu=10, base_seed=4)
         assert est.mu > 0.0
         assert np.all(est.sigma > 0.0)
+
+
+class PassByPass:
+    """Wraps a Network so that every pass is a whole-stack ``forward``."""
+
+    def __init__(self, net):
+        self.net = net
+
+    def forward_passes(self, pixels, seeds):
+        return np.stack([self.net.forward(pixels, Mode.MC, seed) for seed in seeds])
+
+
+def custom_stack(*layers):
+    for i, layer in enumerate(layers):
+        if layer.params:
+            layer.init(np.random.default_rng(90 + i))
+    return Network(list(layers))
+
+
+STACKS = {
+    "g-net": lambda: build("g-net", seed=91, channels=5, dropout_rate=0.4),
+    "m-net": lambda: build("m-net", seed=92, channels=5, dropout_rate=0.4),
+    "no-dropout": lambda: custom_stack(
+        Conv3x3(3, 4), Relu(), MeanPool(), Affine(4, 3), PositiveHead()
+    ),
+    "dropout-first": lambda: custom_stack(
+        Dropout(0.3), Conv3x3(3, 4), Relu(), MeanPool(), Affine(4, 3), PositiveHead()
+    ),
+    "two-dropouts": lambda: custom_stack(
+        Conv3x3(3, 4), Relu(), Dropout(0.3), MeanPool(), Dropout(0.25), Affine(4, 3),
+        PositiveHead(),
+    ),
+    "rate-0": lambda: build("g-net", seed=93, channels=5, dropout_rate=0.0),
+}
+
+
+class TestPrefixSharing:
+    """``mc_estimate`` runs the layers before the first Dropout once and
+    must still equal nu whole-stack forwards, byte for byte."""
+
+    @pytest.mark.parametrize("make", STACKS.values(), ids=STACKS.keys())
+    def test_equals_pass_by_pass_forwards(self, make):
+        net = make()
+        pixels = np.random.default_rng(94).uniform(0.0, 1.0, (8, 7, 3))
+        seeds = [PassSeed(6, i) for i in range(30)]
+        want = np.stack([net.forward(pixels, Mode.MC, seed) for seed in seeds])
+        assert net.forward_passes(pixels, seeds).tobytes() == want.tobytes()
+        got = mc_estimate(net, pixels, nu=30, base_seed=6)
+        ref = mc_estimate(PassByPass(net), pixels, nu=30, base_seed=6)
+        assert got.mean.tobytes() == ref.mean.tobytes()
+        assert got.sigma.tobytes() == ref.sigma.tobytes()
+        assert got.mu == ref.mu
+        assert got.passes == ref.passes
+
+    def test_no_seeds_is_rejected(self):
+        with pytest.raises(ValueError, match="at least one PassSeed"):
+            build("g-net", seed=95, channels=4).forward_passes(np.ones((4, 4, 3)), [])
+
+    @pytest.mark.parametrize("arch", ["g-net", "m-net"])
+    def test_conv_runs_once_per_estimate(self, arch, monkeypatch):
+        calls = []
+        original = Conv3x3.forward
+
+        def counted(self, x, **kwargs):
+            calls.append(x.shape)
+            return original(self, x, **kwargs)
+
+        monkeypatch.setattr(Conv3x3, "forward", counted)
+        net = build(arch, seed=96, channels=5, dropout_rate=0.3)
+        mc_estimate(net, np.random.default_rng(97).uniform(0.0, 1.0, (8, 8, 3)), nu=30)
+        assert calls == [(8, 8, 3)]
+
+    @pytest.mark.parametrize("arch", ["g-net", "m-net"])
+    def test_clamped_infinite_conv_channel_names_the_conv(self, arch):
+        """ReLU maps a -inf channel to 0, so every later activation is
+        finite; only the check right after the conv can see it."""
+        net = build(arch, seed=98, channels=4, dropout_rate=0.3)
+        net.layers[0].params["b"][1] = -np.inf
+        pixels = np.random.default_rng(99).uniform(0.0, 1.0, (6, 6, 3))
+        with pytest.raises(NumericError, match=r"after layer 0 \(conv3x3\)"):
+            net.forward(pixels)
+        with pytest.raises(NumericError, match=r"after layer 0 \(conv3x3\)"):
+            mc_estimate(net, pixels, nu=30)
 
 
 class TestHelpers:

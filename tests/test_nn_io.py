@@ -199,6 +199,30 @@ class TestStructureChecks:
         ):
             load_network(path)
 
+    @pytest.mark.parametrize(
+        "layers, message",
+        [
+            (
+                lambda: [Conv3x3(3, 4), Relu(), MeanPool(), Affine(4, 5), PositiveHead()],
+                "layer 3: affine gives 5 channels, but the chain must end at 3",
+            ),
+            (
+                lambda: [Conv3x3(3, 4), Relu(), MeanPool(), Affine(4, 3)],
+                "layer 3: the last layer is affine, not positive-head",
+            ),
+            (
+                lambda: [Conv3x3(3, 4), Relu(), MeanPool(), Affine(4, 3), PositiveHead(), Relu()],
+                "layer 5: the last layer is relu, not positive-head",
+            ),
+            (lambda: [], "model file has no layers"),
+        ],
+        ids=["ends-at-5", "no-head", "head-not-last", "empty"],
+    )
+    def test_end_of_chain_is_checked(self, tmp_path, layers, message):
+        path = self._saved(tmp_path, layers())
+        with pytest.raises(ModelFormatError, match=message):
+            load_network(path)
+
     def test_parameters_beyond_the_file_are_not_allocated(self, tmp_path):
         """A conv(3 -> 100000) record in a ~100 byte file would need
         22.4 MB of parameters; it is rejected as truncated before
