@@ -14,8 +14,8 @@ import numpy as np
 
 from mcde.color import recovery_error
 from mcde.datagen import GenConfig, gen_dataset
-from mcde.mc import deterministic_estimate, mc_estimate
-from mcde.nn import Mode, TrainConfig, build, train
+from mcde.mc import mc_estimate
+from mcde.nn import TrainConfig, build, train
 from mcde.seeding import derive_seed
 
 # Train on blue-shifted scenes only ("band-a").  The point of the
@@ -34,7 +34,7 @@ print(f"loss: first epoch {trace[0]:.4f} -> last epoch {trace[-1]:.4f}")
 
 # One dropout-free pass gives the plain point estimate.
 scene = train_data.scenes[0]
-point = deterministic_estimate(net, scene.pixels)
+point = net.forward(scene.pixels)
 print("point estimate ", np.round(point, 4))
 print("ground truth   ", np.round(scene.label, 4))
 

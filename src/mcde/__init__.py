@@ -30,7 +30,7 @@ from mcde.color import (
     to_spherical,
 )
 from mcde.fusion import FusionResult, ensemble_estimates, fuse, ideal_combine, mcde
-from mcde.mc import MCEstimate, deterministic_estimate, mc_estimate
+from mcde.mc import MCEstimate, mc_estimate
 from mcde.seeding import derive_seed
 
 __version__ = "0.1.0"
@@ -43,7 +43,6 @@ __all__ = [
     "SphericalDir",
     "apply_von_kries",
     "derive_seed",
-    "deterministic_estimate",
     "ensemble_estimates",
     "from_spherical",
     "fuse",

@@ -223,7 +223,12 @@ def _cmd_train(args) -> int:
 
 
 def _cmd_estimate(args) -> int:
-    nets = [load_network(path) for path in args.models]
+    nets = []
+    for path in args.models:
+        try:
+            nets.append(load_network(path))
+        except ModelFormatError as exc:
+            raise ModelFormatError(f"{path}: {exc}") from exc
     dataset = datagen.load(args.data)
     if not 0 <= args.index < len(dataset.scenes):
         raise IndexError(
@@ -315,6 +320,14 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--seed", type=int, default=0, help="master seed")
 
 
+def _add_training(parser: argparse.ArgumentParser) -> None:
+    parser.add_argument("--epochs", type=_int_min(0), default=30)
+    parser.add_argument("--lr", type=_float_min(0.0), default=0.05)
+    parser.add_argument("--batch-size", type=_int_min(1), default=8)
+    parser.add_argument("--channels", type=_int_min(1), default=12)
+    parser.add_argument("--dropout", type=_dropout_rate, default=0.3)
+
+
 def _build_parser():
     parser = _Parser(
         prog="mcde",
@@ -338,11 +351,7 @@ def _build_parser():
     p.add_argument("--arch", choices=sorted(ARCHITECTURES), required=True)
     p.add_argument("--data", required=True, help="dataset directory")
     p.add_argument("--out", required=True, help="output model path")
-    p.add_argument("--epochs", type=_int_min(0), default=30)
-    p.add_argument("--lr", type=_float_min(0.0), default=0.05)
-    p.add_argument("--batch-size", type=_int_min(1), default=8)
-    p.add_argument("--channels", type=_int_min(1), default=12)
-    p.add_argument("--dropout", type=_dropout_rate, default=0.3)
+    _add_training(p)
     p.add_argument("--subset", type=_span, default=None, metavar="START:STOP",
                    help="train on a half-open scene range")
     _add_common(p)
@@ -364,11 +373,7 @@ def _build_parser():
     p.add_argument("--out", required=True, help="output report directory")
     p.add_argument("--k", type=_int_min(2), default=10, help="number of folds")
     p.add_argument("--nu", type=_int_min(1), default=30)
-    p.add_argument("--epochs", type=_int_min(0), default=30)
-    p.add_argument("--lr", type=_float_min(0.0), default=0.05)
-    p.add_argument("--batch-size", type=_int_min(1), default=8)
-    p.add_argument("--channels", type=_int_min(1), default=12)
-    p.add_argument("--dropout", type=_dropout_rate, default=0.3)
+    _add_training(p)
     p.add_argument("--sog-p", type=_float_min(1.0), default=6.0,
                    help="Minkowski norm for the shades-of-grey baseline")
     p.add_argument("--workers", type=_int_min(1), default=1,

@@ -14,7 +14,8 @@ and well separated, which is what the domain-shift benchmark leans on.
 Dataset directory layout:
 
     manifest          JSON: format version, generation config, scene
-                      count, file names, per-scene SHA-256 checksums
+                      count, file names, SHA-256 checksums of every
+                      scene file and of labels.csv
     labels.csv        index,r,g,b with 17-significant-digit decimals
     scene_00000.f32   raw little-endian float32 pixel blob, C order,
                       shape (height, width, 3)
@@ -157,7 +158,9 @@ def save(dataset: Dataset, path) -> None:
     for i, scene in enumerate(dataset.scenes):
         r, g, b = (format(float(x), ".17g") for x in scene.label)
         lines.append(f"{i},{r},{g},{b}")
-    (root / "labels.csv").write_text("\n".join(lines) + "\n", encoding="utf-8")
+    labels = ("\n".join(lines) + "\n").encode("utf-8")
+    (root / "labels.csv").write_bytes(labels)
+    checksums["labels.csv"] = hashlib.sha256(labels).hexdigest()
     manifest = {
         "format_version": FORMAT_VERSION,
         "config": asdict(dataset.config),
@@ -200,7 +203,10 @@ def load(path) -> Dataset:
     labels_path = root / "labels.csv"
     if not labels_path.is_file():
         raise DatasetFormatError(f"no labels.csv in {root}")
-    labels_text = labels_path.read_text(encoding="utf-8").splitlines()
+    labels_blob = labels_path.read_bytes()
+    if hashlib.sha256(labels_blob).hexdigest() != checksums.get("labels.csv"):
+        raise DatasetFormatError("checksum mismatch for labels.csv")
+    labels_text = labels_blob.decode("utf-8").splitlines()
     if len(labels_text) != n_scenes + 1 or labels_text[0] != "index,r,g,b":
         raise DatasetFormatError("labels.csv does not match the manifest")
     labels = []

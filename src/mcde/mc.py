@@ -19,10 +19,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from mcde.nn.layers import Mode, PassSeed
+from mcde.nn.layers import PassSeed
 from mcde.seeding import derive_seed
 
-__all__ = ["MCEstimate", "mc_estimate", "deterministic_estimate"]
+__all__ = ["MCEstimate", "mc_estimate"]
 
 
 @dataclass(frozen=True)
@@ -61,11 +61,6 @@ def mc_estimate(net, pixels, nu: int = 30, base_seed: int = 0) -> MCEstimate:
         sigma = np.sqrt(np.mean((outs - raw_mean) ** 2, axis=0))
     mean = raw_mean / np.linalg.norm(raw_mean)
     return MCEstimate(mean=mean, sigma=sigma, mu=float(sigma.prod()), passes=nu)
-
-
-def deterministic_estimate(net, pixels) -> np.ndarray:
-    """Single dropout-free forward pass."""
-    return net.forward(pixels, Mode.DETERMINISTIC)
 
 
 def derive_member_seed(base_seed: int, model_index: int) -> int:

@@ -8,12 +8,11 @@ from mcde.nn.layers import (
     Dropout,
     MaxPool,
     MeanPool,
-    Mode,
     PassSeed,
     PositiveHead,
     Relu,
 )
-from mcde.nn.network import Network, NumericError, cosine_loss
+from mcde.nn.network import Mode, Network, NumericError, cosine_loss
 from mcde.nn.training import TrainConfig, TrainingError, train
 
 __all__ = [

@@ -121,18 +121,27 @@ def _check_records(records, remaining: int) -> list:
     Runs before any layer is built.  Rejects, naming the layer, an
     unknown kind code, a conv or affine whose c_in is not 3 (the first)
     or the previous one's c_out, parameters that need more than the
-    ``remaining`` bytes of the file, a last layer that is not the
-    positive head, and a chain whose last conv or affine does not give
-    3 channels.
+    ``remaining`` bytes of the file, a second pooling layer, a conv
+    after the pooling layer, a last layer that is not the positive
+    head, a stack without a pooling layer, and a chain whose last conv
+    or affine does not give 3 channels.
     """
     specs = []
     channels = 3
     channel_layer = None
+    pool_layer = None
     param_bytes = 0
     for i, (code, *values) in enumerate(records):
         if code not in _LAYERS:
             raise ModelFormatError(f"layer {i}: unknown layer kind code {code}")
         cls, slots = _LAYERS[code]
+        if pool_layer is not None and cls in (MeanPool, MaxPool, Conv3x3):
+            raise ModelFormatError(
+                f"layer {i}: {cls.kind} after the {specs[pool_layer][0].kind} "
+                f"at layer {pool_layer}"
+            )
+        if cls in (MeanPool, MaxPool):
+            pool_layer = i
         kwargs = {name: value for name, value in zip(slots, values) if name}
         if "c_in" in kwargs:
             if kwargs["c_in"] != channels:
@@ -156,6 +165,11 @@ def _check_records(records, remaining: int) -> list:
         raise ModelFormatError(
             f"layer {len(specs) - 1}: the last layer is {specs[-1][0].kind}, "
             f"not {PositiveHead.kind}"
+        )
+    if pool_layer is None:
+        raise ModelFormatError(
+            f"layer {len(specs) - 1}: no {MeanPool.kind} or {MaxPool.kind} "
+            f"before the {PositiveHead.kind}"
         )
     if channels != 3:
         raise ModelFormatError(

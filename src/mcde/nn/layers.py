@@ -1,20 +1,22 @@
 """Layer primitives with plain numpy forward/backward pairs.
 
 Activations are float64 throughout.  Spatial tensors are channels-last
-(H, W, C); pooled activations are flat (C,) vectors.  Layers are pure
-functions of their input plus explicit RNG state, which keeps every
-forward pass bit-reproducible.
+(H, W, C); pooled activations are flat (C,) vectors.  Every layer has
+``forward(x, rng=None) -> (y, cache)`` and ``backward(dy, cache) ->
+(dx, grads)``, with ``grads`` keyed like ``params``.  The cache holds
+only what the forward computes anyway, so it is always returned.  Only
+``Dropout`` reads ``rng``: it draws its mask from it, and is the
+identity without one.  Layers are pure functions of their input plus
+that RNG, which keeps every forward pass bit-reproducible.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from enum import Enum
 
 import numpy as np
 
 __all__ = [
-    "Mode",
     "PassSeed",
     "Conv3x3",
     "Affine",
@@ -24,14 +26,6 @@ __all__ = [
     "Dropout",
     "PositiveHead",
 ]
-
-
-class Mode(Enum):
-    """Forward-pass behavior for stochastic layers."""
-
-    TRAIN = "train"
-    MC = "mc"
-    DETERMINISTIC = "deterministic"
 
 
 @dataclass(frozen=True)
@@ -70,7 +64,7 @@ class Conv3x3:
         self.params["W"] = rng.uniform(-span, span, (3, 3, self.c_in, self.c_out))
         self.params["b"] = np.zeros(self.c_out)
 
-    def forward(self, x, *, mode, rng, want_cache):
+    def forward(self, x, rng=None):
         h, w, _ = x.shape
         xp = np.zeros((h + 2, w + 2, self.c_in))
         xp[1:-1, 1:-1] = x
@@ -79,7 +73,7 @@ class Conv3x3:
         for ki in range(3):
             for kj in range(3):
                 y += xp[ki : ki + h, kj : kj + w] @ weight[ki, kj]
-        return y, (xp if want_cache else None)
+        return y, xp
 
     def backward(self, dy, cache):
         xp = cache
@@ -119,9 +113,9 @@ class Affine:
         self.params["W"] = rng.uniform(-span, span, (self.c_in, self.c_out))
         self.params["b"] = np.zeros(self.c_out)
 
-    def forward(self, x, *, mode, rng, want_cache):
+    def forward(self, x, rng=None):
         y = x @ self.params["W"] + self.params["b"]
-        return y, (x if want_cache else None)
+        return y, x
 
     def backward(self, dy, cache):
         x = cache
@@ -137,12 +131,12 @@ class Relu:
     def __init__(self):
         self.params = {}
 
-    def forward(self, x, *, mode, rng, want_cache):
+    def forward(self, x, rng=None):
         y = np.maximum(x, 0.0)
-        return y, ((x > 0.0) if want_cache else None)
+        return y, y
 
     def backward(self, dy, cache):
-        return dy * cache, {}
+        return dy * (cache > 0.0), {}
 
 
 class MeanPool:
@@ -153,8 +147,8 @@ class MeanPool:
     def __init__(self):
         self.params = {}
 
-    def forward(self, x, *, mode, rng, want_cache):
-        return x.mean(axis=(0, 1)), (x.shape if want_cache else None)
+    def forward(self, x, rng=None):
+        return x.mean(axis=(0, 1)), x.shape
 
     def backward(self, dy, cache):
         h, w, _ = cache
@@ -173,11 +167,11 @@ class MaxPool:
     def __init__(self):
         self.params = {}
 
-    def forward(self, x, *, mode, rng, want_cache):
+    def forward(self, x, rng=None):
         flat = x.reshape(-1, x.shape[-1])
         idx = flat.argmax(axis=0)
         y = flat[idx, np.arange(x.shape[-1])]
-        return y, ((x.shape, idx) if want_cache else None)
+        return y, (x.shape, idx)
 
     def backward(self, dy, cache):
         shape, idx = cache
@@ -192,8 +186,9 @@ class Dropout:
     On spatial maps the mask is drawn per channel (one Bernoulli per
     feature map), so the spread it induces survives global pooling and
     stays on a comparable scale wherever the layer sits in the stack.
-    On vectors the mask is per element.  Rate 0 is an exact identity,
-    as is any forward in deterministic mode.
+    On vectors the mask is per element.  The mask is drawn from the
+    ``rng`` passed to ``forward``; without one, or at rate 0, the layer
+    is an exact identity and its cache is None.
     """
 
     kind = "dropout"
@@ -204,20 +199,18 @@ class Dropout:
         self.rate = rate
         self.params = {}
 
-    def forward(self, x, *, mode, rng, want_cache):
-        if mode is Mode.DETERMINISTIC or self.rate == 0.0:
+    def forward(self, x, rng=None):
+        if rng is None or self.rate == 0.0:
             return x, None
         if x.ndim == 3:
             keep = rng.random(x.shape[-1]) >= self.rate
         else:
             keep = rng.random(x.shape) >= self.rate
         scale = keep / (1.0 - self.rate)
-        return x * scale, (scale if want_cache else None)
+        return x * scale, scale
 
     def backward(self, dy, cache):
-        if cache is None:
-            return dy, {}
-        return dy * cache, {}
+        return (dy if cache is None else dy * cache), {}
 
 
 class PositiveHead:
@@ -235,12 +228,12 @@ class PositiveHead:
     def __init__(self):
         self.params = {}
 
-    def forward(self, x, *, mode, rng, want_cache):
+    def forward(self, x, rng=None):
         shifted = x - x.max(axis=-1, keepdims=True)
         e = np.exp(np.maximum(shifted, -700.0))
         norm = np.linalg.norm(e, axis=-1, keepdims=True)
         y = e / norm
-        return y, ((e, y, norm) if want_cache else None)
+        return y, (e, y, norm)
 
     def backward(self, dy, cache):
         e, y, norm = cache

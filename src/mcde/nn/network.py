@@ -1,15 +1,23 @@
-"""Network container: ordered layers, forward modes, backprop."""
+"""Network container: ordered layers, MC and deterministic forwards, backprop."""
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from enum import Enum
 
 import numpy as np
 
-from mcde.nn.layers import Dropout, Mode, PassSeed
+from mcde.nn.layers import Dropout, PassSeed
 from mcde.seeding import derive_seed
 
-__all__ = ["Network", "NumericError", "cosine_loss"]
+__all__ = ["Mode", "Network", "NumericError", "cosine_loss"]
+
+
+class Mode(Enum):
+    """``Network.forward``'s choice: dropout from a pass seed, or none."""
+
+    MC = "mc"
+    DETERMINISTIC = "deterministic"
 
 
 class NumericError(RuntimeError):
@@ -31,11 +39,13 @@ def _mask_rng(seed: PassSeed, layer_index: int) -> np.random.Generator:
 class Network:
     """Ordered layer stack mapping an (H, W, 3) image to an illuminant.
 
-    Every layer before the first ``Dropout`` (the prefix) gives the same
-    output on every stochastic pass, so ``forward_passes`` runs it once
-    and replays only the rest of the stack (the suffix) per pass.  All
-    entry points share one layer loop, which checks the activations
-    after every layer it runs.
+    The pass seed alone turns dropout on: under a ``PassSeed`` each
+    ``Dropout`` draws its mask from (seed, layer index), in training and
+    MC inference alike; without one it is the identity.  The layers
+    before the first ``Dropout`` (the prefix) give the same output on
+    every pass, so ``forward_passes`` runs them once and replays only
+    the rest (the suffix) per pass.  All entry points share one layer
+    loop, which checks the activations after every layer it runs.
 
     Single-writer: training mutates ``layers[i].params`` in place, so a
     network must not be trained and evaluated concurrently.  Forward
@@ -48,11 +58,13 @@ class Network:
     def forward(self, pixels, mode: Mode = Mode.DETERMINISTIC, seed: PassSeed | None = None) -> np.ndarray:
         """Run the stack and return the (3,) estimate.
 
-        Train and MC modes activate dropout and therefore require a
-        PassSeed; deterministic mode disables dropout entirely.
+        MC mode runs dropout under ``seed`` and therefore requires one;
+        deterministic mode ignores ``seed`` and disables dropout.
         """
-        out, _ = self._run(np.asarray(pixels, dtype=np.float64), mode, seed, False)
-        return out
+        if mode is Mode.MC and seed is None:
+            raise ValueError("mc forward passes require a PassSeed")
+        x = np.asarray(pixels, dtype=np.float64)
+        return self._run(x, seed if mode is Mode.MC else None)[0]
 
     def forward_passes(self, pixels, seeds) -> np.ndarray:
         """One MC-mode forward per PassSeed in ``seeds``, as a (len(seeds), 3) array.
@@ -68,24 +80,18 @@ class Network:
             (i for i, layer in enumerate(self.layers) if isinstance(layer, Dropout)),
             len(self.layers),
         )
-        x = np.asarray(pixels, dtype=np.float64)
-        # The prefix holds no Dropout, so it reads no seed.
-        shared, _ = self._run(x, Mode.MC, seeds[0], False, stop=split)
-        return np.stack(
-            [self._run(shared, Mode.MC, seed, False, start=split)[0] for seed in seeds]
-        )
+        shared, _ = self._run(np.asarray(pixels, dtype=np.float64), None, stop=split)
+        return np.stack([self._run(shared, seed, start=split)[0] for seed in seeds])
 
-    def _run(self, x, mode, seed, want_caches, start=0, stop=None):
+    def _run(self, x, seed, start=0, stop=None):
         """Apply ``layers[start:stop]`` to ``x``; returns (activation, caches)."""
-        if mode is not Mode.DETERMINISTIC and seed is None:
-            raise ValueError("train/mc forward passes require a PassSeed")
         caches = []
         a = x
         for i, layer in enumerate(self.layers[start:stop], start):
             rng = None
-            if isinstance(layer, Dropout) and mode is not Mode.DETERMINISTIC:
+            if seed is not None and isinstance(layer, Dropout):
                 rng = _mask_rng(seed, i)
-            a, cache = layer.forward(a, mode=mode, rng=rng, want_cache=want_caches)
+            a, cache = layer.forward(a, rng=rng)
             if not np.all(np.isfinite(a)):
                 raise NumericError(
                     f"non-finite activations after layer {i} ({layer.kind})"
@@ -102,7 +108,7 @@ class Network:
         """
         x = np.asarray(pixels, dtype=np.float64)
         gt = np.asarray(gt, dtype=np.float64)
-        pred, caches = self._run(x, Mode.TRAIN, seed, True)
+        pred, caches = self._run(x, seed)
         loss = cosine_loss(pred, gt)
         grad = -gt
         grads: list[dict] = [{}] * len(self.layers)

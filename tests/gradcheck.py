@@ -27,13 +27,13 @@ def assert_grads_close(analytic, numeric, what: str) -> None:
     )
 
 
-def check_layer(layer, x, rng_seed=None, mode=Mode.DETERMINISTIC) -> None:
+def check_layer(layer, x, rng_seed=None) -> None:
     """Compare a layer's backward pass against finite differences.
 
     The scalar probe is sum(c * y) for a fixed random c, whose exact
-    gradient with respect to y is c.  Stochastic layers get a fresh
-    generator with the same seed on every forward call so all
-    evaluations see identical masks.
+    gradient with respect to y is c.  With ``rng_seed`` every forward
+    call gets a fresh generator with that seed, so stochastic layers
+    see identical masks in all evaluations.
     """
     x = np.asarray(x, dtype=np.float64)
 
@@ -47,13 +47,13 @@ def check_layer(layer, x, rng_seed=None, mode=Mode.DETERMINISTIC) -> None:
                 saved[name] = layer.params[name]
                 layer.params[name] = value
         try:
-            y, _ = layer.forward(xv, mode=mode, rng=make_rng(), want_cache=False)
+            y, _ = layer.forward(xv, rng=make_rng())
         finally:
             for name, value in saved.items():
                 layer.params[name] = value
         return y
 
-    y, cache = layer.forward(x, mode=mode, rng=make_rng(), want_cache=True)
+    y, cache = layer.forward(x, rng=make_rng())
     c = np.random.default_rng(20260501).normal(size=y.shape)
     dx, grads = layer.backward(c, cache)
 
@@ -91,7 +91,7 @@ def check_network(net, pixels, gt, seed: PassSeed) -> None:
     _, grads = net.backward(pixels, gt, seed)
 
     def loss() -> float:
-        return cosine_loss(net.forward(pixels, Mode.TRAIN, seed), gt)
+        return cosine_loss(net.forward(pixels, Mode.MC, seed), gt)
 
     for li, (layer, layer_grads) in enumerate(zip(net.layers, grads)):
         for name, grad in layer_grads.items():

@@ -14,7 +14,7 @@ import pytest
 
 from mcde import cli, datagen, fusion
 from mcde.color import apply_von_kries
-from mcde.nn import Mode, load_network
+from mcde.nn import Conv3x3, Mode, Network, PositiveHead, load_network, save_network
 from mcde.seeding import derive_seed
 
 
@@ -202,6 +202,17 @@ class TestEstimate:
         )
         assert code == 1
         assert "missing.net" in capsys.readouterr().err
+
+    def test_bad_model_file_is_named(self, model_paths, dataset_dir, tmp_path, capsys):
+        """Of a good and a malformed model, the error names the malformed one."""
+        bad = tmp_path / "nopool.net"
+        save_network(Network([Conv3x3(3, 3), PositiveHead()]), bad)
+        code = cli.main(
+            ["estimate", "--models", str(model_paths[0]), str(bad),
+             "--data", str(dataset_dir)]
+        )
+        assert code == 1
+        assert capsys.readouterr().err.startswith(f"error: {bad}: layer 1: ")
 
 
 BENCH_FLAGS = ["--k", "2", "--nu", "2", "--epochs", "1", "--channels", "4",

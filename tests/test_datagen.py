@@ -1,5 +1,7 @@
 """Synthetic scene generator and the on-disk dataset format."""
 
+import hashlib
+import json
 import math
 
 import numpy as np
@@ -17,6 +19,17 @@ from mcde.datagen import (
     load,
     save,
 )
+
+
+def write_labels(root, lines):
+    """Replace labels.csv and record its checksum in the manifest, so
+    that ``load`` gets past the checksum to the rows."""
+    data = ("\n".join(lines) + "\n").encode("utf-8")
+    (root / "labels.csv").write_bytes(data)
+    manifest_path = root / "manifest.json"
+    manifest = json.loads(manifest_path.read_text())
+    manifest["checksums"]["labels.csv"] = hashlib.sha256(data).hexdigest()
+    manifest_path.write_text(json.dumps(manifest))
 
 
 class TestGenScene:
@@ -148,11 +161,26 @@ class TestDatasetIO:
     )
     def test_bad_label_row_is_rejected(self, tmp_path, row, message):
         save(gen_dataset(GenConfig(n_scenes=3, base_seed=15)), tmp_path / "ds")
+        lines = (tmp_path / "ds" / "labels.csv").read_text().splitlines()
+        lines[2] = row
+        write_labels(tmp_path / "ds", lines)
+        with pytest.raises(DatasetFormatError, match=f"bad labels.csv {message}"):
+            load(tmp_path / "ds")
+
+    def test_edited_label_fails_checksum(self, tmp_path):
+        """One digit changed into another still parses as a valid label;
+        only the checksum can tell."""
+        save(gen_dataset(GenConfig(n_scenes=3, base_seed=16)), tmp_path / "ds")
         labels = tmp_path / "ds" / "labels.csv"
         lines = labels.read_text().splitlines()
-        lines[2] = row
+        fields = lines[2].split(",")
+        digit = fields[1].index(".") + 2
+        new_digit = "1" if fields[1][digit] != "1" else "2"
+        fields[1] = fields[1][:digit] + new_digit + fields[1][digit + 1 :]
+        assert 0.0 < float(fields[1]) < 1.0
+        lines[2] = ",".join(fields)
         labels.write_text("\n".join(lines) + "\n")
-        with pytest.raises(DatasetFormatError, match=f"bad labels.csv {message}"):
+        with pytest.raises(DatasetFormatError, match="^checksum mismatch for labels.csv$"):
             load(tmp_path / "ds")
 
 

@@ -10,7 +10,7 @@ import math
 import numpy as np
 import pytest
 
-from mcde.mc import derive_member_seed, deterministic_estimate, mc_estimate
+from mcde.mc import derive_member_seed, mc_estimate
 from mcde.nn import (
     Affine,
     Conv3x3,
@@ -108,9 +108,7 @@ class TestRealNetworks:
         est = mc_estimate(net, pixels, nu=6, base_seed=1)
         assert np.all(est.sigma == 0.0)
         assert est.mu == 0.0
-        np.testing.assert_allclose(
-            est.mean, deterministic_estimate(net, pixels), atol=1e-15
-        )
+        np.testing.assert_allclose(est.mean, net.forward(pixels), atol=1e-15)
 
     def test_reduction_reproducible(self):
         net = build("m-net", seed=74, channels=5, dropout_rate=0.4)

@@ -13,6 +13,7 @@ from mcde.nn import (
     FORMAT_VERSION,
     Affine,
     Conv3x3,
+    MaxPool,
     MeanPool,
     Mode,
     ModelFormatError,
@@ -215,8 +216,21 @@ class TestStructureChecks:
                 "layer 5: the last layer is relu, not positive-head",
             ),
             (lambda: [], "model file has no layers"),
+            (
+                lambda: [Conv3x3(3, 3), PositiveHead()],
+                "layer 1: no mean-pool or max-pool before the positive-head",
+            ),
+            (
+                lambda: [Conv3x3(3, 4), Relu(), MeanPool(), MaxPool(), Affine(4, 3), PositiveHead()],
+                "layer 3: max-pool after the mean-pool at layer 2",
+            ),
+            (
+                lambda: [Conv3x3(3, 4), Relu(), MaxPool(), Conv3x3(4, 3), PositiveHead()],
+                "layer 3: conv3x3 after the max-pool at layer 2",
+            ),
         ],
-        ids=["ends-at-5", "no-head", "head-not-last", "empty"],
+        ids=["ends-at-5", "no-head", "head-not-last", "empty", "no-pool", "two-pools",
+             "conv-after-pool"],
     )
     def test_end_of_chain_is_checked(self, tmp_path, layers, message):
         path = self._saved(tmp_path, layers())

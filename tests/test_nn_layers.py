@@ -15,7 +15,6 @@ from mcde.nn import (
     Dropout,
     MaxPool,
     MeanPool,
-    Mode,
     PassSeed,
     PositiveHead,
     Relu,
@@ -33,7 +32,7 @@ class TestConv3x3:
         x = spatial(rng, 6, 5, 2)
         layer = Conv3x3(2, 2)
         layer.params["W"][1, 1] = np.eye(2)
-        y, _ = layer.forward(x, mode=Mode.DETERMINISTIC, rng=None, want_cache=False)
+        y, _ = layer.forward(x)
         np.testing.assert_array_equal(y, x)
 
     def test_corner_tap_shifts_with_zero_padding(self):
@@ -42,7 +41,7 @@ class TestConv3x3:
         x = spatial(rng, 4, 4, 1)
         layer = Conv3x3(1, 1)
         layer.params["W"][0, 0, 0, 0] = 1.0
-        y, _ = layer.forward(x, mode=Mode.DETERMINISTIC, rng=None, want_cache=False)
+        y, _ = layer.forward(x)
         np.testing.assert_array_equal(y[1:, 1:], x[:-1, :-1])
         assert np.all(y[0, :] == 0.0)
         assert np.all(y[:, 0] == 0.0)
@@ -50,9 +49,7 @@ class TestConv3x3:
     def test_bias_broadcast(self):
         layer = Conv3x3(1, 3)
         layer.params["b"] = np.array([1.0, 2.0, 3.0])
-        y, _ = layer.forward(
-            np.zeros((2, 2, 1)), mode=Mode.DETERMINISTIC, rng=None, want_cache=False
-        )
+        y, _ = layer.forward(np.zeros((2, 2, 1)))
         np.testing.assert_array_equal(y, np.broadcast_to([1.0, 2.0, 3.0], (2, 2, 3)))
 
     def test_init_scale_and_zero_bias(self):
@@ -77,7 +74,7 @@ class TestAffine:
         layer.init(rng)
         layer.params["b"] = rng.normal(size=2)
         x = rng.normal(size=3)
-        y, _ = layer.forward(x, mode=Mode.DETERMINISTIC, rng=None, want_cache=False)
+        y, _ = layer.forward(x)
         np.testing.assert_allclose(
             y, x @ layer.params["W"] + layer.params["b"], atol=1e-15
         )
@@ -87,11 +84,9 @@ class TestAffine:
         layer = Affine(3, 2)
         layer.init(rng)
         x = spatial(rng, 4, 3, 3)
-        y, _ = layer.forward(x, mode=Mode.DETERMINISTIC, rng=None, want_cache=False)
+        y, _ = layer.forward(x)
         assert y.shape == (4, 3, 2)
-        single, _ = layer.forward(
-            x[1, 2], mode=Mode.DETERMINISTIC, rng=None, want_cache=False
-        )
+        single, _ = layer.forward(x[1, 2])
         np.testing.assert_allclose(y[1, 2], single, atol=1e-15)
 
     def test_gradients_vector_and_spatial(self):
@@ -106,15 +101,13 @@ class TestAffine:
 class TestRelu:
     def test_values(self):
         layer = Relu()
-        y, _ = layer.forward(
-            np.array([-2.0, 0.0, 3.5]), mode=Mode.DETERMINISTIC, rng=None, want_cache=False
-        )
+        y, _ = layer.forward(np.array([-2.0, 0.0, 3.5]))
         np.testing.assert_array_equal(y, [0.0, 0.0, 3.5])
 
     def test_zero_input_gets_zero_gradient(self):
         layer = Relu()
         x = np.array([-1.0, 0.0, 2.0])
-        _, cache = layer.forward(x, mode=Mode.DETERMINISTIC, rng=None, want_cache=True)
+        _, cache = layer.forward(x)
         dx, _ = layer.backward(np.ones(3), cache)
         np.testing.assert_array_equal(dx, [0.0, 0.0, 1.0])
 
@@ -126,13 +119,13 @@ class TestRelu:
 class TestMeanPool:
     def test_values(self):
         x = np.arange(24, dtype=np.float64).reshape(3, 4, 2)
-        y, _ = MeanPool().forward(x, mode=Mode.DETERMINISTIC, rng=None, want_cache=False)
+        y, _ = MeanPool().forward(x)
         np.testing.assert_allclose(y, x.reshape(-1, 2).mean(axis=0), atol=1e-15)
 
     def test_backward_spreads_evenly(self):
         layer = MeanPool()
         x = np.ones((2, 3, 2))
-        _, cache = layer.forward(x, mode=Mode.DETERMINISTIC, rng=None, want_cache=True)
+        _, cache = layer.forward(x)
         dx, _ = layer.backward(np.array([6.0, 12.0]), cache)
         np.testing.assert_allclose(dx[..., 0], 1.0, atol=1e-15)
         np.testing.assert_allclose(dx[..., 1], 2.0, atol=1e-15)
@@ -146,7 +139,7 @@ class TestMaxPool:
     def test_values(self):
         rng = np.random.default_rng(39)
         x = spatial(rng, 4, 5, 3)
-        y, _ = MaxPool().forward(x, mode=Mode.DETERMINISTIC, rng=None, want_cache=False)
+        y, _ = MaxPool().forward(x)
         np.testing.assert_array_equal(y, x.reshape(-1, 3).max(axis=0))
 
     def test_tie_routes_gradient_to_first_maximum(self):
@@ -154,7 +147,7 @@ class TestMaxPool:
         x = np.zeros((2, 2, 1))
         x[0, 1, 0] = 5.0
         x[1, 0, 0] = 5.0
-        _, cache = layer.forward(x, mode=Mode.DETERMINISTIC, rng=None, want_cache=True)
+        _, cache = layer.forward(x)
         dx, _ = layer.backward(np.array([1.0]), cache)
         assert dx[0, 1, 0] == 1.0
         assert dx[1, 0, 0] == 0.0
@@ -169,9 +162,7 @@ class TestDropout:
         rng = np.random.default_rng(41)
         x = spatial(rng)
         layer = Dropout(0.0)
-        y, cache = layer.forward(
-            x, mode=Mode.TRAIN, rng=np.random.default_rng(1), want_cache=True
-        )
+        y, cache = layer.forward(x, rng=np.random.default_rng(1))
         np.testing.assert_array_equal(y, x)
         dx, _ = layer.backward(x, cache)
         np.testing.assert_array_equal(dx, x)
@@ -179,16 +170,15 @@ class TestDropout:
     def test_deterministic_mode_is_exact_identity(self):
         rng = np.random.default_rng(42)
         x = spatial(rng)
-        y, _ = Dropout(0.8).forward(x, mode=Mode.DETERMINISTIC, rng=None, want_cache=True)
+        y, cache = Dropout(0.8).forward(x)
         np.testing.assert_array_equal(y, x)
+        assert cache is None
 
     def test_spatial_mask_is_per_channel(self):
         """On (H, W, C) maps each channel is kept or dropped as a whole."""
         rng = np.random.default_rng(43)
         x = np.abs(spatial(rng, 6, 6, 32)) + 0.1
-        y, _ = Dropout(0.5).forward(
-            x, mode=Mode.MC, rng=np.random.default_rng(5), want_cache=False
-        )
+        y, _ = Dropout(0.5).forward(x, rng=np.random.default_rng(5))
         ratio = y / x
         for c in range(32):
             channel = np.unique(ratio[..., c])
@@ -198,9 +188,7 @@ class TestDropout:
 
     def test_vector_mask_is_per_element(self):
         x = np.ones(4096)
-        y, _ = Dropout(0.25).forward(
-            x, mode=Mode.MC, rng=np.random.default_rng(6), want_cache=False
-        )
+        y, _ = Dropout(0.25).forward(x, rng=np.random.default_rng(6))
         kept = y > 0
         assert set(np.unique(y)) == {0.0, 1.0 / 0.75}
         assert abs(kept.mean() - 0.75) < 0.03
@@ -209,9 +197,9 @@ class TestDropout:
         rng = np.random.default_rng(44)
         x = spatial(rng, 4, 4, 16)
         layer = Dropout(0.5)
-        y1, _ = layer.forward(x, mode=Mode.MC, rng=np.random.default_rng(9), want_cache=False)
-        y2, _ = layer.forward(x, mode=Mode.MC, rng=np.random.default_rng(9), want_cache=False)
-        y3, _ = layer.forward(x, mode=Mode.MC, rng=np.random.default_rng(10), want_cache=False)
+        y1, _ = layer.forward(x, rng=np.random.default_rng(9))
+        y2, _ = layer.forward(x, rng=np.random.default_rng(9))
+        y3, _ = layer.forward(x, rng=np.random.default_rng(10))
         np.testing.assert_array_equal(y1, y2)
         assert not np.array_equal(y1, y3)
 
@@ -222,8 +210,8 @@ class TestDropout:
 
     def test_gradients_with_fixed_mask(self):
         rng = np.random.default_rng(45)
-        check_layer(Dropout(0.4), spatial(rng), rng_seed=77, mode=Mode.TRAIN)
-        check_layer(Dropout(0.4), rng.normal(size=12), rng_seed=78, mode=Mode.TRAIN)
+        check_layer(Dropout(0.4), spatial(rng), rng_seed=77)
+        check_layer(Dropout(0.4), rng.normal(size=12), rng_seed=78)
 
 
 class TestPositiveHead:
@@ -231,7 +219,7 @@ class TestPositiveHead:
         rng = np.random.default_rng(46)
         layer = PositiveHead()
         for x in rng.normal(scale=5.0, size=(50, 3)):
-            y, _ = layer.forward(x, mode=Mode.DETERMINISTIC, rng=None, want_cache=False)
+            y, _ = layer.forward(x)
             assert np.all(y > 0.0)
             assert np.linalg.norm(y) == pytest.approx(1.0, abs=1e-12)
 
@@ -239,36 +227,29 @@ class TestPositiveHead:
         rng = np.random.default_rng(47)
         layer = PositiveHead()
         x = rng.normal(size=3)
-        y1, _ = layer.forward(x, mode=Mode.DETERMINISTIC, rng=None, want_cache=False)
-        y2, _ = layer.forward(x + 123.0, mode=Mode.DETERMINISTIC, rng=None, want_cache=False)
+        y1, _ = layer.forward(x)
+        y2, _ = layer.forward(x + 123.0)
         np.testing.assert_allclose(y1, y2, atol=1e-12)
 
     def test_extreme_inputs_stay_finite_and_positive(self):
         layer = PositiveHead()
-        y, _ = layer.forward(
-            np.array([2000.0, 0.0, -2000.0]),
-            mode=Mode.DETERMINISTIC,
-            rng=None,
-            want_cache=False,
-        )
+        y, _ = layer.forward(np.array([2000.0, 0.0, -2000.0]))
         assert np.all(np.isfinite(y))
         assert np.all(y > 0.0)
         assert np.linalg.norm(y) == pytest.approx(1.0, abs=1e-12)
 
     def test_equal_scores_give_neutral_direction(self):
         layer = PositiveHead()
-        y, _ = layer.forward(
-            np.zeros(3), mode=Mode.DETERMINISTIC, rng=None, want_cache=False
-        )
+        y, _ = layer.forward(np.zeros(3))
         np.testing.assert_allclose(y, np.ones(3) / np.sqrt(3.0), atol=1e-15)
 
     def test_batch_rows_match_single_calls(self):
         rng = np.random.default_rng(48)
         layer = PositiveHead()
         x = rng.normal(size=(6, 3))
-        y, _ = layer.forward(x, mode=Mode.DETERMINISTIC, rng=None, want_cache=False)
+        y, _ = layer.forward(x)
         for i in range(6):
-            row, _ = layer.forward(x[i], mode=Mode.DETERMINISTIC, rng=None, want_cache=False)
+            row, _ = layer.forward(x[i])
             np.testing.assert_allclose(y[i], row, atol=1e-15)
 
     def test_gradients(self):

@@ -49,9 +49,8 @@ class TestForward:
     def test_stochastic_modes_require_seed(self):
         net = build("g-net", seed=5, channels=4)
         pixels = np.ones((4, 4, 3))
-        for mode in (Mode.TRAIN, Mode.MC):
-            with pytest.raises(ValueError):
-                net.forward(pixels, mode)
+        with pytest.raises(ValueError):
+            net.forward(pixels, Mode.MC)
 
     def test_nonfinite_activation_names_the_layer(self):
         net = build("g-net", seed=6, channels=4)
@@ -90,7 +89,7 @@ class TestBackward:
         pixels, gt = random_pixels(rng), unit(rng)
         seed = PassSeed(21, 4)
         loss, _ = net.backward(pixels, gt, seed)
-        pred = net.forward(pixels, Mode.TRAIN, seed)
+        pred = net.forward(pixels, Mode.MC, seed)
         assert loss == pytest.approx(cosine_loss(pred, gt), abs=1e-15)
 
     def test_grads_parallel_to_layers(self):
@@ -114,7 +113,7 @@ class TestBackward:
             def __init__(self):
                 self.params = {"W": np.zeros(1)}
 
-            def forward(self, x, *, mode, rng, want_cache):
+            def forward(self, x, rng=None):
                 return x, None
 
             def backward(self, dy, cache):
@@ -130,7 +129,7 @@ class TestBackward:
     def test_full_network_gradcheck_with_dropout(self, arch):
         """Whole-stack analytic gradients against central differences.
 
-        Runs in train mode with dropout active; masks are a pure
+        Runs with dropout active under a pass seed; masks are a pure
         function of the pass seed, so the finite-difference evaluations
         replay identical masks.
         """
