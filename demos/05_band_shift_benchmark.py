@@ -46,5 +46,5 @@ for name in ("g-net", "m-net"):
 # byte for byte; the command-line equivalent over a saved dataset is
 #   mcde bench --data data/full --out report --k 10
 write_report(report, "demo_report")
-print("\nwrote demo_report/ (config.json, summary.csv, per-sample and"
-      " scatter tables)")
+print("\nwrote demo_report/ (config.json, summary.csv, per_sample.csv,"
+      " uncertainty_per_sample.csv)")

@@ -13,7 +13,10 @@ Report directory layout:
                     results)
     summary.csv     method, metric, and the seven error statistics
     per_sample.csv  sample, method, metric, error_deg
-    scatter_*.csv   per-sample joins for the usual diagnostic plots
+    uncertainty_per_sample.csv
+                    sample, method, mu: each trained member's raw MC
+                    uncertainty per sample (header only when there
+                    are no trained members)
 
 Methods are the grey-world and shades-of-grey baselines, each trained
 member, both fusion variants, and the ideal row: ``fusion.ideal_combine``
@@ -50,7 +53,6 @@ __all__ = [
     "BenchConfig",
     "BenchReport",
     "crossval",
-    "scatter_export",
     "write_report",
     "ScenarioConfig",
     "band_shift_scenario",
@@ -135,8 +137,8 @@ class BenchReport:
 
     errors maps (method, metric) to per-sample error arrays aligned
     with sample_ids; summary holds the corresponding ErrorStats; and
-    uncertainties keeps each model's per-sample total uncertainty for
-    the confidence scatter.
+    uncertainties maps each trained member to its raw per-sample
+    uncertainty mu, aligned with sample_ids.
     """
 
     config: dict
@@ -286,39 +288,6 @@ def crossval(dataset: Dataset, config: BenchConfig = BenchConfig()) -> BenchRepo
     return _report(echo, [spec.name for spec in config.trainables], batches)
 
 
-def scatter_export(report: BenchReport, kind: str, model_a: str | None = None,
-                   model_b: str | None = None, model: str | None = None,
-                   metric: str = "recovery"):
-    """Rows for a diagnostic scatter plot.
-
-    kind "error_pair": per-sample errors of two methods against each
-    other.  kind "error_vs_confidence": a model's per-sample error
-    against its raw (pre-normalization) log-inverse confidence score.
-    Returns (header, rows); unknown method names raise KeyError.
-    """
-    if metric not in METRICS:
-        raise ValueError(f"unknown metric {metric!r}")
-    ids = report.sample_ids
-    if kind == "error_pair":
-        for name in (model_a, model_b):
-            if (name, metric) not in report.errors:
-                raise KeyError(f"unknown method {name!r}")
-        header = ["sample", f"{model_a}_{metric}_deg", f"{model_b}_{metric}_deg"]
-        xs = report.errors[(model_a, metric)]
-        ys = report.errors[(model_b, metric)]
-        return header, [(int(i), float(x), float(y)) for i, x, y in zip(ids, xs, ys)]
-    if kind == "error_vs_confidence":
-        if model not in report.uncertainties:
-            raise KeyError(f"unknown model {model!r}")
-        scores = fusion.raw_confidence(report.uncertainties[model], "log")
-        errs = report.errors[(model, metric)]
-        header = ["sample", f"{model}_log_inverse_confidence", f"{model}_{metric}_deg"]
-        return header, [
-            (int(i), float(s), float(e)) for i, s, e in zip(ids, scores, errs)
-        ]
-    raise ValueError(f"unknown scatter kind {kind!r}")
-
-
 def _fmt(value: float) -> str:
     return format(float(value), ".17g")
 
@@ -348,26 +317,19 @@ def write_report(report: BenchReport, out_dir) -> None:
     _write_csv(out / "summary.csv", ["method", "metric", *stat_fields], summary_rows)
 
     sample_rows = []
+    mu_rows = []
     for pos, sample_id in enumerate(report.sample_ids):
         for method in report.methods:
             for metric in METRICS:
                 sample_rows.append(
                     (int(sample_id), method, metric, float(report.errors[(method, metric)][pos]))
                 )
+        for name in report.model_names:
+            mu_rows.append((int(sample_id), name, float(report.uncertainties[name][pos])))
     _write_csv(
         out / "per_sample.csv", ["sample", "method", "metric", "error_deg"], sample_rows
     )
-
-    if len(report.model_names) >= 2:
-        first, second = report.model_names[:2]
-        for metric in METRICS:
-            header, rows = scatter_export(
-                report, "error_pair", model_a=first, model_b=second, metric=metric
-            )
-            _write_csv(out / f"scatter_{metric}_errors.csv", header, rows)
-    for name in report.model_names:
-        header, rows = scatter_export(report, "error_vs_confidence", model=name)
-        _write_csv(out / f"scatter_confidence_{name}.csv", header, rows)
+    _write_csv(out / "uncertainty_per_sample.csv", ["sample", "method", "mu"], mu_rows)
 
 
 @dataclass(frozen=True)

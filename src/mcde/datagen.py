@@ -176,6 +176,23 @@ def save(dataset: Dataset, path) -> None:
     )
 
 
+def _is_str_list(value) -> bool:
+    return isinstance(value, list) and all(isinstance(v, str) for v in value)
+
+
+# Manifest field -> (type check, what the check demands).  JSON object
+# keys are always strings, so checksums need only their values checked.
+_MANIFEST_FIELDS = {
+    "config": (lambda v: isinstance(v, dict), "an object"),
+    "n_scenes": (lambda v: isinstance(v, int) and not isinstance(v, bool), "an integer"),
+    "scene_files": (_is_str_list, "a list of strings"),
+    "checksums": (
+        lambda v: isinstance(v, dict) and _is_str_list(list(v.values())),
+        "an object of strings",
+    ),
+}
+
+
 def load(path) -> Dataset:
     """Read a dataset directory back, verifying checksums and sizes."""
     root = Path(path)
@@ -186,19 +203,31 @@ def load(path) -> Dataset:
         manifest = json.loads(manifest_path.read_text(encoding="utf-8"))
     except json.JSONDecodeError as exc:
         raise DatasetFormatError(f"malformed manifest: {exc}") from exc
+    if not isinstance(manifest, dict):
+        raise DatasetFormatError("invalid manifest contents: not a JSON object")
     if manifest.get("format_version") != FORMAT_VERSION:
         raise DatasetFormatError(
             f"unsupported dataset version {manifest.get('format_version')!r}"
         )
+    for field, (valid, kind) in _MANIFEST_FIELDS.items():
+        if field not in manifest:
+            raise DatasetFormatError(f"invalid manifest contents: no {field!r}")
+        if not valid(manifest[field]):
+            raise DatasetFormatError(f"invalid manifest contents: {field} must be {kind}")
     try:
         config = GenConfig(**manifest["config"])
-        n_scenes = manifest["n_scenes"]
-        names = manifest["scene_files"]
-        checksums = manifest["checksums"]
-    except (KeyError, TypeError, ValueError) as exc:
-        raise DatasetFormatError(f"invalid manifest contents: {exc}") from exc
+    except (TypeError, ValueError) as exc:
+        raise DatasetFormatError(f"invalid manifest contents: config: {exc}") from exc
+    n_scenes = manifest["n_scenes"]
+    names = manifest["scene_files"]
+    checksums = manifest["checksums"]
     if len(names) != n_scenes:
         raise DatasetFormatError("scene file list does not match the scene count")
+    for name in names:
+        if Path(name).name != name or name in ("", ".", ".."):
+            raise DatasetFormatError(
+                f"invalid manifest contents: scene file {name!r} is not a plain file name"
+            )
 
     labels_path = root / "labels.csv"
     if not labels_path.is_file():
@@ -231,9 +260,12 @@ def load(path) -> Dataset:
         blob_path = root / name
         if not blob_path.is_file():
             raise DatasetFormatError(f"missing scene file {name}")
+        size = blob_path.stat().st_size
+        if size != expected_len:
+            raise DatasetFormatError(
+                f"scene file {name} has {size} bytes, expected {expected_len}"
+            )
         blob = blob_path.read_bytes()
-        if len(blob) != expected_len:
-            raise DatasetFormatError(f"scene file {name} is truncated")
         if hashlib.sha256(blob).hexdigest() != checksums.get(name):
             raise DatasetFormatError(f"checksum mismatch for {name}")
         pixels = (
@@ -245,13 +277,12 @@ def load(path) -> Dataset:
     return Dataset(scenes, config)
 
 
-def folds(dataset, k: int) -> list[range]:
-    """Contiguous, order-preserving folds of near-equal size.
+def folds(n: int, k: int) -> list[range]:
+    """Contiguous, order-preserving folds of ``n`` scenes, near-equal in size.
 
     Sizes differ by at most one; the earliest folds take the extra
-    scene.  Accepts a Dataset or a plain scene count.
+    scene.
     """
-    n = len(dataset.scenes) if hasattr(dataset, "scenes") else int(dataset)
     if k < 2:
         raise ValueError("need at least two folds")
     if k > n:

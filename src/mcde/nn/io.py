@@ -115,6 +115,15 @@ def _read(fh, n: int) -> bytes:
     return data
 
 
+def _decode(data: bytes, encoding: str, field: str) -> str:
+    try:
+        return data.decode(encoding)
+    except UnicodeDecodeError as exc:
+        raise ModelFormatError(
+            f"{field} is not valid {encoding} (bad byte at offset {exc.start})"
+        ) from exc
+
+
 def _check_records(records, remaining: int) -> list:
     """Each layer record as (layer class, constructor kwargs).
 
@@ -190,7 +199,7 @@ def load_network(path) -> Network:
                 f"unsupported container version {version} (expected {FORMAT_VERSION})"
             )
         (arch_len,) = struct.unpack("<H", _read(fh, 2))
-        arch = _read(fh, arch_len).decode("utf-8")
+        arch = _decode(_read(fh, arch_len), "utf-8", "arch name")
         (n_layers,) = struct.unpack("<I", _read(fh, 4))
         records = [struct.unpack("<IIId", _read(fh, 20)) for _ in range(n_layers)]
         specs = _check_records(records, os.fstat(fh.fileno()).st_size - fh.tell())
@@ -204,7 +213,7 @@ def load_network(path) -> Network:
             (n_params,) = struct.unpack("<I", _read(fh, 4))
             for _ in range(n_params):
                 (name_len,) = struct.unpack("<B", _read(fh, 1))
-                name = _read(fh, name_len).decode("ascii")
+                name = _decode(_read(fh, name_len), "ascii", f"parameter name of layer {i}")
                 (ndim,) = struct.unpack("<B", _read(fh, 1))
                 shape = struct.unpack(f"<{ndim}I", _read(fh, 4 * ndim))
                 held = layer.params.get(name)

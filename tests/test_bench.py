@@ -13,13 +13,11 @@ from mcde.bench import (
     TrainableSpec,
     band_shift_scenario,
     crossval,
-    scatter_export,
     stats,
     write_report,
 )
 from mcde.color import Scene, normalize
 from mcde.datagen import Dataset, GenConfig, gen_dataset
-from mcde.fusion import raw_confidence
 
 
 def oracle_stats(values):
@@ -140,14 +138,18 @@ class TestStats:
 
 
 class TestCrossval:
-    def test_baselines_only_on_grey_scenes(self):
-        """With no trainables the protocol still runs, and grey-world
-        is exact on scenes built to satisfy its assumption."""
+    def test_baselines_only_on_grey_scenes(self, tmp_path):
+        """With no trainables the protocol still runs, grey-world is
+        exact on scenes built to satisfy its assumption, and the
+        uncertainty table holds only its header."""
         dataset = grey_scene_dataset()
         report = crossval(dataset, tiny_config(trainables=()))
         assert report.methods == ("grey-world", "shades-of-grey")
         assert report.model_names == ()
         assert np.max(report.errors[("grey-world", "recovery")]) < 1e-5
+        write_report(report, tmp_path / "report")
+        table = tmp_path / "report" / "uncertainty_per_sample.csv"
+        assert table.read_text(encoding="utf-8") == "sample,method,mu\n"
 
     def test_report_structure(self, tiny_report):
         report = tiny_report
@@ -216,11 +218,8 @@ class TestReportFiles:
         assert names == [
             "config.json",
             "per_sample.csv",
-            "scatter_confidence_g-net.csv",
-            "scatter_confidence_m-net.csv",
-            "scatter_recovery_errors.csv",
-            "scatter_reproduction_errors.csv",
             "summary.csv",
+            "uncertainty_per_sample.csv",
         ]
 
     def test_write_is_byte_deterministic(self, tiny_report, tmp_path):
@@ -263,33 +262,16 @@ class TestReportFiles:
             np.testing.assert_array_equal(
                 np.array(values), tiny_report.errors[(method, metric)]
             )
-
-
-class TestScatterExport:
-    def test_error_pair(self, tiny_report):
-        header, rows = scatter_export(
-            tiny_report, "error_pair", model_a="g-net", model_b="m-net"
-        )
-        assert header == ["sample", "g-net_recovery_deg", "m-net_recovery_deg"]
-        assert len(rows) == 8
-        xs = np.array([r[1] for r in rows])
-        np.testing.assert_array_equal(xs, tiny_report.errors[("g-net", "recovery")])
-
-    def test_error_vs_confidence_uses_raw_log_scores(self, tiny_report):
-        header, rows = scatter_export(tiny_report, "error_vs_confidence", model="g-net")
-        assert header[1] == "g-net_log_inverse_confidence"
-        scores = np.array([r[1] for r in rows])
-        np.testing.assert_array_equal(
-            scores, raw_confidence(tiny_report.uncertainties["g-net"], "log")
-        )
-
-    def test_unknown_names_raise_key_error(self, tiny_report):
-        with pytest.raises(KeyError):
-            scatter_export(tiny_report, "error_pair", model_a="g-net", model_b="x-net")
-        with pytest.raises(KeyError):
-            scatter_export(tiny_report, "error_vs_confidence", model="x-net")
-        with pytest.raises(ValueError):
-            scatter_export(tiny_report, "heatmap", model="g-net")
+        with open(tmp_path / "report" / "uncertainty_per_sample.csv", newline="") as fh:
+            rows = list(csv.DictReader(fh))
+        assert [(int(row["sample"]), row["method"]) for row in rows] == [
+            (int(i), name) for i in tiny_report.sample_ids for name in tiny_report.model_names
+        ]
+        for name in tiny_report.model_names:
+            np.testing.assert_array_equal(
+                np.array([float(row["mu"]) for row in rows if row["method"] == name]),
+                tiny_report.uncertainties[name],
+            )
 
 
 class TestBandShiftScenario:

@@ -7,6 +7,7 @@ error.
 
 import filecmp
 import json
+import shutil
 from pathlib import Path
 
 import numpy as np
@@ -14,7 +15,15 @@ import pytest
 
 from mcde import cli, datagen, fusion
 from mcde.color import apply_von_kries
-from mcde.nn import Conv3x3, Mode, Network, PositiveHead, load_network, save_network
+from mcde.nn import (
+    Conv3x3,
+    Mode,
+    Network,
+    PositiveHead,
+    build,
+    load_network,
+    save_network,
+)
 from mcde.seeding import derive_seed
 
 
@@ -132,6 +141,20 @@ class TestTrain:
         assert code == 1
         assert capsys.readouterr().err.startswith("error:")
 
+    def test_mistyped_manifest_is_runtime_error(self, dataset_dir, tmp_path, capsys):
+        data = tmp_path / "data"
+        shutil.copytree(dataset_dir, data)
+        manifest = json.loads((data / "manifest.json").read_text())
+        manifest["checksums"] = ["x"]
+        (data / "manifest.json").write_text(json.dumps(manifest))
+        code = cli.main(
+            ["train", "--arch", "g-net", "--data", str(data),
+             "--out", str(tmp_path / "m.net")]
+        )
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err == "error: invalid manifest contents: checksums must be an object of strings\n"
+
     def test_bad_subset_syntax_is_usage_error(self, dataset_dir, tmp_path):
         code = cli.main(
             ["train", "--arch", "g-net", "--data", str(dataset_dir),
@@ -214,6 +237,18 @@ class TestEstimate:
         assert code == 1
         assert capsys.readouterr().err.startswith(f"error: {bad}: layer 1: ")
 
+    def test_undecodable_model_file_is_named(self, dataset_dir, tmp_path, capsys):
+        bad = tmp_path / "badname.net"
+        save_network(build("g-net", seed=3, channels=4), bad)
+        blob = bytearray(bad.read_bytes())
+        blob[14] = 0xFF  # first byte of the arch name
+        bad.write_bytes(bytes(blob))
+        code = cli.main(["estimate", "--models", str(bad), "--data", str(dataset_dir)])
+        assert code == 1
+        assert capsys.readouterr().err.startswith(
+            f"error: {bad}: arch name is not valid utf-8"
+        )
+
 
 BENCH_FLAGS = ["--k", "2", "--nu", "2", "--epochs", "1", "--channels", "4",
                "--seed", "5"]
@@ -232,6 +267,7 @@ class TestBench:
         assert (out / "config.json").is_file()
         assert (out / "summary.csv").is_file()
         assert (out / "per_sample.csv").is_file()
+        assert (out / "uncertainty_per_sample.csv").is_file()
         echo = json.loads((out / "config.json").read_text())
         assert echo["folds"] == 2
         assert "workers" not in echo

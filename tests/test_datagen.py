@@ -3,6 +3,8 @@
 import hashlib
 import json
 import math
+import os
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -10,7 +12,6 @@ import pytest
 from mcde.color import to_spherical
 from mcde.datagen import (
     POOLS,
-    Dataset,
     DatasetFormatError,
     GenConfig,
     folds,
@@ -29,6 +30,14 @@ def write_labels(root, lines):
     manifest_path = root / "manifest.json"
     manifest = json.loads(manifest_path.read_text())
     manifest["checksums"]["labels.csv"] = hashlib.sha256(data).hexdigest()
+    manifest_path.write_text(json.dumps(manifest))
+
+
+def edit_manifest(root, **fields):
+    """Overwrite manifest fields; checksums are left as they are."""
+    manifest_path = root / "manifest.json"
+    manifest = json.loads(manifest_path.read_text())
+    manifest.update(fields)
     manifest_path.write_text(json.dumps(manifest))
 
 
@@ -148,6 +157,54 @@ class TestDatasetIO:
             load(tmp_path / "nowhere")
 
     @pytest.mark.parametrize(
+        "field, value, message",
+        [
+            ("checksums", ["x"], "checksums must be an object of strings"),
+            ("scene_files", 5, "scene_files must be a list of strings"),
+            ("scene_files", [5, 6], "scene_files must be a list of strings"),
+            ("n_scenes", True, "n_scenes must be an integer"),
+        ],
+        ids=["checksums-list", "scene_files-int", "scene_files-ints", "n_scenes-bool"],
+    )
+    def test_mistyped_manifest_field_is_named(self, tmp_path, field, value, message):
+        save(gen_dataset(GenConfig(n_scenes=2, base_seed=17)), tmp_path / "ds")
+        edit_manifest(tmp_path / "ds", **{field: value})
+        with pytest.raises(DatasetFormatError, match=f"^invalid manifest contents: {message}$"):
+            load(tmp_path / "ds")
+
+    def test_manifest_that_is_not_an_object_is_rejected(self, tmp_path):
+        save(gen_dataset(GenConfig(n_scenes=1, base_seed=21)), tmp_path / "ds")
+        (tmp_path / "ds" / "manifest.json").write_text("[1, 2]")
+        with pytest.raises(DatasetFormatError, match="not a JSON object"):
+            load(tmp_path / "ds")
+
+    def test_scene_file_outside_the_dataset_is_rejected(self, tmp_path):
+        save(gen_dataset(GenConfig(n_scenes=2, base_seed=18)), tmp_path / "ds")
+        save(gen_dataset(GenConfig(n_scenes=2, base_seed=19)), tmp_path / "other")
+        edit_manifest(tmp_path / "ds", scene_files=["scene_00000.f32", "../other/scene_00001.f32"])
+        with pytest.raises(
+            DatasetFormatError,
+            match=r"scene file '\.\./other/scene_00001\.f32' is not a plain file name",
+        ):
+            load(tmp_path / "ds")
+
+    def test_oversized_scene_file_is_not_read(self, tmp_path):
+        """A scene file sparsely extended to 256 MiB is rejected by its
+        size, before any of it is read into memory."""
+        save(gen_dataset(GenConfig(n_scenes=2, base_seed=20)), tmp_path / "ds")
+        os.truncate(tmp_path / "ds" / "scene_00001.f32", 256 << 20)
+        tracemalloc.start()
+        try:
+            with pytest.raises(
+                DatasetFormatError, match="scene_00001.f32 has 268435456 bytes, expected 3072"
+            ):
+                load(tmp_path / "ds")
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1_000_000
+
+    @pytest.mark.parametrize(
         "row, message",
         [
             ("1,abc,0.5,0.5", "row 1: could not convert string to float"),
@@ -197,13 +254,6 @@ class TestFolds:
         for left, right in zip(spans, spans[1:]):
             assert left.stop == right.start
         assert spans[-1].stop == 17
-
-    def test_accepts_dataset_objects(self):
-        dataset = Dataset(
-            scenes=gen_dataset(GenConfig(n_scenes=6, base_seed=15)).scenes,
-            config=GenConfig(n_scenes=6, base_seed=15),
-        )
-        assert [len(s) for s in folds(dataset, 2)] == [3, 3]
 
     def test_rejects_bad_fold_counts(self):
         with pytest.raises(ValueError):

@@ -167,6 +167,25 @@ class TestFormatErrors:
         with pytest.raises(ModelFormatError, match="trailing"):
             load_network(path)
 
+    @pytest.mark.parametrize(
+        "offset, message",
+        [
+            # The first byte of "g-net", after magic, version and length.
+            (14, "arch name is not valid utf-8"),
+            # The first byte of conv's first parameter name, after the
+            # six 20-byte layer records, its parameter count and length.
+            (14 + 5 + 4 + 6 * 20 + 4 + 1, "parameter name of layer 0 is not valid ascii"),
+        ],
+        ids=["arch", "param"],
+    )
+    def test_undecodable_name_names_the_field(self, tmp_path, offset, message):
+        path = self._saved(tmp_path)
+        blob = bytearray(path.read_bytes())
+        blob[offset] = 0xFF
+        path.write_bytes(bytes(blob))
+        with pytest.raises(ModelFormatError, match=message):
+            load_network(path)
+
     def test_not_a_container(self, tmp_path):
         path = tmp_path / "noise.bin"
         path.write_bytes(b"definitely not a network")
