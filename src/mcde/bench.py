@@ -358,25 +358,26 @@ class ScenarioConfig:
     sog_p: float = 6.0
 
 
-def band_shift_scenario(config: ScenarioConfig = ScenarioConfig()) -> BenchReport:
-    """Train one member per band, evaluate on the union of both bands."""
+def _band_scenes(config: ScenarioConfig, n_scenes: int, band: str, purpose: str):
+    return gen_dataset(
+        GenConfig(
+            n_scenes=n_scenes,
+            width=config.width,
+            height=config.height,
+            n_patches=config.n_patches,
+            pool=band,
+            noise_std=config.noise_std,
+            base_seed=derive_seed(purpose, config.seed, band),
+        )
+    ).scenes
 
-    def band_scenes(n_scenes: int, band: str, purpose: str):
-        return gen_dataset(
-            GenConfig(
-                n_scenes=n_scenes,
-                width=config.width,
-                height=config.height,
-                n_patches=config.n_patches,
-                pool=band,
-                noise_std=config.noise_std,
-                base_seed=derive_seed(purpose, config.seed, band),
-            )
-        ).scenes
 
-    members = (("g-net", "band-a"), ("m-net", "band-b"))
-    models = []
-    for name, band in members:
+def _train_scenario_member(config: ScenarioConfig, name: str, band: str):
+    """Generate member ``name``'s training scenes and train it on them.
+
+    Runs in a worker process; an error is re-raised naming the member.
+    """
+    try:
         spec = TrainableSpec(
             name=name,
             arch=name,
@@ -386,19 +387,35 @@ def band_shift_scenario(config: ScenarioConfig = ScenarioConfig()) -> BenchRepor
             learning_rate=config.learning_rate,
             batch_size=config.batch_size,
         )
-        net = _train_member(
+        return _train_member(
             spec,
-            band_scenes(config.train_per_band, band, "scenario-train"),
+            _band_scenes(config, config.train_per_band, band, "scenario-train"),
             init_seed=derive_seed("scenario-init", config.seed, name),
             train_seed=derive_seed("scenario-train-loop", config.seed, name),
         )
-        models.append((name, net))
+    except Exception as exc:
+        raise RuntimeError(f"member {name} failed: {exc}") from exc
 
-    eval_scenes = [
-        scene
-        for _, band in members
-        for scene in band_scenes(config.eval_per_band, band, "scenario-eval")
-    ]
+
+def band_shift_scenario(config: ScenarioConfig = ScenarioConfig()) -> BenchReport:
+    """Train one member per band, evaluate on the union of both bands.
+
+    The members are independent until fusion, so each trains in its own
+    forked worker process, which generates its band's training scenes
+    itself: only the trained network travels back.  Meanwhile this
+    process generates the evaluation scenes; it then runs the MC
+    evaluation.  Every seed is fixed by the config, so the report is
+    the same, bit for bit, as training the members one after the other.
+    """
+    names, bands = ("g-net", "m-net"), ("band-a", "band-b")
+    with ProcessPoolExecutor(max_workers=len(names)) as pool:
+        trained = pool.map(partial(_train_scenario_member, config), names, bands)
+        eval_scenes = [
+            scene
+            for band in bands
+            for scene in _band_scenes(config, config.eval_per_band, band, "scenario-eval")
+        ]
+        models = list(zip(names, trained))
     batch = _evaluate_samples(
         models,
         eval_scenes,
@@ -408,4 +425,4 @@ def band_shift_scenario(config: ScenarioConfig = ScenarioConfig()) -> BenchRepor
         config.sog_p,
     )
     echo = {"protocol": "band-shift-scenario", "format_version": 1, **asdict(config)}
-    return _report(echo, [name for name, _ in members], [batch])
+    return _report(echo, names, [batch])

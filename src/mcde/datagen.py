@@ -87,6 +87,10 @@ class GenConfig:
     base_seed: int = 0
 
     def __post_init__(self) -> None:
+        for name in ("n_scenes", "width", "height", "n_patches"):
+            value = getattr(self, name)
+            if not isinstance(value, int) or isinstance(value, bool):
+                raise TypeError(f"{name} must be an integer, got {value!r}")
         if self.n_scenes < 0:
             raise ValueError("n_scenes must be non-negative")
         if self.width < 8 or self.height < 8:

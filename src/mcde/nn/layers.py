@@ -2,9 +2,12 @@
 
 Activations are float64 throughout.  Spatial tensors are channels-last
 (H, W, C); pooled activations are flat (C,) vectors.  Every layer has
-``forward(x, rng=None) -> (y, cache)`` and ``backward(dy, cache) ->
-(dx, grads)``, with ``grads`` keyed like ``params``.  The cache holds
-only what the forward computes anyway, so it is always returned.  Only
+``forward(x, rng=None) -> (y, cache)`` and ``backward(dy, cache,
+need_dx=True) -> (dx, grads)``, with ``grads`` keyed like ``params``.
+With ``need_dx`` false the input gradient is neither computed nor
+returned (``dx`` is None): the first layer of a network has no one to
+pass it to.  The cache holds only what the forward computes anyway,
+so it is always returned.  Only
 ``Dropout`` reads ``rng``: it draws its mask from it, and is the
 identity without one.  Layers are pure functions of their input plus
 that RNG, which keeps every forward pass bit-reproducible.
@@ -75,19 +78,24 @@ class Conv3x3:
                 y += xp[ki : ki + h, kj : kj + w] @ weight[ki, kj]
         return y, xp
 
-    def backward(self, dy, cache):
+    def backward(self, dy, cache, need_dx=True):
         xp = cache
         h, w, _ = dy.shape
         weight = self.params["W"]
         d_weight = np.empty_like(weight)
-        dxp = np.zeros_like(xp)
         dy_flat = dy.reshape(-1, self.c_out)
         for ki in range(3):
             for kj in range(3):
                 patch = xp[ki : ki + h, kj : kj + w].reshape(-1, self.c_in)
                 d_weight[ki, kj] = patch.T @ dy_flat
+        grads = {"W": d_weight, "b": dy.sum(axis=(0, 1))}
+        if not need_dx:
+            return None, grads
+        dxp = np.zeros_like(xp)
+        for ki in range(3):
+            for kj in range(3):
                 dxp[ki : ki + h, kj : kj + w] += dy @ weight[ki, kj].T
-        return dxp[1:-1, 1:-1], {"W": d_weight, "b": dy.sum(axis=(0, 1))}
+        return dxp[1:-1, 1:-1], grads
 
 
 class Affine:
@@ -117,11 +125,11 @@ class Affine:
         y = x @ self.params["W"] + self.params["b"]
         return y, x
 
-    def backward(self, dy, cache):
+    def backward(self, dy, cache, need_dx=True):
         x = cache
         x_flat = x.reshape(-1, self.c_in)
         dy_flat = dy.reshape(-1, self.c_out)
-        dx = dy @ self.params["W"].T
+        dx = dy @ self.params["W"].T if need_dx else None
         return dx, {"W": x_flat.T @ dy_flat, "b": dy_flat.sum(axis=0)}
 
 
@@ -135,8 +143,8 @@ class Relu:
         y = np.maximum(x, 0.0)
         return y, y
 
-    def backward(self, dy, cache):
-        return dy * (cache > 0.0), {}
+    def backward(self, dy, cache, need_dx=True):
+        return (dy * (cache > 0.0) if need_dx else None), {}
 
 
 class MeanPool:
@@ -150,7 +158,9 @@ class MeanPool:
     def forward(self, x, rng=None):
         return x.mean(axis=(0, 1)), x.shape
 
-    def backward(self, dy, cache):
+    def backward(self, dy, cache, need_dx=True):
+        if not need_dx:
+            return None, {}
         h, w, _ = cache
         return np.broadcast_to(dy / (h * w), cache).copy(), {}
 
@@ -173,7 +183,9 @@ class MaxPool:
         y = flat[idx, np.arange(x.shape[-1])]
         return y, (x.shape, idx)
 
-    def backward(self, dy, cache):
+    def backward(self, dy, cache, need_dx=True):
+        if not need_dx:
+            return None, {}
         shape, idx = cache
         dflat = np.zeros((shape[0] * shape[1], shape[2]))
         dflat[idx, np.arange(shape[2])] = dy
@@ -209,7 +221,9 @@ class Dropout:
         scale = keep / (1.0 - self.rate)
         return x * scale, scale
 
-    def backward(self, dy, cache):
+    def backward(self, dy, cache, need_dx=True):
+        if not need_dx:
+            return None, {}
         return (dy if cache is None else dy * cache), {}
 
 
@@ -235,7 +249,9 @@ class PositiveHead:
         y = e / norm
         return y, (e, y, norm)
 
-    def backward(self, dy, cache):
+    def backward(self, dy, cache, need_dx=True):
+        if not need_dx:
+            return None, {}
         e, y, norm = cache
         radial = np.sum(y * dy, axis=-1, keepdims=True)
         return e * (dy - y * radial) / norm, {}

@@ -104,7 +104,10 @@ class Network:
 
         Returns (loss, grads) where grads is a list parallel to
         ``layers``; each entry maps parameter names to arrays shaped
-        like the parameters.
+        like the parameters.  Nothing consumes the gradient with
+        respect to the pixels, so layer 0 is asked not to compute it
+        (``need_dx=False``); every parameter gradient is the same, bit
+        for bit, as with a full backward.
         """
         x = np.asarray(pixels, dtype=np.float64)
         gt = np.asarray(gt, dtype=np.float64)
@@ -113,8 +116,7 @@ class Network:
         grad = -gt
         grads: list[dict] = [{}] * len(self.layers)
         for i in range(len(self.layers) - 1, -1, -1):
-            grad, layer_grads = self.layers[i].backward(grad, caches[i])
-            grads[i] = layer_grads
+            grad, grads[i] = self.layers[i].backward(grad, caches[i], need_dx=i > 0)
         for i, layer_grads in enumerate(grads):
             for name, arr in layer_grads.items():
                 if not np.all(np.isfinite(arr)):

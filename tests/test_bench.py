@@ -6,6 +6,7 @@ import math
 import numpy as np
 import pytest
 
+from mcde import bench
 from mcde.bench import (
     BenchConfig,
     ErrorStats,
@@ -18,6 +19,7 @@ from mcde.bench import (
 )
 from mcde.color import Scene, normalize
 from mcde.datagen import Dataset, GenConfig, gen_dataset
+from mcde.seeding import derive_seed
 
 
 def oracle_stats(values):
@@ -303,3 +305,79 @@ class TestBandShiftScenario:
             np.testing.assert_array_equal(report.errors[("ideal", metric)], members.min(axis=0))
         for name in report.model_names:
             assert report.uncertainties[name].shape == (6,)
+
+    def test_members_match_in_process_training_bitwise(self, monkeypatch):
+        """The members trained in worker processes equal, byte for byte,
+        ``_train_member`` run here on the same scenes and seeds, and so
+        do the report's errors and uncertainties."""
+        config = ScenarioConfig(
+            seed=6, eval_per_band=3, train_per_band=6, nu=2, epochs=2, channels=4
+        )
+        calls = []
+        evaluate = bench._evaluate_samples
+
+        def recording(models, *args):
+            calls.append((models, args))
+            return evaluate(models, *args)
+
+        monkeypatch.setattr(bench, "_evaluate_samples", recording)
+        report = band_shift_scenario(config)
+        ((models, eval_args),) = calls
+
+        reference = []
+        for name, band in (("g-net", "band-a"), ("m-net", "band-b")):
+            spec = TrainableSpec(
+                name=name,
+                arch=name,
+                channels=config.channels,
+                dropout_rate=config.dropout_rate,
+                epochs=config.epochs,
+                learning_rate=config.learning_rate,
+                batch_size=config.batch_size,
+            )
+            scenes = gen_dataset(
+                GenConfig(
+                    n_scenes=config.train_per_band,
+                    width=config.width,
+                    height=config.height,
+                    n_patches=config.n_patches,
+                    pool=band,
+                    noise_std=config.noise_std,
+                    base_seed=derive_seed("scenario-train", config.seed, band),
+                )
+            ).scenes
+            net = bench._train_member(
+                spec,
+                scenes,
+                init_seed=derive_seed("scenario-init", config.seed, name),
+                train_seed=derive_seed("scenario-train-loop", config.seed, name),
+            )
+            reference.append((name, net))
+
+        assert [name for name, _ in models] == [name for name, _ in reference]
+        for (_, net), (_, ref) in zip(models, reference):
+            assert len(net.layers) == len(ref.layers)
+            for layer, ref_layer in zip(net.layers, ref.layers):
+                assert set(layer.params) == set(ref_layer.params)
+                for key, value in layer.params.items():
+                    assert value.tobytes() == ref_layer.params[key].tobytes()
+
+        errors, uncertainties = evaluate(reference, *eval_args)
+        assert set(report.errors) == set(errors)
+        for key, values in errors.items():
+            assert report.errors[key].tobytes() == np.array(values).tobytes()
+        for name, values in uncertainties.items():
+            assert report.uncertainties[name].tobytes() == np.array(values).tobytes()
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_failing_member_is_named(self):
+        """A member that diverges in its worker reaches the caller as a
+        plain RuntimeError naming it, not as a broken pool."""
+        config = ScenarioConfig(
+            seed=5, eval_per_band=2, train_per_band=4, nu=2, epochs=2, channels=4,
+            batch_size=2, learning_rate=1e300,
+        )
+        with pytest.raises(RuntimeError) as info:
+            band_shift_scenario(config)
+        assert type(info.value) is RuntimeError
+        assert str(info.value).startswith("member g-net failed: training diverged at epoch 1: ")

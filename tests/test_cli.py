@@ -155,6 +155,20 @@ class TestTrain:
         err = capsys.readouterr().err
         assert err == "error: invalid manifest contents: checksums must be an object of strings\n"
 
+    def test_mistyped_manifest_config_is_runtime_error(self, dataset_dir, tmp_path, capsys):
+        data = tmp_path / "data"
+        shutil.copytree(dataset_dir, data)
+        manifest = json.loads((data / "manifest.json").read_text())
+        manifest["config"]["width"] = 8.0
+        (data / "manifest.json").write_text(json.dumps(manifest))
+        code = cli.main(
+            ["train", "--arch", "g-net", "--data", str(data),
+             "--out", str(tmp_path / "m.net")]
+        )
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err == "error: invalid manifest contents: config: width must be an integer, got 8.0\n"
+
     def test_bad_subset_syntax_is_usage_error(self, dataset_dir, tmp_path):
         code = cli.main(
             ["train", "--arch", "g-net", "--data", str(dataset_dir),

@@ -92,6 +92,10 @@ class TestGenScene:
                 GenConfig(n_scenes=1, noise_std=noise_std)
         with pytest.raises(ValueError):
             GenConfig(n_scenes=-1)
+        for field in ("n_scenes", "width", "height", "n_patches"):
+            for value in (8.0, True, "8"):
+                with pytest.raises(TypeError, match=f"^{field} must be an integer"):
+                    GenConfig(**{"n_scenes": 1, field: value})
 
 
 class TestDatasetIO:
@@ -170,6 +174,22 @@ class TestDatasetIO:
         save(gen_dataset(GenConfig(n_scenes=2, base_seed=17)), tmp_path / "ds")
         edit_manifest(tmp_path / "ds", **{field: value})
         with pytest.raises(DatasetFormatError, match=f"^invalid manifest contents: {message}$"):
+            load(tmp_path / "ds")
+
+    @pytest.mark.parametrize(
+        "field, value",
+        [("n_scenes", 2.0), ("width", 8.0), ("height", "8"), ("n_patches", True)],
+    )
+    def test_mistyped_config_field_is_named(self, tmp_path, field, value):
+        """A non-integer size in the manifest's config fails the load,
+        before it reaches the pixel reshape."""
+        save(gen_dataset(GenConfig(n_scenes=2, width=8, height=8, base_seed=22)), tmp_path / "ds")
+        manifest = json.loads((tmp_path / "ds" / "manifest.json").read_text())
+        edit_manifest(tmp_path / "ds", config={**manifest["config"], field: value})
+        with pytest.raises(
+            DatasetFormatError,
+            match=f"^invalid manifest contents: config: {field} must be an integer, got ",
+        ):
             load(tmp_path / "ds")
 
     def test_manifest_that_is_not_an_object_is_rejected(self, tmp_path):

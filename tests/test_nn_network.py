@@ -4,7 +4,21 @@ import numpy as np
 import pytest
 from gradcheck import check_network
 
-from mcde.nn import Mode, Network, NumericError, PassSeed, build, cosine_loss
+from mcde.nn import (
+    Affine,
+    Conv3x3,
+    Dropout,
+    MaxPool,
+    MeanPool,
+    Mode,
+    Network,
+    NumericError,
+    PassSeed,
+    PositiveHead,
+    Relu,
+    build,
+    cosine_loss,
+)
 from mcde.nn.archs import build_g_net, build_m_net
 
 
@@ -116,7 +130,7 @@ class TestBackward:
             def forward(self, x, rng=None):
                 return x, None
 
-            def backward(self, dy, cache):
+            def backward(self, dy, cache, need_dx=True):
                 return dy, {"W": np.array([np.inf])}
 
         net = build("g-net", seed=10, channels=4, dropout_rate=0.0)
@@ -141,6 +155,123 @@ class TestBackward:
         net = Network([])
         out = net.forward(np.ones(3))
         np.testing.assert_array_equal(out, np.ones(3))
+
+
+def affine_first_net(seed):
+    """A stack whose layer 0 is not a conv, with a conv further in."""
+    rng = np.random.default_rng(seed)
+    layers = [
+        Affine(3, 5),
+        Relu(),
+        Conv3x3(5, 4),
+        Relu(),
+        Dropout(0.3),
+        MeanPool(),
+        Affine(4, 3),
+        PositiveHead(),
+    ]
+    for layer in layers:
+        if layer.params:
+            layer.init(rng)
+    return Network(layers)
+
+
+def reference_backward(net, pixels, gt, seed):
+    """Network.backward as a plain loop that asks every layer, layer 0
+    included, for its input gradient; returns (loss, grads, layer 0's dx)."""
+    pred, caches = net._run(np.asarray(pixels, dtype=np.float64), seed)
+    gt = np.asarray(gt, dtype=np.float64)
+    grad = -gt
+    grads = [None] * len(net.layers)
+    for i in range(len(net.layers) - 1, -1, -1):
+        grad, grads[i] = net.layers[i].backward(grad, caches[i])
+    return cosine_loss(pred, gt), grads, grad
+
+
+class TestInputGradientSkip:
+    """Network.backward does not ask layer 0 for the gradient with
+    respect to the pixels, and nothing else moves."""
+
+    @pytest.mark.parametrize(
+        "make",
+        [
+            lambda: build("g-net", seed=12, channels=4, dropout_rate=0.35),
+            lambda: build("m-net", seed=13, channels=4, dropout_rate=0.35),
+            lambda: affine_first_net(14),
+        ],
+        ids=["g-net", "m-net", "affine-first"],
+    )
+    def test_loss_and_gradients_match_the_full_backward_bytewise(self, make):
+        net = make()
+        rng = np.random.default_rng(69)
+        for pass_index in range(3):
+            pixels, gt = random_pixels(rng), unit(rng)
+            seed = PassSeed(34, pass_index)
+            loss, grads = net.backward(pixels, gt, seed)
+            ref_loss, ref_grads, ref_dx = reference_backward(net, pixels, gt, seed)
+            assert ref_dx.shape == pixels.shape  # the reference did compute it
+            assert loss == ref_loss
+            assert len(grads) == len(ref_grads)
+            for layer_grads, ref_layer_grads in zip(grads, ref_grads):
+                assert set(layer_grads) == set(ref_layer_grads)
+                for name, grad in layer_grads.items():
+                    ref = ref_layer_grads[name]
+                    assert grad.dtype == ref.dtype and grad.shape == ref.shape
+                    assert grad.tobytes() == ref.tobytes()
+
+    def test_layer_zero_input_gradient_is_not_computed(self, monkeypatch):
+        """Of two convs, only the one past layer 0 computes its dx."""
+        rng = np.random.default_rng(70)
+        layers = [
+            Conv3x3(3, 4),
+            Relu(),
+            Conv3x3(4, 4),
+            Relu(),
+            Dropout(0.3),
+            MeanPool(),
+            Affine(4, 3),
+            PositiveHead(),
+        ]
+        for layer in layers:
+            if layer.params:
+                layer.init(rng)
+        net = Network(layers)
+        computed = []
+        original = Conv3x3.backward
+
+        def counting(self, dy, cache, need_dx=True):
+            dx, grads = original(self, dy, cache, need_dx)
+            computed.append((net.layers.index(self), dx is not None))
+            return dx, grads
+
+        monkeypatch.setattr(Conv3x3, "backward", counting)
+        net.backward(random_pixels(rng), unit(rng), PassSeed(35))
+        assert computed == [(2, True), (0, False)]
+
+    def test_layers_skip_their_input_gradient_on_request(self):
+        rng = np.random.default_rng(71)
+        fmap = rng.normal(size=(4, 5, 3))
+        vec = rng.normal(size=3)
+        conv, affine = Conv3x3(3, 3), Affine(3, 3)
+        conv.init(rng)
+        affine.init(rng)
+        cases = [
+            (conv, fmap, None),
+            (affine, vec, None),
+            (Relu(), fmap, None),
+            (MeanPool(), fmap, None),
+            (MaxPool(), fmap, None),
+            (Dropout(0.4), fmap, np.random.default_rng(72)),
+            (PositiveHead(), vec, None),
+        ]
+        for layer, x, mask_rng in cases:
+            y, cache = layer.forward(x, rng=mask_rng)
+            dy = rng.normal(size=y.shape)
+            dx, grads = layer.backward(dy, cache, need_dx=False)
+            full_dx, full_grads = layer.backward(dy, cache)
+            assert dx is None and full_dx.shape == x.shape, layer.kind
+            for name, grad in grads.items():
+                assert grad.tobytes() == full_grads[name].tobytes(), layer.kind
 
 
 class TestBuild:
