@@ -121,8 +121,10 @@ def mcde(nets, pixels, nu: int = 30, base_seed: int = 0, variant: str = "log") -
 
     With a single member the fused output is that member's MC mean (up
     to the spherical round-trip); with one member far more certain than
-    the rest the fusion follows it.
+    the rest the fusion follows it.  An unknown ``variant`` fails before
+    any pass runs.
     """
+    _g(variant)
     return fuse(ensemble_estimates(nets, pixels, nu, base_seed), variant)
 
 

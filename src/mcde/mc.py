@@ -7,10 +7,10 @@ raw, pre-normalization mean), compressed to a single scalar as the
 product sigma_r * sigma_g * sigma_b.
 
 The passes come from ``Network.forward_passes``, which runs the layers
-before the first Dropout once per call and replays only the rest of
-the stack per pass.  Each pass still sees the same input and masks as
-a whole-stack ``forward``, so the passes are bit-identical to nu
-separate forwards.
+before the first Dropout once per call and the rest of the stack once
+for all nu passes, over a leading pass axis.  Each pass still sees the
+same input and masks as a whole-stack ``forward``, so the passes are
+bit-identical to nu separate forwards.
 """
 
 from __future__ import annotations
@@ -50,6 +50,8 @@ def mc_estimate(net, pixels, nu: int = 30, base_seed: int = 0) -> MCEstimate:
     the spread is exactly zero; the short-circuit avoids spurious
     round-off from averaging identical values.
     """
+    if not isinstance(nu, int) or isinstance(nu, bool):
+        raise TypeError(f"nu must be an integer, got {nu!r}")
     if nu < 1:
         raise ValueError("nu must be at least 1")
     outs = net.forward_passes(pixels, [PassSeed(base_seed, i) for i in range(nu)])

@@ -1,7 +1,10 @@
 """Layer primitives with plain numpy forward/backward pairs.
 
 Activations are float64 throughout.  Spatial tensors are channels-last
-(H, W, C); pooled activations are flat (C,) vectors.  Every layer has
+(H, W, C); pooled activations are flat (C,) vectors.  ``Affine``,
+``Relu`` and ``PositiveHead`` also take a (ν, C) stack of such vectors,
+one per MC pass, and map each row bit for bit as they map it alone.
+Every layer has
 ``forward(x, rng=None) -> (y, cache)`` and ``backward(dy, cache,
 need_dx=True) -> (dx, grads)``, with ``grads`` keyed like ``params``.
 With ``need_dx`` false the input gradient is neither computed nor
@@ -122,8 +125,13 @@ class Affine:
         self.params["b"] = np.zeros(self.c_out)
 
     def forward(self, x, rng=None):
-        y = x @ self.params["W"] + self.params["b"]
-        return y, x
+        if x.ndim == 2:
+            # One gemv per row, as for a (C,) vector alone; a (ν, C) @ W
+            # gemm rounds differently.
+            y = (x[:, None, :] @ self.params["W"])[:, 0, :]
+        else:
+            y = x @ self.params["W"]
+        return y + self.params["b"], x
 
     def backward(self, dy, cache, need_dx=True):
         x = cache
@@ -211,13 +219,14 @@ class Dropout:
         self.rate = rate
         self.params = {}
 
+    def keep(self, rng, size):
+        """One pass's keep mask over ``size`` channels or elements."""
+        return rng.random(size) >= self.rate
+
     def forward(self, x, rng=None):
         if rng is None or self.rate == 0.0:
             return x, None
-        if x.ndim == 3:
-            keep = rng.random(x.shape[-1]) >= self.rate
-        else:
-            keep = rng.random(x.shape) >= self.rate
+        keep = self.keep(rng, x.shape[-1] if x.ndim == 3 else x.shape)
         scale = keep / (1.0 - self.rate)
         return x * scale, scale
 

@@ -7,7 +7,7 @@ from enum import Enum
 
 import numpy as np
 
-from mcde.nn.layers import Dropout, PassSeed
+from mcde.nn.layers import Affine, Dropout, MaxPool, MeanPool, PassSeed, PositiveHead, Relu
 from mcde.seeding import derive_seed
 
 __all__ = ["Mode", "Network", "NumericError", "cosine_loss"]
@@ -43,9 +43,9 @@ class Network:
     ``Dropout`` draws its mask from (seed, layer index), in training and
     MC inference alike; without one it is the identity.  The layers
     before the first ``Dropout`` (the prefix) give the same output on
-    every pass, so ``forward_passes`` runs them once and replays only
-    the rest (the suffix) per pass.  All entry points share one layer
-    loop, which checks the activations after every layer it runs.
+    every pass, so ``forward_passes`` runs them once and runs the rest
+    (the suffix) once for all passes, over a leading pass axis.  All
+    entry points check the activations after every layer they run.
 
     Single-writer: training mutates ``layers[i].params`` in place, so a
     network must not be trained and evaluated concurrently.  Forward
@@ -63,15 +63,15 @@ class Network:
         """
         if mode is Mode.MC and seed is None:
             raise ValueError("mc forward passes require a PassSeed")
-        x = np.asarray(pixels, dtype=np.float64)
-        return self._run(x, seed if mode is Mode.MC else None)[0]
+        return self._run(self._pixels(pixels), seed if mode is Mode.MC else None)[0]
 
     def forward_passes(self, pixels, seeds) -> np.ndarray:
         """One MC-mode forward per PassSeed in ``seeds``, as a (len(seeds), 3) array.
 
         Row k equals ``forward(pixels, Mode.MC, seeds[k])`` bit for bit:
-        the prefix runs once, and each pass's suffix starts from that
-        same activation under its own masks.
+        the prefix runs once, and the suffix runs from that same
+        activation under each pass's own masks, stacked when
+        ``_run_stacked`` can and pass by pass otherwise.
         """
         seeds = list(seeds)
         if not seeds:
@@ -80,8 +80,73 @@ class Network:
             (i for i, layer in enumerate(self.layers) if isinstance(layer, Dropout)),
             len(self.layers),
         )
-        shared, _ = self._run(np.asarray(pixels, dtype=np.float64), None, stop=split)
+        shared, _ = self._run(self._pixels(pixels), None, stop=split)
+        # Silent: a value that would warn is not finite, so the replay
+        # below runs and warns as the whole-stack forwards would.
+        with np.errstate(all="ignore"):
+            stacked = self._run_stacked(shared, seeds, split)
+        if stacked is not None:
+            return stacked
         return np.stack([self._run(shared, seed, start=split)[0] for seed in seeds])
+
+    def _pixels(self, pixels) -> np.ndarray:
+        """``pixels`` as float64, checked to be a non-empty (H, W, c_in) image.
+
+        A network without layers is the identity and takes any array.
+        """
+        x = np.asarray(pixels, dtype=np.float64)
+        if not self.layers:
+            return x
+        c_in = getattr(self.layers[0], "c_in", None)
+        if x.ndim != 3 or 0 in x.shape or c_in not in (None, x.shape[2]):
+            want = f"(H, W, {'C' if c_in is None else c_in})"
+            raise ValueError(f"expected non-empty {want} pixels, got shape {x.shape}")
+        return x
+
+    def _run_stacked(self, x, seeds, start):
+        """``layers[start:]`` once for all passes, as a (len(seeds), ...) array.
+
+        Runs a suffix of vector layers, optionally led by a spatial
+        ``Dropout`` right before the global pool.  That Dropout scales
+        each channel by 0 or 1/(1-rate), so the pool runs once on each
+        scaled map and every pass picks its channels from the two; the
+        (ν, H, W, C) stack is never built.  Returns None for any other
+        suffix, or when an activation is not finite, so that the
+        pass-by-pass replay raises exactly the error (and names the
+        layer) a whole-stack forward would.
+        """
+        i = start
+        if x.ndim == 3:
+            if len(self.layers) < i + 2 or not isinstance(self.layers[i + 1], (MeanPool, MaxPool)):
+                return None
+            drop, pool = self.layers[i : i + 2]
+            keep = self._keeps(i, seeds, x.shape[-1])
+            kept = x * (1.0 / (1.0 - drop.rate))
+            if not np.all(np.isfinite(kept)):
+                return None
+            a = np.where(keep, pool.forward(kept)[0], pool.forward(x * 0.0)[0])
+            i += 2
+            if not np.all(np.isfinite(a)):
+                return None
+        else:
+            a = np.repeat(x[None], len(seeds), axis=0)
+        for i, layer in enumerate(self.layers[i:], i):
+            if isinstance(layer, Dropout):
+                a = a * (self._keeps(i, seeds, a.shape[-1]) / (1.0 - layer.rate))
+            elif isinstance(layer, (Affine, Relu, PositiveHead)):
+                a, _ = layer.forward(a)
+            else:
+                return None
+            if not np.all(np.isfinite(a)):
+                return None
+        return a
+
+    def _keeps(self, i, seeds, size):
+        """(len(seeds), size) keep masks of the Dropout at ``layers[i]``, one row per pass."""
+        layer = self.layers[i]
+        if layer.rate == 0.0:
+            return np.ones((len(seeds), size), dtype=bool)
+        return np.stack([layer.keep(_mask_rng(seed, i), size) for seed in seeds])
 
     def _run(self, x, seed, start=0, stop=None):
         """Apply ``layers[start:stop]`` to ``x``; returns (activation, caches)."""
@@ -109,9 +174,8 @@ class Network:
         (``need_dx=False``); every parameter gradient is the same, bit
         for bit, as with a full backward.
         """
-        x = np.asarray(pixels, dtype=np.float64)
         gt = np.asarray(gt, dtype=np.float64)
-        pred, caches = self._run(x, seed)
+        pred, caches = self._run(self._pixels(pixels), seed)
         loss = cosine_loss(pred, gt)
         grad = -gt
         grads: list[dict] = [{}] * len(self.layers)

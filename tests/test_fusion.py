@@ -219,6 +219,14 @@ class TestPipeline:
         manual = fuse(ensemble_estimates(nets, pixels, 3, 5), "linear")
         np.testing.assert_array_equal(direct.fused, manual.fused)
 
+    def test_unknown_variant_fails_before_any_pass(self, monkeypatch):
+        net = build("g-net", seed=92, channels=5, dropout_rate=0.3)
+        calls = []
+        monkeypatch.setattr(net, "forward_passes", lambda *args: calls.append(args))
+        with pytest.raises(ValueError, match="unknown confidence variant 'lin'"):
+            mcde([net, net], np.ones((8, 8, 3)), nu=30, variant="lin")
+        assert calls == []
+
     def test_single_deterministic_model_passes_through(self):
         """K=1 with dropout 0: the fused output is the model's own
         estimate, up to the spherical round trip."""

@@ -6,6 +6,7 @@ arithmetic and compared at 1e-12 or tighter.
 """
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -15,6 +16,7 @@ from mcde.nn import (
     Affine,
     Conv3x3,
     Dropout,
+    MaxPool,
     MeanPool,
     Mode,
     Network,
@@ -100,6 +102,11 @@ class TestReduction:
         with pytest.raises(ValueError):
             mc_estimate(StubNet([[1.0, 1.0, 1.0]]), None, nu=0)
 
+    @pytest.mark.parametrize("nu", [True, False, 2.5, 3.0, "30", None])
+    def test_nu_must_be_an_integer(self, nu):
+        with pytest.raises(TypeError, match="nu must be an integer"):
+            mc_estimate(StubNet([[1.0, 1.0, 1.0]]), None, nu=nu)
+
 
 class TestRealNetworks:
     def test_zero_dropout_sigma_exactly_zero(self):
@@ -169,7 +176,28 @@ STACKS = {
         PositiveHead(),
     ),
     "rate-0": lambda: build("g-net", seed=93, channels=5, dropout_rate=0.0),
+    "rate-0-vector": lambda: custom_stack(
+        Conv3x3(3, 4), Relu(), MaxPool(), Dropout(0.0), Affine(4, 3), PositiveHead()
+    ),
+    "negative-into-mean-pool": lambda: custom_stack(
+        Conv3x3(3, 4), Dropout(0.4), MeanPool(), Affine(4, 3), PositiveHead()
+    ),
+    "negative-into-max-pool": lambda: custom_stack(
+        Conv3x3(3, 4), Dropout(0.4), MaxPool(), Affine(4, 3), PositiveHead()
+    ),
+    "vector-dropout-mid-stack": lambda: custom_stack(
+        Conv3x3(3, 4), Relu(), MeanPool(), Affine(4, 6), Relu(), Dropout(0.5),
+        Affine(6, 3), PositiveHead(),
+    ),
+    "spatial-layer-after-dropout": lambda: custom_stack(
+        Conv3x3(3, 4), Relu(), Dropout(0.3), Conv3x3(4, 4), Relu(), MeanPool(),
+        Affine(4, 3), PositiveHead(),
+    ),
 }
+
+
+def pass_by_pass(net, pixels, seeds):
+    return np.stack([net.forward(pixels, Mode.MC, seed) for seed in seeds])
 
 
 class TestPrefixSharing:
@@ -189,6 +217,60 @@ class TestPrefixSharing:
         assert got.sigma.tobytes() == ref.sigma.tobytes()
         assert got.mu == ref.mu
         assert got.passes == ref.passes
+
+    @pytest.mark.parametrize("make", STACKS.values(), ids=STACKS.keys())
+    def test_equals_pass_by_pass_forwards_at_64x64(self, make):
+        net = make()
+        pixels = np.random.default_rng(100).uniform(-0.5, 1.5, (64, 64, 3))
+        seeds = [PassSeed(7, i) for i in range(30)]
+        want = pass_by_pass(net, pixels, seeds)
+        assert net.forward_passes(pixels, seeds).tobytes() == want.tobytes()
+
+    def test_pool_does_not_stack_the_spatial_map(self):
+        """g-net's (64, 64, C) map is pooled per channel choice, never
+        copied once per pass."""
+        net = build("g-net", seed=101, channels=12, dropout_rate=0.3)
+        pixels = np.random.default_rng(102).uniform(0.0, 1.0, (64, 64, 3))
+        seeds = [PassSeed(8, i) for i in range(30)]
+        stacked_bytes = 30 * 64 * 64 * 12 * 8
+        tracemalloc.start()
+        try:
+            net.forward_passes(pixels, seeds)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < stacked_bytes / 4
+
+    def test_mean_pool_runs_at_most_twice_per_estimate(self, monkeypatch):
+        calls = []
+        original = MeanPool.forward
+
+        def counted(self, x, **kwargs):
+            calls.append(x.shape)
+            return original(self, x, **kwargs)
+
+        monkeypatch.setattr(MeanPool, "forward", counted)
+        net = build("g-net", seed=103, channels=5, dropout_rate=0.3)
+        mc_estimate(net, np.random.default_rng(104).uniform(0.0, 1.0, (8, 8, 3)), nu=30)
+        assert 1 <= len(calls) <= 2
+        assert all(shape == (8, 8, 5) for shape in calls)
+
+    @pytest.mark.parametrize("arch,layer", [("g-net", 2), ("m-net", 3)])
+    def test_overflowing_kept_channel_names_the_dropout(self, arch, layer):
+        """A finite channel that the kept scale 1/(1-rate) overflows is
+        caught right after the Dropout, with the same warnings as the
+        whole-stack forwards give."""
+        net = build(arch, seed=105, channels=4, dropout_rate=0.3)
+        net.layers[0].params["b"][1] = 1.5e308
+        pixels = np.random.default_rng(106).uniform(0.0, 1.0, (6, 6, 3))
+        match = rf"after layer {layer} \(dropout\)"
+        with pytest.warns(RuntimeWarning, match="overflow") as want:
+            with pytest.raises(NumericError, match=match):
+                pass_by_pass(net, pixels, [PassSeed(0, i) for i in range(30)])
+        with pytest.warns(RuntimeWarning, match="overflow") as got:
+            with pytest.raises(NumericError, match=match):
+                mc_estimate(net, pixels, nu=30)
+        assert [str(w.message) for w in got] == [str(w.message) for w in want]
 
     def test_no_seeds_is_rejected(self):
         with pytest.raises(ValueError, match="at least one PassSeed"):

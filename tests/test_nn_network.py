@@ -1,5 +1,7 @@
 """Network container: forward modes, error handling, full backprop."""
 
+import re
+
 import numpy as np
 import pytest
 from gradcheck import check_network
@@ -71,6 +73,25 @@ class TestForward:
         net.layers[4].params["W"][:] = np.inf
         with pytest.raises(NumericError, match=r"layer 4 \(affine\)"):
             net.forward(np.ones((4, 4, 3)))
+
+    @pytest.mark.parametrize("shape", [(8, 8, 4), (8, 8), (0, 0, 3), (8, 0, 3), (2, 8, 8, 3)])
+    def test_pixels_must_be_a_nonempty_image(self, shape):
+        net = build("g-net", seed=7, channels=4)
+        pixels = np.ones(shape)
+        match = re.escape(f"expected non-empty (H, W, 3) pixels, got shape {shape}")
+        with pytest.raises(ValueError, match=match):
+            net.forward(pixels)
+        with pytest.raises(ValueError, match=match):
+            net.forward_passes(pixels, [PassSeed(0, 0)])
+        with pytest.raises(ValueError, match=match):
+            net.backward(pixels, unit(np.random.default_rng(8)), PassSeed(0, 0))
+
+    def test_pixel_channels_come_from_a_layer_zero_with_c_in(self):
+        net = Network([Relu(), MeanPool(), Affine(4, 3), PositiveHead()])
+        net.layers[2].init(np.random.default_rng(9))
+        assert net.forward(np.ones((3, 3, 4))).shape == (3,)
+        with pytest.raises(ValueError, match=r"\(H, W, C\) pixels, got shape \(3, 4\)"):
+            net.forward(np.ones((3, 4)))
 
     def test_architectures_differ(self):
         rng = np.random.default_rng(63)
