@@ -52,6 +52,12 @@ _RUNTIME_ERRORS = (
 )
 
 
+# MC passes per model, about 30x the default.  mc_estimate builds one
+# PassSeed and one mask row per pass before the first pass runs, so an
+# unbounded --nu could ask for gigabytes up front.
+MAX_NU = 1000
+
+
 class _UsageError(Exception):
     pass
 
@@ -78,7 +84,7 @@ def _span(text: str) -> tuple[int, int]:
     return start, stop
 
 
-def _int_min(minimum: int):
+def _int_min(minimum: int, maximum: float = math.inf):
     def parse(text: str) -> int:
         try:
             value = int(text)
@@ -86,6 +92,8 @@ def _int_min(minimum: int):
             raise argparse.ArgumentTypeError(f"expected an integer, got {text!r}") from None
         if value < minimum:
             raise argparse.ArgumentTypeError(f"must be >= {minimum}, got {value}")
+        if value > maximum:
+            raise argparse.ArgumentTypeError(f"must be <= {maximum}, got {value}")
         return value
 
     return parse
@@ -361,7 +369,8 @@ def _build_parser():
     p.add_argument("--models", nargs="+", required=True, help="model paths")
     p.add_argument("--data", required=True, help="dataset directory")
     p.add_argument("--index", type=_int_min(0), default=0, help="scene index")
-    p.add_argument("--nu", type=_int_min(1), default=30, help="MC passes per model")
+    p.add_argument("--nu", type=_int_min(1, MAX_NU), default=30,
+                   help=f"MC passes per model, at most {MAX_NU}")
     p.add_argument("--variant", choices=("linear", "log"), default="log")
     p.add_argument("--save-corrected", default=None, metavar="FILE",
                    help="write the corrected scene as little-endian float32")
@@ -372,7 +381,7 @@ def _build_parser():
     p.add_argument("--data", required=True, help="dataset directory")
     p.add_argument("--out", required=True, help="output report directory")
     p.add_argument("--k", type=_int_min(2), default=10, help="number of folds")
-    p.add_argument("--nu", type=_int_min(1), default=30)
+    p.add_argument("--nu", type=_int_min(1, MAX_NU), default=30)
     _add_training(p)
     p.add_argument("--sog-p", type=_float_min(1.0), default=6.0,
                    help="Minkowski norm for the shades-of-grey baseline")

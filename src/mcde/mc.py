@@ -7,10 +7,10 @@ raw, pre-normalization mean), compressed to a single scalar as the
 product sigma_r * sigma_g * sigma_b.
 
 The passes come from ``Network.forward_passes``, which runs the layers
-before the first Dropout once per call and the rest of the stack once
-for all nu passes, over a leading pass axis.  Each pass still sees the
-same input and masks as a whole-stack ``forward``, so the passes are
-bit-identical to nu separate forwards.
+before the first Dropout once per call and the rest of the stack, whatever
+its layers, once for all nu passes over a leading pass axis.  Each pass
+still sees the same input and masks as a whole-stack ``forward``, so the
+passes are bit-identical to nu separate forwards.
 """
 
 from __future__ import annotations

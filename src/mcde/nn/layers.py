@@ -1,19 +1,20 @@
 """Layer primitives with plain numpy forward/backward pairs.
 
 Activations are float64 throughout.  Spatial tensors are channels-last
-(H, W, C); pooled activations are flat (C,) vectors.  ``Affine``,
-``Relu`` and ``PositiveHead`` also take a (ν, C) stack of such vectors,
-one per MC pass, and map each row bit for bit as they map it alone.
-Every layer has
-``forward(x, rng=None) -> (y, cache)`` and ``backward(dy, cache,
-need_dx=True) -> (dx, grads)``, with ``grads`` keyed like ``params``.
-With ``need_dx`` false the input gradient is neither computed nor
-returned (``dx`` is None): the first layer of a network has no one to
-pass it to.  The cache holds only what the forward computes anyway,
-so it is always returned.  Only
-``Dropout`` reads ``rng``: it draws its mask from it, and is the
-identity without one.  Layers are pure functions of their input plus
-that RNG, which keeps every forward pass bit-reproducible.
+(H, W, C); pooled activations are flat (C,) vectors.  Every layer's
+``forward`` maps those trailing axes and carries any leading axes
+through: on a (ν, ...) stack, one item per MC pass, row k is bit for bit
+the forward of item k alone.  ``Dropout`` is the one exception: it
+cannot tell (H, W, C) from (ν, H, C), so ``Network`` stacks its masks.
+Every layer has ``forward(x, rng=None) -> (y, cache)`` and
+``backward(dy, cache, need_dx=True) -> (dx, grads)``, with ``grads``
+keyed like ``params``.  With ``need_dx`` false the input gradient is
+neither computed nor returned (``dx`` is None): the first layer of a
+network has no one to pass it to.  The cache holds only what the
+forward computes anyway, so it is always returned.  Only ``Dropout``
+reads ``rng``: it draws its mask from it, and is the identity without
+one.  Layers are pure functions of their input plus that RNG, which
+keeps every forward pass bit-reproducible.
 """
 
 from __future__ import annotations
@@ -71,14 +72,14 @@ class Conv3x3:
         self.params["b"] = np.zeros(self.c_out)
 
     def forward(self, x, rng=None):
-        h, w, _ = x.shape
-        xp = np.zeros((h + 2, w + 2, self.c_in))
-        xp[1:-1, 1:-1] = x
+        *lead, h, w, _ = x.shape
+        xp = np.zeros((*lead, h + 2, w + 2, self.c_in))
+        xp[..., 1:-1, 1:-1, :] = x
         weight = self.params["W"]
-        y = np.broadcast_to(self.params["b"], (h, w, self.c_out)).copy()
+        y = np.broadcast_to(self.params["b"], (*lead, h, w, self.c_out)).copy()
         for ki in range(3):
             for kj in range(3):
-                y += xp[ki : ki + h, kj : kj + w] @ weight[ki, kj]
+                y += xp[..., ki : ki + h, kj : kj + w, :] @ weight[ki, kj]
         return y, xp
 
     def backward(self, dy, cache, need_dx=True):
@@ -164,7 +165,7 @@ class MeanPool:
         self.params = {}
 
     def forward(self, x, rng=None):
-        return x.mean(axis=(0, 1)), x.shape
+        return x.mean(axis=(-3, -2)), x.shape
 
     def backward(self, dy, cache, need_dx=True):
         if not need_dx:
@@ -186,9 +187,9 @@ class MaxPool:
         self.params = {}
 
     def forward(self, x, rng=None):
-        flat = x.reshape(-1, x.shape[-1])
-        idx = flat.argmax(axis=0)
-        y = flat[idx, np.arange(x.shape[-1])]
+        flat = x.reshape(*x.shape[:-3], -1, x.shape[-1])
+        idx = flat.argmax(axis=-2)
+        y = np.take_along_axis(flat, idx[..., None, :], axis=-2)[..., 0, :]
         return y, (x.shape, idx)
 
     def backward(self, dy, cache, need_dx=True):

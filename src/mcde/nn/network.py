@@ -7,7 +7,7 @@ from enum import Enum
 
 import numpy as np
 
-from mcde.nn.layers import Affine, Dropout, MaxPool, MeanPool, PassSeed, PositiveHead, Relu
+from mcde.nn.layers import Dropout, MaxPool, MeanPool, PassSeed
 from mcde.seeding import derive_seed
 
 __all__ = ["Mode", "Network", "NumericError", "cosine_loss"]
@@ -69,9 +69,8 @@ class Network:
         """One MC-mode forward per PassSeed in ``seeds``, as a (len(seeds), 3) array.
 
         Row k equals ``forward(pixels, Mode.MC, seeds[k])`` bit for bit:
-        the prefix runs once, and the suffix runs from that same
-        activation under each pass's own masks, stacked when
-        ``_run_stacked`` can and pass by pass otherwise.
+        the prefix runs once, and the suffix runs once for all passes,
+        from that same activation under each pass's own masks.
         """
         seeds = list(seeds)
         if not seeds:
@@ -81,65 +80,60 @@ class Network:
             len(self.layers),
         )
         shared, _ = self._run(self._pixels(pixels), None, stop=split)
-        # Silent: a value that would warn is not finite, so the replay
-        # below runs and warns as the whole-stack forwards would.
+        # Silent: a value that would warn is not finite, and the replay
+        # below then raises and warns as the whole-stack forwards would.
+        # It only reports: the kept-map check is conservative, and the
+        # stacked rows equal the per-pass forwards anyway.
         with np.errstate(all="ignore"):
-            stacked = self._run_stacked(shared, seeds, split)
-        if stacked is not None:
-            return stacked
-        return np.stack([self._run(shared, seed, start=split)[0] for seed in seeds])
+            stacked, finite = self._run_stacked(shared, seeds, split)
+        if not finite:
+            for seed in seeds:
+                self._run(shared, seed, start=split)
+        return stacked
 
     def _pixels(self, pixels) -> np.ndarray:
         """``pixels`` as float64, checked to be a non-empty (H, W, c_in) image.
 
-        A network without layers is the identity and takes any array.
+        ``c_in`` comes from the first layer that has one, if any.  A
+        network without layers is the identity and takes any array.
         """
         x = np.asarray(pixels, dtype=np.float64)
         if not self.layers:
             return x
-        c_in = getattr(self.layers[0], "c_in", None)
+        c_in = next((layer.c_in for layer in self.layers if hasattr(layer, "c_in")), None)
         if x.ndim != 3 or 0 in x.shape or c_in not in (None, x.shape[2]):
             want = f"(H, W, {'C' if c_in is None else c_in})"
             raise ValueError(f"expected non-empty {want} pixels, got shape {x.shape}")
         return x
 
     def _run_stacked(self, x, seeds, start):
-        """``layers[start:]`` once for all passes, as a (len(seeds), ...) array.
+        """``layers[start:]`` on the prefix's output ``x`` for all passes at
+        once: a (len(seeds), ...) array, and whether it stayed finite.
 
-        Runs a suffix of vector layers, optionally led by a spatial
-        ``Dropout`` right before the global pool.  That Dropout scales
-        each channel by 0 or 1/(1-rate), so the pool runs once on each
-        scaled map and every pass picks its channels from the two; the
-        (ν, H, W, C) stack is never built.  Returns None for any other
-        suffix, or when an activation is not finite, so that the
-        pass-by-pass replay raises exactly the error (and names the
-        layer) a whole-stack forward would.
+        A spatial activation has 3 axes, or 4 once a Dropout stacks it.
+        Dropout scales each channel by 0 or 1/(1-rate); right before a
+        pool, the pool runs once on each scaled map and every pass picks
+        its channels, so g-net builds no (ν, H, W, C) array.  The check
+        then covers the whole kept map, which is conservative.
         """
-        i = start
-        if x.ndim == 3:
-            if len(self.layers) < i + 2 or not isinstance(self.layers[i + 1], (MeanPool, MaxPool)):
-                return None
-            drop, pool = self.layers[i : i + 2]
-            keep = self._keeps(i, seeds, x.shape[-1])
-            kept = x * (1.0 / (1.0 - drop.rate))
-            if not np.all(np.isfinite(kept)):
-                return None
-            a = np.where(keep, pool.forward(kept)[0], pool.forward(x * 0.0)[0])
-            i += 2
-            if not np.all(np.isfinite(a)):
-                return None
-        else:
-            a = np.repeat(x[None], len(seeds), axis=0)
-        for i, layer in enumerate(self.layers[i:], i):
+        a, finite, plain = x, True, None
+        for i, layer in enumerate(self.layers[start:], start):
             if isinstance(layer, Dropout):
-                a = a * (self._keeps(i, seeds, a.shape[-1]) / (1.0 - layer.rate))
-            elif isinstance(layer, (Affine, Relu, PositiveHead)):
-                a, _ = layer.forward(a)
+                keep = self._keeps(i, seeds, a.shape[-1])
+                after = self.layers[i + 1] if i + 1 < len(self.layers) else None
+                if a.ndim >= 3 and isinstance(after, (MeanPool, MaxPool)):
+                    plain, a = a, a * (1.0 / (1.0 - layer.rate))
+                else:
+                    scale = keep / (1.0 - layer.rate)
+                    a = a * (scale[:, None, None, :] if a.ndim >= 3 else scale)
+            elif plain is not None:
+                a, plain = np.where(keep, layer.forward(a)[0], layer.forward(plain * 0.0)[0]), None
             else:
-                return None
-            if not np.all(np.isfinite(a)):
-                return None
-        return a
+                a, _ = layer.forward(a)
+            finite = finite and np.all(np.isfinite(a))
+        if start == len(self.layers):  # no Dropout: each pass is the prefix's output
+            a = np.repeat(a[None], len(seeds), axis=0)
+        return a, finite
 
     def _keeps(self, i, seeds, size):
         """(len(seeds), size) keep masks of the Dropout at ``layers[i]``, one row per pass."""

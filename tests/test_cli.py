@@ -240,6 +240,14 @@ class TestEstimate:
         assert code == 1
         assert "missing.net" in capsys.readouterr().err
 
+    def test_nu_at_its_bound_is_accepted(self, dataset_dir, capsys):
+        code = cli.main(
+            ["estimate", "--models", "missing.net", "--data", str(dataset_dir),
+             "--nu", str(cli.MAX_NU)]
+        )
+        assert code == 1
+        assert "missing.net" in capsys.readouterr().err
+
     def test_bad_model_file_is_named(self, model_paths, dataset_dir, tmp_path, capsys):
         """Of a good and a malformed model, the error names the malformed one."""
         bad = tmp_path / "nopool.net"
@@ -412,6 +420,8 @@ class TestConfigFile:
             pytest.param("train", "dropout", 1.0, id="train-dropout-1"),
             pytest.param("bench", "dropout", 1.0, id="bench-dropout-1"),
             pytest.param("bench", "k", 0, id="k-0"),
+            pytest.param("estimate", "nu", 1001, id="estimate-nu-1001"),
+            pytest.param("bench", "nu", 10**9, id="bench-nu-1e9"),
         ],
     )
     def test_bad_config_value_is_usage_error(

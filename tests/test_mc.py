@@ -193,6 +193,15 @@ STACKS = {
         Conv3x3(3, 4), Relu(), Dropout(0.3), Conv3x3(4, 4), Relu(), MeanPool(),
         Affine(4, 3), PositiveHead(),
     ),
+    "conv-after-dropout-into-max-pool": lambda: custom_stack(
+        Conv3x3(3, 4), Dropout(0.3), Conv3x3(4, 4), MaxPool(), Affine(4, 3), PositiveHead()
+    ),
+    "two-spatial-dropouts": lambda: custom_stack(
+        Conv3x3(3, 4), Dropout(0.3), Dropout(0.4), MeanPool(), Affine(4, 3), PositiveHead()
+    ),
+    "dropout-relu-pool": lambda: custom_stack(
+        Conv3x3(3, 4), Dropout(0.3), Relu(), MeanPool(), Affine(4, 3), PositiveHead()
+    ),
 }
 
 
@@ -300,6 +309,19 @@ class TestPrefixSharing:
         with pytest.raises(NumericError, match=r"after layer 0 \(conv3x3\)"):
             net.forward(pixels)
         with pytest.raises(NumericError, match=r"after layer 0 \(conv3x3\)"):
+            mc_estimate(net, pixels, nu=30)
+
+
+    def test_infinite_conv_after_the_dropout_names_that_conv(self):
+        """The suffix's own layers are checked too: a -inf bias in the
+        conv after the Dropout fails there, stacked or pass by pass."""
+        net = STACKS["spatial-layer-after-dropout"]()
+        net.layers[3].params["b"][2] = -np.inf
+        pixels = np.random.default_rng(107).uniform(0.0, 1.0, (6, 6, 3))
+        match = r"after layer 3 \(conv3x3\)"
+        with pytest.raises(NumericError, match=match):
+            pass_by_pass(net, pixels, [PassSeed(0, i) for i in range(30)])
+        with pytest.raises(NumericError, match=match):
             mc_estimate(net, pixels, nu=30)
 
 

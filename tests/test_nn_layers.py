@@ -258,6 +258,36 @@ class TestPositiveHead:
         check_layer(PositiveHead(), rng.normal(size=(4, 3)))
 
 
+def initialised(layer, seed):
+    layer.init(np.random.default_rng(seed))
+    return layer
+
+
+# (layer, item shape at spatial size s); every kind but Dropout, which
+# cannot tell a spatial map from a stack.
+STACKABLE = {
+    "conv3x3": (lambda: initialised(Conv3x3(5, 7), 110), lambda s: (s, s, 5)),
+    "affine-spatial": (lambda: initialised(Affine(5, 7), 111), lambda s: (s, s, 5)),
+    "affine-vector": (lambda: initialised(Affine(5, 7), 112), lambda s: (5,)),
+    "relu-spatial": (Relu, lambda s: (s, s, 5)),
+    "relu-vector": (Relu, lambda s: (5,)),
+    "mean-pool": (MeanPool, lambda s: (s, s, 5)),
+    "max-pool": (MaxPool, lambda s: (s, s, 5)),
+    "positive-head": (PositiveHead, lambda s: (3,)),
+}
+
+
+@pytest.mark.parametrize("size", [16, 64])
+@pytest.mark.parametrize("make,item", STACKABLE.values(), ids=STACKABLE.keys())
+def test_forward_carries_a_leading_axis_bit_for_bit(make, item, size):
+    """Forward on a (nu, ...) stack is the stack of per-item forwards,
+    byte for byte: the MC passes run every layer over the pass axis."""
+    layer = make()
+    x = np.random.default_rng(113).normal(size=(7, *item(size)))
+    want = np.stack([layer.forward(row)[0] for row in x])
+    assert layer.forward(x)[0].tobytes() == want.tobytes()
+
+
 class TestPassSeed:
     def test_rejects_negative_pass_index(self):
         with pytest.raises(ValueError):

@@ -86,12 +86,27 @@ class TestForward:
         with pytest.raises(ValueError, match=match):
             net.backward(pixels, unit(np.random.default_rng(8)), PassSeed(0, 0))
 
-    def test_pixel_channels_come_from_a_layer_zero_with_c_in(self):
+    def test_pixel_channels_come_from_the_first_layer_with_c_in(self):
         net = Network([Relu(), MeanPool(), Affine(4, 3), PositiveHead()])
         net.layers[2].init(np.random.default_rng(9))
         assert net.forward(np.ones((3, 3, 4))).shape == (3,)
+        with pytest.raises(ValueError, match=r"\(H, W, 4\) pixels, got shape \(3, 3, 3\)"):
+            net.forward(np.ones((3, 3, 3)))
+        net = Network([Relu(), MeanPool(), PositiveHead()])
+        assert net.forward(np.ones((3, 3, 5))).shape == (5,)
         with pytest.raises(ValueError, match=r"\(H, W, C\) pixels, got shape \(3, 4\)"):
             net.forward(np.ones((3, 4)))
+
+    @pytest.mark.parametrize("shape", [(8, 8, 1), (8, 8, 4)])
+    def test_dropout_first_takes_pixel_channels_from_the_conv(self, shape):
+        net = Network(
+            [Dropout(0.3), Conv3x3(3, 4), Relu(), MeanPool(), Affine(4, 3), PositiveHead()]
+        )
+        match = re.escape(f"expected non-empty (H, W, 3) pixels, got shape {shape}")
+        with pytest.raises(ValueError, match=match):
+            net.forward(np.ones(shape), Mode.MC, PassSeed(0, 0))
+        with pytest.raises(ValueError, match=match):
+            net.forward_passes(np.ones(shape), [PassSeed(0, 0)])
 
     def test_architectures_differ(self):
         rng = np.random.default_rng(63)
