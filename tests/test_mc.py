@@ -311,7 +311,6 @@ class TestPrefixSharing:
         with pytest.raises(NumericError, match=r"after layer 0 \(conv3x3\)"):
             mc_estimate(net, pixels, nu=30)
 
-
     def test_infinite_conv_after_the_dropout_names_that_conv(self):
         """The suffix's own layers are checked too: a -inf bias in the
         conv after the Dropout fails there, stacked or pass by pass."""
