@@ -5,16 +5,16 @@ Fusing ensemble members by their own confidence
 Given several MC-dropout estimates, the fusion turns each member's
 total uncertainty mu into a confidence score g(1/mu), normalizes the
 scores into weights on the simplex, and averages the member directions
-in spherical coordinates.  Two score functions are available: "linear"
-(identity) trusts a confident member almost absolutely, while "log"
-compresses the ratios and behaves much better when every member is
-somewhat wrong.
+in spherical coordinates.  The score functions g live in
+``fusion.VARIANTS``: "linear" (identity) trusts a confident member
+almost absolutely, while "log" compresses the ratios and behaves much
+better when every member is somewhat wrong.
 """
 
 import numpy as np
 
 from mcde.color import from_spherical, to_spherical
-from mcde.fusion import fuse, ideal_combine
+from mcde.fusion import VARIANTS, fuse, ideal_combine
 from mcde.mc import MCEstimate
 
 
@@ -36,7 +36,7 @@ print("fused angles:", np.round(np.degrees((angles.phi, angles.varphi)), 6))
 # Unequal uncertainty shifts the weight.  The linear score is far more
 # aggressive than the log score for the same mu ratio.
 members = [member(40, 50, 1e-6), member(50, 60, 1e-4)]
-for variant in ("linear", "log"):
+for variant in VARIANTS:
     result = fuse(members, variant=variant)
     print(f"{variant:>6} weights for mu 1e-6 vs 1e-4:",
           np.round(result.weights, 4))

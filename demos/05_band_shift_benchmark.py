@@ -26,13 +26,14 @@ for method in report.methods:
     s = report.summary[(method, "recovery")]
     print(f"{method:>16} {s.mean:7.2f} {s.median:7.2f} {s.worst25_mean:8.2f}")
 
-# Why it works: the first half of the sample ids are band-a scenes
-# (g-net's home), the second half band-b (m-net's home).  Each
-# member's total uncertainty mu is markedly larger on foreign scenes.
+# Why it works: the first half of the sample ids are band-a scenes,
+# home to the first member (g-net), and the second half band-b, home
+# to the second (m-net).  Each member's total uncertainty mu is
+# markedly larger on foreign scenes.
 half = len(report.sample_ids) // 2
-for name in ("g-net", "m-net"):
+for k, name in enumerate(report.model_names):
     mu = report.uncertainties[name]
-    home, away = (mu[:half], mu[half:]) if name == "g-net" else (mu[half:], mu[:half])
+    home, away = (mu[:half], mu[half:]) if k == 0 else (mu[half:], mu[:half])
     print(f"\n{name}: median mu at home {np.median(home):.2e}, "
           f"abroad {np.median(away):.2e} "
           f"(ratio {np.median(away) / np.median(home):.1f}x)")

@@ -19,9 +19,10 @@ Report directory layout:
                     are no trained members)
 
 Methods are the grey-world and shades-of-grey baselines, each trained
-member, both fusion variants, and the ideal row: ``fusion.ideal_combine``
-applied per metric, i.e. the member estimate with the lowest error under
-that metric.  Every method is scored with every metric in ``METRICS``.
+member, one fusion row per entry of ``fusion.VARIANTS``, and the ideal
+row: ``fusion.ideal_combine`` applied per metric, i.e. the member
+estimate with the lowest error under that metric.  Every method is
+scored with every metric in ``METRICS``.
 
 CSV files are UTF-8, comma-separated, one header row, full-precision
 (17 significant digit) decimals.  Human-readable renderings round to
@@ -41,7 +42,8 @@ import numpy as np
 from mcde import baselines, fusion
 from mcde.color import METRICS
 from mcde.datagen import Dataset, GenConfig, folds, gen_dataset
-from mcde.nn.archs import build
+from mcde.mc import check_nu
+from mcde.nn.archs import ARCHITECTURES, build
 from mcde.nn.training import TrainConfig, train
 from mcde.seeding import derive_seed
 
@@ -50,6 +52,7 @@ __all__ = [
     "ErrorStats",
     "stats",
     "TrainableSpec",
+    "train_member",
     "BenchConfig",
     "BenchReport",
     "crossval",
@@ -115,10 +118,7 @@ class TrainableSpec:
     batch_size: int = 8
 
 
-DEFAULT_TRAINABLES = (
-    TrainableSpec(name="g-net", arch="g-net"),
-    TrainableSpec(name="m-net", arch="m-net"),
-)
+DEFAULT_TRAINABLES = tuple(TrainableSpec(name=arch, arch=arch) for arch in ARCHITECTURES)
 
 
 @dataclass(frozen=True)
@@ -129,6 +129,9 @@ class BenchConfig:
     sog_p: float = 6.0
     workers: int = 1
     trainables: tuple[TrainableSpec, ...] = DEFAULT_TRAINABLES
+
+    def __post_init__(self) -> None:
+        check_nu(self.nu)
 
 
 @dataclass
@@ -153,7 +156,7 @@ class BenchReport:
 def _method_list(model_names) -> tuple[str, ...]:
     methods = ["grey-world", "shades-of-grey", *model_names]
     if model_names:
-        methods += ["mcde-linear", "mcde-log", "ideal"]
+        methods += [*(f"mcde-{variant}" for variant in fusion.VARIANTS), "ideal"]
     return tuple(methods)
 
 
@@ -181,7 +184,7 @@ def _evaluate_samples(models, scenes, sample_ids, nu, base_seed, sog_p):
                 )
                 means = [est.mean for est in members]
                 estimates.update(zip(model_names, means))
-                for variant in ("linear", "log"):
+                for variant in fusion.VARIANTS:
                     estimates[f"mcde-{variant}"] = fusion.fuse(members, variant).fused
                 for name, est in zip(model_names, members):
                     uncertainties[name].append(est.mu)
@@ -216,14 +219,19 @@ def _report(echo: dict, model_names, batches) -> BenchReport:
     )
 
 
-def _train_member(spec: TrainableSpec, scenes, init_seed: int, train_seed: int):
+def train_member(spec: TrainableSpec, scenes, init_seed: int, train_seed: int):
+    """Build ``spec``'s network from ``init_seed`` and train it on ``scenes``.
+
+    Returns (net, per-epoch mean loss trace).  Every member, in the
+    bench, the scenario and ``mcde train``, is made here.
+    """
     net = build(
         spec.arch,
         seed=init_seed,
         channels=spec.channels,
         dropout_rate=spec.dropout_rate,
     )
-    train(
+    return train(
         net,
         scenes,
         TrainConfig(
@@ -233,7 +241,6 @@ def _train_member(spec: TrainableSpec, scenes, init_seed: int, train_seed: int):
             base_seed=train_seed,
         ),
     )
-    return net
 
 
 def _run_fold(dataset: Dataset, config: BenchConfig, spans, fold_index: int):
@@ -246,7 +253,7 @@ def _run_fold(dataset: Dataset, config: BenchConfig, spans, fold_index: int):
         ]
         models = []
         for spec in config.trainables:
-            net = _train_member(
+            net, _ = train_member(
                 spec,
                 train_scenes,
                 init_seed=derive_seed("fold-init", config.base_seed, fold_index, spec.name),
@@ -275,16 +282,9 @@ def crossval(dataset: Dataset, config: BenchConfig = BenchConfig()) -> BenchRepo
             batches = list(pool.map(runner, range(len(spans))))
     else:
         batches = [runner(i) for i in range(len(spans))]
-    echo = {
-        "protocol": "cross-validation",
-        "folds": config.folds,
-        "nu": config.nu,
-        "base_seed": config.base_seed,
-        "sog_p": config.sog_p,
-        "trainables": [asdict(spec) for spec in config.trainables],
-        "dataset": asdict(dataset.config),
-        "format_version": 1,
-    }
+    echo = {"protocol": "cross-validation", "format_version": 1, **asdict(config)}
+    del echo["workers"]  # does not change results
+    echo.update(trainables=list(echo["trainables"]), dataset=asdict(dataset.config))
     return _report(echo, [spec.name for spec in config.trainables], batches)
 
 
@@ -357,6 +357,9 @@ class ScenarioConfig:
     batch_size: int = 8
     sog_p: float = 6.0
 
+    def __post_init__(self) -> None:
+        check_nu(self.nu)
+
 
 def _band_scenes(config: ScenarioConfig, n_scenes: int, band: str, purpose: str):
     return gen_dataset(
@@ -375,7 +378,8 @@ def _band_scenes(config: ScenarioConfig, n_scenes: int, band: str, purpose: str)
 def _train_scenario_member(config: ScenarioConfig, name: str, band: str):
     """Generate member ``name``'s training scenes and train it on them.
 
-    Runs in a worker process; an error is re-raised naming the member.
+    Runs in a worker process and returns ``train_member``'s (net, loss
+    trace); an error is re-raised naming the member.
     """
     try:
         spec = TrainableSpec(
@@ -387,7 +391,7 @@ def _train_scenario_member(config: ScenarioConfig, name: str, band: str):
             learning_rate=config.learning_rate,
             batch_size=config.batch_size,
         )
-        return _train_member(
+        return train_member(
             spec,
             _band_scenes(config, config.train_per_band, band, "scenario-train"),
             init_seed=derive_seed("scenario-init", config.seed, name),
@@ -415,7 +419,7 @@ def band_shift_scenario(config: ScenarioConfig = ScenarioConfig()) -> BenchRepor
             for band in bands
             for scene in _band_scenes(config, config.eval_per_band, band, "scenario-eval")
         ]
-        models = list(zip(names, trained))
+        models = [(name, net) for name, (net, _) in zip(names, trained)]
     batch = _evaluate_samples(
         models,
         eval_scenes,

@@ -25,18 +25,11 @@ from pathlib import Path
 import numpy as np
 
 from mcde import datagen, fusion
-from mcde.bench import BenchConfig, TrainableSpec, crossval, write_report
+from mcde.bench import BenchConfig, TrainableSpec, crossval, train_member, write_report
 from mcde.color import apply_von_kries, recovery_error, reproduction_error
 from mcde.datagen import POOLS, DatasetFormatError, GenConfig
-from mcde.nn import (
-    ARCHITECTURES,
-    ModelFormatError,
-    TrainConfig,
-    build,
-    load_network,
-    save_network,
-    train,
-)
+from mcde.mc import MAX_NU
+from mcde.nn import ARCHITECTURES, ModelFormatError, load_network, save_network
 from mcde.seeding import derive_seed
 
 __all__ = ["main"]
@@ -50,12 +43,6 @@ _RUNTIME_ERRORS = (
     ModelFormatError,
     RuntimeError,  # includes TrainingError, NumericError and failed folds
 )
-
-
-# MC passes per model, about 30x the default.  mc_estimate builds one
-# PassSeed and one mask row per pass before the first pass runs, so an
-# unbounded --nu could ask for gigabytes up front.
-MAX_NU = 1000
 
 
 class _UsageError(Exception):
@@ -191,25 +178,31 @@ def _cmd_gen_data(args) -> int:
     return 0
 
 
+def _trainable(args, arch: str) -> TrainableSpec:
+    """The member ``arch`` with the training flags of ``args``."""
+    return TrainableSpec(
+        name=arch,
+        arch=arch,
+        channels=args.channels,
+        dropout_rate=args.dropout,
+        epochs=args.epochs,
+        learning_rate=args.lr,
+        batch_size=args.batch_size,
+    )
+
+
 def _cmd_train(args) -> int:
     dataset = datagen.load(args.data)
     scenes = dataset.scenes
     subset = args.subset
     if subset is not None:
         scenes = scenes[subset[0] : subset[1]]
-    net = build(
-        args.arch,
-        seed=derive_seed("init", args.seed, args.arch),
-        channels=args.channels,
-        dropout_rate=args.dropout,
+    net, trace = train_member(
+        _trainable(args, args.arch),
+        scenes,
+        init_seed=derive_seed("init", args.seed, args.arch),
+        train_seed=derive_seed("train", args.seed, args.arch),
     )
-    config = TrainConfig(
-        epochs=args.epochs,
-        learning_rate=args.lr,
-        batch_size=args.batch_size,
-        base_seed=derive_seed("train", args.seed, args.arch),
-    )
-    net, trace = train(net, scenes, config)
     training_meta = {
         "arch": args.arch,
         "channels": args.channels,
@@ -284,25 +277,13 @@ def _cmd_estimate(args) -> int:
 
 def _cmd_bench(args) -> int:
     dataset = datagen.load(args.data)
-    trainables = tuple(
-        TrainableSpec(
-            name=name,
-            arch=name,
-            channels=args.channels,
-            dropout_rate=args.dropout,
-            epochs=args.epochs,
-            learning_rate=args.lr,
-            batch_size=args.batch_size,
-        )
-        for name in ("g-net", "m-net")
-    )
     config = BenchConfig(
         folds=args.k,
         nu=args.nu,
         base_seed=args.seed,
         sog_p=args.sog_p,
         workers=args.workers,
-        trainables=trainables,
+        trainables=tuple(_trainable(args, arch) for arch in ARCHITECTURES),
     )
     report = crossval(dataset, config)
     write_report(report, args.out)
@@ -371,7 +352,7 @@ def _build_parser():
     p.add_argument("--index", type=_int_min(0), default=0, help="scene index")
     p.add_argument("--nu", type=_int_min(1, MAX_NU), default=30,
                    help=f"MC passes per model, at most {MAX_NU}")
-    p.add_argument("--variant", choices=("linear", "log"), default="log")
+    p.add_argument("--variant", choices=tuple(fusion.VARIANTS), default="log")
     p.add_argument("--save-corrected", default=None, metavar="FILE",
                    help="write the corrected scene as little-endian float32")
     _add_common(p)

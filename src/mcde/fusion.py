@@ -26,6 +26,7 @@ from mcde.color import METRICS, SphericalDir, from_spherical, to_spherical
 from mcde.mc import MCEstimate, derive_member_seed, mc_estimate
 
 __all__ = [
+    "VARIANTS",
     "SIGMA_FLOOR",
     "CONFIDENCE_FLOOR",
     "FusionResult",
@@ -42,12 +43,15 @@ SIGMA_FLOOR = 1e-12
 CONFIDENCE_FLOOR = 1e-6
 
 
+# Variant name -> the map g of the confidence g(1/mu), in report order.
+VARIANTS = {"linear": lambda x: x, "log": np.log}
+
+
 def _g(variant: str):
-    if variant == "linear":
-        return lambda x: x
-    if variant == "log":
-        return np.log
-    raise ValueError(f"unknown confidence variant {variant!r}")
+    try:
+        return VARIANTS[variant]
+    except (KeyError, TypeError):
+        raise ValueError(f"unknown confidence variant {variant!r}") from None
 
 
 def raw_confidence(uncertainties, variant: str = "log") -> np.ndarray:

@@ -22,7 +22,12 @@ import numpy as np
 from mcde.nn.layers import PassSeed
 from mcde.seeding import derive_seed
 
-__all__ = ["MCEstimate", "mc_estimate"]
+__all__ = ["MAX_NU", "MCEstimate", "check_nu", "mc_estimate"]
+
+# MC passes per model, about 30x the default.  mc_estimate builds one
+# PassSeed and one mask row per pass before the first pass runs, so an
+# unbounded nu could ask for gigabytes up front.
+MAX_NU = 1000
 
 
 @dataclass(frozen=True)
@@ -41,6 +46,14 @@ class MCEstimate:
     passes: int
 
 
+def check_nu(nu) -> None:
+    """Reject a pass count that is not an integer in [1, MAX_NU]."""
+    if not isinstance(nu, int) or isinstance(nu, bool):
+        raise TypeError(f"nu must be an integer, got {nu!r}")
+    if not 1 <= nu <= MAX_NU:
+        raise ValueError(f"nu must lie in [1, {MAX_NU}], got {nu}")
+
+
 def mc_estimate(net, pixels, nu: int = 30, base_seed: int = 0) -> MCEstimate:
     """Run nu dropout-active passes and reduce them to an MCEstimate.
 
@@ -50,10 +63,7 @@ def mc_estimate(net, pixels, nu: int = 30, base_seed: int = 0) -> MCEstimate:
     the spread is exactly zero; the short-circuit avoids spurious
     round-off from averaging identical values.
     """
-    if not isinstance(nu, int) or isinstance(nu, bool):
-        raise TypeError(f"nu must be an integer, got {nu!r}")
-    if nu < 1:
-        raise ValueError("nu must be at least 1")
+    check_nu(nu)
     outs = net.forward_passes(pixels, [PassSeed(base_seed, i) for i in range(nu)])
     if np.all(outs == outs[0]):
         raw_mean = outs[0]

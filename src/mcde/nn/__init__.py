@@ -1,6 +1,6 @@
 """Minimal from-scratch neural network stack for illuminant estimation."""
 
-from mcde.nn.archs import ARCHITECTURES, build, build_g_net, build_m_net
+from mcde.nn.archs import ARCHITECTURES, build
 from mcde.nn.io import FORMAT_VERSION, ModelFormatError, load_network, save_network
 from mcde.nn.layers import (
     Affine,
@@ -33,8 +33,6 @@ __all__ = [
     "TrainConfig",
     "TrainingError",
     "build",
-    "build_g_net",
-    "build_m_net",
     "cosine_loss",
     "load_network",
     "save_network",

@@ -15,50 +15,36 @@ from mcde.nn.layers import Affine, Conv3x3, Dropout, MaxPool, MeanPool, Positive
 from mcde.nn.network import Network
 from mcde.seeding import derive_seed
 
-__all__ = ["ARCHITECTURES", "build", "build_g_net", "build_m_net"]
+__all__ = ["ARCHITECTURES", "build"]
 
-
-def _init_layers(layers, seed: int) -> None:
-    # Uniform [-s, s] with s = sqrt(6 / (fan_in + fan_out)), biases zero.
-    for i, layer in enumerate(layers):
-        if layer.params:
-            layer.init(np.random.default_rng(derive_seed("layer-init", seed, i)))
-
-
-def build_g_net(seed: int = 0, channels: int = 12, dropout_rate: float = 0.3) -> Network:
-    layers = [
-        Conv3x3(3, channels),
-        Relu(),
-        Dropout(dropout_rate),
-        MeanPool(),
-        Affine(channels, 3),
-        PositiveHead(),
-    ]
-    _init_layers(layers, seed)
-    return Network(layers, arch="g-net")
-
-
-def build_m_net(seed: int = 0, channels: int = 12, dropout_rate: float = 0.3) -> Network:
-    layers = [
-        Conv3x3(3, channels),
-        Relu(),
-        MaxPool(),
-        Dropout(dropout_rate),
-        Affine(channels, 3),
-        PositiveHead(),
-    ]
-    _init_layers(layers, seed)
-    return Network(layers, arch="m-net")
-
-
-ARCHITECTURES = {"g-net": build_g_net, "m-net": build_m_net}
+# Name -> the layers between conv+ReLU and the Affine readout, given the
+# dropout rate.  Every stock stack is conv, ReLU, these, affine, head.
+ARCHITECTURES = {
+    "g-net": lambda rate: [Dropout(rate), MeanPool()],
+    "m-net": lambda rate: [MaxPool(), Dropout(rate)],
+}
 
 
 def build(arch: str, seed: int = 0, channels: int = 12, dropout_rate: float = 0.3) -> Network:
+    """A stock network with weights drawn from ``seed``.
+
+    Weights are uniform in [-s, s] with s = sqrt(6 / (fan_in + fan_out)),
+    one generator per layer index; biases are zero.
+    """
     try:
-        builder = ARCHITECTURES[arch]
+        middle = ARCHITECTURES[arch]
     except KeyError:
         raise ValueError(
             f"unknown architecture {arch!r}; choose from {sorted(ARCHITECTURES)}"
         ) from None
-    return builder(seed=seed, channels=channels, dropout_rate=dropout_rate)
+    layers = [
+        Conv3x3(3, channels),
+        Relu(),
+        *middle(dropout_rate),
+        Affine(channels, 3),
+        PositiveHead(),
+    ]
+    for i, layer in enumerate(layers):
+        if layer.params:
+            layer.init(np.random.default_rng(derive_seed("layer-init", seed, i)))
+    return Network(layers, arch=arch)

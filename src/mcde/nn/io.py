@@ -131,7 +131,9 @@ def _check_records(records, remaining: int) -> list:
     unknown kind code, a conv or affine whose c_in is not 3 (the first)
     or the previous one's c_out, parameters that need more than the
     ``remaining`` bytes of the file, a second pooling layer, a conv
-    after the pooling layer, a last layer that is not the positive
+    after the pooling layer, a dropout before the pooling layer that the
+    pool does not directly follow (MC inference would then copy the
+    feature map once per pass), a last layer that is not the positive
     head, a stack without a pooling layer, and a chain whose last conv
     or affine does not give 3 channels.
     """
@@ -139,6 +141,7 @@ def _check_records(records, remaining: int) -> list:
     channels = 3
     channel_layer = None
     pool_layer = None
+    spatial_dropout = None
     param_bytes = 0
     for i, (code, *values) in enumerate(records):
         if code not in _LAYERS:
@@ -149,6 +152,12 @@ def _check_records(records, remaining: int) -> list:
                 f"layer {i}: {cls.kind} after the {specs[pool_layer][0].kind} "
                 f"at layer {pool_layer}"
             )
+        if spatial_dropout is not None and cls not in (MeanPool, MaxPool):
+            raise ModelFormatError(
+                f"layer {spatial_dropout}: dropout before the pool is followed by "
+                f"{cls.kind}, not by the pool"
+            )
+        spatial_dropout = i if cls is Dropout and pool_layer is None else None
         if cls in (MeanPool, MaxPool):
             pool_layer = i
         kwargs = {name: value for name, value in zip(slots, values) if name}

@@ -19,6 +19,7 @@ from mcde.bench import (
 )
 from mcde.color import Scene, normalize
 from mcde.datagen import Dataset, GenConfig, gen_dataset
+from mcde.mc import MAX_NU
 from mcde.seeding import derive_seed
 
 
@@ -204,6 +205,11 @@ class TestCrossval:
         with pytest.raises(RuntimeError, match=r"^fold 1 failed: sample 4: illuminant"):
             crossval(dataset, tiny_config(trainables=()))
 
+    @pytest.mark.parametrize("make", [BenchConfig, ScenarioConfig], ids=["bench", "scenario"])
+    def test_too_many_passes_fail_at_construction(self, make):
+        with pytest.raises(ValueError, match="nu must lie in"):
+            make(nu=MAX_NU + 1)
+
     def test_config_echo_omits_execution_details(self, tiny_report):
         echo = tiny_report.config
         assert "workers" not in echo
@@ -308,7 +314,7 @@ class TestBandShiftScenario:
 
     def test_members_match_in_process_training_bitwise(self, monkeypatch):
         """The members trained in worker processes equal, byte for byte,
-        ``_train_member`` run here on the same scenes and seeds, and so
+        ``train_member`` run here on the same scenes and seeds, and so
         do the report's errors and uncertainties."""
         config = ScenarioConfig(
             seed=6, eval_per_band=3, train_per_band=6, nu=2, epochs=2, channels=4
@@ -346,7 +352,7 @@ class TestBandShiftScenario:
                     base_seed=derive_seed("scenario-train", config.seed, band),
                 )
             ).scenes
-            net = bench._train_member(
+            net, _ = bench.train_member(
                 spec,
                 scenes,
                 init_seed=derive_seed("scenario-init", config.seed, name),

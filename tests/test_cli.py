@@ -16,13 +16,16 @@ import pytest
 from mcde import cli, datagen, fusion
 from mcde.color import apply_von_kries
 from mcde.nn import (
+    ARCHITECTURES,
     Conv3x3,
     Mode,
     Network,
     PositiveHead,
+    TrainConfig,
     build,
     load_network,
     save_network,
+    train,
 )
 from mcde.seeding import derive_seed
 
@@ -497,15 +500,26 @@ class TestTopLevel:
         assert "--workers" in capsys.readouterr().out
 
     def test_seed_scheme_matches_library(self, dataset_dir, tmp_path, capsys):
-        """Training twice with the same seed is bitwise reproducible,
-        and the derived seeds are the documented hashes."""
-        outs = []
-        for name in ("a.net", "b.net"):
-            out = tmp_path / name
+        """For every architecture, ``mcde train --seed 11`` writes the
+        same model file, byte for byte, as ``build`` and ``train`` called
+        directly with the documented seeds derive_seed("init", 11, arch)
+        and derive_seed("train", 11, arch), and records their loss trace."""
+        scenes = datagen.load(dataset_dir).scenes
+        for arch in ARCHITECTURES:
+            out = tmp_path / f"cli-{arch}.net"
             assert cli.main(
-                ["train", "--arch", "m-net", "--data", str(dataset_dir),
+                ["train", "--arch", arch, "--data", str(dataset_dir),
                  "--out", str(out), *TRAIN_FLAGS]
             ) == 0
-            outs.append(out.read_bytes())
-        assert outs[0] == outs[1]
-        assert derive_seed("init", 11, "m-net") != derive_seed("init", 11, "g-net")
+            net = build(arch, seed=derive_seed("init", 11, arch), channels=4, dropout_rate=0.3)
+            net, trace = train(
+                net,
+                scenes,
+                TrainConfig(epochs=2, learning_rate=0.05, batch_size=8,
+                            base_seed=derive_seed("train", 11, arch)),
+            )
+            ref = tmp_path / f"lib-{arch}.net"
+            save_network(net, ref)
+            assert out.read_bytes() == ref.read_bytes(), arch
+            sidecar = json.loads(Path(f"{out}.json").read_text(encoding="utf-8"))
+            assert sidecar["loss_trace"] == trace, arch

@@ -11,7 +11,8 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from mcde.mc import derive_member_seed, mc_estimate
+from mcde import mc
+from mcde.mc import MAX_NU, derive_member_seed, mc_estimate
 from mcde.nn import (
     Affine,
     Conv3x3,
@@ -101,6 +102,16 @@ class TestReduction:
     def test_nu_must_be_positive(self):
         with pytest.raises(ValueError):
             mc_estimate(StubNet([[1.0, 1.0, 1.0]]), None, nu=0)
+
+    def test_nu_above_max_is_rejected_before_any_pass_seed(self, monkeypatch):
+        """An unbounded nu would build one PassSeed per pass up front."""
+
+        def no_seeds(*args):
+            raise AssertionError("built a PassSeed")
+
+        monkeypatch.setattr(mc, "PassSeed", no_seeds)
+        with pytest.raises(ValueError, match=f"nu must lie in \\[1, {MAX_NU}\\]"):
+            mc_estimate(StubNet([[1.0, 1.0, 1.0]]), None, nu=MAX_NU + 1)
 
     @pytest.mark.parametrize("nu", [True, False, 2.5, 3.0, "30", None])
     def test_nu_must_be_an_integer(self, nu):

@@ -13,6 +13,7 @@ from mcde.nn import (
     FORMAT_VERSION,
     Affine,
     Conv3x3,
+    Dropout,
     MaxPool,
     MeanPool,
     Mode,
@@ -247,9 +248,24 @@ class TestStructureChecks:
                 lambda: [Conv3x3(3, 4), Relu(), MaxPool(), Conv3x3(4, 3), PositiveHead()],
                 "layer 3: conv3x3 after the max-pool at layer 2",
             ),
+            (
+                lambda: [Conv3x3(3, 4), Relu(), Dropout(0.3), Conv3x3(4, 4), MeanPool(),
+                         Affine(4, 3), PositiveHead()],
+                "layer 2: dropout before the pool is followed by conv3x3, not by the pool",
+            ),
+            (
+                lambda: [Conv3x3(3, 4), Dropout(0.3), Relu(), MaxPool(), Affine(4, 3),
+                         PositiveHead()],
+                "layer 1: dropout before the pool is followed by relu, not by the pool",
+            ),
+            (
+                lambda: [Dropout(0.3), Conv3x3(3, 4), Relu(), MeanPool(), Affine(4, 3),
+                         PositiveHead()],
+                "layer 0: dropout before the pool is followed by conv3x3, not by the pool",
+            ),
         ],
         ids=["ends-at-5", "no-head", "head-not-last", "empty", "no-pool", "two-pools",
-             "conv-after-pool"],
+             "conv-after-pool", "dropout-conv-pool", "dropout-relu-pool", "dropout-first"],
     )
     def test_end_of_chain_is_checked(self, tmp_path, layers, message):
         path = self._saved(tmp_path, layers())

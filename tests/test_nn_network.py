@@ -21,7 +21,6 @@ from mcde.nn import (
     build,
     cosine_loss,
 )
-from mcde.nn.archs import build_g_net, build_m_net
 
 
 def random_pixels(rng, h=6, w=5):
@@ -111,8 +110,8 @@ class TestForward:
     def test_architectures_differ(self):
         rng = np.random.default_rng(63)
         pixels = random_pixels(rng)
-        g = build_g_net(seed=7, channels=5)
-        m = build_m_net(seed=7, channels=5)
+        g = build("g-net", seed=7, channels=5)
+        m = build("m-net", seed=7, channels=5)
         assert g.arch == "g-net"
         assert m.arch == "m-net"
         assert not np.array_equal(g.forward(pixels), m.forward(pixels))
