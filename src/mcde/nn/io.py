@@ -71,8 +71,16 @@ def _fields(layer) -> dict:
     return {name: getattr(layer, name) for name in slots if name}
 
 
+def _record(layer) -> tuple:
+    code = _CODES[layer.kind]
+    return (code, *(getattr(layer, name) if name else 0 for name in _LAYERS[code][1]))
+
+
 def save_network(net: Network, path, training: dict | None = None, loss_trace=None) -> None:
-    """Write the binary container and its JSON sidecar."""
+    """Write the binary container and its JSON sidecar.  A network that
+    ``load_network`` would reject raises its error before anything is written."""
+    records = [_record(layer) for layer in net.layers]
+    _check_records(records, math.inf)
     path = Path(path)
     with open(path, "wb") as fh:
         fh.write(MAGIC)
@@ -81,10 +89,8 @@ def save_network(net: Network, path, training: dict | None = None, loss_trace=No
         fh.write(struct.pack("<H", len(arch)))
         fh.write(arch)
         fh.write(struct.pack("<I", len(net.layers)))
-        for layer in net.layers:
-            code = _CODES[layer.kind]
-            values = (getattr(layer, name) if name else 0 for name in _LAYERS[code][1])
-            fh.write(struct.pack("<IIId", code, *values))
+        for record in records:
+            fh.write(struct.pack("<IIId", *record))
         for layer in net.layers:
             names = sorted(layer.params)
             fh.write(struct.pack("<I", len(names)))

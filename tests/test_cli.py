@@ -17,10 +17,7 @@ from mcde import cli, datagen, fusion
 from mcde.color import apply_von_kries
 from mcde.nn import (
     ARCHITECTURES,
-    Conv3x3,
     Mode,
-    Network,
-    PositiveHead,
     TrainConfig,
     build,
     load_network,
@@ -253,8 +250,11 @@ class TestEstimate:
 
     def test_bad_model_file_is_named(self, model_paths, dataset_dir, tmp_path, capsys):
         """Of a good and a malformed model, the error names the malformed one."""
-        bad = tmp_path / "nopool.net"
-        save_network(Network([Conv3x3(3, 3), PositiveHead()]), bad)
+        bad = tmp_path / "badcode.net"
+        save_network(build("g-net", seed=3, channels=4), bad)
+        blob = bytearray(bad.read_bytes())
+        blob[43] = 99  # kind code of layer 1, after the header and layer 0's record
+        bad.write_bytes(bytes(blob))
         code = cli.main(
             ["estimate", "--models", str(model_paths[0]), str(bad),
              "--data", str(dataset_dir)]
@@ -503,7 +503,10 @@ class TestTopLevel:
         """For every architecture, ``mcde train --seed 11`` writes the
         same model file, byte for byte, as ``build`` and ``train`` called
         directly with the documented seeds derive_seed("init", 11, arch)
-        and derive_seed("train", 11, arch), and records their loss trace."""
+        and derive_seed("train", 11, arch), and records their loss trace.
+        The architecture name is part of both seeds."""
+        for stream in ("init", "train"):
+            assert derive_seed(stream, 11, "m-net") != derive_seed(stream, 11, "g-net")
         scenes = datagen.load(dataset_dir).scenes
         for arch in ARCHITECTURES:
             out = tmp_path / f"cli-{arch}.net"

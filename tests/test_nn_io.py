@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 from mcde.mc import mc_estimate
+from mcde.nn import io
 from mcde.nn import (
     FORMAT_VERSION,
     Affine,
@@ -198,8 +199,12 @@ class TestStructureChecks:
     """Records are checked before any layer is built."""
 
     def _saved(self, tmp_path, layers):
+        """Write ``layers`` as save_network does but without its record
+        check, so that the file reaches load_network's own check."""
         path = tmp_path / "model.net"
-        save_network(Network(layers, arch="custom"), path)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(io, "_check_records", lambda records, remaining: None)
+            save_network(Network(layers, arch="custom"), path)
         return path
 
     def test_broken_channel_chain_names_the_layer(self, tmp_path):
@@ -268,6 +273,10 @@ class TestStructureChecks:
              "conv-after-pool", "dropout-conv-pool", "dropout-relu-pool", "dropout-first"],
     )
     def test_end_of_chain_is_checked(self, tmp_path, layers, message):
+        refused = tmp_path / "refused.net"
+        with pytest.raises(ModelFormatError, match=message):
+            save_network(Network(layers(), arch="custom"), refused)
+        assert not refused.exists()
         path = self._saved(tmp_path, layers())
         with pytest.raises(ModelFormatError, match=message):
             load_network(path)
