@@ -33,7 +33,7 @@ from __future__ import annotations
 
 import json
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import asdict, astuple, dataclass, fields
+from dataclasses import asdict, astuple, dataclass, fields, replace
 from functools import partial
 from pathlib import Path
 
@@ -44,6 +44,7 @@ from mcde.color import METRICS
 from mcde.datagen import Dataset, GenConfig, folds, gen_dataset
 from mcde.mc import check_nu
 from mcde.nn.archs import ARCHITECTURES, build
+from mcde.nn.layers import Dropout
 from mcde.nn.training import TrainConfig, train
 from mcde.seeding import derive_seed
 
@@ -107,7 +108,11 @@ def stats(errors) -> ErrorStats:
 
 @dataclass(frozen=True)
 class TrainableSpec:
-    """One trainable ensemble member and its training hyperparameters."""
+    """One trainable ensemble member and its training hyperparameters.
+
+    Checked when built, so a bad spec fails before any member trains:
+    the rate by ``Dropout``, the training fields by ``TrainConfig``.
+    """
 
     name: str
     arch: str
@@ -117,8 +122,32 @@ class TrainableSpec:
     learning_rate: float = 0.05
     batch_size: int = 8
 
+    def __post_init__(self) -> None:
+        if self.arch not in ARCHITECTURES:
+            raise ValueError(
+                f"unknown architecture {self.arch!r}; choose from {sorted(ARCHITECTURES)}"
+            )
+        if self.channels < 1:
+            raise ValueError(f"channels must be at least 1, got {self.channels}")
+        Dropout(self.dropout_rate)
+        self.train_config(0)
+
+    def train_config(self, base_seed: int) -> TrainConfig:
+        """The ``TrainConfig`` this member trains with, from ``base_seed``."""
+        return TrainConfig(
+            epochs=self.epochs,
+            learning_rate=self.learning_rate,
+            batch_size=self.batch_size,
+            base_seed=base_seed,
+        )
+
 
 DEFAULT_TRAINABLES = tuple(TrainableSpec(name=arch, arch=arch) for arch in ARCHITECTURES)
+
+# The report's rows besides the members: the baselines, then, with any
+# member, one fusion row per variant and the ideal row.
+_BASELINE_ROWS = ("grey-world", "shades-of-grey")
+_FUSED_ROWS = (*(f"mcde-{variant}" for variant in fusion.VARIANTS), "ideal")
 
 
 @dataclass(frozen=True)
@@ -132,6 +161,12 @@ class BenchConfig:
 
     def __post_init__(self) -> None:
         check_nu(self.nu)
+        names = [spec.name for spec in self.trainables]
+        if len(set(names)) < len(names):
+            raise ValueError(f"member names must be distinct, got {names}")
+        for name in names:
+            if name in _BASELINE_ROWS + _FUSED_ROWS:
+                raise ValueError(f"member name {name!r} is taken by a report row")
 
 
 @dataclass
@@ -154,10 +189,7 @@ class BenchReport:
 
 
 def _method_list(model_names) -> tuple[str, ...]:
-    methods = ["grey-world", "shades-of-grey", *model_names]
-    if model_names:
-        methods += [*(f"mcde-{variant}" for variant in fusion.VARIANTS), "ideal"]
-    return tuple(methods)
+    return (*_BASELINE_ROWS, *model_names, *(_FUSED_ROWS if model_names else ()))
 
 
 def _evaluate_samples(models, scenes, sample_ids, nu, base_seed, sog_p):
@@ -231,16 +263,7 @@ def train_member(spec: TrainableSpec, scenes, init_seed: int, train_seed: int):
         channels=spec.channels,
         dropout_rate=spec.dropout_rate,
     )
-    return train(
-        net,
-        scenes,
-        TrainConfig(
-            epochs=spec.epochs,
-            learning_rate=spec.learning_rate,
-            batch_size=spec.batch_size,
-            base_seed=train_seed,
-        ),
-    )
+    return train(net, scenes, spec.train_config(train_seed))
 
 
 def _run_fold(dataset: Dataset, config: BenchConfig, spans, fold_index: int):
@@ -359,46 +382,58 @@ class ScenarioConfig:
 
     def __post_init__(self) -> None:
         check_nu(self.nu)
+        if self.eval_per_band < 1 or self.train_per_band < 1:
+            raise ValueError("eval_per_band and train_per_band must be at least 1")
+        # Built here so that their own checks run before any member
+        # trains; attributes, not fields, so the config echo omits them.
+        specs = tuple(
+            TrainableSpec(
+                name=arch,
+                arch=arch,
+                channels=self.channels,
+                dropout_rate=self.dropout_rate,
+                epochs=self.epochs,
+                learning_rate=self.learning_rate,
+                batch_size=self.batch_size,
+            )
+            for arch in ("g-net", "m-net")
+        )
+        scene_config = GenConfig(
+            n_scenes=self.train_per_band,
+            width=self.width,
+            height=self.height,
+            n_patches=self.n_patches,
+            noise_std=self.noise_std,
+        )
+        object.__setattr__(self, "specs", specs)
+        object.__setattr__(self, "scene_config", scene_config)
 
 
 def _band_scenes(config: ScenarioConfig, n_scenes: int, band: str, purpose: str):
-    return gen_dataset(
-        GenConfig(
-            n_scenes=n_scenes,
-            width=config.width,
-            height=config.height,
-            n_patches=config.n_patches,
-            pool=band,
-            noise_std=config.noise_std,
-            base_seed=derive_seed(purpose, config.seed, band),
-        )
-    ).scenes
+    scene_config = replace(
+        config.scene_config,
+        n_scenes=n_scenes,
+        pool=band,
+        base_seed=derive_seed(purpose, config.seed, band),
+    )
+    return gen_dataset(scene_config).scenes
 
 
-def _train_scenario_member(config: ScenarioConfig, name: str, band: str):
-    """Generate member ``name``'s training scenes and train it on them.
+def _train_scenario_member(config: ScenarioConfig, spec: TrainableSpec, band: str):
+    """Generate member ``spec``'s training scenes and train it on them.
 
     Runs in a worker process and returns ``train_member``'s (net, loss
     trace); an error is re-raised naming the member.
     """
     try:
-        spec = TrainableSpec(
-            name=name,
-            arch=name,
-            channels=config.channels,
-            dropout_rate=config.dropout_rate,
-            epochs=config.epochs,
-            learning_rate=config.learning_rate,
-            batch_size=config.batch_size,
-        )
         return train_member(
             spec,
             _band_scenes(config, config.train_per_band, band, "scenario-train"),
-            init_seed=derive_seed("scenario-init", config.seed, name),
-            train_seed=derive_seed("scenario-train-loop", config.seed, name),
+            init_seed=derive_seed("scenario-init", config.seed, spec.name),
+            train_seed=derive_seed("scenario-train-loop", config.seed, spec.name),
         )
     except Exception as exc:
-        raise RuntimeError(f"member {name} failed: {exc}") from exc
+        raise RuntimeError(f"member {spec.name} failed: {exc}") from exc
 
 
 def band_shift_scenario(config: ScenarioConfig = ScenarioConfig()) -> BenchReport:
@@ -411,9 +446,9 @@ def band_shift_scenario(config: ScenarioConfig = ScenarioConfig()) -> BenchRepor
     evaluation.  Every seed is fixed by the config, so the report is
     the same, bit for bit, as training the members one after the other.
     """
-    names, bands = ("g-net", "m-net"), ("band-a", "band-b")
+    names, bands = [spec.name for spec in config.specs], ("band-a", "band-b")
     with ProcessPoolExecutor(max_workers=len(names)) as pool:
-        trained = pool.map(partial(_train_scenario_member, config), names, bands)
+        trained = pool.map(partial(_train_scenario_member, config), config.specs, bands)
         eval_scenes = [
             scene
             for band in bands

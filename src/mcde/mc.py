@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from mcde.nn.layers import PassSeed
+from mcde.nn.network import PassSeed
 from mcde.seeding import derive_seed
 
 __all__ = ["MAX_NU", "MCEstimate", "check_nu", "mc_estimate"]

@@ -8,11 +8,10 @@ from mcde.nn.layers import (
     Dropout,
     MaxPool,
     MeanPool,
-    PassSeed,
     PositiveHead,
     Relu,
 )
-from mcde.nn.network import Mode, Network, NumericError, cosine_loss
+from mcde.nn.network import Mode, Network, NumericError, PassSeed, cosine_loss
 from mcde.nn.training import TrainConfig, TrainingError, train
 
 __all__ = [

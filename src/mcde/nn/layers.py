@@ -4,27 +4,23 @@ Activations are float64 throughout.  Spatial tensors are channels-last
 (H, W, C); pooled activations are flat (C,) vectors.  Every layer's
 ``forward`` maps those trailing axes and carries any leading axes
 through: on a (ν, ...) stack, one item per MC pass, row k is bit for bit
-the forward of item k alone.  ``Dropout`` is the one exception: it
-cannot tell (H, W, C) from (ν, H, C), so ``Network`` stacks its masks.
-Every layer has ``forward(x, rng=None) -> (y, cache)`` and
-``backward(dy, cache, need_dx=True) -> (dx, grads)``, with ``grads``
-keyed like ``params``.  With ``need_dx`` false the input gradient is
-neither computed nor returned (``dx`` is None): the first layer of a
-network has no one to pass it to.  The cache holds only what the
-forward computes anyway, so it is always returned.  Only ``Dropout``
-reads ``rng``: it draws its mask from it, and is the identity without
-one.  Layers are pure functions of their input plus that RNG, which
-keeps every forward pass bit-reproducible.
+the forward of item k alone.  Every layer has ``forward(x) -> (y,
+cache)`` and ``backward(dy, cache, need_dx=True) -> (dx, grads)``, with
+``grads`` keyed like ``params``.  With ``need_dx`` false the input
+gradient is neither computed nor returned (``dx`` is None): the first
+layer of a network has no one to pass it to.  The cache holds only what
+the forward computes anyway, so it is always returned.  ``Dropout``
+alone takes one more argument, the keep mask, which ``Network`` draws
+and shapes; it is the identity without one.  Layers are pure functions
+of their input and that mask, which keeps every forward pass
+bit-reproducible.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 __all__ = [
-    "PassSeed",
     "Conv3x3",
     "Affine",
     "Relu",
@@ -33,23 +29,6 @@ __all__ = [
     "Dropout",
     "PositiveHead",
 ]
-
-
-@dataclass(frozen=True)
-class PassSeed:
-    """Seed material for one stochastic forward pass.
-
-    Dropout masks are a pure function of (base_seed, pass_index,
-    layer_index), so passes can be replayed or scheduled in any order
-    without coordination.
-    """
-
-    base_seed: int
-    pass_index: int = 0
-
-    def __post_init__(self) -> None:
-        if self.pass_index < 0:
-            raise ValueError("pass_index must be non-negative")
 
 
 class Conv3x3:
@@ -71,7 +50,7 @@ class Conv3x3:
         self.params["W"] = rng.uniform(-span, span, (3, 3, self.c_in, self.c_out))
         self.params["b"] = np.zeros(self.c_out)
 
-    def forward(self, x, rng=None):
+    def forward(self, x):
         *lead, h, w, _ = x.shape
         xp = np.zeros((*lead, h + 2, w + 2, self.c_in))
         xp[..., 1:-1, 1:-1, :] = x
@@ -125,7 +104,7 @@ class Affine:
         self.params["W"] = rng.uniform(-span, span, (self.c_in, self.c_out))
         self.params["b"] = np.zeros(self.c_out)
 
-    def forward(self, x, rng=None):
+    def forward(self, x):
         if x.ndim == 2:
             # One gemv per row, as for a (C,) vector alone; a (ν, C) @ W
             # gemm rounds differently.
@@ -148,7 +127,7 @@ class Relu:
     def __init__(self):
         self.params = {}
 
-    def forward(self, x, rng=None):
+    def forward(self, x):
         y = np.maximum(x, 0.0)
         return y, y
 
@@ -164,7 +143,7 @@ class MeanPool:
     def __init__(self):
         self.params = {}
 
-    def forward(self, x, rng=None):
+    def forward(self, x):
         return x.mean(axis=(-3, -2)), x.shape
 
     def backward(self, dy, cache, need_dx=True):
@@ -186,7 +165,7 @@ class MaxPool:
     def __init__(self):
         self.params = {}
 
-    def forward(self, x, rng=None):
+    def forward(self, x):
         flat = x.reshape(*x.shape[:-3], -1, x.shape[-1])
         idx = flat.argmax(axis=-2)
         y = np.take_along_axis(flat, idx[..., None, :], axis=-2)[..., 0, :]
@@ -204,12 +183,12 @@ class MaxPool:
 class Dropout:
     """Inverted dropout: kept units are scaled by 1/(1-rate).
 
-    On spatial maps the mask is drawn per channel (one Bernoulli per
-    feature map), so the spread it induces survives global pooling and
-    stays on a comparable scale wherever the layer sits in the stack.
-    On vectors the mask is per element.  The mask is drawn from the
-    ``rng`` passed to ``forward``; without one, or at rate 0, the layer
-    is an exact identity and its cache is None.
+    ``forward`` takes the keep mask, already shaped by ``Network`` to
+    broadcast against ``x``: per channel on spatial maps (one Bernoulli
+    per feature map), so the spread it induces survives global pooling
+    and stays on a comparable scale wherever the layer sits in the
+    stack, and per element on vectors.  Without a mask the layer is an
+    exact identity and its cache is None.
     """
 
     kind = "dropout"
@@ -220,14 +199,9 @@ class Dropout:
         self.rate = rate
         self.params = {}
 
-    def keep(self, rng, size):
-        """One pass's keep mask over ``size`` channels or elements."""
-        return rng.random(size) >= self.rate
-
-    def forward(self, x, rng=None):
-        if rng is None or self.rate == 0.0:
+    def forward(self, x, keep=None):
+        if keep is None:
             return x, None
-        keep = self.keep(rng, x.shape[-1] if x.ndim == 3 else x.shape)
         scale = keep / (1.0 - self.rate)
         return x * scale, scale
 
@@ -252,7 +226,7 @@ class PositiveHead:
     def __init__(self):
         self.params = {}
 
-    def forward(self, x, rng=None):
+    def forward(self, x):
         shifted = x - x.max(axis=-1, keepdims=True)
         e = np.exp(np.maximum(shifted, -700.0))
         norm = np.linalg.norm(e, axis=-1, keepdims=True)

@@ -7,10 +7,27 @@ from enum import Enum
 
 import numpy as np
 
-from mcde.nn.layers import Dropout, MaxPool, MeanPool, PassSeed
+from mcde.nn.layers import Dropout, MaxPool, MeanPool
 from mcde.seeding import derive_seed
 
-__all__ = ["Mode", "Network", "NumericError", "cosine_loss"]
+__all__ = ["Mode", "Network", "NumericError", "PassSeed", "cosine_loss"]
+
+
+@dataclass(frozen=True)
+class PassSeed:
+    """Seed material for one stochastic forward pass.
+
+    Dropout masks are a pure function of (base_seed, pass_index,
+    layer_index), so passes can be replayed or scheduled in any order
+    without coordination.
+    """
+
+    base_seed: int
+    pass_index: int = 0
+
+    def __post_init__(self) -> None:
+        if self.pass_index < 0:
+            raise ValueError("pass_index must be non-negative")
 
 
 class Mode(Enum):
@@ -29,19 +46,15 @@ def cosine_loss(pred, gt) -> float:
     return 1.0 - float(np.dot(pred, gt))
 
 
-def _mask_rng(seed: PassSeed, layer_index: int) -> np.random.Generator:
-    return np.random.default_rng(
-        derive_seed("dropout-mask", seed.base_seed, seed.pass_index, layer_index)
-    )
-
-
 @dataclass
 class Network:
     """Ordered layer stack mapping an (H, W, 3) image to an illuminant.
 
-    The pass seed alone turns dropout on: under a ``PassSeed`` each
-    ``Dropout`` draws its mask from (seed, layer index), in training and
-    MC inference alike; without one it is the identity.  The layers
+    The pass seed alone turns dropout on: under a ``PassSeed`` the
+    network draws each ``Dropout``'s mask from (seed, layer index), in
+    training and MC inference alike, and hands it to the layer shaped to
+    broadcast against its input; without one, dropout is the identity.
+    ``_keeps`` is the one place a mask is drawn.  The layers
     before the first ``Dropout`` (the prefix) give the same output on
     every pass, so ``forward_passes`` runs them once and runs the rest
     (the suffix) once for all passes, over a leading pass axis.  All
@@ -110,47 +123,57 @@ class Network:
         """``layers[start:]`` on the prefix's output ``x`` for all passes at
         once: a (len(seeds), ...) array, and whether it stayed finite.
 
-        A spatial activation has 3 axes, or 4 once a Dropout stacks it.
-        Dropout scales each channel by 0 or 1/(1-rate); right before a
-        pool, the pool runs once on each scaled map and every pass picks
-        its channels, so g-net builds no (ν, H, W, C) array.  The check
-        then covers the whole kept map, which is conservative.
+        The activation gains its pass axis at the first Dropout that
+        applies a mask; without one, every pass gets the same row.
+        Right before a pool, a spatial map is not stacked: the pool runs
+        once on the map with every channel kept and once with every one
+        dropped, and each pass picks its channels from the two, so g-net
+        builds no (ν, H, W, C) array.  The check then covers the whole
+        kept map, which is conservative.
         """
-        a, finite, plain = x, True, None
+        a, finite, stacked, dropped = x, True, False, None
         for i, layer in enumerate(self.layers[start:], start):
-            if isinstance(layer, Dropout):
-                keep = self._keeps(i, seeds, a.shape[-1])
-                after = self.layers[i + 1] if i + 1 < len(self.layers) else None
-                if a.ndim >= 3 and isinstance(after, (MeanPool, MaxPool)):
-                    plain, a = a, a * (1.0 / (1.0 - layer.rate))
-                else:
-                    scale = keep / (1.0 - layer.rate)
-                    a = a * (scale[:, None, None, :] if a.ndim >= 3 else scale)
-            elif plain is not None:
-                a, plain = np.where(keep, layer.forward(a)[0], layer.forward(plain * 0.0)[0]), None
-            else:
+            keep, after = self._keeps(i, seeds, a.shape[-1]), self.layers[i + 1 : i + 2]
+            if dropped is not None:  # the pool after a spatial Dropout
+                a = np.where(kept, layer.forward(a)[0], layer.forward(dropped)[0])
+                dropped, stacked = None, True
+            elif keep is None:  # not a Dropout, or one that drops nothing
                 a, _ = layer.forward(a)
+            elif a.ndim >= 3 and after and isinstance(after[0], (MeanPool, MaxPool)):
+                kept, (a, _), (dropped, _) = keep, layer.forward(a, True), layer.forward(a, False)
+            else:
+                a, _ = layer.forward(a, keep[:, None, None, :] if a.ndim >= 3 else keep)
+                stacked = True
             finite = finite and np.all(np.isfinite(a))
-        if start == len(self.layers):  # no Dropout: each pass is the prefix's output
+        if not stacked:
             a = np.repeat(a[None], len(seeds), axis=0)
         return a, finite
 
     def _keeps(self, i, seeds, size):
-        """(len(seeds), size) keep masks of the Dropout at ``layers[i]``, one row per pass."""
+        """(len(seeds), size) keep masks for ``layers[i]``, one row per pass.
+
+        Each row is one Bernoulli per entry of the activation's last
+        axis: a channel of a feature map, or an element of a vector.
+        None unless the layer is a Dropout with a nonzero rate and
+        there are seeds.
+        """
         layer = self.layers[i]
-        if layer.rate == 0.0:
-            return np.ones((len(seeds), size), dtype=bool)
-        return np.stack([layer.keep(_mask_rng(seed, i), size) for seed in seeds])
+        if not (seeds and isinstance(layer, Dropout) and layer.rate > 0.0):
+            return None
+        return np.stack([
+            np.random.default_rng(
+                derive_seed("dropout-mask", seed.base_seed, seed.pass_index, i)
+            ).random(size) >= layer.rate
+            for seed in seeds
+        ])
 
     def _run(self, x, seed, start=0, stop=None):
         """Apply ``layers[start:stop]`` to ``x``; returns (activation, caches)."""
         caches = []
         a = x
         for i, layer in enumerate(self.layers[start:stop], start):
-            rng = None
-            if seed is not None and isinstance(layer, Dropout):
-                rng = _mask_rng(seed, i)
-            a, cache = layer.forward(a, rng=rng)
+            keep = self._keeps(i, () if seed is None else [seed], a.shape[-1])
+            a, cache = layer.forward(a) if keep is None else layer.forward(a, keep[0])
             if not np.all(np.isfinite(a)):
                 raise NumericError(
                     f"non-finite activations after layer {i} ({layer.kind})"

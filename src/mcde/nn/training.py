@@ -7,8 +7,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from mcde.nn.layers import PassSeed
-from mcde.nn.network import Network, NumericError
+from mcde.nn.network import Network, NumericError, PassSeed
 from mcde.seeding import derive_seed
 
 __all__ = ["TrainConfig", "TrainingError", "train"]

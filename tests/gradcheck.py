@@ -27,18 +27,16 @@ def assert_grads_close(analytic, numeric, what: str) -> None:
     )
 
 
-def check_layer(layer, x, rng_seed=None) -> None:
+def check_layer(layer, x, keep=None) -> None:
     """Compare a layer's backward pass against finite differences.
 
     The scalar probe is sum(c * y) for a fixed random c, whose exact
-    gradient with respect to y is c.  With ``rng_seed`` every forward
-    call gets a fresh generator with that seed, so stochastic layers
-    see identical masks in all evaluations.
+    gradient with respect to y is c.  With ``keep`` every forward call
+    gets that fixed dropout mask, so a ``Dropout`` sees identical masks
+    in all evaluations.
     """
     x = np.asarray(x, dtype=np.float64)
-
-    def make_rng():
-        return None if rng_seed is None else np.random.default_rng(rng_seed)
+    mask = () if keep is None else (keep,)
 
     def run(xv, params=None):
         saved = {}
@@ -47,13 +45,13 @@ def check_layer(layer, x, rng_seed=None) -> None:
                 saved[name] = layer.params[name]
                 layer.params[name] = value
         try:
-            y, _ = layer.forward(xv, rng=make_rng())
+            y, _ = layer.forward(xv, *mask)
         finally:
             for name, value in saved.items():
                 layer.params[name] = value
         return y
 
-    y, cache = layer.forward(x, rng=make_rng())
+    y, cache = layer.forward(x, *mask)
     c = np.random.default_rng(20260501).normal(size=y.shape)
     dx, grads = layer.backward(c, cache)
 

@@ -140,8 +140,8 @@ def test_gradient_check():
     check_layer(MeanPool(), fmap)
     check_layer(MaxPool(), fmap)
     check_layer(PositiveHead(), vec)
-    check_layer(Dropout(0.4), fmap, rng_seed=913)
-    check_layer(Dropout(0.4), vec, rng_seed=914)
+    check_layer(Dropout(0.4), fmap, keep=np.random.default_rng(913).random(4) >= 0.4)
+    check_layer(Dropout(0.4), vec, keep=np.random.default_rng(914).random(4) >= 0.4)
 
     pixels = np.abs(rng.normal(size=(6, 6, 3))) + 0.05
     gt = random_positive_units(rng, 1)[0]

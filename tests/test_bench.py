@@ -6,7 +6,7 @@ import math
 import numpy as np
 import pytest
 
-from mcde import bench
+from mcde import bench, fusion
 from mcde.bench import (
     BenchConfig,
     ErrorStats,
@@ -209,6 +209,66 @@ class TestCrossval:
     def test_too_many_passes_fail_at_construction(self, make):
         with pytest.raises(ValueError, match="nu must lie in"):
             make(nu=MAX_NU + 1)
+
+    @pytest.mark.parametrize(
+        "bad",
+        [
+            dict(arch="x-net"),
+            dict(channels=0),
+            dict(dropout_rate=1.0),
+            dict(epochs=-1),
+            dict(learning_rate=float("nan")),
+            dict(batch_size=0),
+        ],
+        ids=lambda bad: next(iter(bad)),
+    )
+    def test_bad_member_fails_before_any_training(self, bad, monkeypatch):
+        """A member listed after a good one still fails before the good
+        one trains: the spec checks itself when it is built."""
+        trained = []
+        monkeypatch.setattr(bench, "train_member", lambda spec, *args, **kw: trained.append(spec))
+        dataset = gen_dataset(GenConfig(n_scenes=4, width=8, height=8, base_seed=302))
+        good = TrainableSpec(name="g-net", arch="g-net", channels=4, epochs=1)
+        with pytest.raises(ValueError):
+            odd = TrainableSpec(name="odd", **{"arch": "m-net", **bad})
+            crossval(dataset, tiny_config(trainables=(good, odd)))
+        assert trained == []
+
+    @pytest.mark.parametrize(
+        "names",
+        [
+            ("g-net", "g-net"),
+            ("g-net", "grey-world"),
+            ("shades-of-grey",),
+            ("ideal",),
+            *((f"mcde-{variant}",) for variant in fusion.VARIANTS),
+        ],
+        ids="-".join,
+    )
+    def test_member_names_must_not_collide(self, names):
+        """A member may not share its name with another member or with a
+        report row, whose errors it would silently replace."""
+        specs = tuple(TrainableSpec(name=name, arch="g-net") for name in names)
+        with pytest.raises(ValueError, match="member name"):
+            BenchConfig(trainables=specs)
+
+    @pytest.mark.parametrize(
+        "bad",
+        [
+            dict(eval_per_band=0),
+            dict(train_per_band=0),
+            dict(channels=0),
+            dict(epochs=-1),
+            dict(dropout_rate=1.0),
+            dict(batch_size=0),
+            dict(width=4),
+            dict(noise_std=-1.0),
+        ],
+        ids=lambda bad: next(iter(bad)),
+    )
+    def test_bad_scenario_fails_at_construction(self, bad):
+        with pytest.raises(ValueError):
+            ScenarioConfig(**bad)
 
     def test_config_echo_omits_execution_details(self, tiny_report):
         echo = tiny_report.config

@@ -275,6 +275,21 @@ class TestPrefixSharing:
         assert 1 <= len(calls) <= 2
         assert all(shape == (8, 8, 5) for shape in calls)
 
+    def test_rate_zero_pools_once_per_estimate(self, monkeypatch):
+        """A Dropout that drops nothing applies no mask, so nothing is
+        stacked before the pool."""
+        calls = []
+        original = MeanPool.forward
+
+        def counted(self, x, **kwargs):
+            calls.append(x.shape)
+            return original(self, x, **kwargs)
+
+        monkeypatch.setattr(MeanPool, "forward", counted)
+        net = build("g-net", seed=103, channels=5, dropout_rate=0.0)
+        mc_estimate(net, np.random.default_rng(104).uniform(0.0, 1.0, (8, 8, 3)), nu=30)
+        assert calls == [(8, 8, 5)]
+
     @pytest.mark.parametrize("arch,layer", [("g-net", 2), ("m-net", 3)])
     def test_overflowing_kept_channel_names_the_dropout(self, arch, layer):
         """A finite channel that the kept scale 1/(1-rate) overflows is

@@ -18,9 +18,12 @@ from mcde.nn import (
     PassSeed,
     PositiveHead,
     Relu,
+    TrainConfig,
     build,
     cosine_loss,
+    train,
 )
+from mcde.datagen import GenConfig, gen_dataset
 
 
 def random_pixels(rng, h=6, w=5):
@@ -162,7 +165,7 @@ class TestBackward:
             def __init__(self):
                 self.params = {"W": np.zeros(1)}
 
-            def forward(self, x, rng=None):
+            def forward(self, x):
                 return x, None
 
             def backward(self, dy, cache, need_dx=True):
@@ -291,22 +294,115 @@ class TestInputGradientSkip:
         conv.init(rng)
         affine.init(rng)
         cases = [
-            (conv, fmap, None),
-            (affine, vec, None),
-            (Relu(), fmap, None),
-            (MeanPool(), fmap, None),
-            (MaxPool(), fmap, None),
-            (Dropout(0.4), fmap, np.random.default_rng(72)),
-            (PositiveHead(), vec, None),
+            (conv, fmap, ()),
+            (affine, vec, ()),
+            (Relu(), fmap, ()),
+            (MeanPool(), fmap, ()),
+            (MaxPool(), fmap, ()),
+            (Dropout(0.4), fmap, (np.array([True, False, True]),)),
+            (PositiveHead(), vec, ()),
         ]
-        for layer, x, mask_rng in cases:
-            y, cache = layer.forward(x, rng=mask_rng)
+        for layer, x, mask in cases:
+            y, cache = layer.forward(x, *mask)
             dy = rng.normal(size=y.shape)
             dx, grads = layer.backward(dy, cache, need_dx=False)
             full_dx, full_grads = layer.backward(dy, cache)
             assert dx is None and full_dx.shape == x.shape, layer.kind
             for name, grad in grads.items():
                 assert grad.tobytes() == full_grads[name].tobytes(), layer.kind
+
+
+def handed_masks(monkeypatch, net, run):
+    """The keep mask ``net`` hands each of its Dropout layers while
+    ``run()`` runs: {layer index: (calls, size) array}."""
+    got = {}
+    original = Dropout.forward
+
+    def recording(self, x, keep=None):
+        got.setdefault(net.layers.index(self), []).append(keep)
+        return original(self, x, keep)
+
+    monkeypatch.setattr(Dropout, "forward", recording)
+    run()
+    return {i: np.stack(rows) for i, rows in got.items()}
+
+
+def assert_binomial(hits, p, what):
+    """The share of True in ``hits`` lies within 5 binomial sigma of ``p``."""
+    bound = 5.0 * np.sqrt(p * (1.0 - p) / hits.size)
+    share = hits.mean()
+    assert abs(share - p) <= bound, f"{what}: {share:.4f} vs {p:.4f} +- {bound:.4f}"
+
+
+class TestMasks:
+    """``Network`` draws every dropout mask.  Past the shape rule, these
+    checks hold for any mask generator that draws independent Bernoullis."""
+
+    def test_spatial_mask_is_per_channel(self):
+        """On (H, W, C) maps each channel is kept or dropped as a whole."""
+        x = np.abs(np.random.default_rng(43).normal(size=(6, 6, 32))) + 0.1
+        net = Network([Dropout(0.5)])
+        one = net.forward(x, Mode.MC, PassSeed(5))
+        stacked = net.forward_passes(x, [PassSeed(5, k) for k in range(4)])
+        for ratio in (one / x, stacked / x):
+            pixels = ratio.reshape(*ratio.shape[:-3], -1, 32)
+            assert np.all(pixels == pixels[..., :1, :]), "channel must be uniformly scaled"
+            assert set(np.unique(ratio)) == {0.0, 2.0}
+
+    def test_vector_mask_is_per_element(self):
+        net = Network([MeanPool(), Dropout(0.25)])
+        y = net.forward(np.ones((2, 2, 4096)), Mode.MC, PassSeed(6))
+        assert y.shape == (4096,)
+        assert set(np.unique(y)) == {0.0, 1.0 / 0.75}
+        assert_binomial(y > 0.0, 0.75, "kept share")
+
+    def test_mask_reproducible_from_seed(self):
+        x = np.random.default_rng(44).normal(size=(4, 4, 16))
+        net = Network([Dropout(0.5)])
+        y1 = net.forward(x, Mode.MC, PassSeed(9))
+        np.testing.assert_array_equal(y1, net.forward(x, Mode.MC, PassSeed(9)))
+        np.testing.assert_array_equal(y1, net.forward_passes(x, [PassSeed(9)])[0])
+        assert not np.array_equal(y1, net.forward(x, Mode.MC, PassSeed(10)))
+
+    @pytest.mark.parametrize("rate", [0.3, 0.45])
+    def test_keep_fraction_is_one_minus_rate(self, rate):
+        """12 000 draws, all passes of one stacked call."""
+        net = Network([Dropout(rate)])
+        out = net.forward_passes(np.ones((1, 1, 100)), [PassSeed(12, k) for k in range(120)])
+        assert out.shape == (120, 1, 1, 100)
+        assert_binomial(out > 0.0, 1.0 - rate, f"kept share at rate {rate}")
+
+    def test_masks_differ_across_layers_and_passes(self, monkeypatch):
+        """Two Dropout layers, and consecutive passes, agree on each
+        entry only as often as independent draws would."""
+        rng = np.random.default_rng(73)
+        layers = [
+            Conv3x3(3, 4), Relu(), Dropout(0.3), MeanPool(), Dropout(0.25), Affine(4, 3),
+            PositiveHead(),
+        ]
+        for layer in layers:
+            if layer.params:
+                layer.init(rng)
+        net = Network(layers)
+        pixels = random_pixels(rng)
+        masks = handed_masks(
+            monkeypatch,
+            net,
+            lambda: [net.forward(pixels, Mode.MC, PassSeed(13, k)) for k in range(1000)],
+        )
+        assert sorted(masks) == [2, 4] and masks[2].shape == masks[4].shape == (1000, 4)
+        assert_binomial(masks[2] == masks[4], 0.7 * 0.75 + 0.3 * 0.25, "layers 2 and 4")
+        for i, keep in ((2, 0.7), (4, 0.75)):
+            agree = keep**2 + (1.0 - keep) ** 2
+            assert_binomial(masks[i][1:] == masks[i][:-1], agree, f"passes of layer {i}")
+
+    def test_masks_differ_across_training_steps(self, monkeypatch):
+        net = build("g-net", seed=14, channels=64, dropout_rate=0.3)
+        scenes = gen_dataset(GenConfig(n_scenes=8, width=8, height=8, base_seed=15)).scenes
+        config = TrainConfig(epochs=2, learning_rate=0.01, batch_size=4, base_seed=16)
+        masks = handed_masks(monkeypatch, net, lambda: train(net, scenes, config))
+        assert sorted(masks) == [2] and masks[2].shape == (16, 64)
+        assert_binomial(masks[2][1:] == masks[2][:-1], 0.7**2 + 0.3**2, "consecutive steps")
 
 
 class TestBuild:
