@@ -382,6 +382,10 @@ class ScenarioConfig:
 
     def __post_init__(self) -> None:
         check_nu(self.nu)
+        for name in ("eval_per_band", "train_per_band"):
+            value = getattr(self, name)
+            if not isinstance(value, int) or isinstance(value, bool):
+                raise TypeError(f"{name} must be an integer, got {value!r}")
         if self.eval_per_band < 1 or self.train_per_band < 1:
             raise ValueError("eval_per_band and train_per_band must be at least 1")
         # Built here so that their own checks run before any member

@@ -37,6 +37,8 @@ def build(arch: str, seed: int = 0, channels: int = 12, dropout_rate: float = 0.
         raise ValueError(
             f"unknown architecture {arch!r}; choose from {sorted(ARCHITECTURES)}"
         ) from None
+    if channels < 1:
+        raise ValueError(f"channels must be at least 1, got {channels}")
     layers = [
         Conv3x3(3, channels),
         Relu(),

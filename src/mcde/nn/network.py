@@ -8,9 +8,33 @@ from enum import Enum
 import numpy as np
 
 from mcde.nn.layers import Dropout, MaxPool, MeanPool
-from mcde.seeding import derive_seed
 
 __all__ = ["Mode", "Network", "NumericError", "PassSeed", "cosine_loss"]
+
+# Mask keys are uint64.  Python-int arithmetic on them is reduced by
+# _MASK64; numpy's uint64 arrays wrap by themselves, and take their
+# constants as numpy scalars, which a ufunc does not convert per call.
+# _GAMMA is splitmix64's Weyl increment (Steele et al. 2014) and
+# _LAYER_GAMMA spaces the layers apart.
+_KEY_LIMIT = 1 << 64
+_MASK64 = _KEY_LIMIT - 1
+_GAMMA = 0x9E3779B97F4A7C15
+_LAYER_GAMMA = 0xD1B54A32D192ED03
+_GAMMA_U64 = np.uint64(_GAMMA)
+_S30, _M1, _S27, _M2, _S31 = np.array(
+    [30, 0xBF58476D1CE4E5B9, 27, 0x94D049BB133111EB, 31], dtype=np.uint64
+)
+
+
+def _mix(z):
+    """splitmix64's finalizer, in place on a uint64 array: a bijection
+    after which every output bit depends on every input bit."""
+    z ^= z >> _S30
+    z *= _M1
+    z ^= z >> _S27
+    z *= _M2
+    z ^= z >> _S31
+    return z
 
 
 @dataclass(frozen=True)
@@ -19,15 +43,23 @@ class PassSeed:
 
     Dropout masks are a pure function of (base_seed, pass_index,
     layer_index), so passes can be replayed or scheduled in any order
-    without coordination.
+    without coordination.  Both fields are uint64 key material: integers
+    in [0, 2**64).
     """
 
     base_seed: int
     pass_index: int = 0
 
     def __post_init__(self) -> None:
-        if self.pass_index < 0:
-            raise ValueError("pass_index must be non-negative")
+        for name in ("base_seed", "pass_index"):
+            value = getattr(self, name)
+            if type(value) is not int:  # a numpy integer, say: keys need Python ints
+                if isinstance(value, bool) or not hasattr(value, "__index__"):
+                    raise TypeError(f"{name} must be an integer, got {value!r}")
+                value = value.__index__()
+                object.__setattr__(self, name, value)
+            if not 0 <= value < _KEY_LIMIT:
+                raise ValueError(f"{name} must lie in [0, 2**64), got {value}")
 
 
 class Mode(Enum):
@@ -156,16 +188,23 @@ class Network:
         axis: a channel of a feature map, or an element of a vector.
         None unless the layer is a Dropout with a nonzero rate and
         there are seeds.
+
+        The draw is a stateless counter hash (Salmon et al. 2011): each
+        pass's (base seed, pass index, layer) is mixed into a row key,
+        and entry e keeps iff the mix of (row key + (e + 1) * gamma),
+        uniform on [0, 2**64), is at least rate * 2**64.  A row depends
+        on its own key alone, so the masks do not depend on pass order,
+        on the other seeds in ``seeds`` or on the worker count.
         """
         layer = self.layers[i]
         if not (seeds and isinstance(layer, Dropout) and layer.rate > 0.0):
             return None
-        return np.stack([
-            np.random.default_rng(
-                derive_seed("dropout-mask", seed.base_seed, seed.pass_index, i)
-            ).random(size) >= layer.rate
-            for seed in seeds
-        ])
+        rows = _mix(np.array(
+            [s.base_seed ^ ((s.pass_index * _GAMMA + i * _LAYER_GAMMA) & _MASK64) for s in seeds],
+            dtype=np.uint64,
+        ))
+        bits = _mix(rows[:, None] + np.arange(1, size + 1, dtype=np.uint64) * _GAMMA_U64)
+        return bits >= int(layer.rate * 2.0**64)
 
     def _run(self, x, seed, start=0, stop=None):
         """Apply ``layers[start:stop]`` to ``x``; returns (activation, caches)."""

@@ -270,6 +270,12 @@ class TestCrossval:
         with pytest.raises(ValueError):
             ScenarioConfig(**bad)
 
+    @pytest.mark.parametrize("name", ["eval_per_band", "train_per_band"])
+    @pytest.mark.parametrize("value", [2.5, True])
+    def test_non_integer_scene_count_fails_at_construction(self, name, value):
+        with pytest.raises(TypeError, match=f"^{name} must be an integer"):
+            ScenarioConfig(**{name: value})
+
     def test_config_echo_omits_execution_details(self, tiny_report):
         echo = tiny_report.config
         assert "workers" not in echo
@@ -446,4 +452,4 @@ class TestBandShiftScenario:
         with pytest.raises(RuntimeError) as info:
             band_shift_scenario(config)
         assert type(info.value) is RuntimeError
-        assert str(info.value).startswith("member g-net failed: training diverged at epoch 1: ")
+        assert str(info.value).startswith("member g-net failed: training diverged at epoch 0: ")

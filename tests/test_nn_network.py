@@ -1,6 +1,8 @@
 """Network container: forward modes, error handling, full backprop."""
 
+import hashlib
 import re
+import warnings
 
 import numpy as np
 import pytest
@@ -24,6 +26,7 @@ from mcde.nn import (
     train,
 )
 from mcde.datagen import GenConfig, gen_dataset
+from mcde.mc import mc_estimate
 
 
 def random_pixels(rng, h=6, w=5):
@@ -404,11 +407,63 @@ class TestMasks:
         assert sorted(masks) == [2] and masks[2].shape == (16, 64)
         assert_binomial(masks[2][1:] == masks[2][:-1], 0.7**2 + 0.3**2, "consecutive steps")
 
+    def test_mc_estimate_draws_without_sha256_or_generators(self, monkeypatch):
+        """The ν=30 masks of an estimate come from the counter hash alone:
+        no per-pass sha256 and no per-pass numpy Generator."""
+        net = build("g-net", seed=17, channels=8, dropout_rate=0.3)
+        pixels = random_pixels(np.random.default_rng(74), 8, 8)
+        calls = {"sha256": 0, "default_rng": 0}
+
+        def counting(module, name):
+            original = getattr(module, name)
+
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return original(*args, **kwargs)
+
+            monkeypatch.setattr(module, name, wrapper)
+
+        counting(hashlib, "sha256")
+        counting(np.random, "default_rng")
+        est = mc_estimate(net, pixels, nu=30, base_seed=18)
+        assert est.passes == 30 and est.mu > 0.0
+        assert calls == {"sha256": 0, "default_rng": 0}
+
+    def test_masks_follow_their_seeds_under_permutation(self):
+        """A row is a function of its own PassSeed: permuting the seeds
+        permutes the rows, bit for bit."""
+        net = Network([MeanPool(), Dropout(0.3)])
+        seeds = [PassSeed(19 + k % 3, k) for k in range(24)]
+        order = np.random.default_rng(75).permutation(len(seeds))
+        keep = net._keeps(1, seeds, 40)
+        permuted = net._keeps(1, [seeds[k] for k in order], 40)
+        assert keep.shape == (24, 40) and keep.dtype == bool
+        np.testing.assert_array_equal(permuted, keep[order])
+
+    def test_extreme_keys_draw_without_warnings(self):
+        """Keys at the top of the uint64 range wrap silently: no numpy
+        overflow warning (which pytest turns into an error here)."""
+        x = np.ones((4, 4, 64))
+        net = Network([Dropout(0.3)])
+        seeds = [PassSeed(2**64 - 1, 2**63), PassSeed(2**64 - 1, 2**64 - 1), PassSeed(0, 2**63)]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            rows = net.forward_passes(x, seeds)
+            for k, seed in enumerate(seeds):
+                assert net.forward(x, Mode.MC, seed).tobytes() == rows[k].tobytes()
+        assert 0 < np.count_nonzero(rows[:, 0, 0]) < rows[:, 0, 0].size
+
 
 class TestBuild:
     def test_unknown_arch(self):
         with pytest.raises(ValueError, match="unknown architecture"):
             build("q-net")
+
+    @pytest.mark.parametrize("arch", ["g-net", "m-net"])
+    def test_rejects_networks_without_channels(self, arch):
+        """Zero channels would return the same estimate for every scene."""
+        with pytest.raises(ValueError, match="channels must be at least 1, got 0"):
+            build(arch, channels=0)
 
     def test_same_seed_same_weights(self):
         a = build("g-net", seed=12, channels=6)
