@@ -43,8 +43,7 @@ from mcde import baselines, fusion
 from mcde.color import METRICS
 from mcde.datagen import Dataset, GenConfig, folds, gen_dataset
 from mcde.mc import check_nu
-from mcde.nn.archs import ARCHITECTURES, build
-from mcde.nn.layers import Dropout
+from mcde.nn.archs import ARCHITECTURES, build, check_member
 from mcde.nn.training import TrainConfig, train
 from mcde.seeding import derive_seed
 
@@ -111,7 +110,8 @@ class TrainableSpec:
     """One trainable ensemble member and its training hyperparameters.
 
     Checked when built, so a bad spec fails before any member trains:
-    the rate by ``Dropout``, the training fields by ``TrainConfig``.
+    the architecture, channels and rate by ``check_member``, the
+    training fields by ``TrainConfig``.
     """
 
     name: str
@@ -123,13 +123,7 @@ class TrainableSpec:
     batch_size: int = 8
 
     def __post_init__(self) -> None:
-        if self.arch not in ARCHITECTURES:
-            raise ValueError(
-                f"unknown architecture {self.arch!r}; choose from {sorted(ARCHITECTURES)}"
-            )
-        if self.channels < 1:
-            raise ValueError(f"channels must be at least 1, got {self.channels}")
-        Dropout(self.dropout_rate)
+        check_member(self.arch, self.channels, self.dropout_rate)
         self.train_config(0)
 
     def train_config(self, base_seed: int) -> TrainConfig:

@@ -6,13 +6,9 @@ population standard deviation of those passes (computed against the
 raw, pre-normalization mean), compressed to a single scalar as the
 product sigma_r * sigma_g * sigma_b.
 
-The passes come from ``Network.forward_passes``, which runs the layers
-before the first Dropout once per call and the rest of the stack, whatever
-its layers, once for all nu passes over a leading pass axis.  Each pass
-still sees the same input and masks as a whole-stack ``forward``, so the
-passes are bit-identical to nu separate forwards.  Pass i's masks are a
-counter hash of (base_seed, i, layer, element), drawn for all nu passes
-at once in ``Network._keeps``: no per-pass seed derivation or generator.
+The passes come from ``Network.forward_passes``: one layer loop over all
+nu passes, bit-identical to nu separate forwards, with pass i's masks a
+counter hash of (base_seed, i, layer, element) drawn in ``_keeps``.
 """
 
 from __future__ import annotations

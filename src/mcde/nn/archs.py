@@ -15,7 +15,7 @@ from mcde.nn.layers import Affine, Conv3x3, Dropout, MaxPool, MeanPool, Positive
 from mcde.nn.network import Network
 from mcde.seeding import derive_seed
 
-__all__ = ["ARCHITECTURES", "build"]
+__all__ = ["ARCHITECTURES", "build", "check_member"]
 
 # Name -> the layers between conv+ReLU and the Affine readout, given the
 # dropout rate.  Every stock stack is conv, ReLU, these, affine, head.
@@ -31,18 +31,11 @@ def build(arch: str, seed: int = 0, channels: int = 12, dropout_rate: float = 0.
     Weights are uniform in [-s, s] with s = sqrt(6 / (fan_in + fan_out)),
     one generator per layer index; biases are zero.
     """
-    try:
-        middle = ARCHITECTURES[arch]
-    except KeyError:
-        raise ValueError(
-            f"unknown architecture {arch!r}; choose from {sorted(ARCHITECTURES)}"
-        ) from None
-    if channels < 1:
-        raise ValueError(f"channels must be at least 1, got {channels}")
+    check_member(arch, channels, dropout_rate)
     layers = [
         Conv3x3(3, channels),
         Relu(),
-        *middle(dropout_rate),
+        *ARCHITECTURES[arch](dropout_rate),
         Affine(channels, 3),
         PositiveHead(),
     ]
@@ -50,3 +43,14 @@ def build(arch: str, seed: int = 0, channels: int = 12, dropout_rate: float = 0.
         if layer.params:
             layer.init(np.random.default_rng(derive_seed("layer-init", seed, i)))
     return Network(layers, arch=arch)
+
+
+def check_member(arch: str, channels: int, dropout_rate: float) -> None:
+    """Reject what ``build`` cannot build, without building it."""
+    if arch not in ARCHITECTURES:
+        raise ValueError(f"unknown architecture {arch!r}; choose from {sorted(ARCHITECTURES)}")
+    if not isinstance(channels, int) or isinstance(channels, bool):
+        raise TypeError(f"channels must be an integer, got {channels!r}")
+    if channels < 1:
+        raise ValueError(f"channels must be at least 1, got {channels}")
+    Dropout(dropout_rate)

@@ -1,19 +1,18 @@
 """Layer primitives with plain numpy forward/backward pairs.
 
-Activations are float64 throughout.  Spatial tensors are channels-last
-(H, W, C); pooled activations are flat (C,) vectors.  Every layer's
-``forward`` maps those trailing axes and carries any leading axes
-through: on a (ν, ...) stack, one item per MC pass, row k is bit for bit
-the forward of item k alone.  Every layer has ``forward(x) -> (y,
-cache)`` and ``backward(dy, cache, need_dx=True) -> (dx, grads)``, with
-``grads`` keyed like ``params``.  With ``need_dx`` false the input
-gradient is neither computed nor returned (``dx`` is None): the first
-layer of a network has no one to pass it to.  The cache holds only what
-the forward computes anyway, so it is always returned.  ``Dropout``
-alone takes one more argument, the keep mask, which ``Network`` draws
-and shapes; it is the identity without one.  Layers are pure functions
-of their input and that mask, which keeps every forward pass
-bit-reproducible.
+Activations are float64 with one leading row axis, one image or MC pass
+per row: channels-last (R, H, W, C) maps and pooled (R, C) vectors.  Row
+k of a forward is bit for bit the forward of row k alone.  Every layer
+has ``forward(x) -> (y, cache)`` and ``backward(dy, cache, need_dx=True)
+-> (dx, grads)``, with ``grads`` keyed like ``params`` and holding one
+gradient per row, (R, *param shape), which ``Network.backward`` sums in
+row order.  With ``need_dx`` false the input gradient is neither
+computed nor returned (``dx`` is None): the first layer of a network has
+no one to pass it to.  The cache holds only what the forward computes
+anyway, so it is always returned.  ``Dropout`` alone takes one more
+argument, the keep mask, which ``Network`` draws and shapes; it is the
+identity without one.  Layers are pure functions of their input and
+that mask, which keeps every pass bit-reproducible.
 """
 
 from __future__ import annotations
@@ -63,22 +62,22 @@ class Conv3x3:
 
     def backward(self, dy, cache, need_dx=True):
         xp = cache
-        h, w, _ = dy.shape
+        n, h, w, _ = dy.shape
         weight = self.params["W"]
-        d_weight = np.empty_like(weight)
-        dy_flat = dy.reshape(-1, self.c_out)
+        d_weight = np.empty((n, *weight.shape))
+        dy_rows = dy.reshape(n, -1, self.c_out)
         for ki in range(3):
             for kj in range(3):
-                patch = xp[ki : ki + h, kj : kj + w].reshape(-1, self.c_in)
-                d_weight[ki, kj] = patch.T @ dy_flat
-        grads = {"W": d_weight, "b": dy.sum(axis=(0, 1))}
+                patch = xp[:, ki : ki + h, kj : kj + w].reshape(n, -1, self.c_in)
+                d_weight[:, ki, kj] = patch.transpose(0, 2, 1) @ dy_rows
+        grads = {"W": d_weight, "b": dy.sum(axis=(1, 2))}
         if not need_dx:
             return None, grads
         dxp = np.zeros_like(xp)
         for ki in range(3):
             for kj in range(3):
-                dxp[ki : ki + h, kj : kj + w] += dy @ weight[ki, kj].T
-        return dxp[1:-1, 1:-1], grads
+                dxp[:, ki : ki + h, kj : kj + w] += dy @ weight[ki, kj].T
+        return dxp[:, 1:-1, 1:-1], grads
 
 
 class Affine:
@@ -105,20 +104,19 @@ class Affine:
         self.params["b"] = np.zeros(self.c_out)
 
     def forward(self, x):
-        if x.ndim == 2:
-            # One gemv per row, as for a (C,) vector alone; a (ν, C) @ W
-            # gemm rounds differently.
-            y = (x[:, None, :] @ self.params["W"])[:, 0, :]
-        else:
-            y = x @ self.params["W"]
-        return y + self.params["b"], x
+        return _per_row(x, self.params["W"]) + self.params["b"], x
 
     def backward(self, dy, cache, need_dx=True):
-        x = cache
-        x_flat = x.reshape(-1, self.c_in)
-        dy_flat = dy.reshape(-1, self.c_out)
-        dx = dy @ self.params["W"].T if need_dx else None
-        return dx, {"W": x_flat.T @ dy_flat, "b": dy_flat.sum(axis=0)}
+        x_rows = cache.reshape(len(cache), -1, self.c_in)
+        dy_rows = dy.reshape(len(dy), -1, self.c_out)
+        dx = _per_row(dy, self.params["W"].T) if need_dx else None
+        return dx, {"W": x_rows.transpose(0, 2, 1) @ dy_rows, "b": dy_rows.sum(axis=1)}
+
+
+def _per_row(x, matrix):
+    """``x @ matrix``, with one gemv per row on (R, C) vectors: a
+    (R, C) @ matrix gemm rounds differently from each row alone."""
+    return (x[:, None, :] @ matrix)[:, 0, :] if x.ndim == 2 else x @ matrix
 
 
 class Relu:
@@ -136,7 +134,7 @@ class Relu:
 
 
 class MeanPool:
-    """Global spatial mean: (H, W, C) -> (C,)."""
+    """Global spatial mean: (R, H, W, C) -> (R, C)."""
 
     kind = "mean-pool"
 
@@ -149,12 +147,12 @@ class MeanPool:
     def backward(self, dy, cache, need_dx=True):
         if not need_dx:
             return None, {}
-        h, w, _ = cache
-        return np.broadcast_to(dy / (h * w), cache).copy(), {}
+        *_, h, w, _ = cache
+        return np.broadcast_to((dy / (h * w))[..., None, None, :], cache).copy(), {}
 
 
 class MaxPool:
-    """Global spatial max: (H, W, C) -> (C,).
+    """Global spatial max: (R, H, W, C) -> (R, C).
 
     Ties route the gradient to the first (row-major) maximum, so the
     backward pass is deterministic.
@@ -175,8 +173,8 @@ class MaxPool:
         if not need_dx:
             return None, {}
         shape, idx = cache
-        dflat = np.zeros((shape[0] * shape[1], shape[2]))
-        dflat[idx, np.arange(shape[2])] = dy
+        dflat = np.zeros((*shape[:-3], shape[-3] * shape[-2], shape[-1]))
+        np.put_along_axis(dflat, idx[..., None, :], dy[..., None, :], axis=-2)
         return dflat.reshape(shape), {}
 
 

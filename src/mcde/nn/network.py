@@ -11,6 +11,12 @@ from mcde.nn.layers import Dropout, MaxPool, MeanPool
 
 __all__ = ["Mode", "Network", "NumericError", "PassSeed", "cosine_loss"]
 
+# Network.backward runs a mini-batch in blocks of rows whose pixels fit in
+# about this many bytes: 16x16 batches of 8 run whole, 64x64 images one by
+# one.  A whole batch of 64x64 activations falls out of the L2 cache, and,
+# freed together, made the allocator fault megabytes in again every step.
+_BLOCK_BYTES = 64 * 1024
+
 # Mask keys are uint64.  Python-int arithmetic on them is reduced by
 # _MASK64; numpy's uint64 arrays wrap by themselves, and take their
 # constants as numpy scalars, which a ufunc does not convert per call.
@@ -73,24 +79,27 @@ class NumericError(RuntimeError):
     """Non-finite activations or gradients, annotated with the layer index."""
 
 
-def cosine_loss(pred, gt) -> float:
-    """1 minus the inner product of two unit vectors; 0 iff they coincide."""
-    return 1.0 - float(np.dot(pred, gt))
+def cosine_loss(pred, gt):
+    """1 minus the inner product of unit vectors, per row; 0 iff they coincide.
+
+    A (1, 3) @ (3, 1) product per row rounds as ``np.dot`` does, and a
+    summed elementwise product does not."""
+    return 1.0 - (pred[..., None, :] @ gt[..., :, None])[..., 0, 0]
 
 
 @dataclass
 class Network:
-    """Ordered layer stack mapping an (H, W, 3) image to an illuminant.
+    """Ordered layer stack mapping (H, W, 3) images to illuminants.
 
-    The pass seed alone turns dropout on: under a ``PassSeed`` the
-    network draws each ``Dropout``'s mask from (seed, layer index), in
-    training and MC inference alike, and hands it to the layer shaped to
-    broadcast against its input; without one, dropout is the identity.
-    ``_keeps`` is the one place a mask is drawn.  The layers
-    before the first ``Dropout`` (the prefix) give the same output on
-    every pass, so ``forward_passes`` runs them once and runs the rest
-    (the suffix) once for all passes, over a leading pass axis.  All
-    entry points check the activations after every layer they run.
+    ``_run`` is the one layer loop behind ``forward``, ``forward_passes``
+    and ``backward``.  Its activations carry one leading row axis: a row
+    is one image of a mini-batch, or one image that MC passes share
+    until a Dropout's masks split it.  The pass seed alone turns dropout
+    on: under a ``PassSeed`` the network draws each ``Dropout``'s mask
+    from (seed, layer index), in training and MC inference alike, and
+    hands it to the layer shaped to broadcast against its input; without
+    one, dropout is the identity.  ``_keeps`` is the one place a mask is
+    drawn.
 
     Single-writer: training mutates ``layers[i].params`` in place, so a
     network must not be trained and evaluated concurrently.  Forward
@@ -108,36 +117,23 @@ class Network:
         """
         if mode is Mode.MC and seed is None:
             raise ValueError("mc forward passes require a PassSeed")
-        return self._run(self._pixels(pixels), seed if mode is Mode.MC else None)[0]
+        seeds = [seed] if mode is Mode.MC else []
+        return self._run(self._images(np.asarray(pixels)[None]), seeds)[0][0]
 
     def forward_passes(self, pixels, seeds) -> np.ndarray:
         """One MC-mode forward per PassSeed in ``seeds``, as a (len(seeds), 3) array.
 
-        Row k equals ``forward(pixels, Mode.MC, seeds[k])`` bit for bit:
-        the prefix runs once, and the suffix runs once for all passes,
-        from that same activation under each pass's own masks.
+        Row k equals ``forward(pixels, Mode.MC, seeds[k])`` bit for bit;
+        each layer runs once for all passes.
         """
         seeds = list(seeds)
         if not seeds:
             raise ValueError("forward_passes needs at least one PassSeed")
-        split = next(
-            (i for i, layer in enumerate(self.layers) if isinstance(layer, Dropout)),
-            len(self.layers),
-        )
-        shared, _ = self._run(self._pixels(pixels), None, stop=split)
-        # Silent: a value that would warn is not finite, and the replay
-        # below then raises and warns as the whole-stack forwards would.
-        # It only reports: the kept-map check is conservative, and the
-        # stacked rows equal the per-pass forwards anyway.
-        with np.errstate(all="ignore"):
-            stacked, finite = self._run_stacked(shared, seeds, split)
-        if not finite:
-            for seed in seeds:
-                self._run(shared, seed, start=split)
-        return stacked
+        out, _ = self._run(self._images(np.asarray(pixels)[None]), seeds)
+        return out if len(out) == len(seeds) else np.repeat(out, len(seeds), axis=0)
 
-    def _pixels(self, pixels) -> np.ndarray:
-        """``pixels`` as float64, checked to be a non-empty (H, W, c_in) image.
+    def _images(self, pixels) -> np.ndarray:
+        """``pixels`` as float64, checked to stack non-empty (H, W, c_in) images.
 
         ``c_in`` comes from the first layer that has one, if any.  A
         network without layers is the identity and takes any array.
@@ -146,40 +142,10 @@ class Network:
         if not self.layers:
             return x
         c_in = next((layer.c_in for layer in self.layers if hasattr(layer, "c_in")), None)
-        if x.ndim != 3 or 0 in x.shape or c_in not in (None, x.shape[2]):
+        if x.ndim != 4 or 0 in x.shape or c_in not in (None, x.shape[3]):
             want = f"(H, W, {'C' if c_in is None else c_in})"
-            raise ValueError(f"expected non-empty {want} pixels, got shape {x.shape}")
+            raise ValueError(f"expected non-empty {want} pixels, got shape {x.shape[1:]}")
         return x
-
-    def _run_stacked(self, x, seeds, start):
-        """``layers[start:]`` on the prefix's output ``x`` for all passes at
-        once: a (len(seeds), ...) array, and whether it stayed finite.
-
-        The activation gains its pass axis at the first Dropout that
-        applies a mask; without one, every pass gets the same row.
-        Right before a pool, a spatial map is not stacked: the pool runs
-        once on the map with every channel kept and once with every one
-        dropped, and each pass picks its channels from the two, so g-net
-        builds no (ν, H, W, C) array.  The check then covers the whole
-        kept map, which is conservative.
-        """
-        a, finite, stacked, dropped = x, True, False, None
-        for i, layer in enumerate(self.layers[start:], start):
-            keep, after = self._keeps(i, seeds, a.shape[-1]), self.layers[i + 1 : i + 2]
-            if dropped is not None:  # the pool after a spatial Dropout
-                a = np.where(kept, layer.forward(a)[0], layer.forward(dropped)[0])
-                dropped, stacked = None, True
-            elif keep is None:  # not a Dropout, or one that drops nothing
-                a, _ = layer.forward(a)
-            elif a.ndim >= 3 and after and isinstance(after[0], (MeanPool, MaxPool)):
-                kept, (a, _), (dropped, _) = keep, layer.forward(a, True), layer.forward(a, False)
-            else:
-                a, _ = layer.forward(a, keep[:, None, None, :] if a.ndim >= 3 else keep)
-                stacked = True
-            finite = finite and np.all(np.isfinite(a))
-        if not stacked:
-            a = np.repeat(a[None], len(seeds), axis=0)
-        return a, finite
 
     def _keeps(self, i, seeds, size):
         """(len(seeds), size) keep masks for ``layers[i]``, one row per pass.
@@ -206,41 +172,63 @@ class Network:
         bits = _mix(rows[:, None] + np.arange(1, size + 1, dtype=np.uint64) * _GAMMA_U64)
         return bits >= int(layer.rate * 2.0**64)
 
-    def _run(self, x, seed, start=0, stop=None):
-        """Apply ``layers[start:stop]`` to ``x``; returns (activation, caches)."""
-        caches = []
-        a = x
-        for i, layer in enumerate(self.layers[start:stop], start):
-            keep = self._keeps(i, () if seed is None else [seed], a.shape[-1])
-            a, cache = layer.forward(a) if keep is None else layer.forward(a, keep[0])
-            if not np.all(np.isfinite(a)):
-                raise NumericError(
-                    f"non-finite activations after layer {i} ({layer.kind})"
-                )
-            caches.append(cache)
-        return a, caches
+    def _run(self, x, seeds):
+        """All layers on the rows of ``x``; returns (activation, caches).
 
-    def backward(self, pixels, gt, seed: PassSeed):
-        """Loss and gradients for one sample under the pass's dropout masks.
-
-        Returns (loss, grads) where grads is a list parallel to
-        ``layers``; each entry maps parameter names to arrays shaped
-        like the parameters.  Nothing consumes the gradient with
-        respect to the pixels, so layer 0 is asked not to compute it
-        (``need_dx=False``); every parameter gradient is the same, bit
-        for bit, as with a full backward.
+        With one seed per row, row k runs under ``seeds[k]``'s masks; one
+        row meeting more seeds broadcasts against their masks into one
+        row per seed.  Right before a pool it is not broadcast: the pool
+        runs on the map with every channel some pass keeps kept, and on
+        the map with all dropped, and each pass picks its channels from
+        the two, so g-net builds no (ν, H, W, C) array.  A channel no
+        pass keeps is dropped in both, so the checks stay exact.
         """
-        gt = np.asarray(gt, dtype=np.float64)
-        pred, caches = self._run(self._pixels(pixels), seed)
-        loss = cosine_loss(pred, gt)
-        grad = -gt
-        grads: list[dict] = [{}] * len(self.layers)
-        for i in range(len(self.layers) - 1, -1, -1):
-            grad, grads[i] = self.layers[i].backward(grad, caches[i], need_dx=i > 0)
-        for i, layer_grads in enumerate(grads):
-            for name, arr in layer_grads.items():
-                if not np.all(np.isfinite(arr)):
-                    raise NumericError(
-                        f"non-finite gradient for parameter {name!r} of layer {i}"
-                    )
-        return loss, grads
+        caches, dropped = [], None
+        for i, (layer, after) in enumerate(zip(self.layers, [*self.layers[1:], None])):
+            keep = self._keeps(i, seeds, x.shape[-1])
+            if dropped is not None:  # the pool after a shared spatial Dropout
+                x, cache = np.where(kept, layer.forward(x)[0], layer.forward(dropped)[0]), None
+                dropped = None
+            elif keep is None:  # not a Dropout, or one that drops nothing
+                x, cache = layer.forward(x)
+            elif x.ndim == 4 and len(x) < len(seeds) and isinstance(after, (MeanPool, MaxPool)):
+                kept, dropped = keep, layer.forward(x, False)[0]
+                x, cache = layer.forward(x, keep.any(axis=0))
+            else:
+                x, cache = layer.forward(x, keep[:, None, None, :] if x.ndim == 4 else keep)
+            if not np.all(np.isfinite(x)):
+                raise NumericError(f"non-finite activations after layer {i} ({layer.kind})")
+            caches.append(cache)
+        return x, caches
+
+    def backward(self, pixels, gts, seeds):
+        """Per-image losses and summed gradients for a mini-batch.
+
+        Image k of ``pixels`` (a list or a stacked array), with label
+        ``gts[k]``, runs under ``seeds[k]``'s masks, in blocks of rows
+        that fit in ``_BLOCK_BYTES``: only a block is copied to float64.
+        ``grads`` parallels ``layers``: name -> the images' gradients
+        summed in image order, so the bytes do not depend on the blocks.
+        Nothing consumes the gradient with respect to the pixels, so
+        layer 0 is asked not to compute it (``need_dx=False``).
+        """
+        seeds = list(seeds)
+        if not seeds or len(seeds) != len(pixels):
+            raise ValueError(f"one PassSeed per image: got {len(seeds)} for {len(pixels)} images")
+        gts = np.asarray(gts, dtype=np.float64)
+        step = max(1, _BLOCK_BYTES // self._images(pixels[:1]).nbytes)
+        losses, per_row = [], [[] for _ in self.layers]
+        for r in range(0, len(seeds), step):
+            pred, caches = self._run(self._images(pixels[r : r + step]), seeds[r : r + step])
+            losses.append(cosine_loss(pred, gts[r : r + step]))
+            grad = -gts[r : r + step]
+            for i in range(len(self.layers) - 1, -1, -1):  # pop: free each cache once used
+                grad, layer_grads = self.layers[i].backward(grad, caches.pop(), need_dx=i > 0)
+                per_row[i].append(layer_grads)
+        grads: list[dict] = [{} for _ in self.layers]
+        for i, blocks in enumerate(per_row):
+            for name in blocks[0]:
+                grads[i][name] = np.concatenate([g[name] for g in blocks]).sum(axis=0)
+                if not np.all(np.isfinite(grads[i][name])):
+                    raise NumericError(f"non-finite gradient for parameter {name!r} of layer {i}")
+        return np.concatenate(losses), grads

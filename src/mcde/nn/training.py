@@ -25,6 +25,10 @@ class TrainConfig:
     base_seed: int = 0
 
     def __post_init__(self) -> None:
+        for name in ("epochs", "batch_size"):
+            value = getattr(self, name)
+            if not isinstance(value, int) or isinstance(value, bool):
+                raise TypeError(f"{name} must be an integer, got {value!r}")
         if self.epochs < 0:
             raise ValueError("epochs must be non-negative")
         if self.batch_size < 1:
@@ -34,48 +38,43 @@ class TrainConfig:
 
 
 def train(net: Network, scenes, config: TrainConfig):
-    """SGD without momentum; gradients averaged over each mini-batch.
+    """SGD without momentum on same-shaped scenes, one backward per mini-batch.
 
-    Scenes are visited in a per-epoch shuffled order derived from the
-    base seed, and each sample's dropout masks come from a global step
-    counter, so identical (network, data, config) runs produce
-    bit-identical weights.  Returns (net, per-epoch mean loss trace);
-    the network is updated in place.
+    Each step subtracts ``lr / len(batch)`` times the batch's gradient,
+    summed in sample order.  Scenes are visited in a per-epoch shuffled
+    order derived from the base seed, and each sample's dropout masks
+    come from its position in the whole run, so identical (network,
+    data, config) runs produce bit-identical weights.  Returns (net,
+    per-epoch mean loss trace); the network is updated in place.
     """
     scenes = list(scenes)
     if not scenes:
         raise ValueError("training set is empty")
+    shape = np.shape(scenes[0].pixels)
+    for scene in scenes:
+        if np.shape(scene.pixels) != shape:
+            raise ValueError(f"scenes differ in shape: {shape} and {np.shape(scene.pixels)}")
     pass_base = derive_seed("train-pass", config.base_seed)
     trace: list[float] = []
-    step = 0
     for epoch in range(config.epochs):
         order = np.random.default_rng(
             derive_seed("train-shuffle", config.base_seed, epoch)
         ).permutation(len(scenes))
-        epoch_losses: list[float] = []
+        epoch_losses = []
         for start in range(0, len(order), config.batch_size):
-            batch = order[start : start + config.batch_size]
-            acc = None
-            for idx in batch:
-                scene = scenes[idx]
-                try:
-                    loss, grads = net.backward(
-                        scene.pixels, scene.label, PassSeed(pass_base, step)
-                    )
-                except NumericError as exc:
-                    raise TrainingError(
-                        f"training diverged at epoch {epoch}: {exc}"
-                    ) from exc
-                step += 1
-                epoch_losses.append(loss)
-                if acc is None:
-                    acc = grads
-                else:
-                    for held, new in zip(acc, grads):
-                        for name in held:
-                            held[name] = held[name] + new[name]
+            batch = [scenes[i] for i in order[start : start + config.batch_size]]
+            first = epoch * len(order) + start  # the pass index of the batch's first sample
+            try:
+                losses, grads = net.backward(
+                    [scene.pixels for scene in batch],
+                    [scene.label for scene in batch],
+                    [PassSeed(pass_base, first + k) for k in range(len(batch))],
+                )
+            except NumericError as exc:
+                raise TrainingError(f"training diverged at epoch {epoch}: {exc}") from exc
+            epoch_losses.extend(losses)
             scale = config.learning_rate / len(batch)
-            for layer, layer_grads in zip(net.layers, acc):
+            for layer, layer_grads in zip(net.layers, grads):
                 for name, grad in layer_grads.items():
                     layer.params[name] -= scale * grad
         mean_loss = float(np.mean(epoch_losses))

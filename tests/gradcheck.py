@@ -33,9 +33,10 @@ def check_layer(layer, x, keep=None) -> None:
     The scalar probe is sum(c * y) for a fixed random c, whose exact
     gradient with respect to y is c.  With ``keep`` every forward call
     gets that fixed dropout mask, so a ``Dropout`` sees identical masks
-    in all evaluations.
+    in all evaluations.  ``x`` is one row: the check adds the leading
+    row axis that layers take.
     """
-    x = np.asarray(x, dtype=np.float64)
+    x = np.asarray(x, dtype=np.float64)[None]
     mask = () if keep is None else (keep,)
 
     def run(xv, params=None):
@@ -75,7 +76,7 @@ def check_layer(layer, x, keep=None) -> None:
             hi = float(np.sum(c * run(x, {name: base + lift})))
             lo = float(np.sum(c * run(x, {name: base - lift})))
             num[idx] = (hi - lo) / (2.0 * STEP)
-        assert_grads_close(grad, num, f"{layer.kind}: d({name})")
+        assert_grads_close(grad[0], num, f"{layer.kind}: d({name})")
 
 
 def check_network(net, pixels, gt, seed: PassSeed) -> None:
@@ -86,7 +87,7 @@ def check_network(net, pixels, gt, seed: PassSeed) -> None:
     """
     pixels = np.asarray(pixels, dtype=np.float64)
     gt = np.asarray(gt, dtype=np.float64)
-    _, grads = net.backward(pixels, gt, seed)
+    _, grads = net.backward(pixels[None], gt[None], [seed])
 
     def loss() -> float:
         return cosine_loss(net.forward(pixels, Mode.MC, seed), gt)

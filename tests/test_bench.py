@@ -276,6 +276,16 @@ class TestCrossval:
         with pytest.raises(TypeError, match=f"^{name} must be an integer"):
             ScenarioConfig(**{name: value})
 
+    @pytest.mark.parametrize("name", ["epochs", "channels", "batch_size"])
+    @pytest.mark.parametrize("value", [2.5, True])
+    def test_non_integer_member_field_fails_at_construction(self, name, value):
+        """Caught while the config is built, not in the member workers
+        (which died in a raw TypeError), nor silently trained on."""
+        with pytest.raises(TypeError, match=f"^{name} must be an integer"):
+            ScenarioConfig(**{name: value})
+        with pytest.raises(TypeError, match=f"^{name} must be an integer"):
+            TrainableSpec(name="g-net", arch="g-net", **{name: value})
+
     def test_config_echo_omits_execution_details(self, tiny_report):
         echo = tiny_report.config
         assert "workers" not in echo

@@ -273,7 +273,7 @@ class TestPrefixSharing:
         net = build("g-net", seed=103, channels=5, dropout_rate=0.3)
         mc_estimate(net, np.random.default_rng(104).uniform(0.0, 1.0, (8, 8, 3)), nu=30)
         assert 1 <= len(calls) <= 2
-        assert all(shape == (8, 8, 5) for shape in calls)
+        assert all(shape == (1, 8, 8, 5) for shape in calls)
 
     def test_rate_zero_pools_once_per_estimate(self, monkeypatch):
         """A Dropout that drops nothing applies no mask, so nothing is
@@ -288,7 +288,7 @@ class TestPrefixSharing:
         monkeypatch.setattr(MeanPool, "forward", counted)
         net = build("g-net", seed=103, channels=5, dropout_rate=0.0)
         mc_estimate(net, np.random.default_rng(104).uniform(0.0, 1.0, (8, 8, 3)), nu=30)
-        assert calls == [(8, 8, 5)]
+        assert calls == [(1, 8, 8, 5)]
 
     @pytest.mark.parametrize("arch,layer", [("g-net", 2), ("m-net", 3)])
     def test_overflowing_kept_channel_names_the_dropout(self, arch, layer):
@@ -323,7 +323,7 @@ class TestPrefixSharing:
         monkeypatch.setattr(Conv3x3, "forward", counted)
         net = build(arch, seed=96, channels=5, dropout_rate=0.3)
         mc_estimate(net, np.random.default_rng(97).uniform(0.0, 1.0, (8, 8, 3)), nu=30)
-        assert calls == [(8, 8, 3)]
+        assert calls == [(1, 8, 8, 3)]
 
     @pytest.mark.parametrize("arch", ["g-net", "m-net"])
     def test_clamped_infinite_conv_channel_names_the_conv(self, arch):

@@ -276,6 +276,27 @@ def test_forward_carries_a_leading_axis_bit_for_bit(make, item, size):
     assert layer.forward(x)[0].tobytes() == want.tobytes()
 
 
+@pytest.mark.parametrize("size", [16, 64])
+@pytest.mark.parametrize("make,item", STACKABLE.values(), ids=STACKABLE.keys())
+def test_backward_gives_each_row_its_own_gradients_bit_for_bit(make, item, size):
+    """Backward on 7 rows holds, row by row, the input gradient and the
+    parameter gradients of that row's one-row backward, byte for byte;
+    ``Network.backward`` sums the rows."""
+    layer = make()
+    rng = np.random.default_rng(114)
+    x = rng.normal(size=(7, *item(size)))
+    y, cache = layer.forward(x)
+    dy = rng.normal(size=y.shape)
+    dx, grads = layer.backward(dy, cache)
+    assert set(grads) == set(layer.params)
+    for k in range(7):
+        row_dx, row_grads = layer.backward(dy[k : k + 1], layer.forward(x[k : k + 1])[1])
+        assert dx[k : k + 1].tobytes() == row_dx.tobytes()
+        for name, grad in grads.items():
+            assert grad.shape == (7, *layer.params[name].shape)
+            assert grad[k : k + 1].tobytes() == row_grads[name].tobytes()
+
+
 class TestPassSeed:
     def test_rejects_negative_pass_index(self):
         with pytest.raises(ValueError):

@@ -89,7 +89,7 @@ class TestForward:
         with pytest.raises(ValueError, match=match):
             net.forward_passes(pixels, [PassSeed(0, 0)])
         with pytest.raises(ValueError, match=match):
-            net.backward(pixels, unit(np.random.default_rng(8)), PassSeed(0, 0))
+            net.backward(pixels[None], unit(np.random.default_rng(8))[None], [PassSeed(0, 0)])
 
     def test_pixel_channels_come_from_the_first_layer_with_c_in(self):
         net = Network([Relu(), MeanPool(), Affine(4, 3), PositiveHead()])
@@ -143,14 +143,42 @@ class TestBackward:
         net = build("m-net", seed=8, channels=5, dropout_rate=0.3)
         pixels, gt = random_pixels(rng), unit(rng)
         seed = PassSeed(21, 4)
-        loss, _ = net.backward(pixels, gt, seed)
+        (loss,), _ = net.backward(pixels[None], gt[None], [seed])
         pred = net.forward(pixels, Mode.MC, seed)
         assert loss == pytest.approx(cosine_loss(pred, gt), abs=1e-15)
+
+    def test_backward_needs_one_seed_per_image(self):
+        net = build("m-net", seed=8, channels=4)
+        rng = np.random.default_rng(64)
+        pixels, gts = rng.uniform(0.0, 1.0, (3, 6, 5, 3)), np.stack([unit(rng)] * 3)
+        for seeds in ([], [PassSeed(0, 0)], [PassSeed(0, k) for k in range(4)]):
+            with pytest.raises(ValueError, match="one PassSeed per image"):
+                net.backward(pixels, gts, seeds)
+
+    @pytest.mark.parametrize("size,blocks", [(8, [5]), (32, [2, 2, 1]), (64, [1] * 5)])
+    def test_backward_runs_row_blocks_that_fit_the_budget(self, size, blocks, monkeypatch):
+        """Whole batches of small images, 64x64 images one by one: a
+        batch of large activations falls out of the cache."""
+        rows = []
+        original = Network._run
+
+        def recording(self, x, seeds):
+            rows.append(len(x))
+            return original(self, x, seeds)
+
+        monkeypatch.setattr(Network, "_run", recording)
+        rng = np.random.default_rng(65)
+        build("g-net", seed=8, channels=4).backward(
+            rng.uniform(0.0, 1.0, (5, size, size, 3)),
+            np.stack([unit(rng)] * 5),
+            [PassSeed(0, k) for k in range(5)],
+        )
+        assert rows == blocks
 
     def test_grads_parallel_to_layers(self):
         rng = np.random.default_rng(66)
         net = build("g-net", seed=9, channels=4)
-        _, grads = net.backward(random_pixels(rng), unit(rng), PassSeed(1))
+        _, grads = net.backward(random_pixels(rng)[None], unit(rng)[None], [PassSeed(1)])
         assert len(grads) == len(net.layers)
         for layer, layer_grads in zip(net.layers, grads):
             assert set(layer_grads) == set(layer.params)
@@ -178,7 +206,7 @@ class TestBackward:
         net.layers.insert(0, PoisonGrad())
         pixels = np.random.default_rng(68).uniform(0.0, 1.0, (4, 4, 3))
         with pytest.raises(NumericError, match=r"'W' of layer 0"):
-            net.backward(pixels, np.ones(3) / np.sqrt(3), PassSeed(0))
+            net.backward(pixels[None], np.ones((1, 3)) / np.sqrt(3), [PassSeed(0)])
 
     @pytest.mark.parametrize("arch", ["g-net", "m-net"])
     def test_full_network_gradcheck_with_dropout(self, arch):
@@ -217,15 +245,17 @@ def affine_first_net(seed):
     return Network(layers)
 
 
-def reference_backward(net, pixels, gt, seed):
-    """Network.backward as a plain loop that asks every layer, layer 0
-    included, for its input gradient; returns (loss, grads, layer 0's dx)."""
-    pred, caches = net._run(np.asarray(pixels, dtype=np.float64), seed)
+def reference_backward(net, pixels, gt, seeds):
+    """Network.backward as a plain loop over all rows at once that asks
+    every layer, layer 0 included, for its input gradient and sums the
+    per-row gradients; returns (losses, grads, layer 0's dx)."""
+    pred, caches = net._run(np.asarray(pixels, dtype=np.float64), seeds)
     gt = np.asarray(gt, dtype=np.float64)
     grad = -gt
     grads = [None] * len(net.layers)
     for i in range(len(net.layers) - 1, -1, -1):
-        grad, grads[i] = net.layers[i].backward(grad, caches[i])
+        grad, per_row = net.layers[i].backward(grad, caches[i])
+        grads[i] = {name: rows.sum(axis=0) for name, rows in per_row.items()}
     return cosine_loss(pred, gt), grads, grad
 
 
@@ -248,9 +278,9 @@ class TestInputGradientSkip:
         for pass_index in range(3):
             pixels, gt = random_pixels(rng), unit(rng)
             seed = PassSeed(34, pass_index)
-            loss, grads = net.backward(pixels, gt, seed)
-            ref_loss, ref_grads, ref_dx = reference_backward(net, pixels, gt, seed)
-            assert ref_dx.shape == pixels.shape  # the reference did compute it
+            loss, grads = net.backward(pixels[None], gt[None], [seed])
+            ref_loss, ref_grads, ref_dx = reference_backward(net, pixels[None], gt[None], [seed])
+            assert ref_dx.shape == pixels[None].shape  # the reference did compute it
             assert loss == ref_loss
             assert len(grads) == len(ref_grads)
             for layer_grads, ref_layer_grads in zip(grads, ref_grads):
@@ -286,13 +316,13 @@ class TestInputGradientSkip:
             return dx, grads
 
         monkeypatch.setattr(Conv3x3, "backward", counting)
-        net.backward(random_pixels(rng), unit(rng), PassSeed(35))
+        net.backward(random_pixels(rng)[None], unit(rng)[None], [PassSeed(35)])
         assert computed == [(2, True), (0, False)]
 
     def test_layers_skip_their_input_gradient_on_request(self):
         rng = np.random.default_rng(71)
-        fmap = rng.normal(size=(4, 5, 3))
-        vec = rng.normal(size=3)
+        fmap = rng.normal(size=(1, 4, 5, 3))
+        vec = rng.normal(size=(1, 3))
         conv, affine = Conv3x3(3, 3), Affine(3, 3)
         conv.init(rng)
         affine.init(rng)
@@ -317,7 +347,8 @@ class TestInputGradientSkip:
 
 def handed_masks(monkeypatch, net, run):
     """The keep mask ``net`` hands each of its Dropout layers while
-    ``run()`` runs: {layer index: (calls, size) array}."""
+    ``run()`` runs: {layer index: (rows, size) array}, one row per
+    image or pass, in the order they were handed."""
     got = {}
     original = Dropout.forward
 
@@ -327,7 +358,10 @@ def handed_masks(monkeypatch, net, run):
 
     monkeypatch.setattr(Dropout, "forward", recording)
     run()
-    return {i: np.stack(rows) for i, rows in got.items()}
+    return {
+        i: np.concatenate([keep.reshape(-1, keep.shape[-1]) for keep in rows])
+        for i, rows in got.items()
+    }
 
 
 def assert_binomial(hits, p, what):
@@ -464,6 +498,11 @@ class TestBuild:
         """Zero channels would return the same estimate for every scene."""
         with pytest.raises(ValueError, match="channels must be at least 1, got 0"):
             build(arch, channels=0)
+
+    @pytest.mark.parametrize("channels", [2.5, True])
+    def test_rejects_non_integer_channels(self, channels):
+        with pytest.raises(TypeError, match=f"^channels must be an integer, got {channels!r}$"):
+            build("g-net", channels=channels)
 
     def test_same_seed_same_weights(self):
         a = build("g-net", seed=12, channels=6)

@@ -1,11 +1,16 @@
 """SGD training loop: convergence, determinism, divergence reporting."""
 
+import functools
+import re
+
 import numpy as np
 import pytest
+from test_mc import STACKS
 
 from mcde.color import recovery_error
 from mcde.datagen import GenConfig, gen_dataset
-from mcde.nn import TrainConfig, TrainingError, build, train
+from mcde.nn import PassSeed, TrainConfig, TrainingError, build, train
+from mcde.seeding import derive_seed
 
 
 def tiny_dataset(n=6, seed=101, pool="band-a"):
@@ -131,3 +136,85 @@ class TestTrainingErrors:
         for learning_rate in (float("inf"), float("nan"), -0.1):
             with pytest.raises(ValueError, match="learning_rate"):
                 TrainConfig(epochs=1, learning_rate=learning_rate, batch_size=4)
+
+    @pytest.mark.parametrize("name", ["epochs", "batch_size"])
+    @pytest.mark.parametrize("value", [2.5, True])
+    def test_config_rejects_non_integers(self, name, value):
+        with pytest.raises(TypeError, match=f"^{name} must be an integer, got {value!r}$"):
+            TrainConfig(**{"epochs": 1, name: value})
+
+    def test_mixed_scene_shapes_fail_before_the_first_step(self):
+        """Every dataset has one shape; a mixed list names two shapes
+        that differ, instead of a raw numpy error mid-epoch."""
+        odd = gen_dataset(GenConfig(n_scenes=1, width=10, height=8, base_seed=104)).scenes
+        net = build("g-net", seed=28, channels=4)
+        saved = snapshot(net)
+        with pytest.raises(ValueError, match=re.escape("(8, 8, 3) and (8, 10, 3)")):
+            train(net, tiny_dataset(n=3) + odd, TrainConfig(epochs=1, batch_size=8))
+        assert params_equal(net, saved)
+
+
+def reference_train(net, scenes, config):
+    """``train`` as one backward per sample: each sample's gradients are
+    summed into the batch's as ``held + new``, in sample order, then
+    one SGD step per mini-batch scales them by ``lr / len(batch)``."""
+    pass_base = derive_seed("train-pass", config.base_seed)
+    trace, step = [], 0
+    for epoch in range(config.epochs):
+        order = np.random.default_rng(
+            derive_seed("train-shuffle", config.base_seed, epoch)
+        ).permutation(len(scenes))
+        losses = []
+        for start in range(0, len(order), config.batch_size):
+            batch = order[start : start + config.batch_size]
+            acc = None
+            for idx in batch:
+                scene = scenes[idx]
+                (loss,), grads = net.backward(
+                    scene.pixels[None], scene.label[None], [PassSeed(pass_base, step)]
+                )
+                step += 1
+                losses.append(loss)
+                if acc is None:
+                    acc = grads
+                else:
+                    for held, new in zip(acc, grads):
+                        for name in held:
+                            held[name] = held[name] + new[name]
+            scale = config.learning_rate / len(batch)
+            for layer, layer_grads in zip(net.layers, acc):
+                for name, grad in layer_grads.items():
+                    layer.params[name] -= scale * grad
+        trace.append(float(np.mean(losses)))
+    return net, trace
+
+
+@functools.lru_cache(maxsize=None)
+def scenes_at(size):
+    """19 scenes, so batches of 3 and of 8 both end in a partial batch."""
+    return gen_dataset(
+        GenConfig(n_scenes=19, width=size, height=size, n_patches=9, base_seed=105)
+    ).scenes
+
+
+NETS = {
+    "g-net": lambda: build("g-net", seed=29, channels=4, dropout_rate=0.3),
+    "m-net": lambda: build("m-net", seed=30, channels=4, dropout_rate=0.3),
+    "spatial-layer-after-dropout": STACKS["spatial-layer-after-dropout"],
+}
+
+
+@pytest.mark.parametrize("batch_size", [1, 3, 8])
+@pytest.mark.parametrize("size", [8, 32, 64])
+@pytest.mark.parametrize("make", NETS.values(), ids=NETS.keys())
+def test_train_matches_one_backward_per_sample_bit_for_bit(make, size, batch_size):
+    """The mini-batch backward sums in sample order, as the per-sample
+    loop did, whatever its row blocks: whole batches at 8x8, two rows at
+    32x32 and one at 64x64."""
+    config = TrainConfig(epochs=2, learning_rate=0.05, batch_size=batch_size, base_seed=10)
+    net, trace = train(make(), scenes_at(size), config)
+    ref, ref_trace = reference_train(make(), scenes_at(size), config)
+    assert trace == ref_trace
+    for layer, ref_layer in zip(net.layers, ref.layers):
+        for name, param in layer.params.items():
+            assert param.tobytes() == ref_layer.params[name].tobytes()
