@@ -155,6 +155,10 @@ class BenchConfig:
 
     def __post_init__(self) -> None:
         check_nu(self.nu)
+        if not isinstance(self.workers, int) or isinstance(self.workers, bool):
+            raise TypeError(f"workers must be an integer, got {self.workers!r}")
+        if self.workers < 1:
+            raise ValueError("workers must be at least 1")
         names = [spec.name for spec in self.trainables]
         if len(set(names)) < len(names):
             raise ValueError(f"member names must be distinct, got {names}")
@@ -285,20 +289,38 @@ def _run_fold(dataset: Dataset, config: BenchConfig, spans, fold_index: int):
         raise RuntimeError(f"fold {fold_index} failed: {exc}") from exc
 
 
+_fold_args = None  # a fold worker's (dataset, config, spans)
+
+
+def _init_fold_worker(dataset: Dataset, config: BenchConfig, spans) -> None:
+    global _fold_args
+    _fold_args = (dataset, config, spans)
+
+
+def _run_pooled_fold(fold_index: int):
+    return _run_fold(*_fold_args, fold_index)
+
+
 def crossval(dataset: Dataset, config: BenchConfig = BenchConfig()) -> BenchReport:
     """k-fold protocol: train members on the other k-1 folds, score the rest.
 
     Folds are independent, so ``config.workers`` > 1 fans them out to
-    worker processes; results are merged in fold order and are
+    at most one worker process per fold.  A worker gets the dataset
+    once, when it starts (a forked one inherits it), and each task
+    only its fold index.  Results are merged in fold order and are
     identical for any worker count.
     """
     spans = folds(len(dataset.scenes), config.folds)
-    runner = partial(_run_fold, dataset, config, spans)
-    if config.workers > 1:
-        with ProcessPoolExecutor(max_workers=config.workers) as pool:
-            batches = list(pool.map(runner, range(len(spans))))
+    workers = min(config.workers, len(spans))
+    if workers > 1:
+        with ProcessPoolExecutor(
+            max_workers=workers,
+            initializer=_init_fold_worker,
+            initargs=(dataset, config, spans),
+        ) as pool:
+            batches = list(pool.map(_run_pooled_fold, range(len(spans))))
     else:
-        batches = [runner(i) for i in range(len(spans))]
+        batches = [_run_fold(dataset, config, spans, i) for i in range(len(spans))]
     echo = {"protocol": "cross-validation", "format_version": 1, **asdict(config)}
     del echo["workers"]  # does not change results
     echo.update(trainables=list(echo["trainables"]), dataset=asdict(dataset.config))

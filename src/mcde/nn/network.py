@@ -11,10 +11,11 @@ from mcde.nn.layers import Dropout, MaxPool, MeanPool
 
 __all__ = ["Mode", "Network", "NumericError", "PassSeed", "cosine_loss"]
 
-# Network.backward runs a mini-batch in blocks of rows whose pixels fit in
-# about this many bytes: 16x16 batches of 8 run whole, 64x64 images one by
-# one.  A whole batch of 64x64 activations falls out of the L2 cache, and,
-# freed together, made the allocator fault megabytes in again every step.
+# Network.backward runs a mini-batch in blocks of rows whose float64 pixels
+# fit in about this many bytes: 16x16 batches of 8 run whole, 64x64 images
+# one by one.  With the heap padded as ``train`` pads it, so that neither
+# way faults, the g-net conv took 419 us per 64x64 image one by one
+# against 737 us in a whole batch of 8 (2-core VM, best of 5).
 _BLOCK_BYTES = 64 * 1024
 
 # Mask keys are uint64.  Python-int arithmetic on them is reduced by
@@ -216,7 +217,8 @@ class Network:
         if not seeds or len(seeds) != len(pixels):
             raise ValueError(f"one PassSeed per image: got {len(seeds)} for {len(pixels)} images")
         gts = np.asarray(gts, dtype=np.float64)
-        step = max(1, _BLOCK_BYTES // self._images(pixels[:1]).nbytes)
+        image_bytes = 8 * np.size(pixels[0])  # as float64; _images checks each block
+        step = max(1, _BLOCK_BYTES // max(image_bytes, 1))
         losses, per_row = [], [[] for _ in self.layers]
         for r in range(0, len(seeds), step):
             pred, caches = self._run(self._images(pixels[r : r + step]), seeds[r : r + step])

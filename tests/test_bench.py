@@ -2,6 +2,7 @@
 
 import csv
 import math
+import multiprocessing
 
 import numpy as np
 import pytest
@@ -196,6 +197,70 @@ class TestCrossval:
         for key in a.errors:
             np.testing.assert_array_equal(a.errors[key], b.errors[key])
             np.testing.assert_array_equal(a.errors[key], c.errors[key])
+
+    @pytest.mark.skipif(
+        multiprocessing.get_start_method() != "fork",
+        reason="only forked workers inherit the dataset",
+    )
+    def test_fold_workers_inherit_the_dataset(self):
+        """No fold task carries the dataset: scenes that refuse to be
+        pickled still run in two fold workers, with the same report."""
+
+        class Unpicklable(Scene):
+            def __reduce__(self):
+                raise TypeError("this scene does not travel")
+
+        scenes = gen_dataset(GenConfig(n_scenes=6, width=8, height=8, base_seed=305)).scenes
+        dataset = Dataset(
+            scenes=[Unpicklable(s.pixels, s.label) for s in scenes],
+            config=GenConfig(n_scenes=6, width=8, height=8, base_seed=305),
+        )
+        one = crossval(dataset, tiny_config())
+        two = crossval(dataset, tiny_config(workers=2))
+        assert one.errors.keys() == two.errors.keys()
+        for key in one.errors:
+            np.testing.assert_array_equal(one.errors[key], two.errors[key])
+        for name in one.uncertainties:
+            np.testing.assert_array_equal(one.uncertainties[name], two.uncertainties[name])
+
+    @pytest.mark.parametrize("workers,started", [(1, []), (2, [2]), (5000, [3])])
+    def test_at_most_one_worker_per_fold(self, workers, started, monkeypatch):
+        """A recording stand-in for the pool: 5000 workers for 3 folds
+        start 3 processes, and one worker starts none."""
+        pools = []
+
+        class RecordingPool:
+            def __init__(self, max_workers, initializer, initargs):
+                pools.append(max_workers)
+                initializer(*initargs)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, items):
+                return map(fn, items)
+
+        monkeypatch.setattr(bench, "ProcessPoolExecutor", RecordingPool)
+        monkeypatch.setattr(bench, "_fold_args", None)
+        dataset = grey_scene_dataset(n=6)
+        report = crossval(dataset, tiny_config(folds=3, workers=workers, trainables=()))
+        assert pools == started
+        reference = crossval(dataset, tiny_config(folds=3, trainables=()))
+        for key in reference.errors:
+            np.testing.assert_array_equal(report.errors[key], reference.errors[key])
+
+    @pytest.mark.parametrize("value", [2.5, True, "2"])
+    def test_non_integer_workers_fail_at_construction(self, value):
+        with pytest.raises(TypeError, match=f"^workers must be an integer, got {value!r}$"):
+            BenchConfig(workers=value)
+
+    @pytest.mark.parametrize("value", [0, -1])
+    def test_workers_below_one_fail_at_construction(self, value):
+        with pytest.raises(ValueError, match="^workers must be at least 1$"):
+            BenchConfig(workers=value)
 
     def test_degenerate_scene_fails_naming_its_sample(self):
         """One scene without a grey-world estimate stops the run, and

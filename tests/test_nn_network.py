@@ -157,8 +157,7 @@ class TestBackward:
 
     @pytest.mark.parametrize("size,blocks", [(8, [5]), (32, [2, 2, 1]), (64, [1] * 5)])
     def test_backward_runs_row_blocks_that_fit_the_budget(self, size, blocks, monkeypatch):
-        """Whole batches of small images, 64x64 images one by one: a
-        batch of large activations falls out of the cache."""
+        """Whole batches of small images, 64x64 images one by one."""
         rows = []
         original = Network._run
 
@@ -174,6 +173,26 @@ class TestBackward:
             [PassSeed(0, k) for k in range(5)],
         )
         assert rows == blocks
+
+    @pytest.mark.parametrize("size,blocks", [(8, [5]), (64, [1] * 5)])
+    def test_backward_copies_only_its_blocks(self, size, blocks, monkeypatch):
+        """The block size comes from the image shape: each block is
+        copied to float64 and checked once, and nothing else is."""
+        copied = []
+        original = Network._images
+
+        def recording(self, pixels):
+            copied.append(len(pixels))
+            return original(self, pixels)
+
+        monkeypatch.setattr(Network, "_images", recording)
+        rng = np.random.default_rng(65)
+        build("g-net", seed=8, channels=4).backward(
+            list(rng.uniform(0.0, 1.0, (5, size, size, 3)).astype(np.float32)),
+            np.stack([unit(rng)] * 5),
+            [PassSeed(0, k) for k in range(5)],
+        )
+        assert copied == blocks
 
     def test_grads_parallel_to_layers(self):
         rng = np.random.default_rng(66)
