@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from mcde._check import check_real
 from mcde.color import normalize
 
 __all__ = ["grey_world", "shades_of_grey"]
@@ -30,8 +31,7 @@ def shades_of_grey(scene, p: float = 6.0) -> np.ndarray:
     p = 1 reduces to grey_world; large p approaches the brightest
     pixel per channel.  Invariant under global exposure scaling.
     """
-    if p < 1.0:
-        raise ValueError("Minkowski order must be at least 1")
+    check_real("p", p, 1.0)
     pix = _pixels(scene)
     pooled = np.power(np.mean(np.power(pix, p).reshape(-1, 3), axis=0), 1.0 / p)
     return normalize(pooled)

@@ -40,6 +40,7 @@ from pathlib import Path
 import numpy as np
 
 from mcde import baselines, fusion
+from mcde._check import check_int, check_real
 from mcde.color import METRICS
 from mcde.datagen import Dataset, GenConfig, folds, gen_dataset
 from mcde.mc import check_nu
@@ -155,10 +156,8 @@ class BenchConfig:
 
     def __post_init__(self) -> None:
         check_nu(self.nu)
-        if not isinstance(self.workers, int) or isinstance(self.workers, bool):
-            raise TypeError(f"workers must be an integer, got {self.workers!r}")
-        if self.workers < 1:
-            raise ValueError("workers must be at least 1")
+        check_real("sog_p", self.sog_p, 1.0)
+        check_int("workers", self.workers, 1)
         names = [spec.name for spec in self.trainables]
         if len(set(names)) < len(names):
             raise ValueError(f"member names must be distinct, got {names}")
@@ -398,12 +397,9 @@ class ScenarioConfig:
 
     def __post_init__(self) -> None:
         check_nu(self.nu)
-        for name in ("eval_per_band", "train_per_band"):
-            value = getattr(self, name)
-            if not isinstance(value, int) or isinstance(value, bool):
-                raise TypeError(f"{name} must be an integer, got {value!r}")
-        if self.eval_per_band < 1 or self.train_per_band < 1:
-            raise ValueError("eval_per_band and train_per_band must be at least 1")
+        check_real("sog_p", self.sog_p, 1.0)
+        check_int("eval_per_band", self.eval_per_band, 1)
+        check_int("train_per_band", self.train_per_band, 1)
         # Built here so that their own checks run before any member
         # trains; attributes, not fields, so the config echo omits them.
         specs = tuple(

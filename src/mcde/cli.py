@@ -18,13 +18,13 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import sys
 from pathlib import Path
 
 import numpy as np
 
 from mcde import datagen, fusion
+from mcde._check import check_int, check_real
 from mcde.bench import BenchConfig, TrainableSpec, crossval, train_member, write_report
 from mcde.color import apply_von_kries, recovery_error, reproduction_error
 from mcde.datagen import POOLS, DatasetFormatError, GenConfig
@@ -71,38 +71,26 @@ def _span(text: str) -> tuple[int, int]:
     return start, stop
 
 
-def _int_min(minimum: int, maximum: float = math.inf):
-    def parse(text: str) -> int:
+def _flag(check, *bounds):
+    """A flag type: the text as ``check``'s kind of number, within ``bounds``."""
+    convert, kind = (int, "an integer") if check is check_int else (float, "a number")
+
+    def parse(text: str):
         try:
-            value = int(text)
+            value = convert(text)
         except ValueError:
-            raise argparse.ArgumentTypeError(f"expected an integer, got {text!r}") from None
-        if value < minimum:
-            raise argparse.ArgumentTypeError(f"must be >= {minimum}, got {value}")
-        if value > maximum:
-            raise argparse.ArgumentTypeError(f"must be <= {maximum}, got {value}")
-        return value
-
-    return parse
-
-
-def _float_min(minimum: float):
-    def parse(text: str) -> float:
+            raise argparse.ArgumentTypeError(f"expected {kind}, got {text!r}") from None
         try:
-            value = float(text)
-        except ValueError:
-            raise argparse.ArgumentTypeError(f"expected a number, got {text!r}") from None
-        if not math.isfinite(value):
-            raise argparse.ArgumentTypeError(f"must be finite, got {value}")
-        if value < minimum:
-            raise argparse.ArgumentTypeError(f"must be >= {minimum}, got {value}")
+            check("value", value, *bounds)
+        except ValueError as exc:
+            raise argparse.ArgumentTypeError(str(exc)) from None
         return value
 
     return parse
 
 
 def _dropout_rate(text: str) -> float:
-    value = _float_min(0.0)(text)
+    value = _flag(check_real, 0.0)(text)
     if value >= 1.0:
         raise argparse.ArgumentTypeError(f"must be < 1, got {value}")
     return value
@@ -310,10 +298,10 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
 
 
 def _add_training(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--epochs", type=_int_min(0), default=30)
-    parser.add_argument("--lr", type=_float_min(0.0), default=0.05)
-    parser.add_argument("--batch-size", type=_int_min(1), default=8)
-    parser.add_argument("--channels", type=_int_min(1), default=12)
+    parser.add_argument("--epochs", type=_flag(check_int, 0), default=30)
+    parser.add_argument("--lr", type=_flag(check_real, 0.0), default=0.05)
+    parser.add_argument("--batch-size", type=_flag(check_int, 1), default=8)
+    parser.add_argument("--channels", type=_flag(check_int, 1), default=12)
     parser.add_argument("--dropout", type=_dropout_rate, default=0.3)
 
 
@@ -325,14 +313,14 @@ def _build_parser():
     sub = parser.add_subparsers(dest="command", required=True, metavar="command")
 
     p = sub.add_parser("gen-data", help="generate a synthetic scene dataset")
-    p.add_argument("--scenes", type=_int_min(1), required=True, help="number of scenes")
+    p.add_argument("--scenes", type=_flag(check_int, 1), required=True, help="number of scenes")
     p.add_argument("--out", required=True, help="output dataset directory")
-    p.add_argument("--width", type=_int_min(8), default=16)
-    p.add_argument("--height", type=_int_min(8), default=16)
-    p.add_argument("--patches", type=_int_min(1), default=25)
+    p.add_argument("--width", type=_flag(check_int, 8), default=16)
+    p.add_argument("--height", type=_flag(check_int, 8), default=16)
+    p.add_argument("--patches", type=_flag(check_int, 1), default=25)
     p.add_argument("--pool", choices=sorted(POOLS), default="full",
                    help="illuminant pool to draw labels from")
-    p.add_argument("--noise-std", type=_float_min(0.0), default=0.01)
+    p.add_argument("--noise-std", type=_flag(check_real, 0.0), default=0.01)
     _add_common(p)
     p.set_defaults(func=_cmd_gen_data)
 
@@ -349,8 +337,8 @@ def _build_parser():
     p = sub.add_parser("estimate", help="fused illuminant estimate for one scene")
     p.add_argument("--models", nargs="+", required=True, help="model paths")
     p.add_argument("--data", required=True, help="dataset directory")
-    p.add_argument("--index", type=_int_min(0), default=0, help="scene index")
-    p.add_argument("--nu", type=_int_min(1, MAX_NU), default=30,
+    p.add_argument("--index", type=_flag(check_int, 0), default=0, help="scene index")
+    p.add_argument("--nu", type=_flag(check_int, 1, MAX_NU), default=30,
                    help=f"MC passes per model, at most {MAX_NU}")
     p.add_argument("--variant", choices=tuple(fusion.VARIANTS), default="log")
     p.add_argument("--save-corrected", default=None, metavar="FILE",
@@ -361,12 +349,12 @@ def _build_parser():
     p = sub.add_parser("bench", help="cross-validated benchmark report")
     p.add_argument("--data", required=True, help="dataset directory")
     p.add_argument("--out", required=True, help="output report directory")
-    p.add_argument("--k", type=_int_min(2), default=10, help="number of folds")
-    p.add_argument("--nu", type=_int_min(1, MAX_NU), default=30)
+    p.add_argument("--k", type=_flag(check_int, 2), default=10, help="number of folds")
+    p.add_argument("--nu", type=_flag(check_int, 1, MAX_NU), default=30)
     _add_training(p)
-    p.add_argument("--sog-p", type=_float_min(1.0), default=6.0,
+    p.add_argument("--sog-p", type=_flag(check_real, 1.0), default=6.0,
                    help="Minkowski norm for the shades-of-grey baseline")
-    p.add_argument("--workers", type=_int_min(1), default=1,
+    p.add_argument("--workers", type=_flag(check_int, 1), default=1,
                    help="parallel fold workers (does not change results)")
     _add_common(p)
     p.set_defaults(func=_cmd_bench)

@@ -33,6 +33,7 @@ from pathlib import Path
 
 import numpy as np
 
+from mcde._check import check_int, check_real
 from mcde.color import Scene, SphericalDir, from_spherical
 from mcde.seeding import derive_seed
 
@@ -87,18 +88,11 @@ class GenConfig:
     base_seed: int = 0
 
     def __post_init__(self) -> None:
-        for name in ("n_scenes", "width", "height", "n_patches"):
-            value = getattr(self, name)
-            if not isinstance(value, int) or isinstance(value, bool):
-                raise TypeError(f"{name} must be an integer, got {value!r}")
-        if self.n_scenes < 0:
-            raise ValueError("n_scenes must be non-negative")
-        if self.width < 8 or self.height < 8:
-            raise ValueError("width and height must be at least 8")
-        if self.n_patches < 1:
-            raise ValueError("n_patches must be at least 1")
-        if not (math.isfinite(self.noise_std) and self.noise_std >= 0.0):
-            raise ValueError("noise_std must be finite and non-negative")
+        check_int("n_scenes", self.n_scenes, 0)
+        check_int("width", self.width, 8)
+        check_int("height", self.height, 8)
+        check_int("n_patches", self.n_patches, 1)
+        check_real("noise_std", self.noise_std, 0.0)
         if self.pool not in POOLS:
             raise ValueError(f"unknown pool {self.pool!r}; choose from {sorted(POOLS)}")
 
@@ -287,8 +281,7 @@ def folds(n: int, k: int) -> list[range]:
     Sizes differ by at most one; the earliest folds take the extra
     scene.
     """
-    if k < 2:
-        raise ValueError("need at least two folds")
+    check_int("k", k, 2)
     if k > n:
         raise ValueError(f"cannot split {n} scenes into {k} folds")
     base, extra = divmod(n, k)

@@ -17,6 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from mcde._check import check_int
 from mcde.nn.network import PassSeed
 from mcde.seeding import derive_seed
 
@@ -46,10 +47,7 @@ class MCEstimate:
 
 def check_nu(nu) -> None:
     """Reject a pass count that is not an integer in [1, MAX_NU]."""
-    if not isinstance(nu, int) or isinstance(nu, bool):
-        raise TypeError(f"nu must be an integer, got {nu!r}")
-    if not 1 <= nu <= MAX_NU:
-        raise ValueError(f"nu must lie in [1, {MAX_NU}], got {nu}")
+    check_int("nu", nu, 1, MAX_NU)
 
 
 def mc_estimate(net, pixels, nu: int = 30, base_seed: int = 0) -> MCEstimate:

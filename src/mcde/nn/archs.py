@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from mcde._check import check_int
 from mcde.nn.layers import Affine, Conv3x3, Dropout, MaxPool, MeanPool, PositiveHead, Relu
 from mcde.nn.network import Network
 from mcde.seeding import derive_seed
@@ -49,8 +50,5 @@ def check_member(arch: str, channels: int, dropout_rate: float) -> None:
     """Reject what ``build`` cannot build, without building it."""
     if arch not in ARCHITECTURES:
         raise ValueError(f"unknown architecture {arch!r}; choose from {sorted(ARCHITECTURES)}")
-    if not isinstance(channels, int) or isinstance(channels, bool):
-        raise TypeError(f"channels must be an integer, got {channels!r}")
-    if channels < 1:
-        raise ValueError(f"channels must be at least 1, got {channels}")
+    check_int("channels", channels, 1)
     Dropout(dropout_rate)

@@ -81,11 +81,18 @@ def save_network(net: Network, path, training: dict | None = None, loss_trace=No
     ``load_network`` would reject raises its error before anything is written."""
     records = [_record(layer) for layer in net.layers]
     _check_records(records, math.inf)
+    try:
+        arch = net.arch.encode("utf-8")
+    except UnicodeEncodeError as exc:
+        raise ModelFormatError(
+            f"arch name is not valid utf-8 (bad character at offset {exc.start})"
+        ) from None
+    if len(arch) > 0xFFFF:
+        raise ModelFormatError(f"arch name is {len(arch)} utf-8 bytes, over the 65535 it may hold")
     path = Path(path)
     with open(path, "wb") as fh:
         fh.write(MAGIC)
         fh.write(struct.pack("<I", FORMAT_VERSION))
-        arch = net.arch.encode("utf-8")
         fh.write(struct.pack("<H", len(arch)))
         fh.write(arch)
         fh.write(struct.pack("<I", len(net.layers)))

@@ -4,11 +4,11 @@ from __future__ import annotations
 
 import ctypes
 import functools
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
+from mcde._check import check_int, check_real
 from mcde.nn.network import Network, NumericError, PassSeed
 from mcde.seeding import derive_seed
 
@@ -37,16 +37,9 @@ class TrainConfig:
     base_seed: int = 0
 
     def __post_init__(self) -> None:
-        for name in ("epochs", "batch_size"):
-            value = getattr(self, name)
-            if not isinstance(value, int) or isinstance(value, bool):
-                raise TypeError(f"{name} must be an integer, got {value!r}")
-        if self.epochs < 0:
-            raise ValueError("epochs must be non-negative")
-        if self.batch_size < 1:
-            raise ValueError("batch_size must be at least 1")
-        if not (math.isfinite(self.learning_rate) and self.learning_rate >= 0.0):
-            raise ValueError("learning_rate must be finite and non-negative")
+        check_int("epochs", self.epochs, 0)
+        check_int("batch_size", self.batch_size, 1)
+        check_real("learning_rate", self.learning_rate, 0.0)
 
 
 @functools.cache

@@ -85,5 +85,6 @@ class TestShadesOfGrey:
         )
 
     def test_rejects_orders_below_one(self):
-        with pytest.raises(ValueError):
-            shades_of_grey(np.ones((2, 2, 3)), 0.5)
+        for p in (0.5, float("nan")):
+            with pytest.raises(ValueError):
+                shades_of_grey(np.ones((2, 2, 3)), p)

@@ -259,8 +259,23 @@ class TestCrossval:
 
     @pytest.mark.parametrize("value", [0, -1])
     def test_workers_below_one_fail_at_construction(self, value):
-        with pytest.raises(ValueError, match="^workers must be at least 1$"):
+        with pytest.raises(ValueError, match=f"^workers must be at least 1, got {value}$"):
             BenchConfig(workers=value)
+
+    @pytest.mark.parametrize("value", [0.5, math.nan])
+    def test_bad_sog_p_fails_at_construction(self, value):
+        """Caught while the config is built, not after fold 0's members
+        have trained."""
+        with pytest.raises(ValueError, match="^sog_p must be finite and at least 1.0, got "):
+            BenchConfig(sog_p=value)
+
+    @pytest.mark.parametrize("value", [2.5, True])
+    def test_non_integer_folds_fail_before_any_training(self, value, monkeypatch):
+        trained = []
+        monkeypatch.setattr(bench, "train_member", lambda spec, *args, **kw: trained.append(spec))
+        with pytest.raises(TypeError, match=f"^k must be an integer, got {value!r}$"):
+            crossval(grey_scene_dataset(n=6), tiny_config(folds=value))
+        assert trained == []
 
     def test_degenerate_scene_fails_naming_its_sample(self):
         """One scene without a grey-world estimate stops the run, and
@@ -328,6 +343,8 @@ class TestCrossval:
             dict(batch_size=0),
             dict(width=4),
             dict(noise_std=-1.0),
+            dict(sog_p=0.5),
+            dict(sog_p=math.nan),
         ],
         ids=lambda bad: next(iter(bad)),
     )

@@ -486,9 +486,11 @@ class TestTopLevel:
             ["train", "--arch", "g-net", "--data", "d", "--lr", "inf"],
             ["train", "--arch", "g-net", "--data", "d", "--dropout", "1.0"],
             ["bench", "--data", "d", "--dropout", "1.0"],
+            ["bench", "--data", "d", "--sog-p", "0.5"],
+            ["bench", "--data", "d", "--sog-p", "nan"],
         ],
         ids=["noise-std-nan", "noise-std-inf", "lr-inf", "train-dropout-1",
-             "bench-dropout-1"],
+             "bench-dropout-1", "sog-p-0.5", "sog-p-nan"],
     )
     def test_out_of_range_float_flag_is_usage_error(self, argv, tmp_path, capsys):
         flag = argv[-2]

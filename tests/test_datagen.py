@@ -87,8 +87,14 @@ class TestGenScene:
             GenConfig(n_scenes=1, width=4)
         with pytest.raises(ValueError):
             GenConfig(n_scenes=1, pool="band-z")
-        for noise_std in (-0.1, float("nan"), float("inf")):
-            with pytest.raises(ValueError, match="noise_std"):
+        for noise_std, error in (
+            (-0.1, ValueError),
+            (float("nan"), ValueError),
+            (float("inf"), ValueError),
+            (None, TypeError),
+            (True, TypeError),
+        ):
+            with pytest.raises(error, match="^noise_std must be"):
                 GenConfig(n_scenes=1, noise_std=noise_std)
         with pytest.raises(ValueError):
             GenConfig(n_scenes=-1)
@@ -280,3 +286,6 @@ class TestFolds:
             folds(10, 1)
         with pytest.raises(ValueError):
             folds(3, 4)
+        for k in (2.5, True):
+            with pytest.raises(TypeError, match=f"^k must be an integer, got {k!r}$"):
+                folds(6, k)

@@ -188,6 +188,27 @@ class TestFormatErrors:
         with pytest.raises(ModelFormatError, match=message):
             load_network(path)
 
+    @pytest.mark.parametrize(
+        "arch, message",
+        [
+            ("x" * 65536, "arch name is 65536 utf-8 bytes"),
+            ("bad\udc80", "arch name is not valid utf-8 \\(bad character at offset 3\\)"),
+        ],
+        ids=["too-long", "not-utf-8"],
+    )
+    def test_bad_arch_name_is_refused_before_the_file_opens(self, tmp_path, arch, message):
+        refused = tmp_path / "refused.net"
+        layers = build("g-net", seed=53, channels=4).layers
+        with pytest.raises(ModelFormatError, match=f"^{message}"):
+            save_network(Network(layers, arch=arch), refused)
+        assert not refused.exists()
+
+    def test_longest_arch_name_round_trips(self, tmp_path):
+        arch = "\u00e4" * 32767 + "x"  # 65535 utf-8 bytes
+        path = tmp_path / "model.net"
+        save_network(Network(build("g-net", seed=53, channels=4).layers, arch=arch), path)
+        assert load_network(path).arch == arch
+
     def test_not_a_container(self, tmp_path):
         path = tmp_path / "noise.bin"
         path.write_bytes(b"definitely not a network")

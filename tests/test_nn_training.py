@@ -141,8 +141,14 @@ class TestTrainingErrors:
             TrainConfig(epochs=-1)
         with pytest.raises(ValueError):
             TrainConfig(epochs=1, batch_size=0)
-        for learning_rate in (float("inf"), float("nan"), -0.1):
-            with pytest.raises(ValueError, match="learning_rate"):
+        for learning_rate, error in (
+            (float("inf"), ValueError),
+            (float("nan"), ValueError),
+            (-0.1, ValueError),
+            ("x", TypeError),
+            (True, TypeError),
+        ):
+            with pytest.raises(error, match="^learning_rate must be"):
                 TrainConfig(epochs=1, learning_rate=learning_rate, batch_size=4)
 
     @pytest.mark.parametrize("name", ["epochs", "batch_size"])
