@@ -43,7 +43,7 @@ from mcde import baselines, fusion
 from mcde._check import check_int, check_real
 from mcde.color import METRICS
 from mcde.datagen import Dataset, GenConfig, folds, gen_dataset
-from mcde.mc import check_nu
+from mcde.mc import MAX_NU
 from mcde.nn.archs import ARCHITECTURES, build, check_member
 from mcde.nn.training import TrainConfig, train
 from mcde.seeding import derive_seed
@@ -155,9 +155,10 @@ class BenchConfig:
     trainables: tuple[TrainableSpec, ...] = DEFAULT_TRAINABLES
 
     def __post_init__(self) -> None:
-        check_nu(self.nu)
+        check_int("nu", self.nu, 1, MAX_NU)
         check_real("sog_p", self.sog_p, 1.0)
         check_int("workers", self.workers, 1)
+        check_int("base_seed", self.base_seed, 0, 2**64 - 1)
         names = [spec.name for spec in self.trainables]
         if len(set(names)) < len(names):
             raise ValueError(f"member names must be distinct, got {names}")
@@ -396,10 +397,11 @@ class ScenarioConfig:
     sog_p: float = 6.0
 
     def __post_init__(self) -> None:
-        check_nu(self.nu)
+        check_int("nu", self.nu, 1, MAX_NU)
         check_real("sog_p", self.sog_p, 1.0)
         check_int("eval_per_band", self.eval_per_band, 1)
         check_int("train_per_band", self.train_per_band, 1)
+        check_int("seed", self.seed, 0, 2**64 - 1)
         # Built here so that their own checks run before any member
         # trains; attributes, not fields, so the config echo omits them.
         specs = tuple(

@@ -89,13 +89,6 @@ def _flag(check, *bounds):
     return parse
 
 
-def _dropout_rate(text: str) -> float:
-    value = _flag(check_real, 0.0)(text)
-    if value >= 1.0:
-        raise argparse.ArgumentTypeError(f"must be < 1, got {value}")
-    return value
-
-
 def _config_tokens(parser: argparse.ArgumentParser, path: str) -> list[str]:
     """Flag tokens equivalent to the config file at ``path``.
 
@@ -294,7 +287,8 @@ def _cmd_bench(args) -> int:
 def _add_common(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--config", metavar="FILE", default=None,
                         help="JSON file with flag defaults (flags override)")
-    parser.add_argument("--seed", type=int, default=0, help="master seed")
+    parser.add_argument("--seed", type=_flag(check_int, 0, 2**64 - 1), default=0,
+                        help="master seed")
 
 
 def _add_training(parser: argparse.ArgumentParser) -> None:
@@ -302,7 +296,7 @@ def _add_training(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--lr", type=_flag(check_real, 0.0), default=0.05)
     parser.add_argument("--batch-size", type=_flag(check_int, 1), default=8)
     parser.add_argument("--channels", type=_flag(check_int, 1), default=12)
-    parser.add_argument("--dropout", type=_dropout_rate, default=0.3)
+    parser.add_argument("--dropout", type=_flag(check_real, 0.0, 1.0), default=0.3)
 
 
 def _build_parser():

@@ -93,6 +93,7 @@ class GenConfig:
         check_int("height", self.height, 8)
         check_int("n_patches", self.n_patches, 1)
         check_real("noise_std", self.noise_std, 0.0)
+        check_int("base_seed", self.base_seed, 0, 2**64 - 1)
         if self.pool not in POOLS:
             raise ValueError(f"unknown pool {self.pool!r}; choose from {sorted(POOLS)}")
 

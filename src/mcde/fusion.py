@@ -23,7 +23,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from mcde.color import METRICS, SphericalDir, from_spherical, to_spherical
-from mcde.mc import MCEstimate, derive_member_seed, mc_estimate
+from mcde.mc import MCEstimate, mc_estimate
+from mcde.seeding import derive_seed
 
 __all__ = [
     "VARIANTS",
@@ -95,9 +96,9 @@ class FusionResult:
 
 
 def ensemble_estimates(nets, pixels, nu: int = 30, base_seed: int = 0) -> list[MCEstimate]:
-    """MC estimate per member, each under its own derived seed."""
+    """MC estimate per member under its own derived seed: adding one perturbs no other."""
     return [
-        mc_estimate(net, pixels, nu, derive_member_seed(base_seed, k))
+        mc_estimate(net, pixels, nu, derive_seed("ensemble-member", base_seed, k))
         for k, net in enumerate(nets)
     ]
 

@@ -19,12 +19,11 @@ import numpy as np
 
 from mcde._check import check_int
 from mcde.nn.network import PassSeed
-from mcde.seeding import derive_seed
 
-__all__ = ["MAX_NU", "MCEstimate", "check_nu", "mc_estimate"]
+__all__ = ["MAX_NU", "MCEstimate", "mc_estimate"]
 
-# MC passes per model, about 30x the default.  mc_estimate builds one
-# PassSeed and one mask row per pass before the first pass runs, so an
+# MC passes per model, about 30x the default.  mc_estimate draws one
+# mask row per pass and layer before the first pass runs, so an
 # unbounded nu could ask for gigabytes up front.
 MAX_NU = 1000
 
@@ -45,11 +44,6 @@ class MCEstimate:
     passes: int
 
 
-def check_nu(nu) -> None:
-    """Reject a pass count that is not an integer in [1, MAX_NU]."""
-    check_int("nu", nu, 1, MAX_NU)
-
-
 def mc_estimate(net, pixels, nu: int = 30, base_seed: int = 0) -> MCEstimate:
     """Run nu dropout-active passes and reduce them to an MCEstimate.
 
@@ -59,8 +53,8 @@ def mc_estimate(net, pixels, nu: int = 30, base_seed: int = 0) -> MCEstimate:
     the spread is exactly zero; the short-circuit avoids spurious
     round-off from averaging identical values.
     """
-    check_nu(nu)
-    outs = net.forward_passes(pixels, [PassSeed(base_seed, i) for i in range(nu)])
+    check_int("nu", nu, 1, MAX_NU)
+    outs = net.forward_passes(pixels, PassSeed(base_seed), nu)
     if np.all(outs == outs[0]):
         raw_mean = outs[0]
         sigma = np.zeros(3)
@@ -69,8 +63,3 @@ def mc_estimate(net, pixels, nu: int = 30, base_seed: int = 0) -> MCEstimate:
         sigma = np.sqrt(np.mean((outs - raw_mean) ** 2, axis=0))
     mean = raw_mean / np.linalg.norm(raw_mean)
     return MCEstimate(mean=mean, sigma=sigma, mu=float(sigma.prod()), passes=nu)
-
-
-def derive_member_seed(base_seed: int, model_index: int) -> int:
-    """Per-member pass seed; adding a model never perturbs the others."""
-    return derive_seed("ensemble-member", base_seed, model_index)

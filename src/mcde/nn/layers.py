@@ -19,6 +19,8 @@ from __future__ import annotations
 
 import numpy as np
 
+from mcde._check import check_real
+
 __all__ = [
     "Conv3x3",
     "Affine",
@@ -192,8 +194,7 @@ class Dropout:
     kind = "dropout"
 
     def __init__(self, rate: float):
-        if not 0.0 <= rate < 1.0:
-            raise ValueError("dropout rate must lie in [0, 1)")
+        check_real("dropout_rate", rate, 0.0, 1.0)
         self.rate = rate
         self.params = {}
 

@@ -7,27 +7,26 @@ from enum import Enum
 
 import numpy as np
 
+from mcde._check import check_int
 from mcde.nn.layers import Dropout, MaxPool, MeanPool
 
 __all__ = ["Mode", "Network", "NumericError", "PassSeed", "cosine_loss"]
 
 # Network.backward runs a mini-batch in blocks of rows whose float64 pixels
 # fit in about this many bytes: 16x16 batches of 8 run whole, 64x64 images
-# one by one.  With the heap padded as ``train`` pads it, so that neither
-# way faults, the g-net conv took 419 us per 64x64 image one by one
-# against 737 us in a whole batch of 8 (2-core VM, best of 5).
+# one by one.  With the heap set up as ``train`` sets it, neither way faults,
+# and 64x64 training took 0.83 (g-net) and 0.71 ms (m-net) per image one by
+# one against 1.21 and 1.05 ms in whole batches of 8, peaking at 40 against
+# 52 MiB (2-core VM, one thread, 3 runs each).
 _BLOCK_BYTES = 64 * 1024
 
-# Mask keys are uint64.  Python-int arithmetic on them is reduced by
-# _MASK64; numpy's uint64 arrays wrap by themselves, and take their
-# constants as numpy scalars, which a ufunc does not convert per call.
-# _GAMMA is splitmix64's Weyl increment (Steele et al. 2014) and
-# _LAYER_GAMMA spaces the layers apart.
+# Mask keys are numpy uint64 arrays, which wrap mod 2**64 by themselves,
+# and take their constants as numpy scalars, which a ufunc does not
+# convert per call.  _GAMMA is splitmix64's Weyl increment (Steele et
+# al. 2014) and _LAYER_GAMMA spaces the layers apart.
 _KEY_LIMIT = 1 << 64
-_MASK64 = _KEY_LIMIT - 1
-_GAMMA = 0x9E3779B97F4A7C15
+_GAMMA = np.uint64(0x9E3779B97F4A7C15)
 _LAYER_GAMMA = 0xD1B54A32D192ED03
-_GAMMA_U64 = np.uint64(_GAMMA)
 _S30, _M1, _S27, _M2, _S31 = np.array(
     [30, 0xBF58476D1CE4E5B9, 27, 0x94D049BB133111EB, 31], dtype=np.uint64
 )
@@ -118,20 +117,18 @@ class Network:
         """
         if mode is Mode.MC and seed is None:
             raise ValueError("mc forward passes require a PassSeed")
-        seeds = [seed] if mode is Mode.MC else []
-        return self._run(self._images(np.asarray(pixels)[None]), seeds)[0][0]
+        seed = seed if mode is Mode.MC else None
+        return self._run(self._images(np.asarray(pixels)[None]), seed, 1)[0][0]
 
-    def forward_passes(self, pixels, seeds) -> np.ndarray:
-        """One MC-mode forward per PassSeed in ``seeds``, as a (len(seeds), 3) array.
+    def forward_passes(self, pixels, seed: PassSeed, count: int) -> np.ndarray:
+        """MC passes ``seed.pass_index`` to ``seed.pass_index + count - 1``
+        of ``seed.base_seed``, as a (count, 3) array.
 
-        Row k equals ``forward(pixels, Mode.MC, seeds[k])`` bit for bit;
-        each layer runs once for all passes.
+        Row k equals ``forward(pixels, Mode.MC, PassSeed(seed.base_seed,
+        seed.pass_index + k))`` bit for bit; each layer runs once for all passes.
         """
-        seeds = list(seeds)
-        if not seeds:
-            raise ValueError("forward_passes needs at least one PassSeed")
-        out, _ = self._run(self._images(np.asarray(pixels)[None]), seeds)
-        return out if len(out) == len(seeds) else np.repeat(out, len(seeds), axis=0)
+        out, _ = self._run(self._images(np.asarray(pixels)[None]), seed, count)
+        return out if len(out) == count else np.repeat(out, count, axis=0)
 
     def _images(self, pixels) -> np.ndarray:
         """``pixels`` as float64, checked to stack non-empty (H, W, c_in) images.
@@ -148,51 +145,56 @@ class Network:
             raise ValueError(f"expected non-empty {want} pixels, got shape {x.shape[1:]}")
         return x
 
-    def _keeps(self, i, seeds, size):
-        """(len(seeds), size) keep masks for ``layers[i]``, one row per pass.
+    def _keeps(self, i, seed, count, size):
+        """(count, size) keep masks for ``layers[i]``, one row per pass.
 
         Each row is one Bernoulli per entry of the activation's last
         axis: a channel of a feature map, or an element of a vector.
         None unless the layer is a Dropout with a nonzero rate and
-        there are seeds.
+        there is a seed.
 
-        The draw is a stateless counter hash (Salmon et al. 2011): each
-        pass's (base seed, pass index, layer) is mixed into a row key,
-        and entry e keeps iff the mix of (row key + (e + 1) * gamma),
-        uniform on [0, 2**64), is at least rate * 2**64.  A row depends
-        on its own key alone, so the masks do not depend on pass order,
-        on the other seeds in ``seeds`` or on the worker count.
+        The draw is a stateless counter hash (Salmon et al. 2011): pass
+        p's (base seed, p, layer) is mixed into a row key, and entry e
+        keeps iff the mix of (row key + (e + 1) * gamma), uniform on
+        [0, 2**64), is at least rate * 2**64.  A row depends on its own
+        key alone, so the masks do not depend on pass order, on the
+        count or on the worker count.
         """
         layer = self.layers[i]
-        if not (seeds and isinstance(layer, Dropout) and layer.rate > 0.0):
+        if not (seed is not None and isinstance(layer, Dropout) and layer.rate > 0.0):
             return None
-        rows = _mix(np.array(
-            [s.base_seed ^ ((s.pass_index * _GAMMA + i * _LAYER_GAMMA) & _MASK64) for s in seeds],
-            dtype=np.uint64,
-        ))
-        bits = _mix(rows[:, None] + np.arange(1, size + 1, dtype=np.uint64) * _GAMMA_U64)
+        passes = np.arange(seed.pass_index, seed.pass_index + count, dtype=np.uint64)
+        layer_key = np.uint64(i * _LAYER_GAMMA % _KEY_LIMIT)
+        rows = _mix(np.uint64(seed.base_seed) ^ (passes * _GAMMA + layer_key))
+        bits = _mix(rows[:, None] + np.arange(1, size + 1, dtype=np.uint64) * _GAMMA)
         return bits >= int(layer.rate * 2.0**64)
 
-    def _run(self, x, seeds):
+    def _run(self, x, seed, count):
         """All layers on the rows of ``x``; returns (activation, caches).
 
-        With one seed per row, row k runs under ``seeds[k]``'s masks; one
-        row meeting more seeds broadcasts against their masks into one
-        row per seed.  Right before a pool it is not broadcast: the pool
-        runs on the map with every channel some pass keeps kept, and on
-        the map with all dropped, and each pass picks its channels from
-        the two, so g-net builds no (ν, H, W, C) array.  A channel no
-        pass keeps is dropped in both, so the checks stay exact.
+        Under ``seed``, with one row per pass, row k runs under pass
+        ``seed.pass_index + k``'s masks; one row meeting ``count``
+        passes broadcasts against their masks into one row per pass.
+        Right before a pool it is not broadcast: the pool runs on the
+        map with every channel some pass keeps kept, and on the map with
+        all dropped, and each pass picks its channels from the two, so
+        g-net builds no (ν, H, W, C) array.  A channel no pass keeps is
+        dropped in both, so the checks stay exact.
         """
+        if seed is not None:  # keys are uint64: the passes must end by 2**64 - 1
+            check_int("count", count, 1)
+            if seed.pass_index + count > _KEY_LIMIT:
+                last = seed.pass_index + count - 1
+                raise ValueError(f"passes {seed.pass_index} to {last} must lie in [0, 2**64)")
         caches, dropped = [], None
         for i, (layer, after) in enumerate(zip(self.layers, [*self.layers[1:], None])):
-            keep = self._keeps(i, seeds, x.shape[-1])
+            keep = self._keeps(i, seed, count, x.shape[-1])
             if dropped is not None:  # the pool after a shared spatial Dropout
                 x, cache = np.where(kept, layer.forward(x)[0], layer.forward(dropped)[0]), None
                 dropped = None
             elif keep is None:  # not a Dropout, or one that drops nothing
                 x, cache = layer.forward(x)
-            elif x.ndim == 4 and len(x) < len(seeds) and isinstance(after, (MeanPool, MaxPool)):
+            elif x.ndim == 4 and len(x) < count and isinstance(after, (MeanPool, MaxPool)):
                 kept, dropped = keep, layer.forward(x, False)[0]
                 x, cache = layer.forward(x, keep.any(axis=0))
             else:
@@ -202,26 +204,28 @@ class Network:
             caches.append(cache)
         return x, caches
 
-    def backward(self, pixels, gts, seeds):
+    def backward(self, pixels, gts, seed: PassSeed):
         """Per-image losses and summed gradients for a mini-batch.
 
         Image k of ``pixels`` (a list or a stacked array), with label
-        ``gts[k]``, runs under ``seeds[k]``'s masks, in blocks of rows
-        that fit in ``_BLOCK_BYTES``: only a block is copied to float64.
-        ``grads`` parallels ``layers``: name -> the images' gradients
-        summed in image order, so the bytes do not depend on the blocks.
-        Nothing consumes the gradient with respect to the pixels, so
-        layer 0 is asked not to compute it (``need_dx=False``).
+        ``gts[k]``, runs under pass ``seed.pass_index + k``'s masks, in
+        blocks of rows that fit in ``_BLOCK_BYTES``: only a block is copied
+        to float64.  ``grads`` parallels ``layers``: name -> the images'
+        gradients summed in image order, so the bytes do not depend on the
+        blocks.  Nothing consumes the gradient with respect to the pixels,
+        so layer 0 is asked not to compute it (``need_dx=False``).
         """
-        seeds = list(seeds)
-        if not seeds or len(seeds) != len(pixels):
-            raise ValueError(f"one PassSeed per image: got {len(seeds)} for {len(pixels)} images")
+        if not len(pixels):
+            raise ValueError("backward needs at least one image")
+        if len(gts) != len(pixels):
+            raise ValueError(f"one label per image: got {len(gts)} for {len(pixels)} images")
         gts = np.asarray(gts, dtype=np.float64)
         image_bytes = 8 * np.size(pixels[0])  # as float64; _images checks each block
         step = max(1, _BLOCK_BYTES // max(image_bytes, 1))
         losses, per_row = [], [[] for _ in self.layers]
-        for r in range(0, len(seeds), step):
-            pred, caches = self._run(self._images(pixels[r : r + step]), seeds[r : r + step])
+        for r in range(0, len(pixels), step):
+            x = self._images(pixels[r : r + step])
+            pred, caches = self._run(x, PassSeed(seed.base_seed, seed.pass_index + r), len(x))
             losses.append(cosine_loss(pred, gts[r : r + step]))
             grad = -gts[r : r + step]
             for i in range(len(self.layers) - 1, -1, -1):  # pop: free each cache once used

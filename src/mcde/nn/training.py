@@ -17,12 +17,15 @@ __all__ = ["TrainConfig", "TrainingError", "train"]
 # glibc hands the freed top of its heap back to the kernel after each
 # mini-batch step, and the next step faults the same pages in again:
 # 150 minor faults per 16x16 step of 8, 405k per band-shift member.
-# ``_pad_heap`` keeps this much slack at the top instead.  M_TOP_PAD
-# leaves glibc's dynamic mmap threshold on, which M_TRIM_THRESHOLD and
-# M_MMAP_THRESHOLD would switch off; MALLOC_TOP_PAD_ cannot be set from
-# here, as glibc reads it before Python starts.
-_M_TOP_PAD = -2
+# ``_pad_heap`` keeps this much slack at the top instead.  M_TOP_PAD also
+# freezes glibc's dynamic mmap threshold (glibc 2.36 malloc.c's
+# ``do_set_top_pad`` sets ``mp_.no_dyn_threshold``), after in-memory
+# generation at 128 KiB: each 64x64 activation was then mmapped and faulted
+# in anew, 11,600 faults per step of 8.  So the threshold is set too, to its
+# 64-bit maximum.  MALLOC_*_ variables are read before Python starts.
+_M_TOP_PAD, _M_MMAP_THRESHOLD = -2, -3
 _HEAP_TOP_PAD = 64 * 1024 * 1024
+_MMAP_THRESHOLD = 32 * 1024 * 1024
 
 
 class TrainingError(RuntimeError):
@@ -40,17 +43,19 @@ class TrainConfig:
         check_int("epochs", self.epochs, 0)
         check_int("batch_size", self.batch_size, 1)
         check_real("learning_rate", self.learning_rate, 0.0)
+        check_int("base_seed", self.base_seed, 0, 2**64 - 1)
 
 
 @functools.cache
 def _pad_heap() -> None:
-    """Set glibc's heap top pad, once per process (a forked worker
-    inherits both the setting and the cache); elsewhere do nothing."""
+    """Set glibc's heap top pad and mmap threshold, once per process (a forked
+    worker inherits the settings and the cache); elsewhere do nothing."""
     try:
         mallopt = ctypes.CDLL(None).mallopt
     except (AttributeError, OSError, TypeError):  # no mallopt: macOS, Windows
         return
     mallopt(_M_TOP_PAD, _HEAP_TOP_PAD)
+    mallopt(_M_MMAP_THRESHOLD, _MMAP_THRESHOLD)
 
 
 def train(net: Network, scenes, config: TrainConfig):
@@ -85,7 +90,7 @@ def train(net: Network, scenes, config: TrainConfig):
                 losses, grads = net.backward(
                     [scene.pixels for scene in batch],
                     [scene.label for scene in batch],
-                    [PassSeed(pass_base, first + k) for k in range(len(batch))],
+                    PassSeed(pass_base, first),
                 )
             except NumericError as exc:
                 raise TrainingError(f"training diverged at epoch {epoch}: {exc}") from exc

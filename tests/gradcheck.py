@@ -87,7 +87,7 @@ def check_network(net, pixels, gt, seed: PassSeed) -> None:
     """
     pixels = np.asarray(pixels, dtype=np.float64)
     gt = np.asarray(gt, dtype=np.float64)
-    _, grads = net.backward(pixels[None], gt[None], [seed])
+    _, grads = net.backward(pixels[None], gt[None], seed)
 
     def loss() -> float:
         return cosine_loss(net.forward(pixels, Mode.MC, seed), gt)

@@ -61,8 +61,11 @@ class StubNet:
             return self.outputs[0]
         return self.outputs[seed.pass_index % len(self.outputs)]
 
-    def forward_passes(self, pixels, seeds):
-        return np.stack([self.forward(pixels, Mode.MC, seed) for seed in seeds])
+    def forward_passes(self, pixels, seed, count):
+        return np.stack([
+            self.forward(pixels, Mode.MC, PassSeed(seed.base_seed, seed.pass_index + k))
+            for k in range(count)
+        ])
 
 
 @pytest.fixture(scope="module")

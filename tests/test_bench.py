@@ -262,6 +262,23 @@ class TestCrossval:
         with pytest.raises(ValueError, match=f"^workers must be at least 1, got {value}$"):
             BenchConfig(workers=value)
 
+    @pytest.mark.parametrize(
+        "value,error",
+        [(2.5, TypeError), (-3, ValueError), (2**64, ValueError), ("x", TypeError),
+         (True, TypeError)],
+    )
+    @pytest.mark.parametrize(
+        "make,name",
+        [(lambda v: BenchConfig(base_seed=v), "base_seed"),
+         (lambda v: ScenarioConfig(seed=v), "seed")],
+        ids=["bench", "scenario"],
+    )
+    def test_bad_seed_fails_at_construction(self, make, name, value, error):
+        """In the range a PassSeed takes; ``derive_seed`` would hash a
+        float, or the string "7" as the integer 7."""
+        with pytest.raises(error, match=f"^{name} must"):
+            make(value)
+
     @pytest.mark.parametrize("value", [0.5, math.nan])
     def test_bad_sog_p_fails_at_construction(self, value):
         """Caught while the config is built, not after fold 0's members

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from mcde._check import check_int, check_real
-from mcde.bench import BenchConfig
+from mcde.bench import BenchConfig, TrainableSpec
 from mcde.datagen import GenConfig
 from mcde.nn.training import TrainConfig
 
@@ -40,13 +40,20 @@ BOOL_TESTS_ALLOWED = {"_check.py", "nn/network.py", "datagen.py", "cli.py"}
          "x must be finite and at least 0.0, got inf"),
         (lambda: check_real("x", -math.inf, 0.0), ValueError,
          "x must be finite and at least 0.0, got -inf"),
+        (lambda: check_real("x", 1.0, 0.0, 1.0), ValueError,
+         r"x must lie in \[0.0, 1.0\), got 1.0"),
+        (lambda: check_real("x", math.nan, 0.0, 1.0), ValueError,
+         r"x must lie in \[0.0, 1.0\), got nan"),
+        (lambda: TrainableSpec(name="g", arch="g-net", dropout_rate="x"), TypeError,
+         "dropout_rate must be a real number, got 'x'"),
         (lambda: TrainConfig(epochs=np.int64(2)), TypeError, "epochs must be an integer, got "),
         (lambda: GenConfig(n_scenes=np.int32(2)), TypeError, "n_scenes must be an integer, got "),
         (lambda: BenchConfig(workers=np.int64(2)), TypeError, "workers must be an integer, got "),
     ],
     ids=["int-float", "int-bool", "int-str", "int-below", "int-below-range", "int-above-range",
          "real-bool", "real-str", "real-none", "real-below", "real-nan", "real-inf",
-         "real-minus-inf", "train-numpy-int", "gen-numpy-int", "bench-numpy-int"],
+         "real-minus-inf", "real-at-below", "real-nan-below", "spec-dropout-str",
+         "train-numpy-int", "gen-numpy-int", "bench-numpy-int"],
 )
 def test_rejection_names_the_field(call, error, message):
     with pytest.raises(error, match=f"^{message}"):
@@ -59,6 +66,8 @@ def test_values_at_their_bounds_pass():
     check_int("n", 10, 1, 10)
     check_real("x", 1, 1.0)
     check_real("x", np.float64(0.0), 0.0)
+    check_real("x", 0.0, 0.0, 1.0)
+    check_real("x", 0.999, 0.0, 1.0)
 
 
 def bool_tests(path):

@@ -101,6 +101,13 @@ class TestGenData:
             ["gen-data", "--scenes", "0", "--out", str(tmp_path / "d")]
         ) == 2
 
+    @pytest.mark.parametrize("seed", ["-3", str(2**64), "2.5", "x"])
+    def test_out_of_range_seed_is_usage_error(self, seed, tmp_path, capsys):
+        assert cli.main(
+            ["gen-data", "--scenes", "1", "--out", str(tmp_path / "d"), "--seed", seed]
+        ) == 2
+        assert "argument --seed" in capsys.readouterr().err
+
 
 class TestTrain:
     def test_writes_model_and_sidecar(self, model_paths):
@@ -423,6 +430,8 @@ class TestConfigFile:
             pytest.param("train", "dropout", 1.0, id="train-dropout-1"),
             pytest.param("bench", "dropout", 1.0, id="bench-dropout-1"),
             pytest.param("bench", "k", 0, id="k-0"),
+            pytest.param("gen-data", "seed", -3, id="seed-negative"),
+            pytest.param("bench", "seed", 2**64, id="seed-2**64"),
             pytest.param("estimate", "nu", 1001, id="estimate-nu-1001"),
             pytest.param("bench", "nu", 10**9, id="bench-nu-1e9"),
         ],

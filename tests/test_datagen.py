@@ -98,6 +98,12 @@ class TestGenScene:
                 GenConfig(n_scenes=1, noise_std=noise_std)
         with pytest.raises(ValueError):
             GenConfig(n_scenes=-1)
+        for base_seed, error in (
+            (2.5, TypeError), (-3, ValueError), (2**64, ValueError), ("x", TypeError),
+            ("7", TypeError), (True, TypeError),
+        ):
+            with pytest.raises(error, match="^base_seed must"):
+                GenConfig(n_scenes=1, base_seed=base_seed)
         for field in ("n_scenes", "width", "height", "n_patches"):
             for value in (8.0, True, "8"):
                 with pytest.raises(TypeError, match=f"^{field} must be an integer"):

@@ -19,8 +19,9 @@ from mcde.fusion import (
     mcde,
     raw_confidence,
 )
-from mcde.mc import MCEstimate, derive_member_seed, mc_estimate
+from mcde.mc import MCEstimate, mc_estimate
 from mcde.nn import build
+from mcde.seeding import derive_seed
 
 
 def stub_estimate(mean, mu):
@@ -208,9 +209,21 @@ class TestPipeline:
         pixels = np.random.default_rng(87).uniform(0.0, 1.0, (8, 8, 3))
         ests = ensemble_estimates(nets, pixels, nu=4, base_seed=11)
         for k, net in enumerate(nets):
-            manual = mc_estimate(net, pixels, 4, derive_member_seed(11, k))
+            manual = mc_estimate(net, pixels, 4, derive_seed("ensemble-member", 11, k))
             np.testing.assert_array_equal(ests[k].mean, manual.mean)
             np.testing.assert_array_equal(ests[k].sigma, manual.sigma)
+
+    def test_member_seeds_are_distinct_and_stable(self):
+        """Six copies of one network draw six different spreads, the
+        same ones on every call, and adding a member never perturbs the
+        members before it."""
+        net = build("g-net", seed=93, channels=5, dropout_rate=0.3)
+        pixels = np.random.default_rng(94).uniform(0.0, 1.0, (8, 8, 3))
+        sigmas = [est.sigma.tobytes() for est in ensemble_estimates([net] * 6, pixels, 4, 9)]
+        assert len(set(sigmas)) == 6
+        for n in range(1, 6):
+            prefix = ensemble_estimates([net] * n, pixels, 4, 9)
+            assert [est.sigma.tobytes() for est in prefix] == sigmas[:n]
 
     def test_mcde_is_fuse_of_ensemble_estimates(self):
         nets = [build("g-net", seed=88, channels=5, dropout_rate=0.3)]

@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 from mcde import mc
-from mcde.mc import MAX_NU, derive_member_seed, mc_estimate
+from mcde.mc import MAX_NU, mc_estimate
 from mcde.nn import (
     Affine,
     Conv3x3,
@@ -40,8 +40,11 @@ class StubNet:
             return self.outputs[0]
         return self.outputs[seed.pass_index % len(self.outputs)]
 
-    def forward_passes(self, pixels, seeds):
-        return np.stack([self.forward(pixels, Mode.MC, seed) for seed in seeds])
+    def forward_passes(self, pixels, seed, count):
+        return np.stack([
+            self.forward(pixels, Mode.MC, PassSeed(seed.base_seed, seed.pass_index + k))
+            for k in range(count)
+        ])
 
 
 def brute_force(outputs):
@@ -104,7 +107,7 @@ class TestReduction:
             mc_estimate(StubNet([[1.0, 1.0, 1.0]]), None, nu=0)
 
     def test_nu_above_max_is_rejected_before_any_pass_seed(self, monkeypatch):
-        """An unbounded nu would build one PassSeed per pass up front."""
+        """An unbounded nu would draw one mask row per pass up front."""
 
         def no_seeds(*args):
             raise AssertionError("built a PassSeed")
@@ -162,8 +165,11 @@ class PassByPass:
     def __init__(self, net):
         self.net = net
 
-    def forward_passes(self, pixels, seeds):
-        return np.stack([self.net.forward(pixels, Mode.MC, seed) for seed in seeds])
+    def forward_passes(self, pixels, seed, count):
+        return np.stack([
+            self.net.forward(pixels, Mode.MC, PassSeed(seed.base_seed, seed.pass_index + k))
+            for k in range(count)
+        ])
 
 
 def custom_stack(*layers):
@@ -230,7 +236,7 @@ class TestPrefixSharing:
         pixels = np.random.default_rng(94).uniform(0.0, 1.0, (8, 7, 3))
         seeds = [PassSeed(6, i) for i in range(30)]
         want = np.stack([net.forward(pixels, Mode.MC, seed) for seed in seeds])
-        assert net.forward_passes(pixels, seeds).tobytes() == want.tobytes()
+        assert net.forward_passes(pixels, PassSeed(6), 30).tobytes() == want.tobytes()
         got = mc_estimate(net, pixels, nu=30, base_seed=6)
         ref = mc_estimate(PassByPass(net), pixels, nu=30, base_seed=6)
         assert got.mean.tobytes() == ref.mean.tobytes()
@@ -244,18 +250,17 @@ class TestPrefixSharing:
         pixels = np.random.default_rng(100).uniform(-0.5, 1.5, (64, 64, 3))
         seeds = [PassSeed(7, i) for i in range(30)]
         want = pass_by_pass(net, pixels, seeds)
-        assert net.forward_passes(pixels, seeds).tobytes() == want.tobytes()
+        assert net.forward_passes(pixels, PassSeed(7), 30).tobytes() == want.tobytes()
 
     def test_pool_does_not_stack_the_spatial_map(self):
         """g-net's (64, 64, C) map is pooled per channel choice, never
         copied once per pass."""
         net = build("g-net", seed=101, channels=12, dropout_rate=0.3)
         pixels = np.random.default_rng(102).uniform(0.0, 1.0, (64, 64, 3))
-        seeds = [PassSeed(8, i) for i in range(30)]
         stacked_bytes = 30 * 64 * 64 * 12 * 8
         tracemalloc.start()
         try:
-            net.forward_passes(pixels, seeds)
+            net.forward_passes(pixels, PassSeed(8), 30)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
@@ -308,8 +313,8 @@ class TestPrefixSharing:
         assert [str(w.message) for w in got] == [str(w.message) for w in want]
 
     def test_no_seeds_is_rejected(self):
-        with pytest.raises(ValueError, match="at least one PassSeed"):
-            build("g-net", seed=95, channels=4).forward_passes(np.ones((4, 4, 3)), [])
+        with pytest.raises(ValueError, match="count must be at least 1, got 0"):
+            build("g-net", seed=95, channels=4).forward_passes(np.ones((4, 4, 3)), PassSeed(0), 0)
 
     @pytest.mark.parametrize("arch", ["g-net", "m-net"])
     def test_conv_runs_once_per_estimate(self, arch, monkeypatch):
@@ -348,10 +353,3 @@ class TestPrefixSharing:
             pass_by_pass(net, pixels, [PassSeed(0, i) for i in range(30)])
         with pytest.raises(NumericError, match=match):
             mc_estimate(net, pixels, nu=30)
-
-
-class TestHelpers:
-    def test_member_seeds_are_distinct_and_stable(self):
-        seeds = [derive_member_seed(9, k) for k in range(6)]
-        assert len(set(seeds)) == 6
-        assert seeds == [derive_member_seed(9, k) for k in range(6)]

@@ -191,9 +191,14 @@ class TestDropout:
         dx, _ = Dropout(0.5).backward(dy, cache)
         np.testing.assert_array_equal(dx, dy * np.where(keep, 2.0, 0.0))
 
-    @pytest.mark.parametrize("rate", [1.0, 1.5, -0.1])
-    def test_invalid_rates(self, rate):
-        with pytest.raises(ValueError):
+    @pytest.mark.parametrize(
+        "rate,error",
+        [(1.0, ValueError), (1.5, ValueError), (-0.1, ValueError), (float("nan"), ValueError),
+         ("x", TypeError), (None, TypeError), (True, TypeError)],
+        ids=["1.0", "1.5", "-0.1", "nan", "x", "None", "True"],
+    )
+    def test_invalid_rates(self, rate, error):
+        with pytest.raises(error, match=f"^dropout_rate must .*, got {rate!r}$"):
             Dropout(rate)
 
     def test_gradients_with_fixed_mask(self):

@@ -87,9 +87,9 @@ class TestForward:
         with pytest.raises(ValueError, match=match):
             net.forward(pixels)
         with pytest.raises(ValueError, match=match):
-            net.forward_passes(pixels, [PassSeed(0, 0)])
+            net.forward_passes(pixels, PassSeed(0, 0), 1)
         with pytest.raises(ValueError, match=match):
-            net.backward(pixels[None], unit(np.random.default_rng(8))[None], [PassSeed(0, 0)])
+            net.backward(pixels[None], unit(np.random.default_rng(8))[None], PassSeed(0, 0))
 
     def test_pixel_channels_come_from_the_first_layer_with_c_in(self):
         net = Network([Relu(), MeanPool(), Affine(4, 3), PositiveHead()])
@@ -111,7 +111,7 @@ class TestForward:
         with pytest.raises(ValueError, match=match):
             net.forward(np.ones(shape), Mode.MC, PassSeed(0, 0))
         with pytest.raises(ValueError, match=match):
-            net.forward_passes(np.ones(shape), [PassSeed(0, 0)])
+            net.forward_passes(np.ones(shape), PassSeed(0, 0), 1)
 
     def test_architectures_differ(self):
         rng = np.random.default_rng(63)
@@ -143,17 +143,39 @@ class TestBackward:
         net = build("m-net", seed=8, channels=5, dropout_rate=0.3)
         pixels, gt = random_pixels(rng), unit(rng)
         seed = PassSeed(21, 4)
-        (loss,), _ = net.backward(pixels[None], gt[None], [seed])
+        (loss,), _ = net.backward(pixels[None], gt[None], seed)
         pred = net.forward(pixels, Mode.MC, seed)
         assert loss == pytest.approx(cosine_loss(pred, gt), abs=1e-15)
 
-    def test_backward_needs_one_seed_per_image(self):
+    def test_backward_needs_images_and_one_label_each(self):
         net = build("m-net", seed=8, channels=4)
         rng = np.random.default_rng(64)
         pixels, gts = rng.uniform(0.0, 1.0, (3, 6, 5, 3)), np.stack([unit(rng)] * 3)
-        for seeds in ([], [PassSeed(0, 0)], [PassSeed(0, k) for k in range(4)]):
-            with pytest.raises(ValueError, match="one PassSeed per image"):
-                net.backward(pixels, gts, seeds)
+        with pytest.raises(ValueError, match="backward needs at least one image"):
+            net.backward(pixels[:0], gts[:0], PassSeed(0))
+        for labels in (gts[:2], np.concatenate([gts, gts[:1]])):
+            with pytest.raises(ValueError, match=f"one label per image: got {len(labels)} for 3"):
+                net.backward(pixels, labels, PassSeed(0))
+
+    @pytest.mark.parametrize("size", [8, 64])
+    def test_image_k_runs_under_pass_first_plus_k(self, size):
+        """In one block (8x8) or one block per image (64x64), image k's
+        loss and gradients are those of a one-image backward under pass
+        ``pass_index + k``."""
+        net = build("g-net", seed=10, channels=4, dropout_rate=0.4)
+        rng = np.random.default_rng(67)
+        pixels = rng.uniform(0.0, 1.0, (3, size, size, 3))
+        gts = np.stack([unit(rng) for _ in range(3)])
+        base, first = 2**64 - 1, 2**64 - 3
+        losses, grads = net.backward(pixels, gts, PassSeed(base, first))
+        one = [
+            net.backward(pixels[k : k + 1], gts[k : k + 1], PassSeed(base, first + k))
+            for k in range(3)
+        ]
+        assert losses.tobytes() == np.concatenate([loss for loss, _ in one]).tobytes()
+        for i, layer_grads in enumerate(grads):
+            for name, grad in layer_grads.items():
+                np.testing.assert_allclose(grad, sum(g[i][name] for _, g in one), rtol=1e-12)
 
     @pytest.mark.parametrize("size,blocks", [(8, [5]), (32, [2, 2, 1]), (64, [1] * 5)])
     def test_backward_runs_row_blocks_that_fit_the_budget(self, size, blocks, monkeypatch):
@@ -161,16 +183,16 @@ class TestBackward:
         rows = []
         original = Network._run
 
-        def recording(self, x, seeds):
+        def recording(self, x, seed, count):
             rows.append(len(x))
-            return original(self, x, seeds)
+            return original(self, x, seed, count)
 
         monkeypatch.setattr(Network, "_run", recording)
         rng = np.random.default_rng(65)
         build("g-net", seed=8, channels=4).backward(
             rng.uniform(0.0, 1.0, (5, size, size, 3)),
             np.stack([unit(rng)] * 5),
-            [PassSeed(0, k) for k in range(5)],
+            PassSeed(0, 0),
         )
         assert rows == blocks
 
@@ -190,14 +212,14 @@ class TestBackward:
         build("g-net", seed=8, channels=4).backward(
             list(rng.uniform(0.0, 1.0, (5, size, size, 3)).astype(np.float32)),
             np.stack([unit(rng)] * 5),
-            [PassSeed(0, k) for k in range(5)],
+            PassSeed(0, 0),
         )
         assert copied == blocks
 
     def test_grads_parallel_to_layers(self):
         rng = np.random.default_rng(66)
         net = build("g-net", seed=9, channels=4)
-        _, grads = net.backward(random_pixels(rng)[None], unit(rng)[None], [PassSeed(1)])
+        _, grads = net.backward(random_pixels(rng)[None], unit(rng)[None], PassSeed(1))
         assert len(grads) == len(net.layers)
         for layer, layer_grads in zip(net.layers, grads):
             assert set(layer_grads) == set(layer.params)
@@ -225,7 +247,7 @@ class TestBackward:
         net.layers.insert(0, PoisonGrad())
         pixels = np.random.default_rng(68).uniform(0.0, 1.0, (4, 4, 3))
         with pytest.raises(NumericError, match=r"'W' of layer 0"):
-            net.backward(pixels[None], np.ones((1, 3)) / np.sqrt(3), [PassSeed(0)])
+            net.backward(pixels[None], np.ones((1, 3)) / np.sqrt(3), PassSeed(0))
 
     @pytest.mark.parametrize("arch", ["g-net", "m-net"])
     def test_full_network_gradcheck_with_dropout(self, arch):
@@ -264,11 +286,11 @@ def affine_first_net(seed):
     return Network(layers)
 
 
-def reference_backward(net, pixels, gt, seeds):
+def reference_backward(net, pixels, gt, seed):
     """Network.backward as a plain loop over all rows at once that asks
     every layer, layer 0 included, for its input gradient and sums the
     per-row gradients; returns (losses, grads, layer 0's dx)."""
-    pred, caches = net._run(np.asarray(pixels, dtype=np.float64), seeds)
+    pred, caches = net._run(np.asarray(pixels, dtype=np.float64), seed, len(pixels))
     gt = np.asarray(gt, dtype=np.float64)
     grad = -gt
     grads = [None] * len(net.layers)
@@ -297,8 +319,8 @@ class TestInputGradientSkip:
         for pass_index in range(3):
             pixels, gt = random_pixels(rng), unit(rng)
             seed = PassSeed(34, pass_index)
-            loss, grads = net.backward(pixels[None], gt[None], [seed])
-            ref_loss, ref_grads, ref_dx = reference_backward(net, pixels[None], gt[None], [seed])
+            loss, grads = net.backward(pixels[None], gt[None], seed)
+            ref_loss, ref_grads, ref_dx = reference_backward(net, pixels[None], gt[None], seed)
             assert ref_dx.shape == pixels[None].shape  # the reference did compute it
             assert loss == ref_loss
             assert len(grads) == len(ref_grads)
@@ -335,7 +357,7 @@ class TestInputGradientSkip:
             return dx, grads
 
         monkeypatch.setattr(Conv3x3, "backward", counting)
-        net.backward(random_pixels(rng)[None], unit(rng)[None], [PassSeed(35)])
+        net.backward(random_pixels(rng)[None], unit(rng)[None], PassSeed(35))
         assert computed == [(2, True), (0, False)]
 
     def test_layers_skip_their_input_gradient_on_request(self):
@@ -399,7 +421,7 @@ class TestMasks:
         x = np.abs(np.random.default_rng(43).normal(size=(6, 6, 32))) + 0.1
         net = Network([Dropout(0.5)])
         one = net.forward(x, Mode.MC, PassSeed(5))
-        stacked = net.forward_passes(x, [PassSeed(5, k) for k in range(4)])
+        stacked = net.forward_passes(x, PassSeed(5), 4)
         for ratio in (one / x, stacked / x):
             pixels = ratio.reshape(*ratio.shape[:-3], -1, 32)
             assert np.all(pixels == pixels[..., :1, :]), "channel must be uniformly scaled"
@@ -417,14 +439,14 @@ class TestMasks:
         net = Network([Dropout(0.5)])
         y1 = net.forward(x, Mode.MC, PassSeed(9))
         np.testing.assert_array_equal(y1, net.forward(x, Mode.MC, PassSeed(9)))
-        np.testing.assert_array_equal(y1, net.forward_passes(x, [PassSeed(9)])[0])
+        np.testing.assert_array_equal(y1, net.forward_passes(x, PassSeed(9), 1)[0])
         assert not np.array_equal(y1, net.forward(x, Mode.MC, PassSeed(10)))
 
     @pytest.mark.parametrize("rate", [0.3, 0.45])
     def test_keep_fraction_is_one_minus_rate(self, rate):
         """12 000 draws, all passes of one stacked call."""
         net = Network([Dropout(rate)])
-        out = net.forward_passes(np.ones((1, 1, 100)), [PassSeed(12, k) for k in range(120)])
+        out = net.forward_passes(np.ones((1, 1, 100)), PassSeed(12), 120)
         assert out.shape == (120, 1, 1, 100)
         assert_binomial(out > 0.0, 1.0 - rate, f"kept share at rate {rate}")
 
@@ -482,16 +504,34 @@ class TestMasks:
         assert est.passes == 30 and est.mu > 0.0
         assert calls == {"sha256": 0, "default_rng": 0}
 
-    def test_masks_follow_their_seeds_under_permutation(self):
-        """A row is a function of its own PassSeed: permuting the seeds
-        permutes the rows, bit for bit."""
-        net = Network([MeanPool(), Dropout(0.3)])
-        seeds = [PassSeed(19 + k % 3, k) for k in range(24)]
-        order = np.random.default_rng(75).permutation(len(seeds))
-        keep = net._keeps(1, seeds, 40)
-        permuted = net._keeps(1, [seeds[k] for k in order], 40)
-        assert keep.shape == (24, 40) and keep.dtype == bool
-        np.testing.assert_array_equal(permuted, keep[order])
+    @pytest.mark.parametrize(
+        "base,first,count",
+        [(19, 0, 24), (19, 7, 5), (2**64 - 1, 0, 30), (2**64 - 1, 2**64 - 8, 8),
+         (0, 2**64 - 1, 1), (2**63, 2**63, 3)],
+    )
+    @pytest.mark.parametrize("arch", ["g-net", "m-net"])
+    def test_row_k_is_pass_first_plus_k(self, arch, base, first, count):
+        """A run of passes is its passes one by one, bit for bit, up to
+        the top of the uint64 range."""
+        net = build(arch, seed=20, channels=6, dropout_rate=0.3)
+        pixels = random_pixels(np.random.default_rng(75), 6, 5)
+        rows = net.forward_passes(pixels, PassSeed(base, first), count)
+        assert rows.shape == (count, 3)
+        for k in range(count):
+            one = net.forward(pixels, Mode.MC, PassSeed(base, first + k))
+            assert rows[k].tobytes() == one.tobytes()
+
+    def test_bad_pass_runs_are_rejected(self):
+        net = build("g-net", seed=21, channels=4, dropout_rate=0.3)
+        rng = np.random.default_rng(76)
+        pixels, gts = rng.uniform(0.0, 1.0, (3, 6, 6, 3)), np.stack([unit(rng)] * 3)
+        past = re.escape(f"passes {2**64 - 2} to {2**64} must lie in [0, 2**64)")
+        with pytest.raises(ValueError, match=past):
+            net.forward_passes(pixels[0], PassSeed(5, 2**64 - 2), 3)
+        with pytest.raises(ValueError, match=past):
+            net.backward(pixels, gts, PassSeed(5, 2**64 - 2))
+        with pytest.raises(ValueError, match="count must be at least 1, got 0"):
+            net.forward_passes(pixels[0], PassSeed(5), 0)
 
     def test_extreme_keys_draw_without_warnings(self):
         """Keys at the top of the uint64 range wrap silently: no numpy
@@ -501,7 +541,7 @@ class TestMasks:
         seeds = [PassSeed(2**64 - 1, 2**63), PassSeed(2**64 - 1, 2**64 - 1), PassSeed(0, 2**63)]
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            rows = net.forward_passes(x, seeds)
+            rows = np.concatenate([net.forward_passes(x, seed, 1) for seed in seeds])
             for k, seed in enumerate(seeds):
                 assert net.forward(x, Mode.MC, seed).tobytes() == rows[k].tobytes()
         assert 0 < np.count_nonzero(rows[:, 0, 0]) < rows[:, 0, 0].size

@@ -150,6 +150,12 @@ class TestTrainingErrors:
         ):
             with pytest.raises(error, match="^learning_rate must be"):
                 TrainConfig(epochs=1, learning_rate=learning_rate, batch_size=4)
+        for base_seed, error in (
+            (2.5, TypeError), (-3, ValueError), (2**64, ValueError), ("x", TypeError),
+            (True, TypeError),
+        ):
+            with pytest.raises(error, match="^base_seed must"):
+                TrainConfig(epochs=1, base_seed=base_seed)
 
     @pytest.mark.parametrize("name", ["epochs", "batch_size"])
     @pytest.mark.parametrize("value", [2.5, True])
@@ -185,7 +191,7 @@ def reference_train(net, scenes, config):
             for idx in batch:
                 scene = scenes[idx]
                 (loss,), grads = net.backward(
-                    scene.pixels[None], scene.label[None], [PassSeed(pass_base, step)]
+                    scene.pixels[None], scene.label[None], PassSeed(pass_base, step)
                 )
                 step += 1
                 losses.append(loss)
@@ -241,34 +247,48 @@ def has_mallopt():
         return False
 
 
+def faults_per_step(n_scenes, size, epochs):
+    """Minor page faults per step of 8 when a fresh interpreter, after
+    generating ``n_scenes`` scenes in memory and one warm-up epoch,
+    trains a g-net for ``epochs`` more."""
+    pytest.importorskip("resource")
+    script = textwrap.dedent(f"""
+        import resource
+        from mcde.datagen import GenConfig, gen_dataset
+        from mcde.nn import TrainConfig, build, train
+        scenes = gen_dataset(GenConfig(n_scenes={n_scenes}, width={size}, height={size},
+                                       pool="band-a", base_seed=105)).scenes
+        net = build("g-net", seed=29, channels=12, dropout_rate=0.45)
+        train(net, scenes, TrainConfig(epochs=1, learning_rate=0.05, batch_size=8))
+        before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+        train(net, scenes, TrainConfig(epochs={epochs}, learning_rate=0.05, batch_size=8))
+        steps = {epochs * n_scenes // 8}
+        print((resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before) / steps)
+    """)
+    out = subprocess.run(
+        [sys.executable, "-c", script],
+        env={**os.environ, "PYTHONPATH": str(SRC)},
+        capture_output=True,
+        text=True,
+        check=True,
+    )
+    return float(out.stdout)
+
+
 class TestHeapPad:
     @pytest.mark.skipif(not has_mallopt(), reason="the C library has no mallopt")
     def test_training_steps_do_not_fault_the_heap_in_again(self):
         """In a fresh interpreter, after one warm-up epoch, 30 steps of a
         16x16 g-net on batches of 8 make almost no minor page faults;
         with the heap top trimmed after every step they made 150 each."""
-        pytest.importorskip("resource")
-        script = textwrap.dedent("""
-            import resource
-            from mcde.datagen import GenConfig, gen_dataset
-            from mcde.nn import TrainConfig, build, train
-            scenes = gen_dataset(GenConfig(n_scenes=240, width=16, height=16,
-                                           pool="band-a", base_seed=105)).scenes
-            net = build("g-net", seed=29, channels=12, dropout_rate=0.45)
-            config = TrainConfig(epochs=1, learning_rate=0.05, batch_size=8)
-            train(net, scenes, config)
-            before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
-            train(net, scenes, config)
-            print((resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before) / 30)
-        """)
-        out = subprocess.run(
-            [sys.executable, "-c", script],
-            env={**os.environ, "PYTHONPATH": str(SRC)},
-            capture_output=True,
-            text=True,
-            check=True,
-        )
-        assert float(out.stdout) < 10
+        assert faults_per_step(240, 16, 1) < 10
+
+    @pytest.mark.skipif(not has_mallopt(), reason="the C library has no mallopt")
+    def test_64x64_steps_after_in_memory_generation_do_not_fault(self):
+        """15 steps of a 64x64 g-net make almost no minor page faults;
+        with the mmap threshold frozen at 128 KiB by the heap pad, every
+        activation was mmapped afresh, 11,600 faults per step."""
+        assert faults_per_step(40, 64, 3) < 10
 
     def test_pad_is_a_no_op_without_mallopt(self, monkeypatch):
         """Where the C library has no mallopt (macOS, Windows), the pad
