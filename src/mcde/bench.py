@@ -172,9 +172,12 @@ class BenchReport:
     """Everything a report directory is rendered from.
 
     errors maps (method, metric) to per-sample error arrays aligned
-    with sample_ids; summary holds the corresponding ErrorStats; and
+    with sample_ids; summary holds the corresponding ErrorStats;
     uncertainties maps each trained member to its raw per-sample
-    uncertainty mu, aligned with sample_ids.
+    uncertainty mu, aligned with sample_ids; and loss_traces holds each
+    trained member's per-epoch mean training loss, keyed by (fold,
+    member) for ``crossval`` and by member for the scenario.  No report
+    file holds the traces.
     """
 
     config: dict
@@ -184,6 +187,7 @@ class BenchReport:
     errors: dict[tuple[str, str], np.ndarray]
     summary: dict[tuple[str, str], ErrorStats]
     uncertainties: dict[str, np.ndarray]
+    loss_traces: dict
 
 
 def _method_list(model_names) -> tuple[str, ...]:
@@ -228,7 +232,7 @@ def _evaluate_samples(models, scenes, sample_ids, nu, base_seed, sog_p):
     return errors, uncertainties
 
 
-def _report(echo: dict, model_names, batches) -> BenchReport:
+def _report(echo: dict, model_names, batches, loss_traces: dict) -> BenchReport:
     """One report from per-batch (errors, uncertainties), merged in order."""
     errors: dict[tuple[str, str], list[float]] = {}
     uncertainties: dict[str, list[float]] = {}
@@ -246,6 +250,7 @@ def _report(echo: dict, model_names, batches) -> BenchReport:
         errors=errors,
         summary={key: stats(values) for key, values in errors.items()},
         uncertainties={name: np.array(values) for name, values in uncertainties.items()},
+        loss_traces=loss_traces,
     )
 
 
@@ -265,6 +270,7 @@ def train_member(spec: TrainableSpec, scenes, init_seed: int, train_seed: int):
 
 
 def _run_fold(dataset: Dataset, config: BenchConfig, spans, fold_index: int):
+    """(errors, uncertainties) of the fold's samples, and member -> loss trace."""
     span = spans[fold_index]
     try:
         train_scenes = [
@@ -272,9 +278,9 @@ def _run_fold(dataset: Dataset, config: BenchConfig, spans, fold_index: int):
             for i, scene in enumerate(dataset.scenes)
             if i < span.start or i >= span.stop
         ]
-        models = []
+        models, traces = [], {}
         for spec in config.trainables:
-            net, _ = train_member(
+            net, traces[spec.name] = train_member(
                 spec,
                 train_scenes,
                 init_seed=derive_seed("fold-init", config.base_seed, fold_index, spec.name),
@@ -282,9 +288,10 @@ def _run_fold(dataset: Dataset, config: BenchConfig, spans, fold_index: int):
             )
             models.append((spec.name, net))
         eval_scenes = [dataset.scenes[i] for i in span]
-        return _evaluate_samples(
+        batch = _evaluate_samples(
             models, eval_scenes, list(span), config.nu, config.base_seed, config.sog_p
         )
+        return batch, traces
     except Exception as exc:
         raise RuntimeError(f"fold {fold_index} failed: {exc}") from exc
 
@@ -318,13 +325,19 @@ def crossval(dataset: Dataset, config: BenchConfig = BenchConfig()) -> BenchRepo
             initializer=_init_fold_worker,
             initargs=(dataset, config, spans),
         ) as pool:
-            batches = list(pool.map(_run_pooled_fold, range(len(spans))))
+            results = list(pool.map(_run_pooled_fold, range(len(spans))))
     else:
-        batches = [_run_fold(dataset, config, spans, i) for i in range(len(spans))]
+        results = [_run_fold(dataset, config, spans, i) for i in range(len(spans))]
+    traces = {
+        (i, name): trace
+        for i, (_, by_name) in enumerate(results)
+        for name, trace in by_name.items()
+    }
     echo = {"protocol": "cross-validation", "format_version": 1, **asdict(config)}
     del echo["workers"]  # does not change results
     echo.update(trainables=list(echo["trainables"]), dataset=asdict(dataset.config))
-    return _report(echo, [spec.name for spec in config.trainables], batches)
+    names = [spec.name for spec in config.trainables]
+    return _report(echo, names, [batch for batch, _ in results], traces)
 
 
 def _fmt(value: float) -> str:
@@ -472,6 +485,7 @@ def band_shift_scenario(config: ScenarioConfig = ScenarioConfig()) -> BenchRepor
             for band in bands
             for scene in _band_scenes(config, config.eval_per_band, band, "scenario-eval")
         ]
+        trained = list(trained)
         models = [(name, net) for name, (net, _) in zip(names, trained)]
     batch = _evaluate_samples(
         models,
@@ -482,4 +496,5 @@ def band_shift_scenario(config: ScenarioConfig = ScenarioConfig()) -> BenchRepor
         config.sog_p,
     )
     echo = {"protocol": "band-shift-scenario", "format_version": 1, **asdict(config)}
-    return _report(echo, names, [batch])
+    traces = {name: trace for name, (_, trace) in zip(names, trained)}
+    return _report(echo, names, [batch], traces)

@@ -22,9 +22,11 @@ from mcde.nn.network import PassSeed
 
 __all__ = ["MAX_NU", "MCEstimate", "mc_estimate"]
 
-# MC passes per model, about 30x the default.  mc_estimate draws one
-# mask row per pass and layer before the first pass runs, so an
-# unbounded nu could ask for gigabytes up front.
+# MC passes per model, about 30x the default.  Masks are drawn layer by
+# layer inside the one layer loop, and from the first Dropout on the
+# activations hold one row per pass: at nu=1000 and 64x64, g-net and
+# m-net peak at about 7 and 4 MB, but a spatial layer after a Dropout (only
+# in a network built in Python) at 0.8 GB, and an unbounded nu scales that.
 MAX_NU = 1000
 
 

@@ -30,7 +30,8 @@ def build(arch: str, seed: int = 0, channels: int = 12, dropout_rate: float = 0.
     """A stock network with weights drawn from ``seed``.
 
     Weights are uniform in [-s, s] with s = sqrt(6 / (fan_in + fan_out)),
-    one generator per layer index; biases are zero.
+    one generator per layer index, drawn in float64 and rounded to the
+    layers' float32; biases are zero.
     """
     check_member(arch, channels, dropout_rate)
     layers = [

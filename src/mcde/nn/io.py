@@ -11,10 +11,11 @@ Binary layout (all integers little-endian):
                      f carries the dropout rate; unused slots are 0)
     weight blobs     per layer: uint32 param count, then per param:
                      uint8 name length + ascii name, uint8 ndim,
-                     uint32 dims, raw float64 data (C order)
+                     uint32 dims, raw float32 data (<f4, C order)
 
-Weights round-trip bit-exactly.  Loading checks every layer record
-before it builds a layer, so a malformed header fails with
+Format version 2 stores float32 parameters; version 1 stored float64 and
+is rejected.  Weights round-trip bit-exactly.  Loading checks every
+layer record before it builds a layer, so a malformed header fails with
 ModelFormatError instead of a large allocation.  The sidecar at
 ``<path>.json`` describes the architecture and, when provided, the
 training config and loss trace; it is documentation, the binary alone
@@ -32,6 +33,7 @@ from pathlib import Path
 import numpy as np
 
 from mcde.nn.layers import (
+    PARAM_DTYPE,
     Affine,
     Conv3x3,
     Dropout,
@@ -45,7 +47,7 @@ from mcde.nn.network import Network
 __all__ = ["ModelFormatError", "save_network", "load_network", "FORMAT_VERSION"]
 
 MAGIC = b"MCDENET1"
-FORMAT_VERSION = 1
+FORMAT_VERSION = 2
 
 # Kind code -> (layer class, the constructor fields that the record's
 # a, b and f slots hold; None marks an unused slot, written as 0).  The
@@ -102,7 +104,7 @@ def save_network(net: Network, path, training: dict | None = None, loss_trace=No
             names = sorted(layer.params)
             fh.write(struct.pack("<I", len(names)))
             for name in names:
-                arr = np.ascontiguousarray(layer.params[name], dtype="<f8")
+                arr = np.ascontiguousarray(layer.params[name], dtype="<f4")
                 encoded = name.encode("ascii")
                 fh.write(struct.pack("<B", len(encoded)))
                 fh.write(encoded)
@@ -183,7 +185,7 @@ def _check_records(records, remaining: int) -> list:
             channels = kwargs["c_out"]
             channel_layer = i
             shapes = cls.param_shapes(**kwargs).values()
-            param_bytes += 8 * sum(math.prod(shape) for shape in shapes)
+            param_bytes += 4 * sum(math.prod(shape) for shape in shapes)
             if param_bytes > remaining:
                 raise ModelFormatError(
                     f"truncated model file: the parameters of layers 0-{i} need "
@@ -243,8 +245,9 @@ def load_network(path) -> Network:
                     raise ModelFormatError(
                         f"parameter {name!r} of layer {i} does not fit its layer record"
                     )
-                data = _read(fh, 8 * held.size)
-                layer.params[name] = np.frombuffer(data, dtype="<f8").reshape(shape).copy()
+                data = _read(fh, 4 * held.size)
+                param = np.frombuffer(data, dtype="<f4").reshape(shape)
+                layer.params[name] = param.astype(PARAM_DTYPE)
         if fh.read(1):
             raise ModelFormatError("trailing bytes after weight blobs")
     return Network(layers, arch=arch)

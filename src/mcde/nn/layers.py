@@ -1,8 +1,13 @@
 """Layer primitives with plain numpy forward/backward pairs.
 
-Activations are float64 with one leading row axis, one image or MC pass
-per row: channels-last (R, H, W, C) maps and pooled (R, C) vectors.  Row
-k of a forward is bit for bit the forward of row k alone.  Every layer
+Parameters are float32, and a layer computes in the dtype of its input,
+which ``Network`` casts to its parameters' dtype: float32 for every built
+or loaded network, float64 for a test's float64 copy.  Only
+``PositiveHead`` computes in float64 whatever its input, so the estimate
+and the loss are float64.  Activations carry one leading row axis, one
+image or MC pass per row: channels-last (R, H, W, C) maps and pooled
+(R, C) vectors.  Row k of a forward is bit for bit the forward of row k
+alone.  Every layer
 has ``forward(x) -> (y, cache)`` and ``backward(dy, cache, need_dx=True)
 -> (dx, grads)``, with ``grads`` keyed like ``params`` and holding one
 gradient per row, (R, *param shape), which ``Network.backward`` sums in
@@ -31,6 +36,11 @@ __all__ = [
     "PositiveHead",
 ]
 
+# The dtype every layer allocates its parameters in.  ``init`` draws in
+# float64 and rounds, so the weights come from the same random stream
+# whatever this is.
+PARAM_DTYPE = np.float32
+
 
 class Conv3x3:
     """3x3 same-padding convolution, stride 1, channels-last."""
@@ -44,19 +54,20 @@ class Conv3x3:
     def __init__(self, c_in: int, c_out: int):
         self.c_in = c_in
         self.c_out = c_out
-        self.params = {k: np.zeros(v) for k, v in self.param_shapes(c_in, c_out).items()}
+        self.params = _zeros(self.param_shapes(c_in, c_out))
 
     def init(self, rng: np.random.Generator) -> None:
         span = np.sqrt(6.0 / (9 * self.c_in + 9 * self.c_out))
-        self.params["W"] = rng.uniform(-span, span, (3, 3, self.c_in, self.c_out))
-        self.params["b"] = np.zeros(self.c_out)
+        shape = (3, 3, self.c_in, self.c_out)
+        self.params["W"] = rng.uniform(-span, span, shape).astype(PARAM_DTYPE)
+        self.params["b"] = np.zeros(self.c_out, PARAM_DTYPE)
 
     def forward(self, x):
         *lead, h, w, _ = x.shape
-        xp = np.zeros((*lead, h + 2, w + 2, self.c_in))
+        xp = np.zeros((*lead, h + 2, w + 2, self.c_in), x.dtype)
         xp[..., 1:-1, 1:-1, :] = x
         weight = self.params["W"]
-        y = np.broadcast_to(self.params["b"], (*lead, h, w, self.c_out)).copy()
+        y = np.full((*lead, h, w, self.c_out), self.params["b"], x.dtype)
         for ki in range(3):
             for kj in range(3):
                 y += xp[..., ki : ki + h, kj : kj + w, :] @ weight[ki, kj]
@@ -66,7 +77,7 @@ class Conv3x3:
         xp = cache
         n, h, w, _ = dy.shape
         weight = self.params["W"]
-        d_weight = np.empty((n, *weight.shape))
+        d_weight = np.empty((n, *weight.shape), xp.dtype)
         dy_rows = dy.reshape(n, -1, self.c_out)
         for ki in range(3):
             for kj in range(3):
@@ -98,12 +109,12 @@ class Affine:
     def __init__(self, c_in: int, c_out: int):
         self.c_in = c_in
         self.c_out = c_out
-        self.params = {k: np.zeros(v) for k, v in self.param_shapes(c_in, c_out).items()}
+        self.params = _zeros(self.param_shapes(c_in, c_out))
 
     def init(self, rng: np.random.Generator) -> None:
         span = np.sqrt(6.0 / (self.c_in + self.c_out))
-        self.params["W"] = rng.uniform(-span, span, (self.c_in, self.c_out))
-        self.params["b"] = np.zeros(self.c_out)
+        self.params["W"] = rng.uniform(-span, span, (self.c_in, self.c_out)).astype(PARAM_DTYPE)
+        self.params["b"] = np.zeros(self.c_out, PARAM_DTYPE)
 
     def forward(self, x):
         return _per_row(x, self.params["W"]) + self.params["b"], x
@@ -113,6 +124,10 @@ class Affine:
         dy_rows = dy.reshape(len(dy), -1, self.c_out)
         dx = _per_row(dy, self.params["W"].T) if need_dx else None
         return dx, {"W": x_rows.transpose(0, 2, 1) @ dy_rows, "b": dy_rows.sum(axis=1)}
+
+
+def _zeros(shapes) -> dict[str, np.ndarray]:
+    return {name: np.zeros(shape, PARAM_DTYPE) for name, shape in shapes.items()}
 
 
 def _per_row(x, matrix):
@@ -175,13 +190,14 @@ class MaxPool:
         if not need_dx:
             return None, {}
         shape, idx = cache
-        dflat = np.zeros((*shape[:-3], shape[-3] * shape[-2], shape[-1]))
+        dflat = np.zeros((*shape[:-3], shape[-3] * shape[-2], shape[-1]), dy.dtype)
         np.put_along_axis(dflat, idx[..., None, :], dy[..., None, :], axis=-2)
         return dflat.reshape(shape), {}
 
 
 class Dropout:
-    """Inverted dropout: kept units are scaled by 1/(1-rate).
+    """Inverted dropout: kept units are scaled by 1/(1-rate), rounded to
+    the input's dtype.
 
     ``forward`` takes the keep mask, already shaped by ``Network`` to
     broadcast against ``x``: per channel on spatial maps (one Bernoulli
@@ -201,7 +217,7 @@ class Dropout:
     def forward(self, x, keep=None):
         if keep is None:
             return x, None
-        scale = keep / (1.0 - self.rate)
+        scale = np.multiply(keep, 1.0 / (1.0 - self.rate), dtype=x.dtype)
         return x * scale, scale
 
     def backward(self, dy, cache, need_dx=True):
@@ -213,11 +229,13 @@ class Dropout:
 class PositiveHead:
     """Maps raw scores to a strictly positive unit direction.
 
-    exp then L2 normalization.  The exponent is shifted by the max
-    component (the output is invariant to that shift) and floored at
-    -700 so every output component stays strictly positive for any
-    finite input; the floor only engages for astronomically dominated
-    components and carries no gradient.
+    exp then L2 normalization, in float64 whatever the input's dtype:
+    the estimate and the loss are float64, and ``dx`` comes back in the
+    input's dtype.  The exponent is shifted by the max component (the
+    output is invariant to that shift) and floored at -700 so every
+    output component stays strictly positive for any finite input; the
+    floor only engages for astronomically dominated components and
+    carries no gradient.
     """
 
     kind = "positive-head"
@@ -226,15 +244,15 @@ class PositiveHead:
         self.params = {}
 
     def forward(self, x):
-        shifted = x - x.max(axis=-1, keepdims=True)
+        shifted = np.subtract(x, x.max(axis=-1, keepdims=True), dtype=np.float64)
         e = np.exp(np.maximum(shifted, -700.0))
         norm = np.linalg.norm(e, axis=-1, keepdims=True)
         y = e / norm
-        return y, (e, y, norm)
+        return y, (e, y, norm, x.dtype)
 
     def backward(self, dy, cache, need_dx=True):
         if not need_dx:
             return None, {}
-        e, y, norm = cache
+        e, y, norm, dtype = cache
         radial = np.sum(y * dy, axis=-1, keepdims=True)
-        return e * (dy - y * radial) / norm, {}
+        return (e * (dy - y * radial) / norm).astype(dtype, copy=False), {}

@@ -8,16 +8,18 @@ from enum import Enum
 import numpy as np
 
 from mcde._check import check_int
-from mcde.nn.layers import Dropout, MaxPool, MeanPool
+from mcde.nn.layers import PARAM_DTYPE, Dropout, MaxPool, MeanPool
 
 __all__ = ["Mode", "Network", "NumericError", "PassSeed", "cosine_loss"]
 
-# Network.backward runs a mini-batch in blocks of rows whose float64 pixels
-# fit in about this many bytes: 16x16 batches of 8 run whole, 64x64 images
-# one by one.  With the heap set up as ``train`` sets it, neither way faults,
-# and 64x64 training took 0.83 (g-net) and 0.71 ms (m-net) per image one by
-# one against 1.21 and 1.05 ms in whole batches of 8, peaking at 40 against
-# 52 MiB (2-core VM, one thread, 3 runs each).
+# Network.backward runs a mini-batch in blocks of rows whose pixels, in the
+# parameters' dtype, fit in about this many bytes: float32 16x16 batches of
+# 8 run whole, 64x64 images (48 KiB) one by one.  With the heap set up as
+# ``train`` sets it, neither way faults, and 64x64 training took 1.09-1.38
+# (g-net) and 0.94-1.16 ms (m-net) per image one by one against 1.04-1.31
+# and 0.88-1.01 ms in whole batches of 8, peaking at 39 against 44-45 MiB
+# (2-core VM, one thread, 5 runs each): a gain inside the spread, for 15%
+# more peak.
 _BLOCK_BYTES = 64 * 1024
 
 # Mask keys are numpy uint64 arrays, which wrap mod 2**64 by themselves,
@@ -66,6 +68,15 @@ class PassSeed:
                 object.__setattr__(self, name, value)
             if not 0 <= value < _KEY_LIMIT:
                 raise ValueError(f"{name} must lie in [0, 2**64), got {value}")
+
+
+def _check_passes(seed: PassSeed, count) -> None:
+    """Keys are uint64: passes ``seed.pass_index`` to ``+ count - 1`` must
+    end by 2**64 - 1."""
+    check_int("count", count, 1)
+    if seed.pass_index + count > _KEY_LIMIT:
+        last = seed.pass_index + count - 1
+        raise ValueError(f"passes {seed.pass_index} to {last} must lie in [0, 2**64)")
 
 
 class Mode(Enum):
@@ -130,13 +141,20 @@ class Network:
         out, _ = self._run(self._images(np.asarray(pixels)[None]), seed, count)
         return out if len(out) == count else np.repeat(out, count, axis=0)
 
+    def _dtype(self):
+        """The dtype of the parameters, which every layer computes in
+        (``PARAM_DTYPE`` for a network without any)."""
+        dtypes = (p.dtype for layer in self.layers for p in layer.params.values())
+        return next(dtypes, np.dtype(PARAM_DTYPE))
+
     def _images(self, pixels) -> np.ndarray:
-        """``pixels`` as float64, checked to stack non-empty (H, W, c_in) images.
+        """``pixels`` in ``_dtype()``, checked to stack non-empty (H, W, c_in)
+        images: float32 pixels into a float32 network are not copied.
 
         ``c_in`` comes from the first layer that has one, if any.  A
         network without layers is the identity and takes any array.
         """
-        x = np.asarray(pixels, dtype=np.float64)
+        x = np.asarray(pixels, dtype=self._dtype())
         if not self.layers:
             return x
         c_in = next((layer.c_in for layer in self.layers if hasattr(layer, "c_in")), None)
@@ -181,11 +199,8 @@ class Network:
         g-net builds no (ν, H, W, C) array.  A channel no pass keeps is
         dropped in both, so the checks stay exact.
         """
-        if seed is not None:  # keys are uint64: the passes must end by 2**64 - 1
-            check_int("count", count, 1)
-            if seed.pass_index + count > _KEY_LIMIT:
-                last = seed.pass_index + count - 1
-                raise ValueError(f"passes {seed.pass_index} to {last} must lie in [0, 2**64)")
+        if seed is not None:
+            _check_passes(seed, count)
         caches, dropped = [], None
         for i, (layer, after) in enumerate(zip(self.layers, [*self.layers[1:], None])):
             keep = self._keeps(i, seed, count, x.shape[-1])
@@ -209,18 +224,21 @@ class Network:
 
         Image k of ``pixels`` (a list or a stacked array), with label
         ``gts[k]``, runs under pass ``seed.pass_index + k``'s masks, in
-        blocks of rows that fit in ``_BLOCK_BYTES``: only a block is copied
-        to float64.  ``grads`` parallels ``layers``: name -> the images'
-        gradients summed in image order, so the bytes do not depend on the
-        blocks.  Nothing consumes the gradient with respect to the pixels,
-        so layer 0 is asked not to compute it (``need_dx=False``).
+        blocks of rows whose pixels, in the parameters' dtype, fit in
+        ``_BLOCK_BYTES``: only a block is stacked.  The whole batch's
+        pass range is checked before the first block.  ``grads``
+        parallels ``layers``: name -> the images' gradients summed in
+        image order, so the bytes do not depend on the blocks.  Nothing
+        consumes the gradient with respect to the pixels, so layer 0 is
+        asked not to compute it (``need_dx=False``).
         """
         if not len(pixels):
             raise ValueError("backward needs at least one image")
         if len(gts) != len(pixels):
             raise ValueError(f"one label per image: got {len(gts)} for {len(pixels)} images")
+        _check_passes(seed, len(pixels))
         gts = np.asarray(gts, dtype=np.float64)
-        image_bytes = 8 * np.size(pixels[0])  # as float64; _images checks each block
+        image_bytes = self._dtype().itemsize * np.size(pixels[0])  # _images checks each block
         step = max(1, _BLOCK_BYTES // max(image_bytes, 1))
         losses, per_row = [], [[] for _ in self.layers]
         for r in range(0, len(pixels), step):

@@ -15,14 +15,15 @@ from mcde.seeding import derive_seed
 __all__ = ["TrainConfig", "TrainingError", "train"]
 
 # glibc hands the freed top of its heap back to the kernel after each
-# mini-batch step, and the next step faults the same pages in again:
-# 150 minor faults per 16x16 step of 8, 405k per band-shift member.
+# mini-batch step, and the next step faults the same pages in again.
 # ``_pad_heap`` keeps this much slack at the top instead.  M_TOP_PAD also
 # freezes glibc's dynamic mmap threshold (glibc 2.36 malloc.c's
 # ``do_set_top_pad`` sets ``mp_.no_dyn_threshold``), after in-memory
-# generation at 128 KiB: each 64x64 activation was then mmapped and faulted
-# in anew, 11,600 faults per step of 8.  So the threshold is set too, to its
-# 64-bit maximum.  MALLOC_*_ variables are read before Python starts.
+# generation at 128 KiB, below a 64x64 activation, which would then be
+# mmapped and faulted in anew on every call.  So the threshold is set too,
+# to its 64-bit maximum.  A 64x64 step of 8 faults 1,280 times without the
+# two settings and none with them.  MALLOC_*_ variables are read before
+# Python starts.
 _M_TOP_PAD, _M_MMAP_THRESHOLD = -2, -3
 _HEAP_TOP_PAD = 64 * 1024 * 1024
 _MMAP_THRESHOLD = 32 * 1024 * 1024
@@ -62,11 +63,12 @@ def train(net: Network, scenes, config: TrainConfig):
     """SGD without momentum on same-shaped scenes, one backward per mini-batch.
 
     Each step subtracts ``lr / len(batch)`` times the batch's gradient,
-    summed in sample order.  Scenes are visited in a per-epoch shuffled
-    order derived from the base seed, and each sample's dropout masks
-    come from its position in the whole run, so identical (network,
-    data, config) runs produce bit-identical weights.  Returns (net,
-    per-epoch mean loss trace); the network is updated in place.
+    summed in sample order, in the parameters' float32.  Scenes are
+    visited in a per-epoch shuffled order derived from the base seed, and
+    each sample's dropout masks come from its position in the whole run,
+    so identical (network, data, config) runs produce bit-identical
+    weights.  Returns (net, per-epoch mean loss trace); the network is
+    updated in place.
     """
     _pad_heap()
     scenes = list(scenes)

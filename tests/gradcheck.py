@@ -3,8 +3,13 @@
 Numeric gradients use symmetric differences with step 1e-5.  A value
 passes when its absolute error is below 1e-8 (covers gradients that
 are exactly zero, e.g. dropped units) or its relative error
-|a - n| / (|a| + |n|) is below 1e-4.
+|a - n| / (|a| + |n|) is below 1e-4.  Differences at that step need
+float64, and every layer and network the library builds is float32, so
+both checks run on ``float64_copy`` of what they are given: the same
+layer code, computing in float64.
 """
+
+import copy
 
 import numpy as np
 
@@ -27,6 +32,14 @@ def assert_grads_close(analytic, numeric, what: str) -> None:
     )
 
 
+def float64_copy(obj):
+    """A deep copy of a layer or a ``Network`` with float64 parameters."""
+    out = copy.deepcopy(obj)
+    for layer in getattr(out, "layers", [out]):
+        layer.params = {name: p.astype(np.float64) for name, p in layer.params.items()}
+    return out
+
+
 def check_layer(layer, x, keep=None) -> None:
     """Compare a layer's backward pass against finite differences.
 
@@ -36,6 +49,7 @@ def check_layer(layer, x, keep=None) -> None:
     in all evaluations.  ``x`` is one row: the check adds the leading
     row axis that layers take.
     """
+    layer = float64_copy(layer)
     x = np.asarray(x, dtype=np.float64)[None]
     mask = () if keep is None else (keep,)
 
@@ -85,6 +99,7 @@ def check_network(net, pixels, gt, seed: PassSeed) -> None:
     Dropout masks depend only on the pass seed and layer index, so
     every finite-difference evaluation replays the same masks.
     """
+    net = float64_copy(net)
     pixels = np.asarray(pixels, dtype=np.float64)
     gt = np.asarray(gt, dtype=np.float64)
     _, grads = net.backward(pixels[None], gt[None], seed)

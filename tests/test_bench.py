@@ -198,6 +198,22 @@ class TestCrossval:
             np.testing.assert_array_equal(a.errors[key], b.errors[key])
             np.testing.assert_array_equal(a.errors[key], c.errors[key])
 
+    def test_loss_traces_per_fold_and_member(self, tmp_path):
+        """One trace of ``epochs`` losses per fold and member, the same
+        for one worker and two; no report file holds them."""
+        dataset = gen_dataset(GenConfig(n_scenes=6, width=8, height=8, base_seed=306))
+        one = crossval(dataset, tiny_config())
+        two = crossval(dataset, tiny_config(workers=2))
+        assert list(one.loss_traces) == [(0, "g-net"), (0, "m-net"), (1, "g-net"), (1, "m-net")]
+        for trace in one.loss_traces.values():
+            assert len(trace) == 2 and np.all(np.isfinite(trace))
+        assert one.loss_traces == two.loss_traces
+        write_report(one, tmp_path / "one")
+        one.loss_traces = {}
+        write_report(one, tmp_path / "none")
+        for path in (tmp_path / "one").iterdir():
+            assert path.read_bytes() == (tmp_path / "none" / path.name).read_bytes()
+
     @pytest.mark.skipif(
         multiprocessing.get_start_method() != "fork",
         reason="only forked workers inherit the dataset",
@@ -527,13 +543,14 @@ class TestBandShiftScenario:
                     base_seed=derive_seed("scenario-train", config.seed, band),
                 )
             ).scenes
-            net, _ = bench.train_member(
+            net, trace = bench.train_member(
                 spec,
                 scenes,
                 init_seed=derive_seed("scenario-init", config.seed, name),
                 train_seed=derive_seed("scenario-train-loop", config.seed, name),
             )
             reference.append((name, net))
+            assert report.loss_traces[name] == trace
 
         assert [name for name, _ in models] == [name for name, _ in reference]
         for (_, net), (_, ref) in zip(models, reference):

@@ -299,9 +299,10 @@ class TestPrefixSharing:
     def test_overflowing_kept_channel_names_the_dropout(self, arch, layer):
         """A finite channel that the kept scale 1/(1-rate) overflows is
         caught right after the Dropout, with the same warnings as the
-        whole-stack forwards give."""
+        whole-stack forwards give.  The network is float32, whose largest
+        finite value is 3.40e38."""
         net = build(arch, seed=105, channels=4, dropout_rate=0.3)
-        net.layers[0].params["b"][1] = 1.5e308
+        net.layers[0].params["b"][1] = 3.0e38
         pixels = np.random.default_rng(106).uniform(0.0, 1.0, (6, 6, 3))
         match = rf"after layer {layer} \(dropout\)"
         with pytest.warns(RuntimeWarning, match="overflow") as want:

@@ -55,6 +55,15 @@ class TestRoundTrip:
             for name in a.params:
                 np.testing.assert_array_equal(a.params[name], b.params[name])
 
+    def test_parameters_load_as_the_saved_float32(self, trained_net, tmp_path):
+        net, _ = trained_net
+        path = tmp_path / "model.net"
+        save_network(net, path)
+        for a, b in zip(net.layers, load_network(path).layers):
+            for name, param in a.params.items():
+                assert param.dtype == b.params[name].dtype == np.float32
+                assert param.tobytes() == b.params[name].tobytes()
+
     def test_dropout_rate_survives(self, trained_net, tmp_path):
         net, _ = trained_net
         path = tmp_path / "model.net"
@@ -90,13 +99,13 @@ class TestRoundTrip:
         [
             (
                 "g-net",
-                "3ec0237062d0955ec85a124773720448045434de46e9cfb791b751e2582bf7bc",
-                "b70dde6dae634c7eaa2d3b1a60f18f3d99cad461fe3b0e3a331bacfb8f1ae384",
+                "e98bfd5926d6539a4e9f9bd9de8a6bd8fa04582c5de9dc7b7fb7749545e64f40",
+                "42178edf50c437e5ceeaa3b6fb27329421405d973e136e675cf13edcb58629ad",
             ),
             (
                 "m-net",
-                "92400d71e3490a8e99416e7c2523db5b3472440be34e47fa73cfd81996fa6664",
-                "4de3cd7385db903fb13bd3c8cf38fb54b2fe89f1f9367d9087777558d7f40782",
+                "0ee127c9b8bff407c6553a795ac986e1914ca3a2e36636444be774bf70e31234",
+                "df9506a07dc88b18788d198a90f55c0ee49524358dbb74d6284537483c70a0ee",
             ),
         ],
     )
@@ -154,6 +163,17 @@ class TestFormatErrors:
         blob[8] = 99
         path.write_bytes(bytes(blob))
         with pytest.raises(ModelFormatError, match="version"):
+            load_network(path)
+
+    def test_version_1_is_refused_by_name(self, tmp_path):
+        """Version 1 held float64 parameters; a float32 network cannot
+        come back from it bit for bit."""
+        path = self._saved(tmp_path)
+        blob = bytearray(path.read_bytes())
+        blob[8:12] = struct.pack("<I", 1)
+        path.write_bytes(bytes(blob))
+        message = r"^unsupported container version 1 \(expected 2\)$"
+        with pytest.raises(ModelFormatError, match=message):
             load_network(path)
 
     def test_truncated_file(self, tmp_path):
@@ -304,7 +324,7 @@ class TestStructureChecks:
 
     def test_parameters_beyond_the_file_are_not_allocated(self, tmp_path):
         """A conv(3 -> 100000) record in a ~100 byte file would need
-        22.4 MB of parameters; it is rejected as truncated before
+        11.2 MB of float32 parameters; it is rejected as truncated before
         anything that size is allocated."""
         arch = b"custom"
         blob = b"".join([
@@ -321,7 +341,7 @@ class TestStructureChecks:
         assert len(blob) < 120
         tracemalloc.start()
         try:
-            with pytest.raises(ModelFormatError, match="layers 0-0 need 22400000 bytes"):
+            with pytest.raises(ModelFormatError, match="layers 0-0 need 11200000 bytes"):
                 load_network(path)
             _, peak = tracemalloc.get_traced_memory()
         finally:

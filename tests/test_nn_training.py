@@ -133,7 +133,7 @@ class TestTrainingErrors:
         net = build("g-net", seed=27, channels=5, dropout_rate=0.0)
         with pytest.raises(TrainingError, match="epoch"):
             train(
-                net, scenes, TrainConfig(epochs=50, learning_rate=1e300, base_seed=2)
+                net, scenes, TrainConfig(epochs=50, learning_rate=1e30, base_seed=2)
             )
 
     def test_config_validation(self):
