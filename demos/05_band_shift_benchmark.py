@@ -13,7 +13,7 @@ summary table plus the uncertainty signal that makes it work.
 
 import numpy as np
 
-from mcde.bench import ScenarioConfig, band_shift_scenario, write_report
+from mcde.bench import SCENARIO_MEMBERS, ScenarioConfig, band_shift_scenario, write_report
 
 config = ScenarioConfig(eval_per_band=60, nu=15)
 report = band_shift_scenario(config)
@@ -26,14 +26,14 @@ for method in report.methods:
     s = report.summary[(method, "recovery")]
     print(f"{method:>16} {s.mean:7.2f} {s.median:7.2f} {s.worst25_mean:8.2f}")
 
-# Why it works: the first half of the sample ids are band-a scenes,
-# home to the first member (g-net), and the second half band-b, home
-# to the second (m-net).  Each member's total uncertainty mu is
-# markedly larger on foreign scenes.
-half = len(report.sample_ids) // 2
-for k, name in enumerate(report.model_names):
+# Why it works: SCENARIO_MEMBERS pairs each member with its home band,
+# and the evaluation set holds eval_per_band scenes of each band, in
+# the table's order.  Each member's total uncertainty mu is markedly
+# larger on foreign scenes.
+sample_band = np.repeat([band for _, band in SCENARIO_MEMBERS], config.eval_per_band)
+for name, (_, band) in zip(report.model_names, SCENARIO_MEMBERS):
     mu = report.uncertainties[name]
-    home, away = (mu[:half], mu[half:]) if k == 0 else (mu[half:], mu[:half])
+    home, away = mu[sample_band == band], mu[sample_band != band]
     print(f"\n{name}: median mu at home {np.median(home):.2e}, "
           f"abroad {np.median(away):.2e} "
           f"(ratio {np.median(away) / np.median(home):.1f}x)")

@@ -33,7 +33,7 @@ from __future__ import annotations
 
 import json
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import asdict, astuple, dataclass, fields, replace
+from dataclasses import asdict, astuple, dataclass, fields
 from functools import partial
 from pathlib import Path
 
@@ -58,6 +58,7 @@ __all__ = [
     "BenchReport",
     "crossval",
     "write_report",
+    "SCENARIO_MEMBERS",
     "ScenarioConfig",
     "band_shift_scenario",
 ]
@@ -384,24 +385,27 @@ def write_report(report: BenchReport, out_dir) -> None:
     _write_csv(out / "uncertainty_per_sample.csv", ["sample", "method", "mu"], mu_rows)
 
 
+# The scenario's members, each an architecture and the illuminant band
+# it trains on.  The evaluation set is the bands' scenes in this order.
+SCENARIO_MEMBERS = (("g-net", "band-a"), ("m-net", "band-b"))
+
+
 @dataclass(frozen=True)
 class ScenarioConfig:
     """Domain-shift scenario: each member sees only one illuminant band.
 
-    g-net trains on blue-shifted scenes, m-net on red-shifted ones, and
-    both are evaluated on a mixed set drawn from the union of the two
-    bands.  Off-band inputs make a member's dropout passes disagree,
-    so the fusion can lean on whichever member is at home.
+    g-net trains on blue-shifted scenes, m-net on red-shifted ones (the
+    rows of ``SCENARIO_MEMBERS``), and both are evaluated on a mixed set
+    drawn from the union of the two bands.  Scenes have ``GenConfig``'s
+    default size, patches and noise.  Off-band inputs make a member's
+    dropout passes disagree, so the fusion can lean on whichever member
+    is at home.
     """
 
     seed: int = 7
     eval_per_band: int = 200
     train_per_band: int = 360
     nu: int = 30
-    width: int = 16
-    height: int = 16
-    n_patches: int = 25
-    noise_std: float = 0.01
     channels: int = 12
     dropout_rate: float = 0.45
     epochs: int = 60
@@ -415,9 +419,11 @@ class ScenarioConfig:
         check_int("eval_per_band", self.eval_per_band, 1)
         check_int("train_per_band", self.train_per_band, 1)
         check_int("seed", self.seed, 0, 2**64 - 1)
-        # Built here so that their own checks run before any member
-        # trains; attributes, not fields, so the config echo omits them.
-        specs = tuple(
+        self.specs()  # a bad member fails here, before any member trains
+
+    def specs(self) -> tuple[TrainableSpec, ...]:
+        """One member per row of ``SCENARIO_MEMBERS``, with this config's training fields."""
+        return tuple(
             TrainableSpec(
                 name=arch,
                 arch=arch,
@@ -427,27 +433,13 @@ class ScenarioConfig:
                 learning_rate=self.learning_rate,
                 batch_size=self.batch_size,
             )
-            for arch in ("g-net", "m-net")
+            for arch, _ in SCENARIO_MEMBERS
         )
-        scene_config = GenConfig(
-            n_scenes=self.train_per_band,
-            width=self.width,
-            height=self.height,
-            n_patches=self.n_patches,
-            noise_std=self.noise_std,
-        )
-        object.__setattr__(self, "specs", specs)
-        object.__setattr__(self, "scene_config", scene_config)
 
 
 def _band_scenes(config: ScenarioConfig, n_scenes: int, band: str, purpose: str):
-    scene_config = replace(
-        config.scene_config,
-        n_scenes=n_scenes,
-        pool=band,
-        base_seed=derive_seed(purpose, config.seed, band),
-    )
-    return gen_dataset(scene_config).scenes
+    seed = derive_seed(purpose, config.seed, band)
+    return gen_dataset(GenConfig(n_scenes=n_scenes, pool=band, base_seed=seed)).scenes
 
 
 def _train_scenario_member(config: ScenarioConfig, spec: TrainableSpec, band: str):
@@ -477,9 +469,10 @@ def band_shift_scenario(config: ScenarioConfig = ScenarioConfig()) -> BenchRepor
     evaluation.  Every seed is fixed by the config, so the report is
     the same, bit for bit, as training the members one after the other.
     """
-    names, bands = [spec.name for spec in config.specs], ("band-a", "band-b")
+    specs, bands = config.specs(), [band for _, band in SCENARIO_MEMBERS]
+    names = [spec.name for spec in specs]
     with ProcessPoolExecutor(max_workers=len(names)) as pool:
-        trained = pool.map(partial(_train_scenario_member, config), config.specs, bands)
+        trained = pool.map(partial(_train_scenario_member, config), specs, bands)
         eval_scenes = [
             scene
             for band in bands
@@ -496,5 +489,6 @@ def band_shift_scenario(config: ScenarioConfig = ScenarioConfig()) -> BenchRepor
         config.sog_p,
     )
     echo = {"protocol": "band-shift-scenario", "format_version": 1, **asdict(config)}
+    echo["members"] = [list(member) for member in SCENARIO_MEMBERS]
     traces = {name: trace for name, (_, trace) in zip(names, trained)}
     return _report(echo, names, [batch], traces)

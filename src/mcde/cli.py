@@ -19,6 +19,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from dataclasses import asdict
 from pathlib import Path
 
 import numpy as np
@@ -30,6 +31,7 @@ from mcde.color import apply_von_kries, recovery_error, reproduction_error
 from mcde.datagen import POOLS, DatasetFormatError, GenConfig
 from mcde.mc import MAX_NU
 from mcde.nn import ARCHITECTURES, ModelFormatError, load_network, save_network
+from mcde.nn.training import MAX_LEARNING_RATE
 from mcde.seeding import derive_seed
 
 __all__ = ["main"]
@@ -66,7 +68,7 @@ def _span(text: str) -> tuple[int, int]:
         raise argparse.ArgumentTypeError(
             f"expected start:stop, got {text!r}"
         ) from None
-    if start < 0 or stop < start:
+    if start < 0 or stop <= start:
         raise argparse.ArgumentTypeError(f"bad range {text!r}")
     return start, stop
 
@@ -177,20 +179,22 @@ def _cmd_train(args) -> int:
     scenes = dataset.scenes
     subset = args.subset
     if subset is not None:
-        scenes = scenes[subset[0] : subset[1]]
+        start, stop = subset
+        if stop > len(scenes):
+            raise IndexError(
+                f"scene range {start}:{stop} out of range "
+                f"(dataset has {len(scenes)} scenes)"
+            )
+        scenes = scenes[start:stop]
+    spec = _trainable(args, args.arch)
     net, trace = train_member(
-        _trainable(args, args.arch),
+        spec,
         scenes,
         init_seed=derive_seed("init", args.seed, args.arch),
         train_seed=derive_seed("train", args.seed, args.arch),
     )
     training_meta = {
-        "arch": args.arch,
-        "channels": args.channels,
-        "dropout": args.dropout,
-        "epochs": args.epochs,
-        "learning_rate": args.lr,
-        "batch_size": args.batch_size,
+        **asdict(spec),
         "seed": args.seed,
         "data": str(args.data),
         "subset": list(subset) if subset is not None else None,
@@ -293,7 +297,7 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
 
 def _add_training(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--epochs", type=_flag(check_int, 0), default=30)
-    parser.add_argument("--lr", type=_flag(check_real, 0.0), default=0.05)
+    parser.add_argument("--lr", type=_flag(check_real, 0.0, MAX_LEARNING_RATE), default=0.05)
     parser.add_argument("--batch-size", type=_flag(check_int, 1), default=8)
     parser.add_argument("--channels", type=_flag(check_int, 1), default=12)
     parser.add_argument("--dropout", type=_flag(check_real, 0.0, 1.0), default=0.3)

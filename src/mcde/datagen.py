@@ -193,7 +193,8 @@ _MANIFEST_FIELDS = {
 
 
 def load(path) -> Dataset:
-    """Read a dataset directory back, verifying checksums and sizes."""
+    """Read a dataset directory back, verifying checksums, sizes, and the
+    scene count, pixel shape and pixel dtype that its config implies."""
     root = Path(path)
     manifest_path = root / "manifest.json"
     if not manifest_path.is_file():
@@ -217,6 +218,17 @@ def load(path) -> Dataset:
         config = GenConfig(**manifest["config"])
     except (TypeError, ValueError) as exc:
         raise DatasetFormatError(f"invalid manifest contents: config: {exc}") from exc
+    implied = {
+        "n_scenes": config.n_scenes,
+        "pixel_shape": [config.height, config.width, 3],
+        "pixel_dtype": "<f4",
+    }
+    for field, want in implied.items():
+        if manifest.get(field) != want:
+            raise DatasetFormatError(
+                f"invalid manifest contents: {field} is {manifest.get(field)!r}, "
+                f"but the config implies {want!r}"
+            )
     n_scenes = manifest["n_scenes"]
     names = manifest["scene_files"]
     checksums = manifest["checksums"]

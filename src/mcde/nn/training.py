@@ -12,7 +12,11 @@ from mcde._check import check_int, check_real
 from mcde.nn.network import Network, NumericError, PassSeed
 from mcde.seeding import derive_seed
 
-__all__ = ["TrainConfig", "TrainingError", "train"]
+__all__ = ["MAX_LEARNING_RATE", "TrainConfig", "TrainingError", "train"]
+
+# Rates must lie below float32's maximum: from there the step scale is
+# inf in the float32 parameters, and their first update is inf or nan.
+MAX_LEARNING_RATE = float(np.finfo(np.float32).max)
 
 # glibc hands the freed top of its heap back to the kernel after each
 # mini-batch step, and the next step faults the same pages in again.
@@ -43,7 +47,7 @@ class TrainConfig:
     def __post_init__(self) -> None:
         check_int("epochs", self.epochs, 0)
         check_int("batch_size", self.batch_size, 1)
-        check_real("learning_rate", self.learning_rate, 0.0)
+        check_real("learning_rate", self.learning_rate, 0.0, MAX_LEARNING_RATE)
         check_int("base_seed", self.base_seed, 0, 2**64 - 1)
 
 

@@ -374,8 +374,6 @@ class TestCrossval:
             dict(epochs=-1),
             dict(dropout_rate=1.0),
             dict(batch_size=0),
-            dict(width=4),
-            dict(noise_std=-1.0),
             dict(sog_p=0.5),
             dict(sog_p=math.nan),
         ],
@@ -481,6 +479,9 @@ class TestBandShiftScenario:
         report = band_shift_scenario(config)
         assert report.config["protocol"] == "band-shift-scenario"
         assert report.config["seed"] == 5
+        assert report.config["members"] == [["g-net", "band-a"], ["m-net", "band-b"]]
+        for gone in ("width", "height", "n_patches", "noise_std"):
+            assert gone not in report.config
         assert list(report.sample_ids) == list(range(6))
         assert report.model_names == ("g-net", "m-net")
         assert report.methods == (
@@ -506,7 +507,9 @@ class TestBandShiftScenario:
     def test_members_match_in_process_training_bitwise(self, monkeypatch):
         """The members trained in worker processes equal, byte for byte,
         ``train_member`` run here on the same scenes and seeds, and so
-        do the report's errors and uncertainties."""
+        do the report's errors and uncertainties.  The reference spells
+        out the member table and generates scenes at ``GenConfig``'s
+        defaults."""
         config = ScenarioConfig(
             seed=6, eval_per_band=3, train_per_band=6, nu=2, epochs=2, channels=4
         )
@@ -535,11 +538,7 @@ class TestBandShiftScenario:
             scenes = gen_dataset(
                 GenConfig(
                     n_scenes=config.train_per_band,
-                    width=config.width,
-                    height=config.height,
-                    n_patches=config.n_patches,
                     pool=band,
-                    noise_std=config.noise_std,
                     base_seed=derive_seed("scenario-train", config.seed, band),
                 )
             ).scenes
@@ -573,7 +572,7 @@ class TestBandShiftScenario:
         plain RuntimeError naming it, not as a broken pool."""
         config = ScenarioConfig(
             seed=5, eval_per_band=2, train_per_band=4, nu=2, epochs=2, channels=4,
-            batch_size=2, learning_rate=1e300,
+            batch_size=2, learning_rate=1e30,
         )
         with pytest.raises(RuntimeError) as info:
             band_shift_scenario(config)

@@ -110,12 +110,25 @@ class TestGenData:
 
 
 class TestTrain:
-    def test_writes_model_and_sidecar(self, model_paths):
+    def test_writes_model_and_sidecar(self, model_paths, dataset_dir):
+        """The sidecar's training block is the member's spec, spelled as
+        in a report's ``trainables``, and the run's data and seed."""
         path = model_paths[0]
         assert path.is_file()
         sidecar = json.loads(Path(str(path) + ".json").read_text())
-        assert sidecar["training"]["arch"] == "g-net"
-        assert sidecar["training"]["channels"] == 4
+        assert sidecar["training"] == {
+            "name": "g-net",
+            "arch": "g-net",
+            "channels": 4,
+            "dropout_rate": 0.3,
+            "epochs": 2,
+            "learning_rate": 0.05,
+            "batch_size": 8,
+            "seed": 11,
+            "data": str(dataset_dir),
+            "subset": None,
+            "n_scenes": 6,
+        }
         assert len(sidecar["loss_trace"]) == 2
 
     def test_saved_model_estimates_unit_vectors(self, model_paths, dataset_dir):
@@ -132,6 +145,8 @@ class TestTrain:
         )
         assert code == 0
         assert "on 4 scenes" in capsys.readouterr().out
+        training = json.loads((tmp_path / "m.net.json").read_text())["training"]
+        assert (training["subset"], training["n_scenes"]) == ([0, 4], 4)
 
     def test_unknown_arch_is_usage_error(self, dataset_dir, tmp_path):
         code = cli.main(
@@ -182,6 +197,32 @@ class TestTrain:
              "--out", str(tmp_path / "m.net"), "--subset", "4"]
         )
         assert code == 2
+
+    @pytest.mark.parametrize("subset", ["3:3", "4:2", "-1:2"])
+    def test_empty_or_negative_subset_is_usage_error(self, dataset_dir, tmp_path, capsys, subset):
+        code = cli.main(
+            ["train", "--arch", "g-net", "--data", str(dataset_dir),
+             "--out", str(tmp_path / "m.net"), f"--subset={subset}"]
+        )
+        assert code == 2
+        assert f"argument --subset: bad range {subset!r}" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("subset", ["5:100", "20:30", "0:7"])
+    def test_subset_past_the_dataset_is_runtime_error(
+        self, dataset_dir, tmp_path, capsys, subset
+    ):
+        """Not trained on the part that exists, nor reported as an
+        empty training set: the range and the scene count are named."""
+        out = tmp_path / "m.net"
+        code = cli.main(
+            ["train", "--arch", "g-net", "--data", str(dataset_dir),
+             "--out", str(out), "--subset", subset, *TRAIN_FLAGS]
+        )
+        assert code == 1
+        assert capsys.readouterr().err == (
+            f"error: scene range {subset} out of range (dataset has 6 scenes)\n"
+        )
+        assert not out.exists()
 
 
 class TestEstimate:
@@ -493,13 +534,15 @@ class TestTopLevel:
             ["gen-data", "--scenes", "1", "--noise-std", "nan"],
             ["gen-data", "--scenes", "1", "--noise-std", "inf"],
             ["train", "--arch", "g-net", "--data", "d", "--lr", "inf"],
+            ["train", "--arch", "g-net", "--data", "d", "--lr", "1e300"],
+            ["train", "--arch", "g-net", "--data", "d", "--lr", "1e39"],
             ["train", "--arch", "g-net", "--data", "d", "--dropout", "1.0"],
             ["bench", "--data", "d", "--dropout", "1.0"],
             ["bench", "--data", "d", "--sog-p", "0.5"],
             ["bench", "--data", "d", "--sog-p", "nan"],
         ],
-        ids=["noise-std-nan", "noise-std-inf", "lr-inf", "train-dropout-1",
-             "bench-dropout-1", "sog-p-0.5", "sog-p-nan"],
+        ids=["noise-std-nan", "noise-std-inf", "lr-inf", "lr-1e300", "lr-1e39",
+             "train-dropout-1", "bench-dropout-1", "sog-p-0.5", "sog-p-nan"],
     )
     def test_out_of_range_float_flag_is_usage_error(self, argv, tmp_path, capsys):
         flag = argv[-2]

@@ -189,6 +189,29 @@ class TestDatasetIO:
             load(tmp_path / "ds")
 
     @pytest.mark.parametrize(
+        "edit, message",
+        [
+            (lambda manifest: {"config": {**manifest["config"], "n_scenes": 128}},
+             "n_scenes is 2, but the config implies 128"),
+            (lambda manifest: {"pixel_shape": [8, 8, 3]},
+             r"pixel_shape is \[8, 8, 3\], but the config implies \[16, 16, 3\]"),
+            (lambda manifest: {"pixel_dtype": "<f8"},
+             "pixel_dtype is '<f8', but the config implies '<f4'"),
+        ],
+        ids=["n_scenes", "pixel_shape", "pixel_dtype"],
+    )
+    def test_manifest_field_that_disagrees_with_its_config_is_named(
+        self, tmp_path, edit, message
+    ):
+        """Not loaded with a config that misstates the data, which
+        ``crossval`` would echo, nor with a shape other readers trust."""
+        save(gen_dataset(GenConfig(n_scenes=2, base_seed=17)), tmp_path / "ds")
+        manifest = json.loads((tmp_path / "ds" / "manifest.json").read_text())
+        edit_manifest(tmp_path / "ds", **edit(manifest))
+        with pytest.raises(DatasetFormatError, match=f"^invalid manifest contents: {message}$"):
+            load(tmp_path / "ds")
+
+    @pytest.mark.parametrize(
         "field, value",
         [("n_scenes", 2.0), ("width", 8.0), ("height", "8"), ("n_patches", True)],
     )

@@ -141,14 +141,17 @@ class TestTrainingErrors:
             TrainConfig(epochs=-1)
         with pytest.raises(ValueError):
             TrainConfig(epochs=1, batch_size=0)
-        for learning_rate, error in (
-            (float("inf"), ValueError),
-            (float("nan"), ValueError),
-            (-0.1, ValueError),
-            ("x", TypeError),
-            (True, TypeError),
+        below_float32_max = re.escape("must lie in [0.0, 3.4028234663852886e+38), got ")
+        for learning_rate, error, message in (
+            (float("inf"), ValueError, below_float32_max),
+            (float("nan"), ValueError, below_float32_max),
+            (1e300, ValueError, below_float32_max),
+            (1e39, ValueError, below_float32_max),
+            (-0.1, ValueError, below_float32_max),
+            ("x", TypeError, "must be a real number"),
+            (True, TypeError, "must be a real number"),
         ):
-            with pytest.raises(error, match="^learning_rate must be"):
+            with pytest.raises(error, match=f"^learning_rate {message}"):
                 TrainConfig(epochs=1, learning_rate=learning_rate, batch_size=4)
         for base_seed, error in (
             (2.5, TypeError), (-3, ValueError), (2**64, ValueError), ("x", TypeError),
