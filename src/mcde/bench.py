@@ -46,7 +46,7 @@ from mcde.datagen import Dataset, GenConfig, folds, gen_dataset
 from mcde.mc import MAX_NU
 from mcde.nn.archs import ARCHITECTURES, build, check_member
 from mcde.nn.training import TrainConfig, train
-from mcde.seeding import derive_seed
+from mcde.seeding import MAX_SEED, derive_seed
 
 __all__ = [
     "METRICS",
@@ -159,7 +159,7 @@ class BenchConfig:
         check_int("nu", self.nu, 1, MAX_NU)
         check_real("sog_p", self.sog_p, 1.0)
         check_int("workers", self.workers, 1)
-        check_int("base_seed", self.base_seed, 0, 2**64 - 1)
+        check_int("base_seed", self.base_seed, 0, MAX_SEED)
         names = [spec.name for spec in self.trainables]
         if len(set(names)) < len(names):
             raise ValueError(f"member names must be distinct, got {names}")
@@ -418,7 +418,7 @@ class ScenarioConfig:
         check_real("sog_p", self.sog_p, 1.0)
         check_int("eval_per_band", self.eval_per_band, 1)
         check_int("train_per_band", self.train_per_band, 1)
-        check_int("seed", self.seed, 0, 2**64 - 1)
+        check_int("seed", self.seed, 0, MAX_SEED)
         self.specs()  # a bad member fails here, before any member trains
 
     def specs(self) -> tuple[TrainableSpec, ...]:

@@ -32,7 +32,7 @@ from mcde.datagen import POOLS, DatasetFormatError, GenConfig
 from mcde.mc import MAX_NU
 from mcde.nn import ARCHITECTURES, ModelFormatError, load_network, save_network
 from mcde.nn.training import MAX_LEARNING_RATE
-from mcde.seeding import derive_seed
+from mcde.seeding import MAX_SEED, derive_seed
 
 __all__ = ["main"]
 
@@ -291,7 +291,7 @@ def _cmd_bench(args) -> int:
 def _add_common(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--config", metavar="FILE", default=None,
                         help="JSON file with flag defaults (flags override)")
-    parser.add_argument("--seed", type=_flag(check_int, 0, 2**64 - 1), default=0,
+    parser.add_argument("--seed", type=_flag(check_int, 0, MAX_SEED), default=0,
                         help="master seed")
 
 

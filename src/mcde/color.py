@@ -96,17 +96,30 @@ def normalize(v) -> np.ndarray:
     return v / np.linalg.norm(v, axis=-1, keepdims=True)
 
 
+def _check_norms(name: str, norm) -> None:
+    """Raise ValueError, naming ``name``, unless every norm is finite and
+    nonzero (NaN fails both bounds): the angle of a vector that is not
+    finite or has zero norm is undefined."""
+    if not ((norm > 0.0) & (norm < np.inf)).all():
+        raise ValueError(f"{name} vectors must be finite with a nonzero norm")
+
+
 def recovery_error(gt, est):
     """Angle in degrees between ground truth and estimate.
 
     Scale invariant by construction (both arguments are divided by
     their norms) and symmetric in its arguments.  The cosine is clamped
     to [-1, 1] so near-parallel pairs never hit an arccos domain error.
+    A vector that is not finite or has zero norm raises ValueError.
     """
     gt = np.asarray(gt, dtype=np.float64)
     est = np.asarray(est, dtype=np.float64)
+    gt_norm = np.linalg.norm(gt, axis=-1)
+    est_norm = np.linalg.norm(est, axis=-1)
+    _check_norms("gt", gt_norm)
+    _check_norms("est", est_norm)
     dot = np.sum(gt * est, axis=-1)
-    denom = np.linalg.norm(gt, axis=-1) * np.linalg.norm(est, axis=-1)
+    denom = gt_norm * est_norm
     cos = np.clip(dot / denom, -1.0, 1.0)
     return _scalar(np.degrees(np.arccos(cos)))
 
@@ -116,7 +129,8 @@ def reproduction_error(gt, est):
 
     Measures how far a scene corrected with ``est`` ends up from
     neutral white.  Any estimate component at or below ``DIV_EPS``
-    raises ValueError.
+    raises ValueError, as does a vector that is not finite or has zero
+    norm.
 
     A neutral estimate (all components bit-equal) leaves the direction
     of ``gt`` untouched, so that case is routed through
@@ -126,14 +140,15 @@ def reproduction_error(gt, est):
     """
     gt = np.asarray(gt, dtype=np.float64)
     est = np.asarray(est, dtype=np.float64)
+    _check_norms("est", np.linalg.norm(est, axis=-1))
     if np.any(est <= DIV_EPS):
         raise ValueError(
             f"estimate components must exceed {DIV_EPS} for per-channel division"
         )
     ratio = gt / est
-    cos = np.clip(
-        (ratio @ NEUTRAL) / np.linalg.norm(ratio, axis=-1), -1.0, 1.0
-    )
+    ratio_norm = np.linalg.norm(ratio, axis=-1)
+    _check_norms("gt", ratio_norm)  # est is finite and positive here
+    cos = np.clip((ratio @ NEUTRAL) / ratio_norm, -1.0, 1.0)
     ang = np.degrees(np.arccos(cos))
     neutral = (est[..., 0] == est[..., 1]) & (est[..., 1] == est[..., 2])
     if np.any(neutral):

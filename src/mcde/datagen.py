@@ -35,7 +35,7 @@ import numpy as np
 
 from mcde._check import check_int, check_real
 from mcde.color import Scene, SphericalDir, from_spherical
-from mcde.seeding import derive_seed
+from mcde.seeding import MAX_SEED, derive_seed
 
 __all__ = [
     "FORMAT_VERSION",
@@ -93,7 +93,7 @@ class GenConfig:
         check_int("height", self.height, 8)
         check_int("n_patches", self.n_patches, 1)
         check_real("noise_std", self.noise_std, 0.0)
-        check_int("base_seed", self.base_seed, 0, 2**64 - 1)
+        check_int("base_seed", self.base_seed, 0, MAX_SEED)
         if self.pool not in POOLS:
             raise ValueError(f"unknown pool {self.pool!r}; choose from {sorted(POOLS)}")
 

@@ -56,8 +56,15 @@ def _g(variant: str):
 
 
 def raw_confidence(uncertainties, variant: str = "log") -> np.ndarray:
-    """Pre-normalization confidence scores g(1/mu), floored."""
+    """Pre-normalization confidence scores g(1/mu), floored.
+
+    A NaN or negative mu is refused, naming the first such member: the
+    floor would otherwise give a negative mu the largest weight.
+    """
     u = np.asarray(uncertainties, dtype=np.float64)
+    if not (u >= 0.0).all():
+        k = np.flatnonzero(~(u >= 0.0))[0]
+        raise ValueError(f"member {k}: uncertainty mu must be non-negative, got {u.flat[k]}")
     return np.maximum(_g(variant)(1.0 / np.maximum(u, SIGMA_FLOOR)), CONFIDENCE_FLOOR)
 
 
@@ -78,7 +85,10 @@ def aggregate(means, weights) -> np.ndarray:
     weights = np.asarray(weights, dtype=np.float64)
     if means.ndim != 2 or means.shape[1] != 3 or weights.shape != (means.shape[0],):
         raise ValueError("expected (K, 3) means and (K,) weights")
-    if np.any(weights < 0.0) or abs(weights.sum() - 1.0) > 1e-9:
+    if not np.isfinite(means).all():
+        raise ValueError("means must be finite")
+    # Asked in the positive form, so NaN weights fail too.
+    if not (np.all(weights >= 0.0) and abs(weights.sum() - 1.0) <= 1e-9):
         raise ValueError("weights must be non-negative and sum to 1")
     phi, varphi = to_spherical(means)
     return from_spherical(SphericalDir(float(weights @ phi), float(weights @ varphi)))

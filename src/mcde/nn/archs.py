@@ -9,6 +9,8 @@ scene, which is what makes ensembling them worthwhile.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from mcde._check import check_int
@@ -16,7 +18,7 @@ from mcde.nn.layers import Affine, Conv3x3, Dropout, MaxPool, MeanPool, Positive
 from mcde.nn.network import Network
 from mcde.seeding import derive_seed
 
-__all__ = ["ARCHITECTURES", "build", "check_member"]
+__all__ = ["ARCHITECTURES", "build", "check_member", "param_count"]
 
 # Name -> the layers between conv+ReLU and the Affine readout, given the
 # dropout rate.  Every stock stack is conv, ReLU, these, affine, head.
@@ -45,6 +47,17 @@ def build(arch: str, seed: int = 0, channels: int = 12, dropout_rate: float = 0.
         if layer.params:
             layer.init(np.random.default_rng(derive_seed("layer-init", seed, i)))
     return Network(layers, arch=arch)
+
+
+def param_count(channels: int) -> int:
+    """How many parameters ``build`` gives a network of ``channels``, without
+    building it: those of the conv from RGB and the affine readout, the
+    only stock layers that have any."""
+    shapes = [
+        *Conv3x3.param_shapes(3, channels).values(),
+        *Affine.param_shapes(channels, 3).values(),
+    ]
+    return sum(math.prod(shape) for shape in shapes)
 
 
 def check_member(arch: str, channels: int, dropout_rate: float) -> None:

@@ -10,7 +10,7 @@ import numpy as np
 
 from mcde._check import check_int, check_real
 from mcde.nn.network import Network, NumericError, PassSeed
-from mcde.seeding import derive_seed
+from mcde.seeding import MAX_SEED, derive_seed
 
 __all__ = ["MAX_LEARNING_RATE", "TrainConfig", "TrainingError", "train"]
 
@@ -48,7 +48,7 @@ class TrainConfig:
         check_int("epochs", self.epochs, 0)
         check_int("batch_size", self.batch_size, 1)
         check_real("learning_rate", self.learning_rate, 0.0, MAX_LEARNING_RATE)
-        check_int("base_seed", self.base_seed, 0, 2**64 - 1)
+        check_int("base_seed", self.base_seed, 0, MAX_SEED)
 
 
 @functools.cache

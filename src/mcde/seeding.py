@@ -6,6 +6,9 @@ import hashlib
 
 _SEP = b"\x1f"
 
+# The largest seed a config or flag takes: every seed is uint64 key material.
+MAX_SEED = 2**64 - 1
+
 
 def derive_seed(*parts: int | str) -> int:
     """Stable 64-bit seed from a mixed tuple of ints and strings.

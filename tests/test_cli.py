@@ -8,6 +8,7 @@ error.
 import filecmp
 import json
 import shutil
+import struct
 from pathlib import Path
 
 import numpy as np
@@ -301,14 +302,16 @@ class TestEstimate:
         bad = tmp_path / "badcode.net"
         save_network(build("g-net", seed=3, channels=4), bad)
         blob = bytearray(bad.read_bytes())
-        blob[43] = 99  # kind code of layer 1, after the header and layer 0's record
+        blob[19:23] = struct.pack("<I", 0)  # channels, after magic, version and "g-net"
         bad.write_bytes(bytes(blob))
         code = cli.main(
             ["estimate", "--models", str(model_paths[0]), str(bad),
              "--data", str(dataset_dir)]
         )
         assert code == 1
-        assert capsys.readouterr().err.startswith(f"error: {bad}: layer 1: ")
+        assert capsys.readouterr().err.startswith(
+            f"error: {bad}: invalid model header: channels must be at least 1, got 0"
+        )
 
     def test_undecodable_model_file_is_named(self, dataset_dir, tmp_path, capsys):
         bad = tmp_path / "badname.net"

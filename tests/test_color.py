@@ -124,6 +124,29 @@ class TestRecoveryError:
         assert np.ndim(recovery_error(a[0], b[0])) == 0
 
 
+@pytest.mark.parametrize("metric", [recovery_error, reproduction_error])
+@pytest.mark.parametrize(
+    "gt, est, name",
+    [
+        ([1.0, 1.0, 1.0], [0.0, 0.0, 0.0], "est"),
+        ([0.0, 0.0, 0.0], [1.0, 1.0, 1.0], "gt"),
+        ([np.nan, 1.0, 1.0], [1.0, 1.0, 1.0], "gt"),
+        ([1.0, 1.0, 1.0], [np.inf, 1.0, 1.0], "est"),
+        ([-np.inf, 1.0, 1.0], [1.0, 1.0, 1.0], "gt"),
+        ([[1.0, 2.0, 3.0], [1e-300, 0.0, 0.0]], [1.0, 1.0, 1.0], "gt"),
+        ([1.0, 2.0, 3.0], [[[1.0, 1.0, 1.0]], [[1.0, np.nan, 1.0]]], "est"),
+    ],
+    ids=["zero-est", "zero-gt", "nan-gt", "inf-est", "neg-inf-gt", "stacked-gt", "stacked-est"],
+)
+def test_degenerate_vectors_are_refused(metric, gt, est, name):
+    """A vector that is not finite or has zero norm has no angle to
+    another: the metrics raise, naming the argument, instead of
+    returning NaN or a finite angle.  A norm that underflows to 0
+    counts as zero."""
+    with pytest.raises(ValueError, match=f"^{name} vectors must be finite with a nonzero norm$"):
+        metric(gt, est)
+
+
 class TestReproductionError:
     def test_hand_value(self):
         assert reproduction_error([1, 2, 2], [2, 2, 1]) == pytest.approx(

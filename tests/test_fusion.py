@@ -69,6 +69,22 @@ class TestRawConfidence:
         with pytest.raises(ValueError, match="variant"):
             raw_confidence([1.0], "cubic")
 
+    @pytest.mark.parametrize("variant", ["linear", "log"])
+    @pytest.mark.parametrize(
+        "mus, message",
+        [
+            ([-1.0, 0.1], "member 0: uncertainty mu must be non-negative, got -1.0"),
+            ([0.1, math.nan], "member 1: uncertainty mu must be non-negative, got nan"),
+            ([0.1, 0.2, -1e-300], "member 2: uncertainty mu must be non-negative, got -1e-300"),
+        ],
+        ids=["negative", "nan", "tiny-negative"],
+    )
+    def test_rejects_a_nan_or_negative_mu(self, variant, mus, message):
+        """Floored, a negative mu would score 1/SIGMA_FLOOR and win the
+        fusion; a NaN one would make the fused estimate NaN."""
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            raw_confidence(mus, variant)
+
 
 class TestConfidenceScores:
     @pytest.mark.parametrize("variant", ["linear", "log"])
@@ -137,11 +153,33 @@ class TestAggregate:
         with pytest.raises(ValueError):
             aggregate(means, np.array([1.0]))
 
+    @pytest.mark.parametrize(
+        "means, weights, message",
+        [
+            ([[1.0, 1.0, 1.0], [1.0, 2.0, 3.0]], [math.nan, math.nan], "weights must be non-negative"),
+            ([[1.0, 1.0, 1.0], [1.0, 2.0, 3.0]], [0.5, math.nan], "weights must be non-negative"),
+            ([[1.0, 1.0, 1.0], [1.0, 2.0, 3.0]], [math.inf, -math.inf], "weights must be non-negative"),
+            ([[1.0, 1.0, 1.0], [1.0, 2.0, 3.0]], [math.inf, 0.0], "weights must be non-negative"),
+            ([[1.0, 1.0, 1.0], [1.0, math.nan, 3.0]], [0.5, 0.5], "means must be finite"),
+            ([[1.0, 1.0, math.inf], [1.0, 2.0, 3.0]], [1.0, 0.0], "means must be finite"),
+        ],
+        ids=["nan-weights", "one-nan-weight", "inf-weights", "inf-weight", "nan-mean", "inf-mean"],
+    )
+    def test_rejects_non_finite_input(self, means, weights, message):
+        with pytest.raises(ValueError, match=f"^{message}"):
+            aggregate(np.array(means), np.array(weights))
+
 
 class TestFuse:
     def test_empty_ensemble(self):
         with pytest.raises(ValueError):
             fuse([])
+
+    def test_a_hostile_mu_names_its_member(self):
+        ests = [stub_estimate([1, 2, 3], 0.02), stub_estimate([3, 2, 1], 0.4)]
+        ests[1] = MCEstimate(mean=ests[1].mean, sigma=ests[1].sigma, mu=math.nan, passes=30)
+        with pytest.raises(ValueError, match="^member 1: uncertainty mu must be non-negative"):
+            fuse(ests, "log")
 
     def test_weights_match_confidence_scores(self):
         ests = [stub_estimate([1, 2, 3], 0.02), stub_estimate([3, 2, 1], 0.4)]

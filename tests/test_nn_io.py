@@ -2,6 +2,7 @@
 
 import hashlib
 import json
+import math
 import struct
 import tracemalloc
 
@@ -9,7 +10,6 @@ import numpy as np
 import pytest
 
 from mcde.mc import mc_estimate
-from mcde.nn import io
 from mcde.nn import (
     FORMAT_VERSION,
     Affine,
@@ -29,6 +29,7 @@ from mcde.nn import (
     save_network,
     train,
 )
+from mcde.nn.archs import param_count
 from mcde.datagen import GenConfig, gen_dataset
 
 
@@ -94,20 +95,37 @@ class TestRoundTrip:
         save_network(net, tmp_path / "b.net")
         assert (tmp_path / "a.net").read_bytes() == (tmp_path / "b.net").read_bytes()
 
+    @pytest.mark.parametrize("arch", ["g-net", "m-net"])
+    @pytest.mark.parametrize("channels, rate", [(1, 0.0), (4, 0.5), (12, 0.3), (33, 0.999)])
+    def test_stock_networks_round_trip(self, arch, channels, rate, tmp_path):
+        net = build(arch, seed=channels, channels=channels, dropout_rate=rate)
+        assert sum(p.size for l in net.layers for p in l.params.values()) == param_count(channels)
+        path = tmp_path / "model.net"
+        save_network(net, path)
+        loaded = load_network(path)
+        assert (loaded.arch, loaded.layers[0].c_out) == (arch, channels)
+        assert [l.rate for l in loaded.layers if l.kind == "dropout"] == [rate]
+        assert [l.kind for l in loaded.layers] == [l.kind for l in net.layers]
+        for a, b in zip(net.layers, loaded.layers):
+            assert set(a.params) == set(b.params)
+            for name, param in a.params.items():
+                assert param.tobytes() == b.params[name].tobytes()
+
     @pytest.mark.parametrize(
         "arch, net_sha, sidecar_sha",
         [
             (
                 "g-net",
-                "e98bfd5926d6539a4e9f9bd9de8a6bd8fa04582c5de9dc7b7fb7749545e64f40",
-                "42178edf50c437e5ceeaa3b6fb27329421405d973e136e675cf13edcb58629ad",
+                "3ad74976f212763efd08ee8bc0175fa595e04fbe15cdfd81e18d58728560b9da",
+                "12f4638eaf833540587641fb07c08bdf81a37dfcb9f6349ffbb2e5d96a84e5d9",
             ),
             (
                 "m-net",
-                "0ee127c9b8bff407c6553a795ac986e1914ca3a2e36636444be774bf70e31234",
-                "df9506a07dc88b18788d198a90f55c0ee49524358dbb74d6284537483c70a0ee",
+                "487e64d0a9929638ffe129eb992e9755140be9de7e9762bdbd5efb2ee94d9b7f",
+                "62430947fcff6d872b760b1fd4e1b8b4f1a9baddd1bb58d7c0662e93f467f1bc",
             ),
         ],
+        ids=["g-net", "m-net"],
     )
     def test_stock_files_are_pinned(self, arch, net_sha, sidecar_sha, tmp_path):
         """The bytes of a saved stock network and its sidecar are part of
@@ -125,12 +143,15 @@ class TestSidecar:
         path = tmp_path / "model.net"
         save_network(net, path, training={"seed": 51}, loss_trace=trace)
         sidecar = json.loads((tmp_path / "model.net.json").read_text())
-        assert sidecar["format_version"] == FORMAT_VERSION
-        assert sidecar["arch"] == "m-net"
-        assert sidecar["training"] == {"seed": 51}
-        assert sidecar["loss_trace"] == trace
-        kinds = [entry["kind"] for entry in sidecar["layers"]]
-        assert kinds == ["conv3x3", "relu", "max-pool", "dropout", "affine", "positive-head"]
+        assert sidecar == {
+            "format_version": FORMAT_VERSION,
+            "arch": "m-net",
+            "channels": 5,
+            "dropout_rate": 0.25,
+            "layers": ["conv3x3", "relu", "max-pool", "dropout", "affine", "positive-head"],
+            "training": {"seed": 51},
+            "loss_trace": trace,
+        }
 
     def test_binary_alone_rebuilds(self, trained_net, tmp_path):
         """The sidecar is documentation; loading must not need it."""
@@ -166,15 +187,17 @@ class TestFormatErrors:
             load_network(path)
 
     def test_version_1_is_refused_by_name(self, tmp_path):
-        """Version 1 held float64 parameters; a float32 network cannot
-        come back from it bit for bit."""
-        path = self._saved(tmp_path)
-        blob = bytearray(path.read_bytes())
-        blob[8:12] = struct.pack("<I", 1)
-        path.write_bytes(bytes(blob))
-        message = r"^unsupported container version 1 \(expected 2\)$"
-        with pytest.raises(ModelFormatError, match=message):
-            load_network(path)
+        """Version 1 held float64 parameters, so a float32 network cannot
+        come back from it bit for bit; version 2 held a record per layer,
+        which a stock network does not need."""
+        for version in (1, 2):
+            path = self._saved(tmp_path)
+            blob = bytearray(path.read_bytes())
+            blob[8:12] = struct.pack("<I", version)
+            path.write_bytes(bytes(blob))
+            message = rf"^unsupported container version {version} \(expected 3\)$"
+            with pytest.raises(ModelFormatError, match=message):
+                load_network(path)
 
     def test_truncated_file(self, tmp_path):
         path = self._saved(tmp_path)
@@ -191,14 +214,9 @@ class TestFormatErrors:
 
     @pytest.mark.parametrize(
         "offset, message",
-        [
-            # The first byte of "g-net", after magic, version and length.
-            (14, "arch name is not valid utf-8"),
-            # The first byte of conv's first parameter name, after the
-            # six 20-byte layer records, its parameter count and length.
-            (14 + 5 + 4 + 6 * 20 + 4 + 1, "parameter name of layer 0 is not valid ascii"),
-        ],
-        ids=["arch", "param"],
+        # The first byte of "g-net", after magic, version and length.
+        [(14, "arch name is not valid utf-8")],
+        ids=["arch"],
     )
     def test_undecodable_name_names_the_field(self, tmp_path, offset, message):
         path = self._saved(tmp_path)
@@ -209,25 +227,60 @@ class TestFormatErrors:
             load_network(path)
 
     @pytest.mark.parametrize(
-        "arch, message",
+        "header, cut, message",
         [
-            ("x" * 65536, "arch name is 65536 utf-8 bytes"),
-            ("bad\udc80", "arch name is not valid utf-8 \\(bad character at offset 3\\)"),
+            (("x-net", 4, 0.3), 0, r"invalid model header: unknown architecture 'x-net'"),
+            (("g-net", 4, 1.5), 0, r"invalid model header: dropout_rate .* got 1\.5$"),
+            (("g-net", 4, math.nan), 0, r"invalid model header: dropout_rate .* got nan$"),
+            (("m-net", 0, 0.3), 0, r"invalid model header: channels must be at least 1, got 0$"),
+            (
+                ("g-net", 4, 0.3),
+                -1,
+                r"truncated model file: the parameters of a g-net with 4 channels "
+                r"need 508 bytes, but only 507 remain$",
+            ),
+            (
+                ("g-net", 4, 0.3),
+                1,
+                r"trailing bytes after the parameters: 1 beyond the 508 that a g-net "
+                r"with 4 channels needs$",
+            ),
         ],
-        ids=["too-long", "not-utf-8"],
+        ids=["unknown-arch", "rate-1.5", "rate-nan", "zero-channels", "byte-short", "byte-extra"],
     )
-    def test_bad_arch_name_is_refused_before_the_file_opens(self, tmp_path, arch, message):
-        refused = tmp_path / "refused.net"
-        layers = build("g-net", seed=53, channels=4).layers
-        with pytest.raises(ModelFormatError, match=f"^{message}"):
-            save_network(Network(layers, arch=arch), refused)
-        assert not refused.exists()
-
-    def test_longest_arch_name_round_trips(self, tmp_path):
-        arch = "\u00e4" * 32767 + "x"  # 65535 utf-8 bytes
+    def test_bad_header_names_the_field(self, tmp_path, header, cut, message):
+        """The header is checked, and the bytes left must be exactly the
+        parameters it implies: 31 floats per channel and 3 more."""
+        arch, channels, rate = header
+        params = b"\x00" * (4 * (31 * channels + 3) + cut)
         path = tmp_path / "model.net"
-        save_network(Network(build("g-net", seed=53, channels=4).layers, arch=arch), path)
-        assert load_network(path).arch == arch
+        path.write_bytes(_header(arch, channels, rate) + params)
+        with pytest.raises(ModelFormatError, match=f"^{message}"):
+            load_network(path)
+
+    @pytest.mark.parametrize(
+        "net, message",
+        [
+            (lambda: Network(build("g-net").layers, arch="x" * 65536), "unknown architecture 'xxx"),
+            (lambda: Network(build("g-net").layers, arch="bad\udc80"), "unknown architecture 'bad"),
+            (
+                lambda: Network(build("g-net").layers, arch="m-net"),
+                "layer 2 differs from the m-net with channels=12 and dropout_rate=0.3$",
+            ),
+            (
+                lambda: Network([*build("g-net").layers, Relu()], arch="g-net"),
+                "layer 6 differs from the g-net with channels=12 and dropout_rate=0.3$",
+            ),
+        ],
+        ids=["too-long", "not-utf-8", "g-net-as-m-net", "extra-relu"],
+    )
+    def test_bad_arch_name_is_refused_before_the_file_opens(self, tmp_path, net, message):
+        """A network that is not what ``build`` gives for its arch name,
+        channel count and rate is refused, and no file is created."""
+        refused = tmp_path / "refused.net"
+        with pytest.raises(ModelFormatError, match=f"^not a stock network: {message}"):
+            save_network(net(), refused)
+        assert not refused.exists()
 
     def test_not_a_container(self, tmp_path):
         path = tmp_path / "noise.bin"
@@ -236,112 +289,97 @@ class TestFormatErrors:
             load_network(path)
 
 
-class TestStructureChecks:
-    """Records are checked before any layer is built."""
+def _header(arch: str, channels: int, rate: float) -> bytes:
+    name = arch.encode()
+    return b"".join([
+        b"MCDENET1", struct.pack("<IH", FORMAT_VERSION, len(name)), name,
+        struct.pack("<Id", channels, rate),
+    ])
 
-    def _saved(self, tmp_path, layers):
-        """Write ``layers`` as save_network does but without its record
-        check, so that the file reaches load_network's own check."""
-        path = tmp_path / "model.net"
-        with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(io, "_check_records", lambda records, remaining: None)
-            save_network(Network(layers, arch="custom"), path)
-        return path
+
+class TestStructureChecks:
+    """A file holds a stock network, so ``save_network`` refuses any other
+    stack before the file opens, naming the first layer that differs
+    from what ``build`` gives for the arch, channel count and rate."""
+
+    def _refused(self, tmp_path, layers, message):
+        refused = tmp_path / "refused.net"
+        with pytest.raises(ModelFormatError, match=f"^not a stock network: {message}"):
+            save_network(Network(layers, arch="g-net"), refused)
+        assert not refused.exists()
 
     def test_broken_channel_chain_names_the_layer(self, tmp_path):
-        path = self._saved(
-            tmp_path, [Conv3x3(3, 4), Relu(), MeanPool(), Affine(5, 3), PositiveHead()]
-        )
-        with pytest.raises(
-            ModelFormatError, match="layer 3: affine takes 5 channels but its input has 4"
-        ):
-            load_network(path)
+        layers = [Conv3x3(3, 4), Relu(), Dropout(0.3), MeanPool(), Affine(5, 3), PositiveHead()]
+        self._refused(tmp_path, layers, "layer 4 differs from the g-net with channels=4")
 
     def test_first_layer_must_take_rgb(self, tmp_path):
-        path = self._saved(
-            tmp_path, [Conv3x3(5, 4), Relu(), MeanPool(), Affine(4, 3), PositiveHead()]
-        )
-        with pytest.raises(
-            ModelFormatError, match="layer 0: conv3x3 takes 5 channels but its input has 3"
-        ):
-            load_network(path)
+        layers = [Conv3x3(5, 4), Relu(), Dropout(0.3), MeanPool(), Affine(4, 3), PositiveHead()]
+        self._refused(tmp_path, layers, "layer 0 differs from the g-net with channels=4")
 
     @pytest.mark.parametrize(
         "layers, message",
         [
             (
                 lambda: [Conv3x3(3, 4), Relu(), MeanPool(), Affine(4, 5), PositiveHead()],
-                "layer 3: affine gives 5 channels, but the chain must end at 3",
+                "layer 2 differs from the g-net with channels=4 and dropout_rate=0.0$",
             ),
             (
-                lambda: [Conv3x3(3, 4), Relu(), MeanPool(), Affine(4, 3)],
-                "layer 3: the last layer is affine, not positive-head",
+                lambda: [Conv3x3(3, 4), Relu(), Dropout(0.3), MeanPool(), Affine(4, 3)],
+                "layer 5 differs from the g-net with channels=4 and dropout_rate=0.3$",
             ),
             (
-                lambda: [Conv3x3(3, 4), Relu(), MeanPool(), Affine(4, 3), PositiveHead(), Relu()],
-                "layer 5: the last layer is relu, not positive-head",
+                lambda: [Conv3x3(3, 4), Relu(), Dropout(0.3), MeanPool(), Affine(4, 3),
+                         PositiveHead(), Relu()],
+                "layer 6 differs from the g-net with channels=4 and dropout_rate=0.3$",
             ),
-            (lambda: [], "model file has no layers"),
+            (lambda: [], "channels must be at least 1, got 0$"),
             (
                 lambda: [Conv3x3(3, 3), PositiveHead()],
-                "layer 1: no mean-pool or max-pool before the positive-head",
+                "layer 1 differs from the g-net with channels=3 and dropout_rate=0.0$",
             ),
             (
-                lambda: [Conv3x3(3, 4), Relu(), MeanPool(), MaxPool(), Affine(4, 3), PositiveHead()],
-                "layer 3: max-pool after the mean-pool at layer 2",
+                lambda: [Conv3x3(3, 4), Relu(), Dropout(0.3), MeanPool(), MaxPool(),
+                         Affine(4, 3), PositiveHead()],
+                "layer 4 differs from the g-net with channels=4 and dropout_rate=0.3$",
             ),
             (
-                lambda: [Conv3x3(3, 4), Relu(), MaxPool(), Conv3x3(4, 3), PositiveHead()],
-                "layer 3: conv3x3 after the max-pool at layer 2",
+                lambda: [Conv3x3(3, 4), Relu(), Dropout(0.3), MeanPool(), Conv3x3(4, 3),
+                         PositiveHead()],
+                "layer 4 differs from the g-net with channels=4 and dropout_rate=0.3$",
             ),
             (
                 lambda: [Conv3x3(3, 4), Relu(), Dropout(0.3), Conv3x3(4, 4), MeanPool(),
                          Affine(4, 3), PositiveHead()],
-                "layer 2: dropout before the pool is followed by conv3x3, not by the pool",
+                "layer 3 differs from the g-net with channels=4 and dropout_rate=0.3$",
             ),
             (
-                lambda: [Conv3x3(3, 4), Dropout(0.3), Relu(), MaxPool(), Affine(4, 3),
+                lambda: [Conv3x3(3, 4), Dropout(0.3), Relu(), MeanPool(), Affine(4, 3),
                          PositiveHead()],
-                "layer 1: dropout before the pool is followed by relu, not by the pool",
+                "layer 1 differs from the g-net with channels=4 and dropout_rate=0.3$",
             ),
             (
                 lambda: [Dropout(0.3), Conv3x3(3, 4), Relu(), MeanPool(), Affine(4, 3),
                          PositiveHead()],
-                "layer 0: dropout before the pool is followed by conv3x3, not by the pool",
+                "layer 0 differs from the g-net with channels=4 and dropout_rate=0.3$",
             ),
         ],
         ids=["ends-at-5", "no-head", "head-not-last", "empty", "no-pool", "two-pools",
              "conv-after-pool", "dropout-conv-pool", "dropout-relu-pool", "dropout-first"],
     )
     def test_end_of_chain_is_checked(self, tmp_path, layers, message):
-        refused = tmp_path / "refused.net"
-        with pytest.raises(ModelFormatError, match=message):
-            save_network(Network(layers(), arch="custom"), refused)
-        assert not refused.exists()
-        path = self._saved(tmp_path, layers())
-        with pytest.raises(ModelFormatError, match=message):
-            load_network(path)
+        self._refused(tmp_path, layers(), message)
 
     def test_parameters_beyond_the_file_are_not_allocated(self, tmp_path):
-        """A conv(3 -> 100000) record in a ~100 byte file would need
-        11.2 MB of float32 parameters; it is rejected as truncated before
+        """A 100000-channel g-net header in a ~100 byte file would need
+        12.4 MB of float32 parameters; it is rejected as truncated before
         anything that size is allocated."""
-        arch = b"custom"
-        blob = b"".join([
-            b"MCDENET1",
-            struct.pack("<IH", FORMAT_VERSION, len(arch)),
-            arch,
-            struct.pack("<I", 2),
-            struct.pack("<IIId", 1, 3, 100000, 0.0),
-            struct.pack("<IIId", 3, 0, 0, 0.0),
-            b"\x00" * 40,
-        ])
+        blob = _header("g-net", 100000, 0.3) + b"\x00" * 60
         path = tmp_path / "model.net"
         path.write_bytes(blob)
         assert len(blob) < 120
         tracemalloc.start()
         try:
-            with pytest.raises(ModelFormatError, match="layers 0-0 need 11200000 bytes"):
+            with pytest.raises(ModelFormatError, match="need 12400012 bytes, but only 60 remain"):
                 load_network(path)
             _, peak = tracemalloc.get_traced_memory()
         finally:
