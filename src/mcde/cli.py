@@ -19,7 +19,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import asdict
+from dataclasses import asdict, fields
 from pathlib import Path
 
 import numpy as np
@@ -296,11 +296,14 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
 
 
 def _add_training(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--epochs", type=_flag(check_int, 0), default=30)
-    parser.add_argument("--lr", type=_flag(check_real, 0.0, MAX_LEARNING_RATE), default=0.05)
-    parser.add_argument("--batch-size", type=_flag(check_int, 1), default=8)
-    parser.add_argument("--channels", type=_flag(check_int, 1), default=12)
-    parser.add_argument("--dropout", type=_flag(check_real, 0.0, 1.0), default=0.3)
+    defaults = {field.name: field.default for field in fields(TrainableSpec)}
+    parser.add_argument("--epochs", type=_flag(check_int, 0), default=defaults["epochs"])
+    parser.add_argument("--lr", type=_flag(check_real, 0.0, MAX_LEARNING_RATE),
+                        default=defaults["learning_rate"])
+    parser.add_argument("--batch-size", type=_flag(check_int, 1), default=defaults["batch_size"])
+    parser.add_argument("--channels", type=_flag(check_int, 1), default=defaults["channels"])
+    parser.add_argument("--dropout", type=_flag(check_real, 0.0, 1.0),
+                        default=defaults["dropout_rate"])
 
 
 def _build_parser():

@@ -193,8 +193,9 @@ _MANIFEST_FIELDS = {
 
 
 def load(path) -> Dataset:
-    """Read a dataset directory back, verifying checksums, sizes, and the
-    scene count, pixel shape and pixel dtype that its config implies."""
+    """Read a dataset directory back, verifying checksums, sizes, the
+    scene count, pixel shape and pixel dtype that its config implies, and
+    that every pixel is finite and non-negative."""
     root = Path(path)
     manifest_path = root / "manifest.json"
     if not manifest_path.is_file():
@@ -284,6 +285,10 @@ def load(path) -> Dataset:
             .reshape(config.height, config.width, 3)
             .copy()
         )
+        if not ((pixels >= 0.0) & (pixels < np.inf)).all():
+            raise DatasetFormatError(
+                f"scene file {name} holds a pixel that is negative, infinite or NaN"
+            )
         scenes.append(Scene(pixels=pixels, label=labels[i]))
     return Dataset(scenes, config)
 

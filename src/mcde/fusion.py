@@ -32,7 +32,6 @@ __all__ = [
     "CONFIDENCE_FLOOR",
     "FusionResult",
     "raw_confidence",
-    "confidence_scores",
     "aggregate",
     "ensemble_estimates",
     "fuse",
@@ -59,19 +58,16 @@ def raw_confidence(uncertainties, variant: str = "log") -> np.ndarray:
     """Pre-normalization confidence scores g(1/mu), floored.
 
     A NaN or negative mu is refused, naming the first such member: the
-    floor would otherwise give a negative mu the largest weight.
+    floor would otherwise give a negative mu the largest weight.  An
+    infinite mu is legal and scores the floor, without a warning from
+    the log variant's log(0).
     """
     u = np.asarray(uncertainties, dtype=np.float64)
     if not (u >= 0.0).all():
         k = np.flatnonzero(~(u >= 0.0))[0]
         raise ValueError(f"member {k}: uncertainty mu must be non-negative, got {u.flat[k]}")
-    return np.maximum(_g(variant)(1.0 / np.maximum(u, SIGMA_FLOOR)), CONFIDENCE_FLOOR)
-
-
-def confidence_scores(uncertainties, variant: str = "log") -> np.ndarray:
-    """Normalized ensemble weights: raw confidences divided by their sum."""
-    raw = raw_confidence(uncertainties, variant)
-    return raw / raw.sum()
+    with np.errstate(divide="ignore"):
+        return np.maximum(_g(variant)(1.0 / np.maximum(u, SIGMA_FLOOR)), CONFIDENCE_FLOOR)
 
 
 def aggregate(means, weights) -> np.ndarray:

@@ -18,40 +18,42 @@ from mcde.nn.layers import Affine, Conv3x3, Dropout, MaxPool, MeanPool, Positive
 from mcde.nn.network import Network
 from mcde.seeding import derive_seed
 
-__all__ = ["ARCHITECTURES", "build", "check_member", "param_count"]
+__all__ = ["ARCHITECTURES", "build", "check_member", "param_count", "stack"]
 
-# Name -> the layers between conv+ReLU and the Affine readout, given the
-# dropout rate.  Every stock stack is conv, ReLU, these, affine, head.
+# Name -> the layers ``stack`` puts between conv+ReLU and the Affine
+# readout, given the dropout rate.
 ARCHITECTURES = {
     "g-net": lambda rate: [Dropout(rate), MeanPool()],
     "m-net": lambda rate: [MaxPool(), Dropout(rate)],
 }
 
 
+def stack(arch: str, channels: int, dropout_rate: float) -> Network:
+    """The stock network for ``arch``, ``channels`` and ``dropout_rate``, every
+    parameter zero: ``build`` draws weights into it, model files fill it."""
+    check_member(arch, channels, dropout_rate)
+    middle = ARCHITECTURES[arch](dropout_rate)
+    layers = [Conv3x3(3, channels), Relu(), *middle, Affine(channels, 3), PositiveHead()]
+    return Network(layers, arch=arch)
+
+
 def build(arch: str, seed: int = 0, channels: int = 12, dropout_rate: float = 0.3) -> Network:
-    """A stock network with weights drawn from ``seed``.
+    """The ``stack`` with weights drawn from ``seed``.
 
     Weights are uniform in [-s, s] with s = sqrt(6 / (fan_in + fan_out)),
     one generator per layer index, drawn in float64 and rounded to the
     layers' float32; biases are zero.
     """
-    check_member(arch, channels, dropout_rate)
-    layers = [
-        Conv3x3(3, channels),
-        Relu(),
-        *ARCHITECTURES[arch](dropout_rate),
-        Affine(channels, 3),
-        PositiveHead(),
-    ]
-    for i, layer in enumerate(layers):
+    net = stack(arch, channels, dropout_rate)
+    for i, layer in enumerate(net.layers):
         if layer.params:
             layer.init(np.random.default_rng(derive_seed("layer-init", seed, i)))
-    return Network(layers, arch=arch)
+    return net
 
 
 def param_count(channels: int) -> int:
-    """How many parameters ``build`` gives a network of ``channels``, without
-    building it: those of the conv from RGB and the affine readout, the
+    """How many parameters ``stack`` gives a network of ``channels``, without
+    allocating them: those of the conv from RGB and the affine readout, the
     only stock layers that have any."""
     shapes = [
         *Conv3x3.param_shapes(3, channels).values(),
@@ -61,7 +63,7 @@ def param_count(channels: int) -> int:
 
 
 def check_member(arch: str, channels: int, dropout_rate: float) -> None:
-    """Reject what ``build`` cannot build, without building it."""
+    """Reject what ``stack`` cannot build, without building it."""
     if arch not in ARCHITECTURES:
         raise ValueError(f"unknown architecture {arch!r}; choose from {sorted(ARCHITECTURES)}")
     check_int("channels", channels, 1)

@@ -1,6 +1,6 @@
 """Flat binary container of a stock network plus a JSON sidecar.
 
-A file holds what ``build`` needs to rebuild a network, and the weights.
+A file holds what ``stack`` needs to rebuild a network, and the weights.
 Binary layout (all integers little-endian):
 
     magic            8 bytes  b"MCDENET1"
@@ -8,14 +8,14 @@ Binary layout (all integers little-endian):
     arch name        uint16 length + utf-8 bytes, a key of ARCHITECTURES
     channels         uint32
     dropout rate     float64
-    parameters       every parameter of build(arch, channels=...,
-                     dropout_rate=...), in layer order and then in
-                     sorted name order, as raw float32 (<f4, C order)
+    parameters       every parameter of stack(arch, channels,
+                     dropout_rate), in layer order and then in sorted
+                     name order, as raw float32 (<f4, C order)
 
 Format version 3 holds stock networks only.  Version 2 held a record per
 layer and version 1 float64 parameters; both are rejected.  Weights
 round-trip bit-exactly.  Loading checks the header, and that the file
-holds exactly the parameter bytes it implies, before it builds anything,
+holds exactly the parameter bytes it implies, before it makes the stack,
 so a malformed header fails with ModelFormatError instead of a large
 allocation.  The sidecar at ``<path>.json`` describes the network and,
 when provided, the training config and loss trace; it is documentation,
@@ -25,7 +25,6 @@ the binary alone rebuilds the network.
 from __future__ import annotations
 
 import json
-import math
 import os
 import struct
 from itertools import zip_longest
@@ -33,7 +32,7 @@ from pathlib import Path
 
 import numpy as np
 
-from mcde.nn.archs import build, check_member, param_count
+from mcde.nn.archs import check_member, param_count, stack
 from mcde.nn.layers import PARAM_DTYPE, Conv3x3, Dropout
 from mcde.nn.network import Network
 
@@ -48,24 +47,29 @@ class ModelFormatError(Exception):
 
 
 def _layout(net: Network) -> list:
-    """Each layer's kind and parameter shapes, in the order they are stored."""
+    """Each layer's kind and parameter shapes."""
     return [
-        (layer.kind, [(name, layer.params[name].shape) for name in sorted(layer.params)])
+        (layer.kind, {name: param.shape for name, param in layer.params.items()})
         for layer in net.layers
     ]
+
+
+def _stored(net: Network) -> list:
+    """(layer params, name) per parameter, as stored: layer order, then sorted name."""
+    return [(layer.params, name) for layer in net.layers for name in sorted(layer.params)]
 
 
 def save_network(net: Network, path, training: dict | None = None, loss_trace=None) -> None:
     """Write the binary container and its JSON sidecar.
 
     The channel count and the dropout rate are read from ``net``, which
-    must be what ``build`` gives for them: any other network, an arch
+    must be the ``stack`` for them: any other network, an arch
     outside ``ARCHITECTURES`` included, is refused before the file opens.
     """
     channels = next((layer.c_out for layer in net.layers if isinstance(layer, Conv3x3)), 0)
     rate = next((layer.rate for layer in net.layers if isinstance(layer, Dropout)), 0.0)
     try:
-        stock = build(net.arch, channels=channels, dropout_rate=rate)
+        stock = stack(net.arch, channels, rate)
     except (TypeError, ValueError) as exc:
         raise ModelFormatError(f"not a stock network: {exc}") from None
     pairs = enumerate(zip_longest(_layout(net), _layout(stock)))
@@ -82,9 +86,8 @@ def save_network(net: Network, path, training: dict | None = None, loss_trace=No
         fh.write(struct.pack("<IH", FORMAT_VERSION, len(arch)))
         fh.write(arch)
         fh.write(struct.pack("<Id", channels, rate))
-        for layer in net.layers:
-            for name in sorted(layer.params):
-                fh.write(np.ascontiguousarray(layer.params[name], dtype="<f4").tobytes())
+        for params, name in _stored(net):
+            fh.write(np.ascontiguousarray(params[name], dtype="<f4").tobytes())
     sidecar = {
         "format_version": FORMAT_VERSION,
         "arch": net.arch,
@@ -141,12 +144,10 @@ def load_network(path) -> Network:
                 f"that a {arch} with {channels} channels needs"
             )
         data = fh.read(need)
-    net = build(arch, channels=channels, dropout_rate=rate)
+    net = stack(arch, channels, rate)
     offset = 0
-    for layer in net.layers:
-        for name in sorted(layer.params):
-            shape = layer.params[name].shape
-            param = np.frombuffer(data, "<f4", math.prod(shape), offset).reshape(shape)
-            layer.params[name] = param.astype(PARAM_DTYPE)
-            offset += param.nbytes
+    for params, name in _stored(net):
+        param = np.frombuffer(data, "<f4", params[name].size, offset)
+        params[name] = param.reshape(params[name].shape).astype(PARAM_DTYPE)
+        offset += param.nbytes
     return net

@@ -9,12 +9,14 @@ import filecmp
 import json
 import shutil
 import struct
+from dataclasses import asdict
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 from mcde import cli, datagen, fusion
+from mcde.bench import TrainableSpec
 from mcde.color import apply_von_kries
 from mcde.nn import (
     ARCHITECTURES,
@@ -131,6 +133,31 @@ class TestTrain:
             "n_scenes": 6,
         }
         assert len(sidecar["loss_trace"]) == 2
+
+    def test_training_flags_default_to_the_spec(self, dataset_dir, tmp_path):
+        """Without training flags a member trains with ``TrainableSpec``'s
+        own defaults."""
+        out = tmp_path / "m.net"
+        code = cli.main(["train", "--arch", "m-net", "--data", str(dataset_dir), "--out", str(out)])
+        assert code == 0
+        training = json.loads(Path(f"{out}.json").read_text())["training"]
+        spec = asdict(TrainableSpec(name="m-net", arch="m-net"))
+        assert {key: training[key] for key in spec} == spec
+
+    def test_hostile_pixel_is_runtime_error_naming_the_file(self, tmp_path, capsys):
+        dataset = datagen.gen_dataset(datagen.GenConfig(n_scenes=3, width=8, height=8))
+        dataset.scenes[2].pixels[0, 0, 0] = np.nan
+        datagen.save(dataset, tmp_path / "data")
+        out = tmp_path / "m.net"
+        code = cli.main(
+            ["train", "--arch", "g-net", "--data", str(tmp_path / "data"),
+             "--out", str(out), *TRAIN_FLAGS]
+        )
+        assert code == 1
+        assert capsys.readouterr().err == (
+            "error: scene file scene_00002.f32 holds a pixel that is negative, infinite or NaN\n"
+        )
+        assert not out.exists()
 
     def test_saved_model_estimates_unit_vectors(self, model_paths, dataset_dir):
         net = load_network(model_paths[0])

@@ -143,6 +143,17 @@ class TestDatasetIO:
         with pytest.raises(DatasetFormatError, match="checksum"):
             load(tmp_path / "ds")
 
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -5.0], ids=["nan", "inf", "negative"])
+    def test_hostile_pixel_is_rejected(self, tmp_path, value):
+        """A pixel no generator writes, under a matching checksum, names
+        its scene file."""
+        dataset = gen_dataset(GenConfig(n_scenes=3, base_seed=11))
+        dataset.scenes[1].pixels[2, 3, 1] = value
+        save(dataset, tmp_path / "ds")
+        message = "^scene file scene_00001.f32 holds a pixel that is negative, infinite or NaN$"
+        with pytest.raises(DatasetFormatError, match=message):
+            load(tmp_path / "ds")
+
     def test_missing_scene_file(self, tmp_path):
         dataset = gen_dataset(GenConfig(n_scenes=2, base_seed=12))
         save(dataset, tmp_path / "ds")

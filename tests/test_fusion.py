@@ -12,7 +12,6 @@ from mcde.fusion import (
     CONFIDENCE_FLOOR,
     SIGMA_FLOOR,
     aggregate,
-    confidence_scores,
     ensemble_estimates,
     fuse,
     ideal_combine,
@@ -69,6 +68,16 @@ class TestRawConfidence:
         with pytest.raises(ValueError, match="variant"):
             raw_confidence([1.0], "cubic")
 
+    @pytest.mark.parametrize(
+        "variant, want",
+        [("linear", [CONFIDENCE_FLOOR, 10.0]), ("log", [CONFIDENCE_FLOOR, math.log(10.0)])],
+        ids=["linear", "log"],
+    )
+    def test_an_infinite_mu_scores_the_floor(self, variant, want):
+        """An infinite mu is a legal, maximally uncertain member; the log
+        variant's log(1/inf) = log(0) must not warn."""
+        np.testing.assert_allclose(raw_confidence([math.inf, 0.1], variant), want, rtol=1e-15)
+
     @pytest.mark.parametrize("variant", ["linear", "log"])
     @pytest.mark.parametrize(
         "mus, message",
@@ -86,13 +95,18 @@ class TestRawConfidence:
             raw_confidence(mus, variant)
 
 
+def fused_weights(mus, variant):
+    """``fuse``'s weights for members with uncertainties ``mus``."""
+    return fuse([stub_estimate([1.0, 2.0, 3.0], mu) for mu in mus], variant).weights
+
+
 class TestConfidenceScores:
     @pytest.mark.parametrize("variant", ["linear", "log"])
     def test_simplex(self, variant):
         rng = np.random.default_rng(80)
         for _ in range(20):
             mus = rng.uniform(0.0, 2.0, rng.integers(1, 6))
-            w = confidence_scores(mus, variant)
+            w = fused_weights(mus, variant)
             assert np.all(w > 0.0)
             assert abs(w.sum() - 1.0) <= 1e-12
 
@@ -100,14 +114,14 @@ class TestConfidenceScores:
         rng = np.random.default_rng(81)
         for variant in ("linear", "log"):
             mus = np.sort(rng.uniform(1e-6, 1.5, 5))
-            w = confidence_scores(mus, variant)
+            w = fused_weights(mus, variant)
             assert np.all(np.diff(w) <= 1e-15)
 
 
 class TestProperties:
     @given(uncertainties, variants)
     def test_confidence_scores_lie_on_the_simplex(self, mus, variant):
-        w = confidence_scores(mus, variant)
+        w = fused_weights(mus, variant)
         assert w.shape == mus.shape
         assert np.all(w > 0.0)
         assert abs(w.sum() - 1.0) <= 1e-12
@@ -115,7 +129,8 @@ class TestProperties:
     @given(st.lists(st.tuples(positive_rgb, st.floats(0.0, 2.0)), min_size=1, max_size=5), variants)
     def test_aggregate_stays_inside_the_envelope(self, members, variant):
         means = np.stack([v / np.linalg.norm(v) for v, _ in members])
-        weights = confidence_scores([mu for _, mu in members], variant)
+        raw = raw_confidence([mu for _, mu in members], variant)
+        weights = raw / raw.sum()
         phis, varphis = to_spherical(means)
         phi, varphi = to_spherical(aggregate(means, weights))
         assert phis.min() - 1e-12 <= phi <= phis.max() + 1e-12
@@ -184,13 +199,17 @@ class TestFuse:
     def test_weights_match_confidence_scores(self):
         ests = [stub_estimate([1, 2, 3], 0.02), stub_estimate([3, 2, 1], 0.4)]
         result = fuse(ests, "log")
-        np.testing.assert_array_equal(
-            result.raw_scores, raw_confidence([0.02, 0.4], "log")
-        )
-        np.testing.assert_allclose(
-            result.weights, confidence_scores([0.02, 0.4], "log"), atol=1e-15
-        )
+        raw = raw_confidence([0.02, 0.4], "log")
+        np.testing.assert_array_equal(result.raw_scores, raw)
+        np.testing.assert_allclose(result.weights, raw / raw.sum(), atol=1e-15)
         assert result.variant == "log"
+
+    @pytest.mark.parametrize("variant", ["linear", "log"])
+    def test_an_infinite_mu_gets_the_floor_weight(self, variant):
+        ests = [stub_estimate([1, 2, 3], math.inf), stub_estimate([3, 2, 1], 0.1)]
+        result = fuse(ests, variant)
+        assert result.raw_scores[0] == CONFIDENCE_FLOOR
+        assert result.weights[0] == CONFIDENCE_FLOOR / result.raw_scores.sum()
 
     def test_permutation_equivariance(self):
         rng = np.random.default_rng(83)

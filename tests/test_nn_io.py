@@ -29,7 +29,7 @@ from mcde.nn import (
     save_network,
     train,
 )
-from mcde.nn.archs import param_count
+from mcde.nn.archs import param_count, stack
 from mcde.datagen import GenConfig, gen_dataset
 
 
@@ -100,6 +100,13 @@ class TestRoundTrip:
     def test_stock_networks_round_trip(self, arch, channels, rate, tmp_path):
         net = build(arch, seed=channels, channels=channels, dropout_rate=rate)
         assert sum(p.size for l in net.layers for p in l.params.values()) == param_count(channels)
+        zeros = stack(arch, channels, rate)
+
+        def layout(n):
+            return [(l.kind, {k: p.shape for k, p in l.params.items()}) for l in n.layers]
+
+        assert layout(zeros) == layout(net)
+        assert all(not p.any() for l in zeros.layers for p in l.params.values())
         path = tmp_path / "model.net"
         save_network(net, path)
         loaded = load_network(path)
@@ -110,6 +117,26 @@ class TestRoundTrip:
             assert set(a.params) == set(b.params)
             for name, param in a.params.items():
                 assert param.tobytes() == b.params[name].tobytes()
+
+    @pytest.mark.parametrize("arch", ["g-net", "m-net"])
+    def test_save_and_load_draw_no_weights(self, arch, tmp_path, monkeypatch):
+        """Saving compares against the zero ``stack`` and loading fills it:
+        neither draws init weights."""
+        net = build(arch, seed=54, channels=6, dropout_rate=0.2)
+
+        def refuse(self, rng):
+            raise AssertionError(f"{type(self).__name__}.init called")
+
+        monkeypatch.setattr(Conv3x3, "init", refuse)
+        monkeypatch.setattr(Affine, "init", refuse)
+        path = tmp_path / "model.net"
+        save_network(net, path)
+        loaded = load_network(path)
+        for a, b in zip(net.layers, loaded.layers, strict=True):
+            assert a.kind == b.kind
+            assert {n: p.tobytes() for n, p in a.params.items()} == {
+                n: p.tobytes() for n, p in b.params.items()
+            }
 
     @pytest.mark.parametrize(
         "arch, net_sha, sidecar_sha",
