@@ -66,8 +66,8 @@ print("recovery  warm vs neutral:",
 # achromatic again.
 rng = np.random.default_rng(7)
 reflectance = rng.uniform(0.2, 0.9, size=(4, 4, 1))
-scene = (reflectance * warm).astype(np.float64)
-corrected = apply_von_kries(scene, warm)
+pixels = (reflectance * warm).astype(np.float64)
+corrected = apply_von_kries(pixels, warm)
 per_pixel_spread = corrected.max(axis=-1) - corrected.min(axis=-1)
 print("\nmax channel spread after exact correction:",
       float(per_pixel_spread.max()))

@@ -22,7 +22,7 @@ def member(phi_deg, varphi_deg, mu):
     """Hand-built ensemble member with a chosen direction and mu."""
     mean = from_spherical(np.radians((phi_deg, varphi_deg)))
     sigma = np.full(3, mu ** (1.0 / 3.0)) if mu > 0 else np.zeros(3)
-    return MCEstimate(mean=mean, sigma=sigma, mu=mu, passes=30)
+    return MCEstimate(mean=mean, sigma=sigma, mu=mu)
 
 
 # Two members with EQUAL uncertainty split the weight evenly, and the

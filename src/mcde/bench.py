@@ -49,7 +49,6 @@ from mcde.nn.training import TrainConfig, train
 from mcde.seeding import MAX_SEED, derive_seed
 
 __all__ = [
-    "METRICS",
     "ErrorStats",
     "stats",
     "TrainableSpec",
@@ -172,10 +171,10 @@ class BenchConfig:
 class BenchReport:
     """Everything a report directory is rendered from.
 
-    errors maps (method, metric) to per-sample error arrays aligned
-    with sample_ids; summary holds the corresponding ErrorStats;
+    errors maps (method, metric) to per-sample error arrays, sample i
+    at position i; summary holds the corresponding ErrorStats;
     uncertainties maps each trained member to its raw per-sample
-    uncertainty mu, aligned with sample_ids; and loss_traces holds each
+    uncertainty mu, in the same order; and loss_traces holds each
     trained member's per-epoch mean training loss, keyed by (fold,
     member) for ``crossval`` and by member for the scenario.  No report
     file holds the traces.
@@ -184,7 +183,6 @@ class BenchReport:
     config: dict
     methods: tuple[str, ...]
     model_names: tuple[str, ...]
-    sample_ids: np.ndarray
     errors: dict[tuple[str, str], np.ndarray]
     summary: dict[tuple[str, str], ErrorStats]
     uncertainties: dict[str, np.ndarray]
@@ -247,7 +245,6 @@ def _report(echo: dict, model_names, batches, loss_traces: dict) -> BenchReport:
         config=echo,
         methods=_method_list(model_names),
         model_names=tuple(model_names),
-        sample_ids=np.arange(len(errors[("grey-world", "recovery")])),
         errors=errors,
         summary={key: stats(values) for key, values in errors.items()},
         uncertainties={name: np.array(values) for name, values in uncertainties.items()},
@@ -371,14 +368,12 @@ def write_report(report: BenchReport, out_dir) -> None:
 
     sample_rows = []
     mu_rows = []
-    for pos, sample_id in enumerate(report.sample_ids):
+    for i in range(len(report.errors[("grey-world", "recovery")])):
         for method in report.methods:
             for metric in METRICS:
-                sample_rows.append(
-                    (int(sample_id), method, metric, float(report.errors[(method, metric)][pos]))
-                )
+                sample_rows.append((i, method, metric, float(report.errors[(method, metric)][i])))
         for name in report.model_names:
-            mu_rows.append((int(sample_id), name, float(report.uncertainties[name][pos])))
+            mu_rows.append((i, name, float(report.uncertainties[name][i])))
     _write_csv(
         out / "per_sample.csv", ["sample", "method", "metric", "error_deg"], sample_rows
     )

@@ -67,14 +67,6 @@ class Scene:
     pixels: np.ndarray
     label: np.ndarray
 
-    @property
-    def height(self) -> int:
-        return self.pixels.shape[0]
-
-    @property
-    def width(self) -> int:
-        return self.pixels.shape[1]
-
 
 def _scalar(a: np.ndarray):
     return a[()] if a.ndim == 0 else a
@@ -189,16 +181,16 @@ def from_spherical(direction) -> np.ndarray:
     )
 
 
-def apply_von_kries(scene, est) -> np.ndarray:
+def apply_von_kries(pixels, est) -> np.ndarray:
     """Divide out an estimated illuminant, preserving the peak value.
 
     Each channel is divided by the matching component of ``est``, then
     the whole image is rescaled so its maximum channel value matches
-    the input's.  Accepts a Scene or a raw (H, W, 3) array and returns
-    float64 pixels.  A neutral estimate leaves the image unchanged up
-    to round-off, so correction with NEUTRAL is idempotent.
+    the input's.  Takes an (H, W, 3) array and returns float64 pixels.
+    A neutral estimate leaves the image unchanged up to round-off, so
+    correction with NEUTRAL is idempotent.
     """
-    pixels = np.asarray(getattr(scene, "pixels", scene), dtype=np.float64)
+    pixels = np.asarray(pixels, dtype=np.float64)
     est = np.asarray(est, dtype=np.float64)
     if est.shape != (3,):
         raise ValueError("estimate must be a single RGB vector of shape (3,)")

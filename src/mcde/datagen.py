@@ -91,7 +91,8 @@ class GenConfig:
         check_int("n_scenes", self.n_scenes, 0)
         check_int("width", self.width, 8)
         check_int("height", self.height, 8)
-        check_int("n_patches", self.n_patches, 1)
+        # A scene cannot show more patches than it has pixels.
+        check_int("n_patches", self.n_patches, 1, self.width * self.height)
         check_real("noise_std", self.noise_std, 0.0)
         check_int("base_seed", self.base_seed, 0, MAX_SEED)
         if self.pool not in POOLS:
@@ -121,14 +122,13 @@ def gen_scene(config: GenConfig, index: int) -> Scene:
     colors = rng.uniform(REFLECTANCE_LOW, REFLECTANCE_HIGH, (config.n_patches, 3))
     label = sample_illuminant(config.pool, rng)
 
+    # A grid x grid layout, cell (row, col) spanning pixel rows
+    # [row * h // grid, (row + 1) * h // grid), and columns alike.
     grid = math.isqrt(config.n_patches - 1) + 1  # ceil(sqrt(n_patches))
-    h, w = config.height, config.width
-    reflectance = np.empty((h, w, 3))
-    for row in range(grid):
-        r0, r1 = row * h // grid, (row + 1) * h // grid
-        for col in range(grid):
-            c0, c1 = col * w // grid, (col + 1) * w // grid
-            reflectance[r0:r1, c0:c1] = colors[(row * grid + col) % config.n_patches]
+    edges = np.arange(grid + 1)
+    rows = np.repeat(np.arange(grid), np.diff(edges * config.height // grid))
+    cols = np.repeat(np.arange(grid), np.diff(edges * config.width // grid))
+    reflectance = colors[(rows[:, None] * grid + cols) % config.n_patches]
 
     pixels = reflectance * label
     if config.noise_std > 0.0:

@@ -98,7 +98,6 @@ class FusionResult:
     estimates: tuple[MCEstimate, ...]
     weights: np.ndarray
     raw_scores: np.ndarray
-    variant: str
 
 
 def ensemble_estimates(nets, pixels, nu: int = 30, base_seed: int = 0) -> list[MCEstimate]:
@@ -118,13 +117,7 @@ def fuse(estimates, variant: str = "log") -> FusionResult:
     raw = raw_confidence(mus, variant)
     weights = raw / raw.sum()
     fused = aggregate(np.stack([e.mean for e in estimates]), weights)
-    return FusionResult(
-        fused=fused,
-        estimates=estimates,
-        weights=weights,
-        raw_scores=raw,
-        variant=variant,
-    )
+    return FusionResult(fused=fused, estimates=estimates, weights=weights, raw_scores=raw)
 
 
 def mcde(nets, pixels, nu: int = 30, base_seed: int = 0, variant: str = "log") -> FusionResult:

@@ -37,13 +37,11 @@ class MCEstimate:
     mean:   (3,) unit-norm illuminant estimate.
     sigma:  (3,) per-channel spread of the passes (1/nu convention).
     mu:     scalar total uncertainty, the product of the three sigmas.
-    passes: number of forward passes aggregated.
     """
 
     mean: np.ndarray
     sigma: np.ndarray
     mu: float
-    passes: int
 
 
 def mc_estimate(net, pixels, nu: int = 30, base_seed: int = 0) -> MCEstimate:
@@ -64,4 +62,4 @@ def mc_estimate(net, pixels, nu: int = 30, base_seed: int = 0) -> MCEstimate:
         raw_mean = outs.mean(axis=0)
         sigma = np.sqrt(np.mean((outs - raw_mean) ** 2, axis=0))
     mean = raw_mean / np.linalg.norm(raw_mean)
-    return MCEstimate(mean=mean, sigma=sigma, mu=float(sigma.prod()), passes=nu)
+    return MCEstimate(mean=mean, sigma=sigma, mu=float(sigma.prod()))

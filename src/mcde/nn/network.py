@@ -9,6 +9,7 @@ import numpy as np
 
 from mcde._check import check_int
 from mcde.nn.layers import PARAM_DTYPE, Dropout, MaxPool, MeanPool
+from mcde.seeding import MAX_SEED
 
 __all__ = ["Mode", "Network", "NumericError", "PassSeed", "cosine_loss"]
 
@@ -26,7 +27,7 @@ _BLOCK_BYTES = 64 * 1024
 # and take their constants as numpy scalars, which a ufunc does not
 # convert per call.  _GAMMA is splitmix64's Weyl increment (Steele et
 # al. 2014) and _LAYER_GAMMA spaces the layers apart.
-_KEY_LIMIT = 1 << 64
+_KEY_LIMIT = MAX_SEED + 1
 _GAMMA = np.uint64(0x9E3779B97F4A7C15)
 _LAYER_GAMMA = 0xD1B54A32D192ED03
 _S30, _M1, _S27, _M2, _S31 = np.array(
@@ -59,15 +60,8 @@ class PassSeed:
     pass_index: int = 0
 
     def __post_init__(self) -> None:
-        for name in ("base_seed", "pass_index"):
-            value = getattr(self, name)
-            if type(value) is not int:  # a numpy integer, say: keys need Python ints
-                if isinstance(value, bool) or not hasattr(value, "__index__"):
-                    raise TypeError(f"{name} must be an integer, got {value!r}")
-                value = value.__index__()
-                object.__setattr__(self, name, value)
-            if not 0 <= value < _KEY_LIMIT:
-                raise ValueError(f"{name} must lie in [0, 2**64), got {value}")
+        check_int("base_seed", self.base_seed, 0, MAX_SEED)
+        check_int("pass_index", self.pass_index, 0, MAX_SEED)
 
 
 def _check_passes(seed: PassSeed, count) -> None:
@@ -151,12 +145,9 @@ class Network:
         """``pixels`` in ``_dtype()``, checked to stack non-empty (H, W, c_in)
         images: float32 pixels into a float32 network are not copied.
 
-        ``c_in`` comes from the first layer that has one, if any.  A
-        network without layers is the identity and takes any array.
+        ``c_in`` comes from the first layer that has one, if any.
         """
         x = np.asarray(pixels, dtype=self._dtype())
-        if not self.layers:
-            return x
         c_in = next((layer.c_in for layer in self.layers if hasattr(layer, "c_in")), None)
         if x.ndim != 4 or 0 in x.shape or c_in not in (None, x.shape[3]):
             want = f"(H, W, {'C' if c_in is None else c_in})"

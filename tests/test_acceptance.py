@@ -47,7 +47,7 @@ def stub_estimate(mean, mu):
     mean = np.asarray(mean, dtype=np.float64)
     mean = mean / np.linalg.norm(mean)
     sigma = np.full(3, mu ** (1.0 / 3.0)) if mu > 0 else np.zeros(3)
-    return MCEstimate(mean=mean, sigma=sigma, mu=float(mu), passes=30)
+    return MCEstimate(mean=mean, sigma=sigma, mu=float(mu))
 
 
 class StubNet:
@@ -266,7 +266,8 @@ def test_qualitative_band_shift(scenario_report):
     report, elapsed = scenario_report
     assert report.config["seed"] == 7
     assert report.config["nu"] == 30
-    assert len(report.sample_ids) == 400
+    for values in (*report.errors.values(), *report.uncertainties.values()):
+        assert values.shape == (400,)
 
     fused = report.summary[("mcde-log", "recovery")]
     member_means = [

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from mcde.baselines import grey_world, shades_of_grey
-from mcde.color import NEUTRAL, Scene, normalize, recovery_error
+from mcde.color import normalize, recovery_error
 
 
 def oracle_grey_world(pixels):
@@ -36,12 +36,6 @@ class TestGreyWorld:
         np.testing.assert_allclose(
             grey_world(pixels), oracle_grey_world(pixels), atol=1e-9
         )
-
-    def test_accepts_scene_objects(self):
-        rng = np.random.default_rng(94)
-        pixels = rng.uniform(0.1, 1.0, (4, 4, 3)).astype(np.float32)
-        scene = Scene(pixels=pixels, label=NEUTRAL.copy())
-        np.testing.assert_array_equal(grey_world(scene), grey_world(pixels))
 
     def test_all_black_channel_is_rejected(self):
         pixels = np.ones((3, 3, 3))

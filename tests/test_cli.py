@@ -104,6 +104,17 @@ class TestGenData:
             ["gen-data", "--scenes", "0", "--out", str(tmp_path / "d")]
         ) == 2
 
+    def test_more_patches_than_pixels_is_runtime_error(self, tmp_path, capsys):
+        """Refused by GenConfig before any scene is painted, so a huge
+        count allocates nothing."""
+        out = tmp_path / "d"
+        code = cli.main(
+            ["gen-data", "--scenes", "1", "--patches", "10000000000000", "--out", str(out)]
+        )
+        assert code == 1
+        assert "n_patches must lie in [1, 256]" in capsys.readouterr().err
+        assert not out.exists()
+
     @pytest.mark.parametrize("seed", ["-3", str(2**64), "2.5", "x"])
     def test_out_of_range_seed_is_usage_error(self, seed, tmp_path, capsys):
         assert cli.main(

@@ -15,7 +15,6 @@ from mcde.color import (
     DIV_EPS,
     METRICS,
     NEUTRAL,
-    Scene,
     SphericalDir,
     apply_von_kries,
     from_spherical,
@@ -317,15 +316,6 @@ class TestApplyVonKries:
         out = apply_von_kries(pixels, est)
         assert out.max() == pytest.approx(pixels.max(), abs=1e-12)
 
-    def test_accepts_scene_objects(self):
-        rng = np.random.default_rng(22)
-        pixels = rng.uniform(0.0, 1.0, (4, 4, 3)).astype(np.float32)
-        scene = Scene(pixels=pixels, label=NEUTRAL.copy())
-        est = normalize([0.6, 0.5, 0.4])
-        np.testing.assert_array_equal(
-            apply_von_kries(scene, est), apply_von_kries(pixels, est)
-        )
-
     @pytest.mark.parametrize(
         "est",
         [[1.0, 1.0], [1.0, 0.0, 1.0], [1.0, -1.0, 1.0], [np.nan, 1.0, 1.0]],
@@ -333,10 +323,3 @@ class TestApplyVonKries:
     def test_rejects_bad_estimates(self, est):
         with pytest.raises(ValueError):
             apply_von_kries(np.ones((2, 2, 3)), est)
-
-
-class TestScene:
-    def test_dimensions(self):
-        scene = Scene(pixels=np.zeros((7, 9, 3), dtype=np.float32), label=NEUTRAL.copy())
-        assert scene.height == 7
-        assert scene.width == 9

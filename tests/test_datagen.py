@@ -12,14 +12,18 @@ import pytest
 from mcde.color import to_spherical
 from mcde.datagen import (
     POOLS,
+    REFLECTANCE_HIGH,
+    REFLECTANCE_LOW,
     DatasetFormatError,
     GenConfig,
     folds,
     gen_dataset,
     gen_scene,
     load,
+    sample_illuminant,
     save,
 )
+from mcde.seeding import derive_seed
 
 
 def write_labels(root, lines):
@@ -74,6 +78,33 @@ class TestGenScene:
         distinct = np.unique(scene.pixels.reshape(-1, 3), axis=0)
         assert distinct.shape[0] <= 4
 
+    @pytest.mark.parametrize(
+        "height,width,n_patches",
+        [(16, 16, 25), (16, 16, 1), (13, 9, 7), (8, 31, 10), (39, 64, 2), (8, 8, 64),
+         (17, 13, 17 * 13), (9, 8, 71)],
+    )
+    def test_paints_the_cells_of_a_per_cell_loop(self, height, width, n_patches):
+        """Bit for bit the scene a loop over the grid's cells paints,
+        with sizes the grid does not divide and n_patches = width * height."""
+        config = GenConfig(
+            n_scenes=1, width=width, height=height, n_patches=n_patches, base_seed=height
+        )
+        rng = np.random.default_rng(derive_seed("scene", config.base_seed, 0))
+        colors = rng.uniform(REFLECTANCE_LOW, REFLECTANCE_HIGH, (n_patches, 3))
+        label = sample_illuminant(config.pool, rng)
+        grid = math.isqrt(n_patches - 1) + 1
+        reflectance = np.empty((height, width, 3))
+        for row in range(grid):
+            r0, r1 = row * height // grid, (row + 1) * height // grid
+            for col in range(grid):
+                c0, c1 = col * width // grid, (col + 1) * width // grid
+                reflectance[r0:r1, c0:c1] = colors[(row * grid + col) % n_patches]
+        pixels = reflectance * label + rng.normal(0.0, config.noise_std, (height, width, 3))
+        want = np.maximum(pixels, 0.0).astype(np.float32)
+        scene = gen_scene(config, 0)
+        assert scene.label.tobytes() == label.tobytes()
+        assert scene.pixels.tobytes() == want.tobytes()
+
     def test_noise_perturbs_pixels(self):
         base = GenConfig(n_scenes=1, noise_std=0.0, base_seed=6)
         noisy = GenConfig(n_scenes=1, noise_std=0.05, base_seed=6)
@@ -98,6 +129,10 @@ class TestGenScene:
                 GenConfig(n_scenes=1, noise_std=noise_std)
         with pytest.raises(ValueError):
             GenConfig(n_scenes=-1)
+        # No more patches than pixels: 8 x 9 takes at most 72.
+        assert GenConfig(n_scenes=1, width=8, height=9, n_patches=72).n_patches == 72
+        with pytest.raises(ValueError, match=r"^n_patches must lie in \[1, 72\], got 73$"):
+            GenConfig(n_scenes=1, width=8, height=9, n_patches=73)
         for base_seed, error in (
             (2.5, TypeError), (-3, ValueError), (2**64, ValueError), ("x", TypeError),
             ("7", TypeError), (True, TypeError),

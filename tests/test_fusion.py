@@ -27,7 +27,7 @@ def stub_estimate(mean, mu):
     mean = np.asarray(mean, dtype=np.float64)
     mean = mean / np.linalg.norm(mean)
     sigma = np.full(3, mu ** (1.0 / 3.0)) if mu > 0 else np.zeros(3)
-    return MCEstimate(mean=mean, sigma=sigma, mu=float(mu), passes=30)
+    return MCEstimate(mean=mean, sigma=sigma, mu=float(mu))
 
 
 uncertainties = st.lists(st.floats(0.0, 1e6), min_size=1, max_size=6).map(np.array)
@@ -192,7 +192,7 @@ class TestFuse:
 
     def test_a_hostile_mu_names_its_member(self):
         ests = [stub_estimate([1, 2, 3], 0.02), stub_estimate([3, 2, 1], 0.4)]
-        ests[1] = MCEstimate(mean=ests[1].mean, sigma=ests[1].sigma, mu=math.nan, passes=30)
+        ests[1] = MCEstimate(mean=ests[1].mean, sigma=ests[1].sigma, mu=math.nan)
         with pytest.raises(ValueError, match="^member 1: uncertainty mu must be non-negative"):
             fuse(ests, "log")
 
@@ -202,7 +202,6 @@ class TestFuse:
         raw = raw_confidence([0.02, 0.4], "log")
         np.testing.assert_array_equal(result.raw_scores, raw)
         np.testing.assert_allclose(result.weights, raw / raw.sum(), atol=1e-15)
-        assert result.variant == "log"
 
     @pytest.mark.parametrize("variant", ["linear", "log"])
     def test_an_infinite_mu_gets_the_floor_weight(self, variant):

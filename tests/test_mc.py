@@ -72,7 +72,6 @@ class TestReduction:
         np.testing.assert_allclose(est.mean, want_mean, atol=1e-15)
         np.testing.assert_allclose(est.sigma, want_sigma, atol=1e-15)
         assert est.mu == pytest.approx(want_mu, abs=1e-15)
-        assert est.passes == 4
 
     def test_population_convention_two_passes(self):
         """With two passes the spread is |a - b| / 2, not |a - b| / sqrt(2)."""
@@ -242,7 +241,6 @@ class TestPrefixSharing:
         assert got.mean.tobytes() == ref.mean.tobytes()
         assert got.sigma.tobytes() == ref.sigma.tobytes()
         assert got.mu == ref.mu
-        assert got.passes == ref.passes
 
     @pytest.mark.parametrize("make", STACKS.values(), ids=STACKS.keys())
     def test_equals_pass_by_pass_forwards_at_64x64(self, make):
