@@ -155,6 +155,7 @@ class BenchConfig:
     trainables: tuple[TrainableSpec, ...] = DEFAULT_TRAINABLES
 
     def __post_init__(self) -> None:
+        check_int("folds", self.folds, 2)
         check_int("nu", self.nu, 1, MAX_NU)
         check_real("sog_p", self.sog_p, 1.0)
         check_int("workers", self.workers, 1)

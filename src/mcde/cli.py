@@ -27,8 +27,8 @@ import numpy as np
 from mcde import datagen, fusion
 from mcde._check import check_int, check_real
 from mcde.bench import BenchConfig, TrainableSpec, crossval, train_member, write_report
-from mcde.color import apply_von_kries, recovery_error, reproduction_error
-from mcde.datagen import POOLS, DatasetFormatError, GenConfig
+from mcde.color import METRICS, apply_von_kries
+from mcde.datagen import MAX_SIDE, POOLS, DatasetFormatError, GenConfig
 from mcde.mc import MAX_NU
 from mcde.nn import ARCHITECTURES, ModelFormatError, load_network, save_network
 from mcde.nn.training import MAX_LEARNING_RATE
@@ -45,18 +45,6 @@ _RUNTIME_ERRORS = (
     ModelFormatError,
     RuntimeError,  # includes TrainingError, NumericError and failed folds
 )
-
-
-class _UsageError(Exception):
-    pass
-
-
-class _Parser(argparse.ArgumentParser):
-    """Reports bad flags and config values as a usage error, exit 2."""
-
-    def error(self, message):
-        self.print_usage(sys.stderr)
-        raise _UsageError(f"{self.prog}: {message}")
 
 
 def _span(text: str) -> tuple[int, int]:
@@ -101,11 +89,11 @@ def _config_tokens(parser: argparse.ArgumentParser, path: str) -> list[str]:
     try:
         values = json.loads(Path(path).read_text(encoding="utf-8"))
     except OSError as exc:
-        raise _UsageError(f"cannot read config file: {exc}") from None
+        parser.error(f"cannot read config file: {exc}")
     except ValueError as exc:  # bad JSON, bad UTF-8 or an over-long integer
-        raise _UsageError(f"config file is not valid JSON: {exc}") from None
+        parser.error(f"config file is not valid JSON: {exc}")
     if not isinstance(values, dict):
-        raise _UsageError("config file must hold a JSON object")
+        parser.error("config file must hold a JSON object")
     actions = {
         action.dest: action
         for action in parser._actions
@@ -115,10 +103,7 @@ def _config_tokens(parser: argparse.ArgumentParser, path: str) -> list[str]:
     for key, value in values.items():
         action = actions.get(key)
         if action is None:
-            raise _UsageError(
-                f"unknown config key {key!r} for {parser.prog} "
-                f"(allowed: {sorted(actions)})"
-            )
+            parser.error(f"unknown config key {key!r} (allowed: {sorted(actions)})")
         # JSON kinds argparse cannot see: a flag without a numeric type
         # takes only a string, and only a multi-value flag takes a list.
         multi = action.nargs == "+" and isinstance(value, list)
@@ -127,7 +112,7 @@ def _config_tokens(parser: argparse.ArgumentParser, path: str) -> list[str]:
         if not items or any(
             isinstance(item, bool) or not isinstance(item, kinds) for item in items
         ):
-            raise _UsageError(f"config key {key!r}: unexpected value {value!r}")
+            parser.error(f"config key {key!r}: unexpected value {value!r}")
         option = action.option_strings[0]
         if multi:
             tokens += [option, *items]
@@ -140,7 +125,7 @@ def _config_tokens(parser: argparse.ArgumentParser, path: str) -> list[str]:
 # Subcommand bodies.
 
 
-def _cmd_gen_data(args) -> int:
+def _cmd_gen_data(args) -> None:
     config = GenConfig(
         n_scenes=args.scenes,
         width=args.width,
@@ -158,7 +143,6 @@ def _cmd_gen_data(args) -> int:
         f"illuminant pool {args.pool}: azimuth {spec.phi_deg[0]:g}-{spec.phi_deg[1]:g} deg, "
         f"inclination {spec.varphi_deg[0]:g}-{spec.varphi_deg[1]:g} deg"
     )
-    return 0
 
 
 def _trainable(args, arch: str) -> TrainableSpec:
@@ -174,7 +158,7 @@ def _trainable(args, arch: str) -> TrainableSpec:
     )
 
 
-def _cmd_train(args) -> int:
+def _cmd_train(args) -> None:
     dataset = datagen.load(args.data)
     scenes = dataset.scenes
     subset = args.subset
@@ -205,10 +189,9 @@ def _cmd_train(args) -> int:
     if trace:
         print(f"final epoch mean loss {trace[-1]:.6g}")
     print(f"saved model to {args.out}")
-    return 0
 
 
-def _cmd_estimate(args) -> int:
+def _cmd_estimate(args) -> None:
     nets = []
     for path in args.models:
         try:
@@ -247,8 +230,8 @@ def _cmd_estimate(args) -> int:
         ],
         "ground_truth": [float(v) for v in scene.label],
         "errors": {
-            "recovery_deg": float(recovery_error(scene.label, result.fused)),
-            "reproduction_deg": float(reproduction_error(scene.label, result.fused)),
+            f"{name}_deg": float(error(scene.label, result.fused))
+            for name, error in METRICS.items()
         },
     }
     print(json.dumps(record, indent=2, sort_keys=True))
@@ -257,10 +240,9 @@ def _cmd_estimate(args) -> int:
         Path(args.save_corrected).write_bytes(
             np.ascontiguousarray(corrected, dtype="<f4").tobytes()
         )
-    return 0
 
 
-def _cmd_bench(args) -> int:
+def _cmd_bench(args) -> None:
     dataset = datagen.load(args.data)
     config = BenchConfig(
         folds=args.k,
@@ -281,7 +263,6 @@ def _cmd_bench(args) -> int:
             f"{s.best25_mean:6.1f} {s.worst25_mean:6.1f}"
         )
     print(f"report written to {args.out}")
-    return 0
 
 
 # ---------------------------------------------------------------------------
@@ -295,8 +276,13 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
                         help="master seed")
 
 
+def _defaults(config_class) -> dict:
+    """``config_class``'s field defaults by field name."""
+    return {field.name: field.default for field in fields(config_class)}
+
+
 def _add_training(parser: argparse.ArgumentParser) -> None:
-    defaults = {field.name: field.default for field in fields(TrainableSpec)}
+    defaults = _defaults(TrainableSpec)
     parser.add_argument("--epochs", type=_flag(check_int, 0), default=defaults["epochs"])
     parser.add_argument("--lr", type=_flag(check_real, 0.0, MAX_LEARNING_RATE),
                         default=defaults["learning_rate"])
@@ -307,21 +293,22 @@ def _add_training(parser: argparse.ArgumentParser) -> None:
 
 
 def _build_parser():
-    parser = _Parser(
+    parser = argparse.ArgumentParser(
         prog="mcde",
         description="Monte Carlo dropout ensembles for illuminant estimation.",
     )
     sub = parser.add_subparsers(dest="command", required=True, metavar="command")
+    gen, bench = _defaults(GenConfig), _defaults(BenchConfig)
 
     p = sub.add_parser("gen-data", help="generate a synthetic scene dataset")
     p.add_argument("--scenes", type=_flag(check_int, 1), required=True, help="number of scenes")
     p.add_argument("--out", required=True, help="output dataset directory")
-    p.add_argument("--width", type=_flag(check_int, 8), default=16)
-    p.add_argument("--height", type=_flag(check_int, 8), default=16)
-    p.add_argument("--patches", type=_flag(check_int, 1), default=25)
-    p.add_argument("--pool", choices=sorted(POOLS), default="full",
+    p.add_argument("--width", type=_flag(check_int, 8, MAX_SIDE), default=gen["width"])
+    p.add_argument("--height", type=_flag(check_int, 8, MAX_SIDE), default=gen["height"])
+    p.add_argument("--patches", type=_flag(check_int, 1), default=gen["n_patches"])
+    p.add_argument("--pool", choices=sorted(POOLS), default=gen["pool"],
                    help="illuminant pool to draw labels from")
-    p.add_argument("--noise-std", type=_flag(check_real, 0.0), default=0.01)
+    p.add_argument("--noise-std", type=_flag(check_real, 0.0, 1.0), default=gen["noise_std"])
     _add_common(p)
     p.set_defaults(func=_cmd_gen_data)
 
@@ -350,12 +337,12 @@ def _build_parser():
     p = sub.add_parser("bench", help="cross-validated benchmark report")
     p.add_argument("--data", required=True, help="dataset directory")
     p.add_argument("--out", required=True, help="output report directory")
-    p.add_argument("--k", type=_flag(check_int, 2), default=10, help="number of folds")
-    p.add_argument("--nu", type=_flag(check_int, 1, MAX_NU), default=30)
+    p.add_argument("--k", type=_flag(check_int, 2), default=bench["folds"], help="number of folds")
+    p.add_argument("--nu", type=_flag(check_int, 1, MAX_NU), default=bench["nu"])
     _add_training(p)
-    p.add_argument("--sog-p", type=_flag(check_real, 1.0), default=6.0,
+    p.add_argument("--sog-p", type=_flag(check_real, 1.0), default=bench["sog_p"],
                    help="Minkowski norm for the shades-of-grey baseline")
-    p.add_argument("--workers", type=_flag(check_int, 1), default=1,
+    p.add_argument("--workers", type=_flag(check_int, 1), default=bench["workers"],
                    help="parallel fold workers (does not change results)")
     _add_common(p)
     p.set_defaults(func=_cmd_bench)
@@ -370,24 +357,22 @@ def main(argv=None) -> int:
         if argv and argv[0] in subparsers:
             # A --config without a value reads as None here; the
             # subcommand's own parser reports it.
-            pre = _Parser(add_help=False)
+            pre = argparse.ArgumentParser(add_help=False)
             pre.add_argument("--config", nargs="?")
             config_path = pre.parse_known_args(argv[1:])[0].config
             if config_path is not None:
                 # Ahead of the typed flags, so that an explicit flag wins.
                 argv[1:1] = _config_tokens(subparsers[argv[0]], config_path)
         args = parser.parse_args(argv)
-    except SystemExit as exc:  # --help
+    except SystemExit as exc:  # 2 after a usage error, 0 after --help
         return int(exc.code or 0)
-    except _UsageError as exc:
-        print(f"usage error: {exc}", file=sys.stderr)
-        return 2
     try:
-        return args.func(args)
+        args.func(args)
     except _RUNTIME_ERRORS as exc:
         message = exc.args[0] if isinstance(exc, KeyError) and exc.args else exc
         print(f"error: {message}", file=sys.stderr)
         return 1
+    return 0
 
 
 if __name__ == "__main__":

@@ -39,6 +39,7 @@ from mcde.seeding import MAX_SEED, derive_seed
 
 __all__ = [
     "FORMAT_VERSION",
+    "MAX_SIDE",
     "DatasetFormatError",
     "PoolSpec",
     "POOLS",
@@ -56,6 +57,11 @@ FORMAT_VERSION = 1
 
 REFLECTANCE_LOW = 0.05
 REFLECTANCE_HIGH = 1.0
+
+# Pixels a scene side may span.  ``mcde gen-data`` of one 1024x1024
+# scene peaks at 121 MiB of RSS, and of one 2048x2048 scene at 374 MiB;
+# an unbounded side asks numpy for arrays of any size.
+MAX_SIDE = 1024
 
 
 class DatasetFormatError(Exception):
@@ -89,11 +95,12 @@ class GenConfig:
 
     def __post_init__(self) -> None:
         check_int("n_scenes", self.n_scenes, 0)
-        check_int("width", self.width, 8)
-        check_int("height", self.height, 8)
-        # A scene cannot show more patches than it has pixels.
-        check_int("n_patches", self.n_patches, 1, self.width * self.height)
-        check_real("noise_std", self.noise_std, 0.0)
+        check_int("width", self.width, 8, MAX_SIDE)
+        check_int("height", self.height, 8, MAX_SIDE)
+        # Every patch shows: the ceil(sqrt(n_patches)) grid fits both sides.
+        check_int("n_patches", self.n_patches, 1, min(self.width, self.height) ** 2)
+        # A pixel's signal is at most 1.
+        check_real("noise_std", self.noise_std, 0.0, 1.0)
         check_int("base_seed", self.base_seed, 0, MAX_SEED)
         if self.pool not in POOLS:
             raise ValueError(f"unknown pool {self.pool!r}; choose from {sorted(POOLS)}")
@@ -141,6 +148,10 @@ def gen_dataset(config: GenConfig) -> Dataset:
     return Dataset([gen_scene(config, i) for i in range(config.n_scenes)], config)
 
 
+def _scene_file(i: int) -> str:
+    return f"scene_{i:05d}.f32"
+
+
 def save(dataset: Dataset, path) -> None:
     """Write a dataset directory (manifest, labels.csv, pixel blobs)."""
     root = Path(path)
@@ -149,7 +160,7 @@ def save(dataset: Dataset, path) -> None:
     checksums: dict[str, str] = {}
     for i, scene in enumerate(dataset.scenes):
         blob = np.ascontiguousarray(scene.pixels, dtype="<f4").tobytes()
-        name = f"scene_{i:05d}.f32"
+        name = _scene_file(i)
         (root / name).write_bytes(blob)
         names.append(name)
         checksums[name] = hashlib.sha256(blob).hexdigest()
@@ -235,10 +246,11 @@ def load(path) -> Dataset:
     checksums = manifest["checksums"]
     if len(names) != n_scenes:
         raise DatasetFormatError("scene file list does not match the scene count")
-    for name in names:
-        if Path(name).name != name or name in ("", ".", ".."):
+    for i, name in enumerate(names):  # scene i is the i-th row of labels.csv
+        if name != _scene_file(i):
             raise DatasetFormatError(
-                f"invalid manifest contents: scene file {name!r} is not a plain file name"
+                f"invalid manifest contents: scene_files[{i}] is {name!r}, "
+                f"expected {_scene_file(i)!r}"
             )
 
     labels_path = root / "labels.csv"

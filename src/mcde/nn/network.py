@@ -132,6 +132,7 @@ class Network:
         Row k equals ``forward(pixels, Mode.MC, PassSeed(seed.base_seed,
         seed.pass_index + k))`` bit for bit; each layer runs once for all passes.
         """
+        _check_passes(seed, count)
         out, _ = self._run(self._images(np.asarray(pixels)[None]), seed, count)
         return out if len(out) == count else np.repeat(out, count, axis=0)
 
@@ -181,17 +182,15 @@ class Network:
     def _run(self, x, seed, count):
         """All layers on the rows of ``x``; returns (activation, caches).
 
-        Under ``seed``, with one row per pass, row k runs under pass
-        ``seed.pass_index + k``'s masks; one row meeting ``count``
-        passes broadcasts against their masks into one row per pass.
-        Right before a pool it is not broadcast: the pool runs on the
-        map with every channel some pass keeps kept, and on the map with
-        all dropped, and each pass picks its channels from the two, so
-        g-net builds no (ν, H, W, C) array.  A channel no pass keeps is
-        dropped in both, so the checks stay exact.
+        Under ``seed``, whose pass range the caller checks, with one row
+        per pass, row k runs under pass ``seed.pass_index + k``'s masks;
+        one row meeting ``count`` passes broadcasts against their masks
+        into one row per pass.  Right before a pool it is not broadcast:
+        the pool runs on the map with every channel some pass keeps
+        kept, and on the map with all dropped, and each pass picks its
+        channels from the two, so g-net builds no (ν, H, W, C) array.  A
+        channel no pass keeps is dropped in both, so the checks stay exact.
         """
-        if seed is not None:
-            _check_passes(seed, count)
         caches, dropped = [], None
         for i, (layer, after) in enumerate(zip(self.layers, [*self.layers[1:], None])):
             keep = self._keeps(i, seed, count, x.shape[-1])

@@ -267,6 +267,16 @@ class TestCrossval:
         for key in reference.errors:
             np.testing.assert_array_equal(report.errors[key], reference.errors[key])
 
+    @pytest.mark.parametrize(
+        "value,error,message",
+        [(1, ValueError, "at least 2, got 1"), (-2, ValueError, "at least 2, got -2"),
+         ("3", TypeError, "an integer, got '3'"), (2.5, TypeError, "an integer, got 2.5"),
+         (True, TypeError, "an integer, got True")],
+    )
+    def test_bad_folds_fail_at_construction(self, value, error, message):
+        with pytest.raises(error, match=f"^folds must be {message}$"):
+            BenchConfig(folds=value)
+
     @pytest.mark.parametrize("value", [2.5, True, "2"])
     def test_non_integer_workers_fail_at_construction(self, value):
         with pytest.raises(TypeError, match=f"^workers must be an integer, got {value!r}$"):
@@ -305,7 +315,7 @@ class TestCrossval:
     def test_non_integer_folds_fail_before_any_training(self, value, monkeypatch):
         trained = []
         monkeypatch.setattr(bench, "train_member", lambda spec, *args, **kw: trained.append(spec))
-        with pytest.raises(TypeError, match=f"^k must be an integer, got {value!r}$"):
+        with pytest.raises(TypeError, match=f"^folds must be an integer, got {value!r}$"):
             crossval(grey_scene_dataset(n=6), tiny_config(folds=value))
         assert trained == []
 

@@ -16,8 +16,9 @@ import numpy as np
 import pytest
 
 from mcde import cli, datagen, fusion
-from mcde.bench import TrainableSpec
-from mcde.color import apply_von_kries
+from mcde.bench import BenchConfig, TrainableSpec
+from mcde.color import METRICS, apply_von_kries
+from mcde.datagen import MAX_SIDE
 from mcde.nn import (
     ARCHITECTURES,
     Mode,
@@ -90,7 +91,26 @@ class TestGenData:
 
     def test_missing_out_is_usage_error(self, capsys):
         assert cli.main(["gen-data", "--scenes", "3"]) == 2
-        assert "usage error" in capsys.readouterr().err
+        assert "the following arguments are required: --out" in capsys.readouterr().err
+
+    def test_flags_default_to_the_config(self, tmp_path):
+        """Without its optional flags a dataset has ``GenConfig``'s
+        own defaults."""
+        out = tmp_path / "d"
+        assert cli.main(["gen-data", "--scenes", "1", "--out", str(out)]) == 0
+        assert datagen.load(out).config == datagen.GenConfig(n_scenes=1)
+
+    @pytest.mark.parametrize(
+        "flag,value",
+        [("--width", str(MAX_SIDE + 1)), ("--height", str(MAX_SIDE + 1)),
+         ("--noise-std", "1e39"), ("--noise-std", "1.0")],
+    )
+    def test_out_of_bounds_scene_flag_is_usage_error(self, flag, value, tmp_path, capsys):
+        """Refused while the flags are read, so nothing is painted or written."""
+        out = tmp_path / "d"
+        assert cli.main(["gen-data", "--scenes", "1", flag, value, "--out", str(out)]) == 2
+        assert f"argument {flag}: value must lie in" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_bad_pool_is_usage_error(self, tmp_path, capsys):
         code = cli.main(
@@ -291,6 +311,14 @@ class TestEstimate:
         assert record["config"]["variant"] == "log"
         assert record["errors"]["recovery_deg"] >= 0.0
 
+    def test_errors_are_the_library_metrics(self, model_paths, dataset_dir, capsys):
+        """One ``<metric>_deg`` entry per metric of ``color.METRICS``."""
+        record = self.run_estimate(model_paths, dataset_dir, capsys)
+        assert set(record["errors"]) == {f"{name}_deg" for name in METRICS}
+        label, fused = np.array(record["ground_truth"]), np.array(record["fused"])
+        for name, error in METRICS.items():
+            assert record["errors"][f"{name}_deg"] == float(error(label, fused))
+
     def test_variant_changes_weights_not_estimates(
         self, model_paths, dataset_dir, capsys
     ):
@@ -423,6 +451,20 @@ class TestBench:
             "error: fold 1 failed: sample 3: "
             "illuminant components must be strictly positive\n"
         )
+
+    def test_flags_default_to_the_config(self, dataset_dir, tmp_path, monkeypatch, capsys):
+        """Without its optional flags a run builds ``BenchConfig()``,
+        whose members are ``TrainableSpec``'s defaults."""
+        built = []
+
+        def stop(dataset, config):
+            built.append(config)
+            raise RuntimeError("stop before training")
+
+        monkeypatch.setattr(cli, "crossval", stop)
+        code = cli.main(["bench", "--data", str(dataset_dir), "--out", str(tmp_path / "r")])
+        assert code == 1
+        assert built == [BenchConfig()]
 
     def test_too_few_folds_is_usage_error(self, dataset_dir, tmp_path):
         assert cli.main(

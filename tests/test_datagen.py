@@ -11,6 +11,7 @@ import pytest
 
 from mcde.color import to_spherical
 from mcde.datagen import (
+    MAX_SIDE,
     POOLS,
     REFLECTANCE_HIGH,
     REFLECTANCE_LOW,
@@ -81,11 +82,11 @@ class TestGenScene:
     @pytest.mark.parametrize(
         "height,width,n_patches",
         [(16, 16, 25), (16, 16, 1), (13, 9, 7), (8, 31, 10), (39, 64, 2), (8, 8, 64),
-         (17, 13, 17 * 13), (9, 8, 71)],
+         (17, 13, 13 * 13), (9, 8, 8 * 8)],
     )
     def test_paints_the_cells_of_a_per_cell_loop(self, height, width, n_patches):
         """Bit for bit the scene a loop over the grid's cells paints,
-        with sizes the grid does not divide and n_patches = width * height."""
+        with sizes the grid does not divide and n_patches = min(width, height)**2."""
         config = GenConfig(
             n_scenes=1, width=width, height=height, n_patches=n_patches, base_seed=height
         )
@@ -105,6 +106,18 @@ class TestGenScene:
         assert scene.label.tobytes() == label.tobytes()
         assert scene.pixels.tobytes() == want.tobytes()
 
+    @pytest.mark.parametrize(
+        "height,width,n_patches",
+        [(39, 8, 64), (8, 39, 64), (13, 9, 81), (16, 16, 256), (64, 8, 50), (9, 17, 7)],
+    )
+    def test_noiseless_scene_shows_every_patch(self, height, width, n_patches):
+        """Each of the n_patches colors covers at least one pixel."""
+        config = GenConfig(
+            n_scenes=1, width=width, height=height, n_patches=n_patches, noise_std=0.0
+        )
+        distinct = np.unique(gen_scene(config, 0).pixels.reshape(-1, 3), axis=0)
+        assert distinct.shape[0] == n_patches
+
     def test_noise_perturbs_pixels(self):
         base = GenConfig(n_scenes=1, noise_std=0.0, base_seed=6)
         noisy = GenConfig(n_scenes=1, noise_std=0.05, base_seed=6)
@@ -116,23 +129,31 @@ class TestGenScene:
     def test_config_validation(self):
         with pytest.raises(ValueError):
             GenConfig(n_scenes=1, width=4)
+        for field in ("width", "height"):
+            assert getattr(GenConfig(n_scenes=1, **{field: MAX_SIDE}), field) == MAX_SIDE
+            with pytest.raises(
+                ValueError, match=rf"^{field} must lie in \[8, {MAX_SIDE}\], got {MAX_SIDE + 1}$"
+            ):
+                GenConfig(n_scenes=1, **{field: MAX_SIDE + 1})
         with pytest.raises(ValueError):
             GenConfig(n_scenes=1, pool="band-z")
-        for noise_std, error in (
-            (-0.1, ValueError),
-            (float("nan"), ValueError),
-            (float("inf"), ValueError),
-            (None, TypeError),
-            (True, TypeError),
+        for noise_std, error, match in (
+            (-0.1, ValueError, r"must lie in \[0\.0, 1\.0\), got -0\.1$"),
+            (float("nan"), ValueError, r"must lie in \[0\.0, 1\.0\), got nan$"),
+            (float("inf"), ValueError, r"must lie in \[0\.0, 1\.0\), got inf$"),
+            (1.0, ValueError, r"must lie in \[0\.0, 1\.0\), got 1\.0$"),
+            (1e39, ValueError, r"must lie in \[0\.0, 1\.0\), got 1e\+39$"),
+            (None, TypeError, "must be a real number, got None$"),
+            (True, TypeError, "must be a real number, got True$"),
         ):
-            with pytest.raises(error, match="^noise_std must be"):
+            with pytest.raises(error, match=f"^noise_std {match}"):
                 GenConfig(n_scenes=1, noise_std=noise_std)
         with pytest.raises(ValueError):
             GenConfig(n_scenes=-1)
-        # No more patches than pixels: 8 x 9 takes at most 72.
-        assert GenConfig(n_scenes=1, width=8, height=9, n_patches=72).n_patches == 72
-        with pytest.raises(ValueError, match=r"^n_patches must lie in \[1, 72\], got 73$"):
-            GenConfig(n_scenes=1, width=8, height=9, n_patches=73)
+        # Every patch shows: 8 x 9 takes at most 8 * 8.
+        assert GenConfig(n_scenes=1, width=8, height=9, n_patches=64).n_patches == 64
+        with pytest.raises(ValueError, match=r"^n_patches must lie in \[1, 64\], got 65$"):
+            GenConfig(n_scenes=1, width=8, height=9, n_patches=65)
         for base_seed, error in (
             (2.5, TypeError), (-3, ValueError), (2**64, ValueError), ("x", TypeError),
             ("7", TypeError), (True, TypeError),
@@ -285,7 +306,26 @@ class TestDatasetIO:
         edit_manifest(tmp_path / "ds", scene_files=["scene_00000.f32", "../other/scene_00001.f32"])
         with pytest.raises(
             DatasetFormatError,
-            match=r"scene file '\.\./other/scene_00001\.f32' is not a plain file name",
+            match=r"scene_files\[1\] is '\.\./other/scene_00001\.f32', expected 'scene_00001\.f32'$",
+        ):
+            load(tmp_path / "ds")
+
+    @pytest.mark.parametrize(
+        "scene_files,bad",
+        [(["scene_00001.f32", "scene_00000.f32", "scene_00002.f32"], 0),
+         (["scene_00000.f32", "scene_00000.f32", "scene_00002.f32"], 1),
+         (["scene_00000.f32", "scene_00001.f32", "scene_00001.f32"], 2)],
+        ids=["swapped", "repeated-first", "repeated-last"],
+    )
+    def test_reordered_or_repeated_scene_files_are_rejected(self, tmp_path, scene_files, bad):
+        """Scene i pairs with row i of labels.csv, so the manifest must
+        list scene i's own file at position i."""
+        save(gen_dataset(GenConfig(n_scenes=3, base_seed=22)), tmp_path / "ds")
+        edit_manifest(tmp_path / "ds", scene_files=scene_files)
+        with pytest.raises(
+            DatasetFormatError,
+            match=rf"^invalid manifest contents: scene_files\[{bad}\] is "
+            rf"'{scene_files[bad]}', expected 'scene_0000{bad}\.f32'$",
         ):
             load(tmp_path / "ds")
 
