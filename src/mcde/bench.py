@@ -20,9 +20,9 @@ Report directory layout:
 
 Methods are the grey-world and shades-of-grey baselines, each trained
 member, one fusion row per entry of ``fusion.VARIANTS``, and the ideal
-row: ``fusion.ideal_combine`` applied per metric, i.e. the member
-estimate with the lowest error under that metric.  Every method is
-scored with every metric in ``METRICS``.
+row: under each metric, the members' least error per sample, which is
+the error of the member ``fusion.ideal_combine`` picks.  Every method
+is scored with every metric in ``METRICS``.
 
 CSV files are UTF-8, comma-separated, one header row, full-precision
 (17 significant digit) decimals.  Human-readable renderings round to
@@ -199,56 +199,57 @@ def _evaluate_samples(models, scenes, sample_ids, nu, base_seed, sog_p):
 
     ``models`` is a list of (name, network) pairs; MC seeds are keyed
     by each sample's global id so results are independent of batching.
-    An error from one scene is re-raised naming its sample id.
+    Each metric scores a method's estimates in one call; the ideal row
+    is the members' least error.  An error is re-raised naming its
+    sample id, and from a metric also the method.
     """
     model_names = [name for name, _ in models]
     nets = [net for _, net in models]
-    errors = {(m, metric): [] for m in _method_list(model_names) for metric in METRICS}
-    uncertainties: dict[str, list[float]] = {name: [] for name in model_names}
-
+    rows, mus = [], []
     for sample_id, scene in zip(sample_ids, scenes):
         try:
-            estimates = {
-                "grey-world": baselines.grey_world(scene.pixels),
-                "shades-of-grey": baselines.shades_of_grey(scene.pixels, sog_p),
-            }
+            row = [baselines.grey_world(scene.pixels), baselines.shades_of_grey(scene.pixels, sog_p)]
             if nets:
                 members = fusion.ensemble_estimates(
                     nets, scene.pixels, nu, derive_seed("sample-mc", base_seed, sample_id)
                 )
-                means = [est.mean for est in members]
-                estimates.update(zip(model_names, means))
-                for variant in fusion.VARIANTS:
-                    estimates[f"mcde-{variant}"] = fusion.fuse(members, variant).fused
-                for name, est in zip(model_names, members):
-                    uncertainties[name].append(est.mu)
-            for metric, fn in METRICS.items():
-                if nets:
-                    estimates["ideal"] = fusion.ideal_combine(means, scene.label, metric)
-                for method, est in estimates.items():
-                    errors[(method, metric)].append(float(fn(scene.label, est)))
+                mus.append([est.mu for est in members])
+                row += [est.mean for est in members]
+                row += [fusion.fuse(members, variant).fused for variant in fusion.VARIANTS]
+            rows.append(row)
         except Exception as exc:
             raise RuntimeError(f"sample {sample_id}: {exc}") from exc
-    return errors, uncertainties
+    labels = np.array([scene.label for scene in scenes])
+    errors = {}
+    # zip stops before the last row, the ideal one, which has no estimate.
+    for method, column in zip(_method_list(model_names), np.stack(rows, axis=1)):
+        for metric, fn in METRICS.items():
+            try:
+                errors[(method, metric)] = fn(labels, column)
+            except ValueError:  # name the first sample that fails on its own
+                for sample_id, label, est in zip(sample_ids, labels, column):
+                    try:
+                        fn(label, est)
+                    except ValueError as exc:
+                        raise RuntimeError(f"sample {sample_id}: {method}: {exc}") from exc
+                raise
+    for metric in METRICS if nets else ():
+        errors[("ideal", metric)] = np.min([errors[(m, metric)] for m in model_names], axis=0)
+    return errors, dict(zip(model_names, np.array(mus).T))
 
 
 def _report(echo: dict, model_names, batches, loss_traces: dict) -> BenchReport:
     """One report from per-batch (errors, uncertainties), merged in order."""
-    errors: dict[tuple[str, str], list[float]] = {}
-    uncertainties: dict[str, list[float]] = {}
-    for batch_errors, batch_unc in batches:
-        for key, values in batch_errors.items():
-            errors.setdefault(key, []).extend(values)
-        for name, values in batch_unc.items():
-            uncertainties.setdefault(name, []).extend(values)
-    errors = {key: np.array(values) for key, values in errors.items()}
+    batch_errors, batch_mus = zip(*batches)
+    errors = {k: np.concatenate([batch[k] for batch in batch_errors]) for k in batch_errors[0]}
+    mus = {name: np.concatenate([batch[name] for batch in batch_mus]) for name in batch_mus[0]}
     return BenchReport(
         config=echo,
         methods=_method_list(model_names),
         model_names=tuple(model_names),
         errors=errors,
         summary={key: stats(values) for key, values in errors.items()},
-        uncertainties={name: np.array(values) for name, values in uncertainties.items()},
+        uncertainties=mus,
         loss_traces=loss_traces,
     )
 
@@ -339,15 +340,11 @@ def crossval(dataset: Dataset, config: BenchConfig = BenchConfig()) -> BenchRepo
     return _report(echo, names, [batch for batch, _ in results], traces)
 
 
-def _fmt(value: float) -> str:
-    return format(float(value), ".17g")
-
-
 def _write_csv(path: Path, header, rows) -> None:
     lines = [",".join(header)]
     for row in rows:
         lines.append(
-            ",".join(_fmt(v) if isinstance(v, float) else str(v) for v in row)
+            ",".join(format(float(v), ".17g") if isinstance(v, float) else str(v) for v in row)
         )
     path.write_text("\n".join(lines) + "\n", encoding="utf-8")
 

@@ -355,10 +355,13 @@ def main(argv=None) -> int:
     parser, subparsers = _build_parser()
     try:
         if argv and argv[0] in subparsers:
-            # A --config without a value reads as None here; the
-            # subcommand's own parser reports it.
+            # With all of the subcommand's flags, an abbreviation resolves, or
+            # fails as ambiguous, as in the subcommand's parser.  A --config
+            # without a value reads as None; the subcommand's parser reports it.
             pre = argparse.ArgumentParser(add_help=False)
-            pre.add_argument("--config", nargs="?")
+            pre.error = subparsers[argv[0]].error
+            for action in subparsers[argv[0]]._actions:
+                pre.add_argument(*action.option_strings, nargs="?")
             config_path = pre.parse_known_args(argv[1:])[0].config
             if config_path is not None:
                 # Ahead of the typed flags, so that an explicit flag wins.

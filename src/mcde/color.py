@@ -140,7 +140,9 @@ def reproduction_error(gt, est):
     ratio = gt / est
     ratio_norm = np.linalg.norm(ratio, axis=-1)
     _check_norms("gt", ratio_norm)  # est is finite and positive here
-    cos = np.clip((ratio @ NEUTRAL) / ratio_norm, -1.0, 1.0)
+    # A (1, 3) @ (3, 1) product per row, so a stacked call rounds as one row does.
+    dot = (ratio[..., None, :] @ NEUTRAL[:, None])[..., 0, 0]
+    cos = np.clip(dot / ratio_norm, -1.0, 1.0)
     ang = np.degrees(np.arccos(cos))
     neutral = (est[..., 0] == est[..., 1]) & (est[..., 1] == est[..., 2])
     if np.any(neutral):

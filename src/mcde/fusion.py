@@ -138,12 +138,9 @@ def ideal_combine(estimates, gt, metric: str = "recovery") -> np.ndarray:
     Needs the ground truth, so it is a reporting bound, not an
     estimator.  Ties go to the lowest member index.
     """
-    try:
-        fn = METRICS[metric]
-    except KeyError:
-        raise ValueError(f"unknown metric {metric!r}") from None
+    if metric not in METRICS:
+        raise ValueError(f"unknown metric {metric!r}")
     estimates = [np.asarray(e, dtype=np.float64) for e in estimates]
     if not estimates:
         raise ValueError("need at least one candidate estimate")
-    errors = np.array([fn(gt, est) for est in estimates])
-    return estimates[int(np.argmin(errors))]
+    return estimates[int(np.argmin(METRICS[metric](gt, np.stack(estimates))))]

@@ -1,13 +1,14 @@
 """Benchmark statistics, cross-validation protocol, and report files."""
 
 import csv
+import dataclasses
 import math
 import multiprocessing
 
 import numpy as np
 import pytest
 
-from mcde import bench, fusion
+from mcde import baselines, bench, fusion
 from mcde.bench import (
     BenchConfig,
     ErrorStats,
@@ -18,9 +19,10 @@ from mcde.bench import (
     stats,
     write_report,
 )
-from mcde.color import Scene, normalize
-from mcde.datagen import Dataset, GenConfig, gen_dataset
+from mcde.color import METRICS, Scene, normalize
+from mcde.datagen import Dataset, GenConfig, folds, gen_dataset
 from mcde.mc import MAX_NU
+from mcde.nn.archs import build
 from mcde.seeding import derive_seed
 
 
@@ -85,6 +87,14 @@ def tiny_config(**overrides):
     )
     defaults.update(overrides)
     return BenchConfig(**defaults)
+
+
+def built_member(spec, scenes, init_seed, train_seed):
+    """Stands in for ``bench.train_member`` without training: the
+    member as ``build`` makes it from ``init_seed``."""
+    net = build(spec.arch, seed=init_seed, channels=spec.channels,
+                dropout_rate=spec.dropout_rate)
+    return net, []
 
 
 @pytest.fixture(scope="module")
@@ -185,6 +195,71 @@ class TestCrossval:
             np.testing.assert_array_equal(
                 report.errors[("ideal", metric)], members.min(axis=0)
             )
+
+    def test_errors_equal_per_scene_scalar_scoring_bitwise(self, monkeypatch):
+        """Scored with one metric call per (method, metric), the report
+        holds the bytes of the per-scene reference: each method's
+        estimate scored by its own scalar call, and the ideal row as
+        ``fusion.ideal_combine``'s pick, scored again."""
+        monkeypatch.setattr(bench, "train_member", built_member)
+        dataset = gen_dataset(
+            GenConfig(n_scenes=7, width=8, height=8, pool="full", base_seed=305)
+        )
+        config = tiny_config(folds=3)
+        report = crossval(dataset, config)
+
+        names = [spec.name for spec in config.trainables]
+        errors = {key: [] for key in report.errors}
+        mus = {name: [] for name in names}
+        for fold, span in enumerate(folds(len(dataset.scenes), config.folds)):
+            nets = [
+                built_member(spec, [], derive_seed("fold-init", config.base_seed, fold, name), 0)[0]
+                for name, spec in zip(names, config.trainables)
+            ]
+            for i in span:
+                scene = dataset.scenes[i]
+                members = fusion.ensemble_estimates(
+                    nets, scene.pixels, config.nu, derive_seed("sample-mc", config.base_seed, i)
+                )
+                estimates = {
+                    "grey-world": baselines.grey_world(scene.pixels),
+                    "shades-of-grey": baselines.shades_of_grey(scene.pixels, config.sog_p),
+                    **{name: est.mean for name, est in zip(names, members)},
+                    **{f"mcde-{v}": fusion.fuse(members, v).fused for v in fusion.VARIANTS},
+                }
+                for metric, fn in METRICS.items():
+                    means = [est.mean for est in members]
+                    estimates["ideal"] = fusion.ideal_combine(means, scene.label, metric)
+                    for method, est in estimates.items():
+                        errors[(method, metric)].append(fn(scene.label, est))
+                for name, est in zip(names, members):
+                    mus[name].append(est.mu)
+
+        assert set(errors) == {(m, metric) for m in report.methods for metric in METRICS}
+        for key, values in errors.items():
+            assert report.errors[key].tobytes() == np.array(values).tobytes(), key
+        for name, values in mus.items():
+            assert report.uncertainties[name].tobytes() == np.array(values).tobytes()
+
+    def test_metric_refusal_names_its_sample_and_method(self, monkeypatch):
+        """A member mean with a component below ``DIV_EPS`` has no
+        reproduction error.  Scoring a whole fold at once, the run still
+        stops naming the fold, the sample and the method."""
+        monkeypatch.setattr(bench, "train_member", built_member)
+        ensemble_estimates = fusion.ensemble_estimates
+
+        def stand_in(nets, pixels, nu, base_seed):
+            members = ensemble_estimates(nets, pixels, nu, base_seed)
+            if base_seed == derive_seed("sample-mc", 17, 4):
+                members[1] = dataclasses.replace(members[1], mean=normalize([1e-13, 0.6, 0.8]))
+            return members
+
+        monkeypatch.setattr(fusion, "ensemble_estimates", stand_in)
+        with pytest.raises(
+            RuntimeError,
+            match=r"^fold 1 failed: sample 4: m-net: estimate components must exceed 1e-12 ",
+        ):
+            crossval(grey_scene_dataset(n=6), tiny_config())
 
     def test_deterministic_across_runs_and_workers(self):
         dataset = gen_dataset(

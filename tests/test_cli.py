@@ -589,6 +589,17 @@ class TestConfigFile:
         ) == 0
         assert datagen.load(out).config.base_seed == 5
 
+    @pytest.mark.parametrize("command", ["train", "bench"])
+    def test_ambiguous_config_abbreviation_is_usage_error(self, tmp_path, capsys, command):
+        """``--c`` could mean ``--channels`` or ``--config``: argparse's
+        ambiguity error, not an attempt to read a config file."""
+        argv = [command, "--data", "d", "--out", str(tmp_path / "o"), "--c", "4"]
+        assert cli.main(argv) == 2
+        err = capsys.readouterr().err
+        assert "ambiguous option: --c could match --channels, --config" in err
+        assert "config file" not in err
+        assert not (tmp_path / "o").exists()
+
     @pytest.mark.parametrize(
         "content", [b"\xff\xfe{}", b'{"scenes": ' + b"1" * 5000 + b"}"],
         ids=["bad-utf8", "huge-integer"],

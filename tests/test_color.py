@@ -193,22 +193,15 @@ class TestReproductionError:
             reproduction_error([0.5, 0.5, 0.5], est)
 
     def test_batch_with_neutral_rows(self):
-        """The exact neutral branch must not disturb other rows.
-
-        Neutral rows must match the scalar call bit-for-bit; the other
-        rows only to round-off, since the batched reduction may order
-        its sums differently than the scalar one.
-        """
+        """The exact neutral branch must not disturb other rows: every
+        row, neutral or not, matches the scalar call bit for bit."""
         rng = np.random.default_rng(15)
         gt = random_positive_units(rng, 4)
         est = random_positive_units(rng, 4)
         est[2] = 0.7
         got = reproduction_error(gt, est)
-        assert got[2] == reproduction_error(gt[2], est[2])
-        for i in (0, 1, 3):
-            assert got[i] == pytest.approx(
-                reproduction_error(gt[i], est[i]), abs=1e-9
-            )
+        for i in range(4):
+            assert got[i] == reproduction_error(gt[i], est[i])
 
 
 class TestSphericalMaps:
@@ -291,6 +284,19 @@ class TestProperties:
         """Tolerance: a cosine one rounding below 1 is already ~2e-6 degrees."""
         fn = METRICS[metric]
         assert fn(a * gt, b * est) == pytest.approx(fn(gt, est), abs=1e-5)
+
+    @pytest.mark.parametrize("metric", METRICS)
+    def test_stacked_call_equals_row_calls_bit_for_bit(self, metric):
+        """One call on (n, 3) arrays gives each row's scalar result
+        exactly, so a report scored in one call per method holds the
+        same bytes as one scored row by row."""
+        rng = np.random.default_rng(22)
+        gt = random_positive_units(rng, 2000)
+        est = random_positive_units(rng, 2000) * rng.uniform(0.01, 100.0, (2000, 1))
+        est[::9] = est[::9, :1]  # neutral rows
+        fn = METRICS[metric]
+        want = np.array([fn(g, e) for g, e in zip(gt, est)])
+        assert fn(gt, est).tobytes() == want.tobytes()
 
 
 class TestApplyVonKries:
