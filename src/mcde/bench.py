@@ -44,7 +44,7 @@ from mcde._check import check_int, check_real
 from mcde.color import METRICS
 from mcde.datagen import Dataset, GenConfig, folds, gen_dataset
 from mcde.mc import MAX_NU
-from mcde.nn.archs import ARCHITECTURES, build, check_member
+from mcde.nn.archs import ARCHITECTURES, build, stack
 from mcde.nn.training import TrainConfig, train
 from mcde.seeding import MAX_SEED, derive_seed
 
@@ -111,8 +111,8 @@ class TrainableSpec:
     """One trainable ensemble member and its training hyperparameters.
 
     Checked when built, so a bad spec fails before any member trains:
-    the architecture, channels and rate by ``check_member``, the
-    training fields by ``TrainConfig``.
+    the architecture, channels and rate by ``stack``, the training
+    fields by ``TrainConfig``.
     """
 
     name: str
@@ -124,7 +124,7 @@ class TrainableSpec:
     batch_size: int = 8
 
     def __post_init__(self) -> None:
-        check_member(self.arch, self.channels, self.dropout_rate)
+        stack(self.arch, self.channels, self.dropout_rate)
         self.train_config(0)
 
     def train_config(self, base_seed: int) -> TrainConfig:

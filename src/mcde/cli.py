@@ -30,7 +30,8 @@ from mcde.bench import BenchConfig, TrainableSpec, crossval, train_member, write
 from mcde.color import METRICS, apply_von_kries
 from mcde.datagen import MAX_SIDE, POOLS, DatasetFormatError, GenConfig
 from mcde.mc import MAX_NU
-from mcde.nn import ARCHITECTURES, ModelFormatError, load_network, save_network
+from mcde.nn import ModelFormatError, load_network, save_network
+from mcde.nn.archs import ARCHITECTURES, MAX_CHANNELS
 from mcde.nn.training import MAX_LEARNING_RATE
 from mcde.seeding import MAX_SEED, derive_seed
 
@@ -287,7 +288,8 @@ def _add_training(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--lr", type=_flag(check_real, 0.0, MAX_LEARNING_RATE),
                         default=defaults["learning_rate"])
     parser.add_argument("--batch-size", type=_flag(check_int, 1), default=defaults["batch_size"])
-    parser.add_argument("--channels", type=_flag(check_int, 1), default=defaults["channels"])
+    parser.add_argument("--channels", type=_flag(check_int, 1, MAX_CHANNELS),
+                        default=defaults["channels"])
     parser.add_argument("--dropout", type=_flag(check_real, 0.0, 1.0),
                         default=defaults["dropout_rate"])
 

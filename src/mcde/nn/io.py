@@ -14,12 +14,13 @@ Binary layout (all integers little-endian):
 
 Format version 3 holds stock networks only.  Version 2 held a record per
 layer and version 1 float64 parameters; both are rejected.  Weights
-round-trip bit-exactly.  Loading checks the header, and that the file
-holds exactly the parameter bytes it implies, before it makes the stack,
-so a malformed header fails with ModelFormatError instead of a large
-allocation.  The sidecar at ``<path>.json`` describes the network and,
-when provided, the training config and loss trace; it is documentation,
-the binary alone rebuilds the network.
+round-trip bit-exactly.  Loading builds the ``stack`` the header names,
+whose checks refuse a malformed header with ModelFormatError and whose
+size ``MAX_CHANNELS`` bounds, then checks that the file holds exactly
+that stack's parameter bytes before it reads them.  The sidecar at
+``<path>.json`` describes the network and, when provided, the training
+config and loss trace; it is documentation, the binary alone rebuilds
+the network.
 """
 
 from __future__ import annotations
@@ -32,7 +33,7 @@ from pathlib import Path
 
 import numpy as np
 
-from mcde.nn.archs import check_member, param_count, stack
+from mcde.nn.archs import stack
 from mcde.nn.layers import PARAM_DTYPE, Conv3x3, Dropout
 from mcde.nn.network import Network
 
@@ -128,10 +129,11 @@ def load_network(path) -> Network:
             ) from None
         channels, rate = struct.unpack("<Id", _read(fh, 12))
         try:
-            check_member(arch, channels, rate)
+            net = stack(arch, channels, rate)
         except ValueError as exc:
             raise ModelFormatError(f"invalid model header: {exc}") from None
-        need = 4 * param_count(channels)
+        stored = _stored(net)
+        need = 4 * sum(params[name].size for params, name in stored)
         remaining = os.fstat(fh.fileno()).st_size - fh.tell()
         if remaining < need:
             raise ModelFormatError(
@@ -144,9 +146,8 @@ def load_network(path) -> Network:
                 f"that a {arch} with {channels} channels needs"
             )
         data = fh.read(need)
-    net = stack(arch, channels, rate)
     offset = 0
-    for params, name in _stored(net):
+    for params, name in stored:
         param = np.frombuffer(data, "<f4", params[name].size, offset)
         params[name] = param.reshape(params[name].shape).astype(PARAM_DTYPE)
         offset += param.nbytes

@@ -47,20 +47,14 @@ class Conv3x3:
 
     kind = "conv3x3"
 
-    @staticmethod
-    def param_shapes(c_in: int, c_out: int) -> dict[str, tuple[int, ...]]:
-        return {"W": (3, 3, c_in, c_out), "b": (c_out,)}
-
     def __init__(self, c_in: int, c_out: int):
         self.c_in = c_in
         self.c_out = c_out
-        self.params = _zeros(self.param_shapes(c_in, c_out))
+        self.params = {"W": _zeros(3, 3, c_in, c_out), "b": _zeros(c_out)}
 
     def init(self, rng: np.random.Generator) -> None:
         span = np.sqrt(6.0 / (9 * self.c_in + 9 * self.c_out))
-        shape = (3, 3, self.c_in, self.c_out)
-        self.params["W"] = rng.uniform(-span, span, shape).astype(PARAM_DTYPE)
-        self.params["b"] = np.zeros(self.c_out, PARAM_DTYPE)
+        self.params["W"] = rng.uniform(-span, span, self.params["W"].shape).astype(PARAM_DTYPE)
 
     def forward(self, x):
         *lead, h, w, _ = x.shape
@@ -102,19 +96,14 @@ class Affine:
 
     kind = "affine"
 
-    @staticmethod
-    def param_shapes(c_in: int, c_out: int) -> dict[str, tuple[int, ...]]:
-        return {"W": (c_in, c_out), "b": (c_out,)}
-
     def __init__(self, c_in: int, c_out: int):
         self.c_in = c_in
         self.c_out = c_out
-        self.params = _zeros(self.param_shapes(c_in, c_out))
+        self.params = {"W": _zeros(c_in, c_out), "b": _zeros(c_out)}
 
     def init(self, rng: np.random.Generator) -> None:
         span = np.sqrt(6.0 / (self.c_in + self.c_out))
-        self.params["W"] = rng.uniform(-span, span, (self.c_in, self.c_out)).astype(PARAM_DTYPE)
-        self.params["b"] = np.zeros(self.c_out, PARAM_DTYPE)
+        self.params["W"] = rng.uniform(-span, span, self.params["W"].shape).astype(PARAM_DTYPE)
 
     def forward(self, x):
         return _per_row(x, self.params["W"]) + self.params["b"], x
@@ -126,8 +115,8 @@ class Affine:
         return dx, {"W": x_rows.transpose(0, 2, 1) @ dy_rows, "b": dy_rows.sum(axis=1)}
 
 
-def _zeros(shapes) -> dict[str, np.ndarray]:
-    return {name: np.zeros(shape, PARAM_DTYPE) for name, shape in shapes.items()}
+def _zeros(*shape: int) -> np.ndarray:
+    return np.zeros(shape, PARAM_DTYPE)
 
 
 def _per_row(x, matrix):

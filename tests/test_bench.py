@@ -22,7 +22,7 @@ from mcde.bench import (
 from mcde.color import METRICS, Scene, normalize
 from mcde.datagen import Dataset, GenConfig, folds, gen_dataset
 from mcde.mc import MAX_NU
-from mcde.nn.archs import build
+from mcde.nn.archs import MAX_CHANNELS, build
 from mcde.seeding import derive_seed
 
 
@@ -466,6 +466,17 @@ class TestCrossval:
     def test_bad_scenario_fails_at_construction(self, bad):
         with pytest.raises(ValueError):
             ScenarioConfig(**bad)
+
+    @pytest.mark.parametrize(
+        "make",
+        [lambda v: TrainableSpec(name="g-net", arch="g-net", channels=v),
+         lambda v: ScenarioConfig(channels=v)],
+        ids=["TrainableSpec", "ScenarioConfig"],
+    )
+    def test_channels_beyond_the_bound_fail_at_construction(self, make):
+        make(MAX_CHANNELS)
+        with pytest.raises(ValueError, match=r"^channels must lie in \[1, 1024\], got 1025$"):
+            make(MAX_CHANNELS + 1)
 
     @pytest.mark.parametrize("name", ["eval_per_band", "train_per_band"])
     @pytest.mark.parametrize("value", [2.5, True])

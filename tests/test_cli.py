@@ -19,6 +19,7 @@ from mcde import cli, datagen, fusion
 from mcde.bench import BenchConfig, TrainableSpec
 from mcde.color import METRICS, apply_von_kries
 from mcde.datagen import MAX_SIDE
+from mcde.nn.archs import MAX_CHANNELS
 from mcde.nn import (
     ARCHITECTURES,
     Mode,
@@ -376,7 +377,7 @@ class TestEstimate:
         )
         assert code == 1
         assert capsys.readouterr().err.startswith(
-            f"error: {bad}: invalid model header: channels must be at least 1, got 0"
+            f"error: {bad}: invalid model header: channels must lie in [1, 1024], got 0"
         )
 
     def test_undecodable_model_file_is_named(self, dataset_dir, tmp_path, capsys):
@@ -642,6 +643,32 @@ class TestTopLevel:
         flag = argv[-2]
         assert cli.main([*argv, "--out", str(tmp_path / "out")]) == 2
         assert f"argument {flag}" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["train", "bench"])
+    @pytest.mark.parametrize(
+        "source, value",
+        [("flag", MAX_CHANNELS + 1), ("flag", 10**9), ("config", MAX_CHANNELS + 1)],
+        ids=["flag-1025", "flag-1e9", "config-1025"],
+    )
+    def test_channels_beyond_the_bound_is_usage_error(
+        self, command, source, value, tmp_path, capsys
+    ):
+        """Refused by the flag's bound before the dataset is read (it does
+        not exist) or any file is written, with no traceback."""
+        out = tmp_path / "out"
+        argv = [command, "--data", str(tmp_path / "nope"), "--out", str(out)]
+        argv += ["--arch", "g-net"] if command == "train" else []
+        if source == "flag":
+            argv += ["--channels", str(value)]
+        else:
+            conf = tmp_path / "conf.json"
+            conf.write_text(json.dumps({"channels": value}))
+            argv += ["--config", str(conf)]
+        assert cli.main(argv) == 2
+        err = capsys.readouterr().err
+        assert f"argument --channels: value must lie in [1, {MAX_CHANNELS}], got {value}" in err
+        assert "Traceback" not in err
+        assert not out.exists()
 
     def test_subcommand_help_exits_zero(self, capsys):
         assert cli.main(["bench", "--help"]) == 0

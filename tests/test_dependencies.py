@@ -27,3 +27,51 @@ def test_every_module_imports_only_stdlib_numpy_and_mcde():
         if name not in ALLOWED
     }
     assert not foreign
+
+
+def _module_bindings(tree):
+    """Names bound at module level, and the names the imports bind."""
+    bound, imported = set(), set()
+    pending = list(tree.body)
+    while pending:
+        node = pending.pop()
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+                continue
+            names = {(alias.asname or alias.name).split(".")[0] for alias in node.names}
+            bound |= names
+            imported |= names
+        elif isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            bound.add(node.name)
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            bound |= {n.id for t in targets for n in ast.walk(t) if isinstance(n, ast.Name)}
+        else:
+            pending += [child for child in ast.iter_child_nodes(node) if isinstance(child, ast.stmt)]
+    return bound, imported
+
+
+def _exported(tree):
+    """The string entries of the module's ``__all__``, if it has one."""
+    for node in tree.body:
+        if isinstance(node, ast.Assign) and any(
+            isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets
+        ):
+            return {elt.value for elt in node.value.elts}
+    return set()
+
+
+def test_exports_are_defined_and_imports_are_used():
+    """A stand-in for pyflakes: every ``__all__`` entry is bound in its
+    module, and every imported name is read somewhere in the module or
+    exported (``from __future__`` imports aside)."""
+    problems = []
+    for path in sorted(PACKAGE.rglob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        bound, imported = _module_bindings(tree)
+        exported = _exported(tree)
+        read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        where = path.relative_to(PACKAGE)
+        problems += [f"{where}: __all__ names undefined {name!r}" for name in exported - bound]
+        problems += [f"{where}: unused import {name!r}" for name in imported - read - exported]
+    assert not problems

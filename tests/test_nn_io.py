@@ -29,7 +29,7 @@ from mcde.nn import (
     save_network,
     train,
 )
-from mcde.nn.archs import param_count, stack
+from mcde.nn.archs import MAX_CHANNELS, stack
 from mcde.datagen import GenConfig, gen_dataset
 
 
@@ -99,7 +99,6 @@ class TestRoundTrip:
     @pytest.mark.parametrize("channels, rate", [(1, 0.0), (4, 0.5), (12, 0.3), (33, 0.999)])
     def test_stock_networks_round_trip(self, arch, channels, rate, tmp_path):
         net = build(arch, seed=channels, channels=channels, dropout_rate=rate)
-        assert sum(p.size for l in net.layers for p in l.params.values()) == param_count(channels)
         zeros = stack(arch, channels, rate)
 
         def layout(n):
@@ -259,7 +258,7 @@ class TestFormatErrors:
             (("x-net", 4, 0.3), 0, r"invalid model header: unknown architecture 'x-net'"),
             (("g-net", 4, 1.5), 0, r"invalid model header: dropout_rate .* got 1\.5$"),
             (("g-net", 4, math.nan), 0, r"invalid model header: dropout_rate .* got nan$"),
-            (("m-net", 0, 0.3), 0, r"invalid model header: channels must be at least 1, got 0$"),
+            (("m-net", 0, 0.3), 0, r"invalid model header: channels must lie in \[1, 1024\], got 0$"),
             (
                 ("g-net", 4, 0.3),
                 -1,
@@ -359,7 +358,7 @@ class TestStructureChecks:
                          PositiveHead(), Relu()],
                 "layer 6 differs from the g-net with channels=4 and dropout_rate=0.3$",
             ),
-            (lambda: [], "channels must be at least 1, got 0$"),
+            (lambda: [], r"channels must lie in \[1, 1024\], got 0$"),
             (
                 lambda: [Conv3x3(3, 3), PositiveHead()],
                 "layer 1 differs from the g-net with channels=3 and dropout_rate=0.0$",
@@ -397,16 +396,34 @@ class TestStructureChecks:
         self._refused(tmp_path, layers(), message)
 
     def test_parameters_beyond_the_file_are_not_allocated(self, tmp_path):
-        """A 100000-channel g-net header in a ~100 byte file would need
-        12.4 MB of float32 parameters; it is rejected as truncated before
-        anything that size is allocated."""
-        blob = _header("g-net", 100000, 0.3) + b"\x00" * 60
+        """A MAX_CHANNELS g-net header in a ~100 byte file would need
+        127 kB of float32 parameters; it is rejected as truncated before
+        they are read."""
+        blob = _header("g-net", MAX_CHANNELS, 0.3) + b"\x00" * 60
         path = tmp_path / "model.net"
         path.write_bytes(blob)
         assert len(blob) < 120
         tracemalloc.start()
         try:
-            with pytest.raises(ModelFormatError, match="need 12400012 bytes, but only 60 remain"):
+            with pytest.raises(ModelFormatError, match="need 126988 bytes, but only 60 remain"):
+                load_network(path)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1_000_000
+
+    @pytest.mark.parametrize("channels", [MAX_CHANNELS + 1, 100_000, 2**32 - 1])
+    def test_channels_beyond_the_bound_are_refused_from_the_header(self, tmp_path, channels):
+        """A header wider than MAX_CHANNELS is refused by its bound,
+        before a stack of that width is allocated."""
+        path = tmp_path / "model.net"
+        path.write_bytes(_header("g-net", channels, 0.3) + b"\x00" * 60)
+        tracemalloc.start()
+        try:
+            with pytest.raises(
+                ModelFormatError,
+                match=rf"^invalid model header: channels must lie in \[1, 1024\], got {channels}$",
+            ):
                 load_network(path)
             _, peak = tracemalloc.get_traced_memory()
         finally:

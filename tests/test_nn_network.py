@@ -26,6 +26,7 @@ from mcde.nn import (
     train,
 )
 from mcde.datagen import GenConfig, gen_dataset
+from mcde.nn.archs import MAX_CHANNELS
 from mcde.mc import mc_estimate
 from mcde.seeding import derive_seed
 
@@ -656,8 +657,17 @@ class TestBuild:
     @pytest.mark.parametrize("arch", ["g-net", "m-net"])
     def test_rejects_networks_without_channels(self, arch):
         """Zero channels would return the same estimate for every scene."""
-        with pytest.raises(ValueError, match="channels must be at least 1, got 0"):
+        with pytest.raises(ValueError, match=r"channels must lie in \[1, 1024\], got 0"):
             build(arch, channels=0)
+
+    @pytest.mark.parametrize("arch", ["g-net", "m-net"])
+    def test_channels_are_bounded(self, arch):
+        """``MAX_CHANNELS`` builds; one more is refused before anything of
+        that width is allocated."""
+        net = build(arch, channels=MAX_CHANNELS)
+        assert net.layers[0].params["W"].shape == (3, 3, 3, MAX_CHANNELS)
+        with pytest.raises(ValueError, match=r"^channels must lie in \[1, 1024\], got 1025$"):
+            build(arch, channels=MAX_CHANNELS + 1)
 
     @pytest.mark.parametrize("channels", [2.5, True])
     def test_rejects_non_integer_channels(self, channels):
