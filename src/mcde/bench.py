@@ -42,7 +42,7 @@ import numpy as np
 from mcde import baselines, fusion
 from mcde._check import check_int, check_real
 from mcde.color import METRICS
-from mcde.datagen import Dataset, GenConfig, folds, gen_dataset
+from mcde.datagen import MAX_PIXELS, Dataset, GenConfig, folds, gen_dataset
 from mcde.mc import MAX_NU
 from mcde.nn.archs import ARCHITECTURES, build, stack
 from mcde.nn.training import TrainConfig, train
@@ -273,11 +273,7 @@ def _run_fold(dataset: Dataset, config: BenchConfig, spans, fold_index: int):
     """(errors, uncertainties) of the fold's samples, and member -> loss trace."""
     span = spans[fold_index]
     try:
-        train_scenes = [
-            scene
-            for i, scene in enumerate(dataset.scenes)
-            if i < span.start or i >= span.stop
-        ]
+        train_scenes = dataset.scenes[: span.start] + dataset.scenes[span.stop :]
         models, traces = [], {}
         for spec in config.trainables:
             net, traces[spec.name] = train_member(
@@ -287,7 +283,7 @@ def _run_fold(dataset: Dataset, config: BenchConfig, spans, fold_index: int):
                 train_seed=derive_seed("fold-train", config.base_seed, fold_index, spec.name),
             )
             models.append((spec.name, net))
-        eval_scenes = [dataset.scenes[i] for i in span]
+        eval_scenes = dataset.scenes[span.start : span.stop]
         batch = _evaluate_samples(
             models, eval_scenes, list(span), config.nu, config.base_seed, config.sog_p
         )
@@ -409,8 +405,10 @@ class ScenarioConfig:
     def __post_init__(self) -> None:
         check_int("nu", self.nu, 1, MAX_NU)
         check_real("sog_p", self.sog_p, 1.0)
-        check_int("eval_per_band", self.eval_per_band, 1)
-        check_int("train_per_band", self.train_per_band, 1)
+        # A band's scenes are one dataset of GenConfig's default size.
+        per_band = MAX_PIXELS // (GenConfig.width * GenConfig.height)
+        check_int("eval_per_band", self.eval_per_band, 1, per_band)
+        check_int("train_per_band", self.train_per_band, 1, per_band)
         check_int("seed", self.seed, 0, MAX_SEED)
         self.specs()  # a bad member fails here, before any member trains
 

@@ -9,6 +9,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from mcde._check import check_int, check_real
+from mcde.nn.layers import PARAM_DTYPE
 from mcde.nn.network import Network, NumericError, PassSeed
 from mcde.seeding import MAX_SEED, derive_seed
 
@@ -16,7 +17,7 @@ __all__ = ["MAX_LEARNING_RATE", "TrainConfig", "TrainingError", "train"]
 
 # Rates must lie below float32's maximum: from there the step scale is
 # inf in the float32 parameters, and their first update is inf or nan.
-MAX_LEARNING_RATE = float(np.finfo(np.float32).max)
+MAX_LEARNING_RATE = float(np.finfo(PARAM_DTYPE).max)
 
 # glibc hands the freed top of its heap back to the kernel after each
 # mini-batch step, and the next step faults the same pages in again.

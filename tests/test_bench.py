@@ -20,7 +20,7 @@ from mcde.bench import (
     write_report,
 )
 from mcde.color import METRICS, Scene, normalize
-from mcde.datagen import Dataset, GenConfig, folds, gen_dataset
+from mcde.datagen import MAX_PIXELS, Dataset, GenConfig, folds, gen_dataset
 from mcde.mc import MAX_NU
 from mcde.nn.archs import MAX_CHANNELS, build
 from mcde.seeding import derive_seed
@@ -477,6 +477,17 @@ class TestCrossval:
         make(MAX_CHANNELS)
         with pytest.raises(ValueError, match=r"^channels must lie in \[1, 1024\], got 1025$"):
             make(MAX_CHANNELS + 1)
+
+    @pytest.mark.parametrize("name", ["eval_per_band", "train_per_band"])
+    def test_scene_count_beyond_the_pixel_budget_fails_at_construction(self, name):
+        """A band's scenes are one dataset of GenConfig's default size, so
+        the count is refused before any worker forks."""
+        most = MAX_PIXELS // (16 * 16)
+        assert getattr(ScenarioConfig(**{name: most}), name) == most
+        with pytest.raises(
+            ValueError, match=rf"^{name} must lie in \[1, {most}\], got {most + 1}$"
+        ):
+            ScenarioConfig(**{name: most + 1})
 
     @pytest.mark.parametrize("name", ["eval_per_band", "train_per_band"])
     @pytest.mark.parametrize("value", [2.5, True])

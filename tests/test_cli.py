@@ -18,7 +18,7 @@ import pytest
 from mcde import cli, datagen, fusion
 from mcde.bench import BenchConfig, TrainableSpec
 from mcde.color import METRICS, apply_von_kries
-from mcde.datagen import MAX_SIDE
+from mcde.datagen import MAX_PIXELS, MAX_SIDE
 from mcde.nn.archs import MAX_CHANNELS
 from mcde.nn import (
     ARCHITECTURES,
@@ -134,6 +134,16 @@ class TestGenData:
         )
         assert code == 1
         assert "n_patches must lie in [1, 256]" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_dataset_beyond_the_pixel_budget_is_runtime_error(self, tmp_path, capsys):
+        """Refused by GenConfig before any scene is painted: gen_dataset
+        holds every scene before save writes one."""
+        out = tmp_path / "d"
+        code = cli.main(["gen-data", "--scenes", "100000000", "--out", str(out)])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err == f"error: n_scenes must lie in [0, {MAX_PIXELS // 256}], got 100000000\n"
         assert not out.exists()
 
     @pytest.mark.parametrize("seed", ["-3", str(2**64), "2.5", "x"])

@@ -11,6 +11,7 @@ import pytest
 
 from mcde.color import to_spherical
 from mcde.datagen import (
+    MAX_PIXELS,
     MAX_SIDE,
     POOLS,
     REFLECTANCE_HIGH,
@@ -164,6 +165,17 @@ class TestGenScene:
             for value in (8.0, True, "8"):
                 with pytest.raises(TypeError, match=f"^{field} must be an integer"):
                     GenConfig(**{"n_scenes": 1, field: value})
+
+    @pytest.mark.parametrize("side", [8, 16, 64, MAX_SIDE])
+    def test_dataset_pixels_are_bounded(self, side):
+        """gen_dataset holds every scene before save writes any, so a
+        dataset holds at most MAX_PIXELS pixels."""
+        most = MAX_PIXELS // (side * side)
+        assert GenConfig(n_scenes=most, width=side, height=side).n_scenes == most
+        with pytest.raises(
+            ValueError, match=rf"^n_scenes must lie in \[0, {most}\], got {most + 1}$"
+        ):
+            GenConfig(n_scenes=most + 1, width=side, height=side)
 
 
 class TestDatasetIO:
@@ -329,6 +341,28 @@ class TestDatasetIO:
         ):
             load(tmp_path / "ds")
 
+    def test_config_beyond_the_pixel_budget_is_refused_before_any_scene(self, tmp_path):
+        """A manifest whose config holds more than MAX_PIXELS pixels fails
+        on its config, before any scene file is looked for."""
+        save(gen_dataset(GenConfig(n_scenes=2, width=8, height=8, base_seed=24)), tmp_path / "ds")
+        manifest = json.loads((tmp_path / "ds" / "manifest.json").read_text())
+        most = MAX_PIXELS // 64
+        names = [f"scene_{i:05d}.f32" for i in range(most + 1)]
+        edit_manifest(
+            tmp_path / "ds",
+            config={**manifest["config"], "n_scenes": most + 1},
+            n_scenes=most + 1,
+            scene_files=names,
+        )
+        for name in manifest["scene_files"]:
+            (tmp_path / "ds" / name).unlink()
+        with pytest.raises(
+            DatasetFormatError,
+            match=rf"^invalid manifest contents: config: n_scenes must lie in \[0, {most}\], "
+            rf"got {most + 1}$",
+        ):
+            load(tmp_path / "ds")
+
     def test_oversized_scene_file_is_not_read(self, tmp_path):
         """A scene file sparsely extended to 256 MiB is rejected by its
         size, before any of it is read into memory."""
@@ -404,3 +438,26 @@ class TestFolds:
         for k in (2.5, True):
             with pytest.raises(TypeError, match=f"^k must be an integer, got {k!r}$"):
                 folds(6, k)
+
+
+def loop_folds(n, k):
+    """Reference folds, one at a time: the first n % k take n // k + 1
+    scenes, the rest n // k."""
+    base, extra = divmod(n, k)
+    spans = []
+    start = 0
+    for i in range(k):
+        size = base + (1 if i < extra else 0)
+        spans.append(range(start, start + size))
+        start += size
+    return spans
+
+
+def test_folds_are_the_loops_folds():
+    for n in range(2, 301):
+        for k in range(2, n + 1):
+            assert folds(n, k) == loop_folds(n, k), (n, k)
+    with pytest.raises(ValueError, match=r"^k must be at least 2, got 1$"):
+        folds(10, 1)
+    with pytest.raises(ValueError, match=r"^cannot split 3 scenes into 4 folds$"):
+        folds(3, 4)

@@ -75,3 +75,19 @@ def test_exports_are_defined_and_imports_are_used():
         problems += [f"{where}: __all__ names undefined {name!r}" for name in exported - bound]
         problems += [f"{where}: unused import {name!r}" for name in imported - read - exported]
     assert not problems
+
+
+def test_every_bound_is_named_in_the_readme():
+    """Each module-level ``MAX_*`` constant appears in README.md under its
+    full dotted name, e.g. ``mcde.mc.MAX_NU``."""
+    bounds = {
+        ".".join(path.relative_to(PACKAGE.parent).with_suffix("").parts) + "." + target.id
+        for path in PACKAGE.rglob("*.py")
+        for node in ast.parse(path.read_text(), filename=str(path)).body
+        if isinstance(node, ast.Assign)
+        for target in node.targets
+        if isinstance(target, ast.Name) and target.id.startswith("MAX_")
+    }
+    assert "mcde.mc.MAX_NU" in bounds
+    readme = (PACKAGE.parents[1] / "README.md").read_text()
+    assert {bound for bound in bounds if bound not in readme} == set()

@@ -152,6 +152,27 @@ class TestMaxPool:
         assert dx[0, 1, 0] == 1.0
         assert dx[1, 0, 0] == 0.0
 
+    def test_signed_zero_tie_keeps_the_first_maximum_bits(self):
+        """A maximum tied between -0.0 and +0.0 comes out with the bits of
+        the first (row-major) one; ``max`` returned the other on most such
+        maps."""
+        rng = np.random.default_rng(41)
+        x = -rng.uniform(0.5, 1.0, size=(300, 4, 4, 3)).astype(np.float32)
+        for r in range(x.shape[0]):
+            for c in range(x.shape[-1]):
+                first, second = rng.choice(16, size=2, replace=False)
+                sign = rng.choice([-1.0, 1.0])
+                x[r, first // 4, first % 4, c] = sign * 0.0
+                x[r, second // 4, second % 4, c] = -sign * 0.0
+        y, _ = MaxPool().forward(x)
+        flat = x.reshape(x.shape[0], -1, x.shape[-1])
+        want = np.empty_like(y)
+        for r in range(flat.shape[0]):
+            for c in range(flat.shape[-1]):
+                column = flat[r, :, c]
+                want[r, c] = column[list(column).index(column.max())]
+        assert y.tobytes() == want.tobytes()
+
     def test_gradients(self):
         rng = np.random.default_rng(40)
         check_layer(MaxPool(), spatial(rng))
