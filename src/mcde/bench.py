@@ -199,9 +199,10 @@ def _evaluate_samples(models, scenes, sample_ids, nu, base_seed, sog_p):
 
     ``models`` is a list of (name, network) pairs; MC seeds are keyed
     by each sample's global id so results are independent of batching.
-    Each metric scores a method's estimates in one call; the ideal row
-    is the members' least error.  An error is re-raised naming its
-    sample id, and from a metric also the method.
+    Each fusion variant fuses the whole batch in one ``fusion.combine``
+    call (once per fold), and each metric scores a method's estimates
+    in one call; the ideal row is the members' least error.  An error
+    is re-raised naming its sample id, and from a metric also the method.
     """
     model_names = [name for name, _ in models]
     nets = [net for _, net in models]
@@ -215,14 +216,18 @@ def _evaluate_samples(models, scenes, sample_ids, nu, base_seed, sog_p):
                 )
                 mus.append([est.mu for est in members])
                 row += [est.mean for est in members]
-                row += [fusion.fuse(members, variant).fused for variant in fusion.VARIANTS]
             rows.append(row)
         except Exception as exc:
             raise RuntimeError(f"sample {sample_id}: {exc}") from exc
     labels = np.array([scene.label for scene in scenes])
+    estimates = np.stack(rows, axis=1)  # (method, sample, 3)
+    if nets:
+        means = estimates[len(_BASELINE_ROWS) :].swapaxes(0, 1)
+        fused = [fusion.combine(means, mus, variant)[0] for variant in fusion.VARIANTS]
+        estimates = np.concatenate([estimates, fused])
     errors = {}
     # zip stops before the last row, the ideal one, which has no estimate.
-    for method, column in zip(_method_list(model_names), np.stack(rows, axis=1)):
+    for method, column in zip(_method_list(model_names), estimates):
         for metric, fn in METRICS.items():
             try:
                 errors[(method, metric)] = fn(labels, column)

@@ -315,10 +315,12 @@ def load(path) -> Dataset:
 def folds(n: int, k: int) -> list[range]:
     """Contiguous, order-preserving folds of ``n`` scenes: ``np.array_split``'s.
 
-    Sizes differ by at most one; the earliest folds take the extra
-    scene.
+    Sizes differ by at most one; the first ``n % k`` folds take the
+    extra scene.
     """
     check_int("k", k, 2)
     if k > n:
         raise ValueError(f"cannot split {n} scenes into {k} folds")
-    return [range(int(a[0]), int(a[-1]) + 1) for a in np.array_split(np.arange(n), k)]
+    q, r = divmod(n, k)
+    bounds = [i * q + min(i, r) for i in range(k + 1)]
+    return [range(a, b) for a, b in zip(bounds, bounds[1:])]

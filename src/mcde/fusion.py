@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from mcde.color import METRICS, SphericalDir, from_spherical, to_spherical
+from mcde.color import METRICS, from_spherical, to_spherical
 from mcde.mc import MCEstimate, mc_estimate
 from mcde.seeding import derive_seed
 
@@ -33,6 +33,7 @@ __all__ = [
     "FusionResult",
     "raw_confidence",
     "aggregate",
+    "combine",
     "ensemble_estimates",
     "fuse",
     "mcde",
@@ -55,17 +56,19 @@ def _g(variant: str):
 
 
 def raw_confidence(uncertainties, variant: str = "log") -> np.ndarray:
-    """Pre-normalization confidence scores g(1/mu), floored.
+    """Pre-normalization confidence scores g(1/mu), floored, of (..., K) mu.
 
-    A NaN or negative mu is refused, naming the first such member: the
-    floor would otherwise give a negative mu the largest weight.  An
-    infinite mu is legal and scores the floor, without a warning from
-    the log variant's log(0).
+    A NaN or negative mu is refused, naming the first such member (and
+    row): the floor would otherwise give a negative mu the largest
+    weight.  An infinite mu is legal and scores the floor, without a
+    warning from the log variant's log(0).
     """
     u = np.asarray(uncertainties, dtype=np.float64)
     if not (u >= 0.0).all():
-        k = np.flatnonzero(~(u >= 0.0))[0]
-        raise ValueError(f"member {k}: uncertainty mu must be non-negative, got {u.flat[k]}")
+        i = np.flatnonzero(~(u >= 0.0))[0]
+        row, k = divmod(i, u.shape[-1] if u.ndim else 1)
+        at = f"row {row}, " if u.ndim > 1 else ""
+        raise ValueError(f"{at}member {k}: uncertainty mu must be non-negative, got {u.flat[i]}")
     with np.errstate(divide="ignore"):
         return np.maximum(_g(variant)(1.0 / np.maximum(u, SIGMA_FLOOR)), CONFIDENCE_FLOOR)
 
@@ -73,21 +76,28 @@ def raw_confidence(uncertainties, variant: str = "log") -> np.ndarray:
 def aggregate(means, weights) -> np.ndarray:
     """Weighted angular average of unit estimates, in spherical coordinates.
 
-    Weights must lie on the simplex.  The fused azimuth/inclination are
-    convex combinations of the members', so the result always lies
-    inside the members' angular envelope.
+    Takes (..., K, 3) means and (..., K) weights, each row on the
+    simplex, and returns (..., 3) inside the members' angular envelope.
+    A (1, K) @ (K, 1) product per row rounds as an unbatched call does.
     """
     means = np.asarray(means, dtype=np.float64)
     weights = np.asarray(weights, dtype=np.float64)
-    if means.ndim != 2 or means.shape[1] != 3 or weights.shape != (means.shape[0],):
-        raise ValueError("expected (K, 3) means and (K,) weights")
+    if means.ndim < 2 or means.shape[-1] != 3 or weights.shape != means.shape[:-1]:
+        raise ValueError("expected (..., K, 3) means and (..., K) weights")
     if not np.isfinite(means).all():
         raise ValueError("means must be finite")
     # Asked in the positive form, so NaN weights fail too.
-    if not (np.all(weights >= 0.0) and abs(weights.sum() - 1.0) <= 1e-9):
+    if not (np.all(weights >= 0.0) and np.all(abs(weights.sum(axis=-1) - 1.0) <= 1e-9)):
         raise ValueError("weights must be non-negative and sum to 1")
-    phi, varphi = to_spherical(means)
-    return from_spherical(SphericalDir(float(weights @ phi), float(weights @ varphi)))
+    w = weights[..., None, :]
+    return from_spherical([(w @ angle[..., None])[..., 0, 0] for angle in to_spherical(means)])
+
+
+def combine(means, mus, variant: str) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(fused, weights, raw scores) of (..., K, 3) member means and (..., K) mu."""
+    raw = raw_confidence(mus, variant)
+    weights = raw / raw.sum(axis=-1, keepdims=True)
+    return aggregate(means, weights), weights, raw
 
 
 @dataclass(frozen=True)
@@ -113,10 +123,7 @@ def fuse(estimates, variant: str = "log") -> FusionResult:
     estimates = tuple(estimates)
     if not estimates:
         raise ValueError("need at least one member estimate")
-    mus = np.array([e.mu for e in estimates])
-    raw = raw_confidence(mus, variant)
-    weights = raw / raw.sum()
-    fused = aggregate(np.stack([e.mean for e in estimates]), weights)
+    fused, weights, raw = combine([e.mean for e in estimates], [e.mu for e in estimates], variant)
     return FusionResult(fused=fused, estimates=estimates, weights=weights, raw_scores=raw)
 
 

@@ -241,6 +241,22 @@ class TestCrossval:
         for name, values in mus.items():
             assert report.uncertainties[name].tobytes() == np.array(values).tobytes()
 
+    def test_each_variant_fuses_a_fold_in_one_call(self, monkeypatch):
+        """No per-scene ``fuse``: each fold makes one ``combine`` call per
+        variant, over all of its scenes."""
+        monkeypatch.setattr(bench, "train_member", built_member)
+        monkeypatch.setattr(fusion, "fuse", None)
+        combine, calls = fusion.combine, []
+
+        def counted(means, mus, variant):
+            calls.append((np.shape(means), variant))
+            return combine(means, mus, variant)
+
+        monkeypatch.setattr(fusion, "combine", counted)
+        dataset = gen_dataset(GenConfig(n_scenes=7, width=8, height=8, pool="full", base_seed=306))
+        crossval(dataset, tiny_config(folds=3))
+        assert calls == [((n, 2, 3), v) for n in (3, 2, 2) for v in fusion.VARIANTS]
+
     def test_metric_refusal_names_its_sample_and_method(self, monkeypatch):
         """A member mean with a component below ``DIV_EPS`` has no
         reproduction error.  Scoring a whole fold at once, the run still

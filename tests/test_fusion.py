@@ -12,6 +12,7 @@ from mcde.fusion import (
     CONFIDENCE_FLOOR,
     SIGMA_FLOOR,
     aggregate,
+    combine,
     ensemble_estimates,
     fuse,
     ideal_combine,
@@ -93,6 +94,17 @@ class TestRawConfidence:
         fusion; a NaN one would make the fused estimate NaN."""
         with pytest.raises(ValueError, match=f"^{message}$"):
             raw_confidence(mus, variant)
+
+    @pytest.mark.parametrize("variant", ["linear", "log"])
+    def test_a_hostile_mu_in_a_batch_names_its_row_and_member(self, variant):
+        """In (n, K) input the message names the row and the member on
+        the last axis, not the flat index."""
+        message = "^row 1, member 1: uncertainty mu must be non-negative, got nan$"
+        with pytest.raises(ValueError, match=message):
+            raw_confidence([[0.1, 0.2], [0.3, math.nan]], variant)
+        mus = [[0.1, 0.2], [0.3, 0.4], [-1.0, 0.1], [0.1, 0.1]]
+        with pytest.raises(ValueError, match="^row 2, member 0: .*, got -1.0$"):
+            combine(np.full((4, 2, 3), 3.0**-0.5), mus, variant)
 
 
 def fused_weights(mus, variant):
@@ -254,6 +266,41 @@ class TestFuse:
         result = fuse([certain, vague], "log")
         assert result.weights[0] >= 1.0 - 1e-4
         assert recovery_error(certain.mean, result.fused) < 0.01
+
+
+class TestCombine:
+    @pytest.mark.parametrize("variant", ["linear", "log"])
+    @pytest.mark.parametrize("k", [1, 2, 3, 5])
+    def test_a_batch_gives_each_rows_fuse_bytes(self, k, variant):
+        """``combine`` over a scene axis is ``fuse`` per scene, bit for
+        bit, with rows that hold mu = 0, mu = inf and mu >= 1; and each
+        fused row is the scalar weighted sum of its members' angles."""
+        rng = np.random.default_rng(95 + k)
+        n = 150
+        means = rng.uniform(0.05, 1.0, (n, k, 3))
+        means /= np.linalg.norm(means, axis=-1, keepdims=True)
+        mus = 10.0 ** rng.uniform(-8.0, 1.0, (n, k))
+        special = rng.random((n, k)) < 0.2
+        mus[special] = rng.choice([0.0, math.inf, 1.0, 3.0], special.sum())
+        fused, weights, raw = combine(means, mus, variant)
+        assert fused.shape == (n, 3) and weights.shape == raw.shape == (n, k)
+        for i in range(n):
+            members = [MCEstimate(mean=m, sigma=np.zeros(3), mu=mu) for m, mu in zip(means[i], mus[i])]
+            want = fuse(members, variant)
+            assert fused[i].tobytes() == want.fused.tobytes(), i
+            assert weights[i].tobytes() == want.weights.tobytes(), i
+            assert raw[i].tobytes() == want.raw_scores.tobytes(), i
+            phi, varphi = to_spherical(means[i])
+            scalar = from_spherical(SphericalDir(float(want.weights @ phi), float(want.weights @ varphi)))
+            assert fused[i].tobytes() == scalar.tobytes(), i
+
+    def test_aggregate_refuses_a_batch_with_one_row_off_the_simplex(self):
+        means = np.stack([np.stack([direction(40, 50), direction(50, 60)])] * 3)
+        weights = np.array([[0.5, 0.5], [0.7, 0.7], [1.0, 0.0]])
+        with pytest.raises(ValueError, match="^weights must be non-negative and sum to 1$"):
+            aggregate(means, weights)
+        with pytest.raises(ValueError, match=r"^expected \(\.\.\., K, 3\) means"):
+            aggregate(means, weights[:, :1])
 
 
 class TestPipeline:
