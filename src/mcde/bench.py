@@ -202,7 +202,8 @@ def _evaluate_samples(models, scenes, sample_ids, nu, base_seed, sog_p):
     Each fusion variant fuses the whole batch in one ``fusion.combine``
     call (once per fold), and each metric scores a method's estimates
     in one call; the ideal row is the members' least error.  An error
-    is re-raised naming its sample id, and from a metric also the method.
+    is re-raised naming its sample id, and from a fusion or a metric
+    also the method.
     """
     model_names = [name for name, _ in models]
     nets = [net for _, net in models]
@@ -223,24 +224,34 @@ def _evaluate_samples(models, scenes, sample_ids, nu, base_seed, sog_p):
     estimates = np.stack(rows, axis=1)  # (method, sample, 3)
     if nets:
         means = estimates[len(_BASELINE_ROWS) :].swapaxes(0, 1)
-        fused = [fusion.combine(means, mus, variant)[0] for variant in fusion.VARIANTS]
+        fused = [
+            _per_sample(lambda m, u: fusion.combine(m, u, variant)[0],
+                        sample_ids, f"mcde-{variant}", means, mus)
+            for variant in fusion.VARIANTS
+        ]
         estimates = np.concatenate([estimates, fused])
     errors = {}
     # zip stops before the last row, the ideal one, which has no estimate.
     for method, column in zip(_method_list(model_names), estimates):
         for metric, fn in METRICS.items():
-            try:
-                errors[(method, metric)] = fn(labels, column)
-            except ValueError:  # name the first sample that fails on its own
-                for sample_id, label, est in zip(sample_ids, labels, column):
-                    try:
-                        fn(label, est)
-                    except ValueError as exc:
-                        raise RuntimeError(f"sample {sample_id}: {method}: {exc}") from exc
-                raise
+            errors[(method, metric)] = _per_sample(fn, sample_ids, method, labels, column)
     for metric in METRICS if nets else ():
         errors[("ideal", metric)] = np.min([errors[(m, metric)] for m in model_names], axis=0)
     return errors, dict(zip(model_names, np.array(mus).T))
+
+
+def _per_sample(fn, sample_ids, method, *columns):
+    """``fn(*columns)`` over a batch of samples; a refusal is re-raised
+    naming the first sample that ``fn`` refuses on its own, and ``method``."""
+    try:
+        return fn(*columns)
+    except ValueError:
+        for sample_id, *row in zip(sample_ids, *columns):
+            try:
+                fn(*row)
+            except ValueError as exc:
+                raise RuntimeError(f"sample {sample_id}: {method}: {exc}") from exc
+        raise
 
 
 def _report(echo: dict, model_names, batches, loss_traces: dict) -> BenchReport:

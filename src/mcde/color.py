@@ -169,14 +169,17 @@ def from_spherical(direction) -> np.ndarray:
     Accepts a SphericalDir or any (phi, varphi) pair, each scalar or
     array.  Angles must lie strictly inside (0, pi/2); the boundary
     would produce a zero component, which is not a valid illuminant.
+    An array angle outside is refused naming its first such row.
     """
     phi, varphi = direction
     phi = np.asarray(phi, dtype=np.float64)
     varphi = np.asarray(varphi, dtype=np.float64)
     half_pi = 0.5 * np.pi
     for name, ang in (("phi", phi), ("varphi", varphi)):
-        if np.any(ang <= 0.0) or np.any(ang >= half_pi):
-            raise ValueError(f"{name} must lie strictly inside (0, pi/2)")
+        outside = (ang <= 0.0) | (ang >= half_pi)
+        if outside.any():
+            at = f"row {np.flatnonzero(outside)[0]}: " if ang.ndim else ""
+            raise ValueError(f"{at}{name} must lie strictly inside (0, pi/2)")
     sin_v = np.sin(varphi)
     return np.stack(
         [sin_v * np.cos(phi), sin_v * np.sin(phi), np.cos(varphi)], axis=-1

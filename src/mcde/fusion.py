@@ -79,6 +79,9 @@ def aggregate(means, weights) -> np.ndarray:
     Takes (..., K, 3) means and (..., K) weights, each row on the
     simplex, and returns (..., 3) inside the members' angular envelope.
     A (1, K) @ (K, 1) product per row rounds as an unbatched call does.
+    A fused direction that ``from_spherical`` refuses, on the octant's
+    edge, is named by its first such row, as ``raw_confidence`` names
+    a hostile mu.
     """
     means = np.asarray(means, dtype=np.float64)
     weights = np.asarray(weights, dtype=np.float64)

@@ -25,8 +25,9 @@ __all__ = ["MAX_NU", "MCEstimate", "mc_estimate"]
 # MC passes per model, about 30x the default.  Masks are drawn layer by
 # layer inside the one layer loop, and from the first Dropout on the
 # activations hold one row per pass: at nu=1000 and 64x64, g-net and
-# m-net peak at about 7 and 4 MB, but a spatial layer after a Dropout (only
-# in a network built in Python) at 0.8 GB, and an unbounded nu scales that.
+# m-net peak at 0.7 MiB (tracemalloc), but a 12-channel conv after a
+# Dropout (only in a network built in Python) at 578 MiB, and an
+# unbounded nu scales that.
 MAX_NU = 1000
 
 

@@ -41,9 +41,26 @@ __all__ = [
 # whatever this is.
 PARAM_DTYPE = np.float32
 
+# Conv3x3's 3x3 windows take nine times its input, so ``_windows`` copies
+# them in blocks of rows of at most this many bytes.  A stock call is one
+# image, or a training block of at most 64 KiB of pixels
+# (``network._BLOCK_BYTES``), so it is one block; a conv after a Dropout,
+# with one row per MC pass, is not.
+_WINDOW_BYTES = 1024 * 1024
+
 
 class Conv3x3:
-    """3x3 same-padding convolution, stride 1, channels-last."""
+    """3x3 same-padding convolution, stride 1, channels-last, as one
+    matrix product per row (Chellapilla, Puri & Simard 2006).
+
+    The forward multiplies each row's (H*W, 9*c_in) matrix of 3x3
+    windows (``_windows``) by the weights as a (9*c_in, c_out) matrix and
+    adds the bias.  The backward rebuilds the windows from the cached
+    padded input for each row's weight gradient; the input gradient,
+    which layer 0 is not asked for, takes one product per tap.  A row's
+    bytes depend neither on the other rows nor on the blocks the windows
+    are copied in.
+    """
 
     kind = "conv3x3"
 
@@ -60,24 +77,23 @@ class Conv3x3:
         *lead, h, w, _ = x.shape
         xp = np.zeros((*lead, h + 2, w + 2, self.c_in), x.dtype)
         xp[..., 1:-1, 1:-1, :] = x
-        weight = self.params["W"]
-        y = np.full((*lead, h, w, self.c_out), self.params["b"], x.dtype)
-        for ki in range(3):
-            for kj in range(3):
-                y += xp[..., ki : ki + h, kj : kj + w, :] @ weight[ki, kj]
-        return y, xp
+        xp = xp.reshape(-1, h + 2, w + 2, self.c_in)
+        weight = self.params["W"].reshape(-1, self.c_out)
+        y = np.empty((len(xp), h * w, self.c_out), x.dtype)
+        for rows, windows in _windows(xp, h, w):
+            np.matmul(windows, weight, out=y[rows])
+        y += self.params["b"]
+        return y.reshape(*lead, h, w, self.c_out), xp
 
     def backward(self, dy, cache, need_dx=True):
         xp = cache
         n, h, w, _ = dy.shape
         weight = self.params["W"]
-        d_weight = np.empty((n, *weight.shape), xp.dtype)
+        d_weight = np.empty((n, 9 * self.c_in, self.c_out), xp.dtype)
         dy_rows = dy.reshape(n, -1, self.c_out)
-        for ki in range(3):
-            for kj in range(3):
-                patch = xp[:, ki : ki + h, kj : kj + w].reshape(n, -1, self.c_in)
-                d_weight[:, ki, kj] = patch.transpose(0, 2, 1) @ dy_rows
-        grads = {"W": d_weight, "b": dy.sum(axis=(1, 2))}
+        for rows, windows in _windows(xp, h, w):
+            np.matmul(windows.transpose(0, 2, 1), dy_rows[rows], out=d_weight[rows])
+        grads = {"W": d_weight.reshape(n, *weight.shape), "b": _pixel_sums(dy)}
         if not need_dx:
             return None, grads
         dxp = np.zeros_like(xp)
@@ -85,6 +101,26 @@ class Conv3x3:
             for kj in range(3):
                 dxp[:, ki : ki + h, kj : kj + w] += dy @ weight[ki, kj].T
         return dxp[:, 1:-1, 1:-1], grads
+
+
+def _windows(xp, h, w):
+    """(rows, windows) per block of rows of padded (R, h + 2, w + 2, C) maps.
+
+    ``windows`` is an (r, h * w, 9 * C) copy of each pixel's 3x3 window,
+    ordered (ki, kj, c) like a conv weight's first three axes.  It comes
+    from one strided view of ``xp`` whose elements are the 3 * C values
+    of a window's row, contiguous in ``xp``, so numpy copies a row of a
+    window at a time, not a channel.  A block holds as many rows as fit
+    in ``_WINDOW_BYTES``, and at least one.
+    """
+    n, _, _, c = xp.shape
+    s_r, s_h, s_w, _ = xp.strides
+    run = np.dtype((np.void, 3 * c * xp.itemsize))
+    step = max(1, _WINDOW_BYTES // (3 * h * w * run.itemsize))
+    for r in range(0, n, step):
+        k = min(step, n - r)
+        view = np.ndarray((k, h, w, 3), run, xp, r * s_r, (s_r, s_h, s_w, s_h))
+        yield slice(r, r + k), view.copy().view(xp.dtype).reshape(k, h * w, 9 * c)
 
 
 class Affine:
@@ -139,6 +175,14 @@ class Relu:
         return (dy * (cache > 0.0) if need_dx else None), {}
 
 
+def _pixel_sums(x):
+    """Sums over the pixels of (..., H, W, C) maps, one ``ones(H*W)``
+    product per row: numpy's own sum goes pixel by pixel over a map of
+    several channels, at 64x64 about six times slower."""
+    *lead, h, w, c = x.shape
+    return np.ones(h * w, x.dtype) @ x.reshape(*lead, h * w, c)
+
+
 class MeanPool:
     """Global spatial mean: (R, H, W, C) -> (R, C)."""
 
@@ -148,13 +192,14 @@ class MeanPool:
         self.params = {}
 
     def forward(self, x):
-        return x.mean(axis=(-3, -2)), x.shape
+        *_, h, w, _ = x.shape
+        return _pixel_sums(x) / (h * w), x.shape
 
     def backward(self, dy, cache, need_dx=True):
         if not need_dx:
             return None, {}
         *_, h, w, _ = cache
-        return np.broadcast_to((dy / (h * w))[..., None, None, :], cache).copy(), {}
+        return np.repeat((dy / (h * w))[..., None, :], h * w, axis=-2).reshape(cache), {}
 
 
 class MaxPool:

@@ -277,6 +277,28 @@ class TestCrossval:
         ):
             crossval(grey_scene_dataset(n=6), tiny_config())
 
+    def test_fusion_refusal_names_its_sample_and_variant(self, monkeypatch):
+        """Every member of scene 4 certain (mu = 0) of a mean with azimuth
+        exactly pi/2 fuses to a direction ``from_spherical`` refuses.
+        Fusing a whole fold at once, the run still stops naming the fold,
+        the sample and the variant."""
+        monkeypatch.setattr(bench, "train_member", built_member)
+        ensemble_estimates = fusion.ensemble_estimates
+        edge = normalize([1e-300, 0.6, 0.8])
+
+        def stand_in(nets, pixels, nu, base_seed):
+            members = ensemble_estimates(nets, pixels, nu, base_seed)
+            if base_seed == derive_seed("sample-mc", 17, 4):
+                members = [dataclasses.replace(m, mean=edge, mu=0.0) for m in members]
+            return members
+
+        monkeypatch.setattr(fusion, "ensemble_estimates", stand_in)
+        with pytest.raises(
+            RuntimeError,
+            match=r"^fold 1 failed: sample 4: mcde-linear: phi must lie strictly inside \(0, pi/2\)$",
+        ):
+            crossval(grey_scene_dataset(n=6), tiny_config())
+
     def test_deterministic_across_runs_and_workers(self):
         dataset = gen_dataset(
             GenConfig(n_scenes=6, width=8, height=8, base_seed=304)

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from mcde.color import SphericalDir, from_spherical, recovery_error, to_spherical
+from mcde.color import SphericalDir, from_spherical, normalize, recovery_error, to_spherical
 from mcde.fusion import (
     CONFIDENCE_FLOOR,
     SIGMA_FLOOR,
@@ -301,6 +301,18 @@ class TestCombine:
             aggregate(means, weights)
         with pytest.raises(ValueError, match=r"^expected \(\.\.\., K, 3\) means"):
             aggregate(means, weights[:, :1])
+
+    def test_a_fused_direction_on_the_octant_edge_names_its_row(self):
+        """A member mean with azimuth exactly pi/2 fuses, alone or with
+        itself, to a direction ``from_spherical`` refuses; in a batch the
+        message names its row, and an unbatched call gives the bare one."""
+        edge = normalize([1e-300, 0.6, 0.8])
+        means = np.stack([np.stack([direction(40, 50), direction(50, 60)])] * 4)
+        means[2] = edge
+        with pytest.raises(ValueError, match=r"^row 2: phi must lie strictly inside \(0, pi/2\)$"):
+            combine(means, np.zeros((4, 2)), "log")
+        with pytest.raises(ValueError, match=r"^phi must lie strictly inside \(0, pi/2\)$"):
+            combine(means[2], np.zeros(2), "log")
 
 
 class TestPipeline:

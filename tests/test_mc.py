@@ -264,6 +264,25 @@ class TestPrefixSharing:
             tracemalloc.stop()
         assert peak < stacked_bytes / 4
 
+    def test_conv_after_a_dropout_copies_its_windows_in_blocks(self):
+        """A conv after a Dropout meets one row per pass, and its 3x3
+        windows take nine times its input: at nu=200 and 64x64, formed
+        for all 200 rows at once they peaked at 453 MiB.  A block of rows
+        at a time keeps the peak at or below the 153 MiB that the
+        tap-by-tap conv took."""
+        net = custom_stack(
+            Conv3x3(3, 12), Relu(), Dropout(0.3), Conv3x3(12, 12), Relu(), MeanPool(),
+            Affine(12, 3), PositiveHead(),
+        )
+        pixels = np.random.default_rng(107).uniform(0.0, 1.0, (64, 64, 3)).astype(np.float32)
+        tracemalloc.start()
+        try:
+            mc_estimate(net, pixels, nu=200)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 153 * 2**20
+
     def test_mean_pool_runs_at_most_twice_per_estimate(self, monkeypatch):
         calls = []
         original = MeanPool.forward

@@ -18,6 +18,7 @@ from mcde.nn import (
     PassSeed,
     PositiveHead,
     Relu,
+    layers,
 )
 
 
@@ -65,6 +66,71 @@ class TestConv3x3:
         layer.init(rng)
         layer.params["b"] = rng.normal(size=4)
         check_layer(layer, spatial(rng, 5, 4, 3))
+
+
+
+def direct_conv(x, weight, bias, dy):
+    """A float64 3x3 same-padding convolution of (R, H, W, C) maps, pixel by
+    pixel and tap by tap, with its per-row gradients against ``dy``:
+    (y, dx, dW, db)."""
+    n, h, w, _ = x.shape
+    xp = np.pad(x, ((0, 0), (1, 1), (1, 1), (0, 0)))
+    y = np.empty((n, h, w, weight.shape[-1]))
+    dxp = np.zeros_like(xp)
+    d_weight = np.zeros((n, *weight.shape))
+    for i in range(h):
+        for j in range(w):
+            window = xp[:, i : i + 3, j : j + 3]
+            y[:, i, j] = np.einsum("rklc,klco->ro", window, weight) + bias
+            dxp[:, i : i + 3, j : j + 3] += np.einsum("ro,klco->rklc", dy[:, i, j], weight)
+            d_weight += np.einsum("rklc,ro->rklco", window, dy[:, i, j])
+    return y, dxp[:, 1:-1, 1:-1], d_weight, dy.sum(axis=(1, 2))
+
+
+# (rows, h, w, c_in, c_out): the edge shapes, then random ones.
+_CONV_SHAPES = [(1, 1, 1, 3, 4), (3, 1, 6, 2, 5), (2, 5, 1, 7, 3), (4, 6, 5, 3, 12)] + [
+    tuple(int(v) for v in np.random.default_rng(seed).integers(1, 9, 5)) for seed in range(6)
+]
+
+
+@pytest.mark.parametrize("shape", _CONV_SHAPES, ids=str)
+def test_conv_matches_a_float64_direct_convolution(shape):
+    """The float32 conv's output and its input, weight and bias gradients
+    agree with the direct float64 sums of the same values, within float32
+    rounding of sums of up to 9 * c_in (output) or h * w (gradient) terms."""
+    n, h, w, c_in, c_out = shape
+    rng = np.random.default_rng(sum(shape))
+    layer = Conv3x3(c_in, c_out)
+    layer.init(rng)
+    layer.params["b"] = rng.normal(size=c_out).astype(np.float32)
+    x = rng.normal(size=(n, h, w, c_in)).astype(np.float32)
+    dy = rng.normal(size=(n, h, w, c_out)).astype(np.float32)
+    y, cache = layer.forward(x)
+    dx, grads = layer.backward(dy, cache)
+    want = direct_conv(*(np.float64(a) for a in (x, layer.params["W"], layer.params["b"], dy)))
+    for name, got, ref in zip(("y", "dx", "dW", "db"), (y, dx, grads["W"], grads["b"]), want):
+        assert got.dtype == np.float32 and got.shape == ref.shape, name
+        np.testing.assert_allclose(got, ref, rtol=1e-5, atol=1e-5 * max(1, h * w), err_msg=name)
+
+
+@pytest.mark.parametrize("window_bytes", [1, 9000])
+def test_conv_in_row_blocks_gives_the_one_block_bytes(window_bytes, monkeypatch):
+    """Windows formed a block of rows at a time, down to one row, give
+    the bytes of one block: each row is its own matrix product."""
+    rng = np.random.default_rng(115)
+    layer = initialised(Conv3x3(4, 6), 116)
+    x = rng.normal(size=(7, 5, 6, 4)).astype(np.float32)
+    dy = rng.normal(size=(7, 5, 6, 6)).astype(np.float32)
+
+    def run():
+        y, cache = layer.forward(x)
+        dx, grads = layer.backward(dy, cache)
+        return [y, dx, grads["W"], grads["b"]]
+
+    want = run()
+    monkeypatch.setattr(layers, "_WINDOW_BYTES", window_bytes)
+    for got, ref in zip(run(), want):
+        assert got.tobytes() == ref.tobytes()
 
 
 class TestAffine:
