@@ -13,7 +13,7 @@ summary table plus the uncertainty signal that makes it work.
 
 import numpy as np
 
-from mcde.bench import SCENARIO_MEMBERS, ScenarioConfig, band_shift_scenario, write_report
+from mcde.bench import SCENARIO_MEMBERS, ScenarioConfig, band_shift_scenario, stats, write_report
 
 config = ScenarioConfig(eval_per_band=60, nu=15)
 report = band_shift_scenario(config)
@@ -22,17 +22,17 @@ report = band_shift_scenario(config)
 # member is dragged down by its off-band half; the log-variant fusion
 # beats both on the mean and, far more visibly, on the worst quarter.
 print(f"{'method':>16} {'mean':>7} {'median':>7} {'worst25':>8}")
-for method in report.methods:
-    s = report.summary[(method, "recovery")]
-    print(f"{method:>16} {s.mean:7.2f} {s.median:7.2f} {s.worst25_mean:8.2f}")
+for (method, metric), errors in report.errors.items():
+    if metric == "recovery":
+        s = stats(errors)
+        print(f"{method:>16} {s.mean:7.2f} {s.median:7.2f} {s.worst25_mean:8.2f}")
 
 # Why it works: SCENARIO_MEMBERS pairs each member with its home band,
 # and the evaluation set holds eval_per_band scenes of each band, in
 # the table's order.  Each member's total uncertainty mu is markedly
 # larger on foreign scenes.
 sample_band = np.repeat([band for _, band in SCENARIO_MEMBERS], config.eval_per_band)
-for name, (_, band) in zip(report.model_names, SCENARIO_MEMBERS):
-    mu = report.uncertainties[name]
+for (name, mu), (_, band) in zip(report.uncertainties.items(), SCENARIO_MEMBERS):
     home, away = mu[sample_band == band], mu[sample_band != band]
     print(f"\n{name}: median mu at home {np.median(home):.2e}, "
           f"abroad {np.median(away):.2e} "

@@ -173,25 +173,19 @@ class BenchReport:
     """Everything a report directory is rendered from.
 
     errors maps (method, metric) to per-sample error arrays, sample i
-    at position i; summary holds the corresponding ErrorStats;
-    uncertainties maps each trained member to its raw per-sample
-    uncertainty mu, in the same order; and loss_traces holds each
-    trained member's per-epoch mean training loss, keyed by (fold,
-    member) for ``crossval`` and by member for the scenario.  No report
-    file holds the traces.
+    at position i, in report order: the baselines, the members, the
+    fusion rows and the ideal row, each under every metric of
+    ``METRICS`` in turn.  uncertainties maps each trained member, in
+    member order, to its raw per-sample uncertainty mu.  loss_traces
+    holds each trained member's per-epoch mean training loss, keyed by
+    (fold, member) for ``crossval`` and by member for the scenario.  No
+    report file holds the traces.
     """
 
     config: dict
-    methods: tuple[str, ...]
-    model_names: tuple[str, ...]
     errors: dict[tuple[str, str], np.ndarray]
-    summary: dict[tuple[str, str], ErrorStats]
     uncertainties: dict[str, np.ndarray]
     loss_traces: dict
-
-
-def _method_list(model_names) -> tuple[str, ...]:
-    return (*_BASELINE_ROWS, *model_names, *(_FUSED_ROWS if model_names else ()))
 
 
 def _evaluate_samples(models, scenes, sample_ids, nu, base_seed, sog_p):
@@ -231,8 +225,9 @@ def _evaluate_samples(models, scenes, sample_ids, nu, base_seed, sog_p):
         ]
         estimates = np.concatenate([estimates, fused])
     errors = {}
-    # zip stops before the last row, the ideal one, which has no estimate.
-    for method, column in zip(_method_list(model_names), estimates):
+    # zip stops before the fusion rows when there is no member, and
+    # before the ideal row, which has no estimate, when there is one.
+    for method, column in zip((*_BASELINE_ROWS, *model_names, *_FUSED_ROWS), estimates):
         for metric, fn in METRICS.items():
             errors[(method, metric)] = _per_sample(fn, sample_ids, method, labels, column)
     for metric in METRICS if nets else ():
@@ -254,20 +249,12 @@ def _per_sample(fn, sample_ids, method, *columns):
         raise
 
 
-def _report(echo: dict, model_names, batches, loss_traces: dict) -> BenchReport:
+def _report(echo: dict, batches, loss_traces: dict) -> BenchReport:
     """One report from per-batch (errors, uncertainties), merged in order."""
     batch_errors, batch_mus = zip(*batches)
     errors = {k: np.concatenate([batch[k] for batch in batch_errors]) for k in batch_errors[0]}
     mus = {name: np.concatenate([batch[name] for batch in batch_mus]) for name in batch_mus[0]}
-    return BenchReport(
-        config=echo,
-        methods=_method_list(model_names),
-        model_names=tuple(model_names),
-        errors=errors,
-        summary={key: stats(values) for key, values in errors.items()},
-        uncertainties=mus,
-        loss_traces=loss_traces,
-    )
+    return BenchReport(config=echo, errors=errors, uncertainties=mus, loss_traces=loss_traces)
 
 
 def train_member(spec: TrainableSpec, scenes, init_seed: int, train_seed: int):
@@ -348,8 +335,7 @@ def crossval(dataset: Dataset, config: BenchConfig = BenchConfig()) -> BenchRepo
     echo = {"protocol": "cross-validation", "format_version": 1, **asdict(config)}
     del echo["workers"]  # does not change results
     echo.update(trainables=list(echo["trainables"]), dataset=asdict(dataset.config))
-    names = [spec.name for spec in config.trainables]
-    return _report(echo, names, [batch for batch, _ in results], traces)
+    return _report(echo, [batch for batch, _ in results], traces)
 
 
 def _write_csv(path: Path, header, rows) -> None:
@@ -370,20 +356,19 @@ def write_report(report: BenchReport, out_dir) -> None:
     )
 
     stat_fields = [field.name for field in fields(ErrorStats)]
-    summary_rows = []
-    for method in report.methods:
-        for metric in METRICS:
-            summary_rows.append((method, metric, *astuple(report.summary[(method, metric)])))
+    summary_rows = [
+        (method, metric, *astuple(stats(values)))
+        for (method, metric), values in report.errors.items()
+    ]
     _write_csv(out / "summary.csv", ["method", "metric", *stat_fields], summary_rows)
 
     sample_rows = []
     mu_rows = []
     for i in range(len(report.errors[("grey-world", "recovery")])):
-        for method in report.methods:
-            for metric in METRICS:
-                sample_rows.append((i, method, metric, float(report.errors[(method, metric)][i])))
-        for name in report.model_names:
-            mu_rows.append((i, name, float(report.uncertainties[name][i])))
+        for (method, metric), values in report.errors.items():
+            sample_rows.append((i, method, metric, float(values[i])))
+        for name, mu in report.uncertainties.items():
+            mu_rows.append((i, name, float(mu[i])))
     _write_csv(
         out / "per_sample.csv", ["sample", "method", "metric", "error_deg"], sample_rows
     )
@@ -477,8 +462,7 @@ def band_shift_scenario(config: ScenarioConfig = ScenarioConfig()) -> BenchRepor
     the same, bit for bit, as training the members one after the other.
     """
     specs, bands = config.specs(), [band for _, band in SCENARIO_MEMBERS]
-    names = [spec.name for spec in specs]
-    with ProcessPoolExecutor(max_workers=len(names)) as pool:
+    with ProcessPoolExecutor(max_workers=len(specs)) as pool:
         trained = pool.map(partial(_train_scenario_member, config), specs, bands)
         eval_scenes = [
             scene
@@ -486,7 +470,7 @@ def band_shift_scenario(config: ScenarioConfig = ScenarioConfig()) -> BenchRepor
             for scene in _band_scenes(config, config.eval_per_band, band, "scenario-eval")
         ]
         trained = list(trained)
-        models = [(name, net) for name, (net, _) in zip(names, trained)]
+        models = [(spec.name, net) for spec, (net, _) in zip(specs, trained)]
     batch = _evaluate_samples(
         models,
         eval_scenes,
@@ -497,5 +481,5 @@ def band_shift_scenario(config: ScenarioConfig = ScenarioConfig()) -> BenchRepor
     )
     echo = {"protocol": "band-shift-scenario", "format_version": 1, **asdict(config)}
     echo["members"] = [list(member) for member in SCENARIO_MEMBERS]
-    traces = {name: trace for name, (_, trace) in zip(names, trained)}
-    return _report(echo, names, [batch], traces)
+    traces = {spec.name: trace for spec, (_, trace) in zip(specs, trained)}
+    return _report(echo, [batch], traces)

@@ -26,7 +26,7 @@ import numpy as np
 
 from mcde import datagen, fusion
 from mcde._check import check_int, check_real
-from mcde.bench import BenchConfig, TrainableSpec, crossval, train_member, write_report
+from mcde.bench import BenchConfig, TrainableSpec, crossval, stats, train_member, write_report
 from mcde.color import METRICS, apply_von_kries
 from mcde.datagen import MAX_SIDE, POOLS, DatasetFormatError, GenConfig
 from mcde.mc import MAX_NU
@@ -257,12 +257,13 @@ def _cmd_bench(args) -> None:
     write_report(report, args.out)
     print(f"benchmark: {len(dataset.scenes)} scenes, {args.k} folds, nu={args.nu}")
     print(f"{'method':>16}  {'mean':>6} {'med':>6} {'tri':>6} {'b25':>6} {'w25':>6}  (recovery, deg)")
-    for method in report.methods:
-        s = report.summary[(method, "recovery")]
-        print(
-            f"{method:>16}  {s.mean:6.1f} {s.median:6.1f} {s.trimean:6.1f} "
-            f"{s.best25_mean:6.1f} {s.worst25_mean:6.1f}"
-        )
+    for (method, metric), errors in report.errors.items():
+        if metric == "recovery":
+            s = stats(errors)
+            print(
+                f"{method:>16}  {s.mean:6.1f} {s.median:6.1f} {s.trimean:6.1f} "
+                f"{s.best25_mean:6.1f} {s.worst25_mean:6.1f}"
+            )
     print(f"report written to {args.out}")
 
 

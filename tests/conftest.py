@@ -23,6 +23,7 @@ CRITERIA = {
     "test_oracle_dominance": "ideal row dominates every single model",
     "test_qualitative_band_shift": "fused log-variant beats both members off-domain",
     "test_cmd_bench_determinism": "benchmark reports byte-identical across workers",
+    "test_cmd_bench_blas_threads": "benchmark reports byte-identical across BLAS threads",
     "test_stats_oracle": "summary statistics oracle and CSV recomputation",
 }
 

@@ -7,7 +7,11 @@ prints one PASS/FAIL line per criterion.
 
 import csv
 import math
+import os
+import subprocess
+import sys
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -36,6 +40,8 @@ from mcde.nn.layers import (
 )
 
 from gradcheck import check_layer, check_network
+
+SRC = Path(__file__).resolve().parents[1] / "src"
 
 
 def random_positive_units(rng, n):
@@ -245,11 +251,11 @@ def test_oracle_dominance(small_report, scenario_report):
     <= the matching statistic of every single model, for both error
     metrics (exact, because per-sample minima dominate)."""
     for report in (small_report, scenario_report[0]):
-        assert report.model_names, "report must contain trained models"
+        assert report.uncertainties, "report must contain trained models"
         for metric in ("recovery", "reproduction"):
-            ideal = report.summary[("ideal", metric)]
-            for name in report.model_names:
-                single = report.summary[(name, metric)]
+            ideal = stats(report.errors[("ideal", metric)])
+            for name in report.uncertainties:
+                single = stats(report.errors[(name, metric)])
                 for field in ErrorStats.__dataclass_fields__:
                     assert getattr(ideal, field) <= getattr(single, field), (
                         metric,
@@ -269,13 +275,13 @@ def test_qualitative_band_shift(scenario_report):
     for values in (*report.errors.values(), *report.uncertainties.values()):
         assert values.shape == (400,)
 
-    fused = report.summary[("mcde-log", "recovery")]
+    fused = stats(report.errors[("mcde-log", "recovery")])
     member_means = [
-        report.summary[(name, "recovery")].mean for name in report.model_names
+        stats(report.errors[(name, "recovery")]).mean for name in report.uncertainties
     ]
     member_worst = [
-        report.summary[(name, "recovery")].worst25_mean
-        for name in report.model_names
+        stats(report.errors[(name, "recovery")]).worst25_mean
+        for name in report.uncertainties
     ]
     assert fused.mean <= min(member_means)
     assert fused.worst25_mean <= min(member_worst) + 0.2
@@ -302,6 +308,33 @@ def test_cmd_bench_determinism(tmp_path):
         }
     assert trees["a"] == trees["b"]
     assert trees["a"] == trees["c"]
+
+
+def test_cmd_bench_blas_threads(tmp_path):
+    """The bench command writes the same bytes with one BLAS thread and
+    with two.  Each run is a fresh interpreter, because OpenBLAS reads
+    its thread count when numpy loads; the scenes are 64x64 so that the
+    products are large enough for OpenBLAS to split across threads."""
+    data = tmp_path / "data"
+    assert cli.main([
+        "gen-data", "--scenes", "8", "--width", "64", "--height", "64",
+        "--seed", "23", "--out", str(data),
+    ]) == 0
+
+    trees = {}
+    for threads in ("1", "2"):
+        out = tmp_path / f"threads-{threads}"
+        done = subprocess.run(
+            [sys.executable, "-m", "mcde.cli", "bench", "--data", str(data),
+             "--out", str(out), "--k", "2", "--nu", "3", "--epochs", "1"],
+            env={**os.environ, "PYTHONPATH": str(SRC), "OPENBLAS_NUM_THREADS": threads},
+            capture_output=True,
+            text=True,
+        )
+        assert done.returncode == 0, done.stderr
+        trees[threads] = {p.name: p.read_bytes() for p in sorted(out.iterdir())}
+    assert len(trees["1"]) == 4
+    assert trees["1"] == trees["2"]
 
 
 def test_stats_oracle(small_report, tmp_path):

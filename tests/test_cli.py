@@ -5,6 +5,7 @@ documented exit-status contract: 0 success, 2 usage error, 1 runtime
 error.
 """
 
+import csv
 import filecmp
 import json
 import shutil
@@ -414,9 +415,23 @@ class TestBench:
             ["bench", "--data", str(dataset_dir), "--out", str(out), *BENCH_FLAGS]
         )
         assert code == 0
-        text = capsys.readouterr().out
-        assert "mcde-log" in text
-        assert "grey-world" in text
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[0].startswith("benchmark: ")
+        assert lines[1].split() == ["method", "mean", "med", "tri", "b25", "w25",
+                                    "(recovery,", "deg)"]
+        assert lines[-1] == f"report written to {out}"
+        # One line per method, in report order, each the recovery row of
+        # summary.csv at one decimal.
+        table = [line.split() for line in lines[2:-1]]
+        with open(out / "summary.csv", newline="") as fh:
+            recovery = [row for row in csv.DictReader(fh) if row["metric"] == "recovery"]
+        columns = ("mean", "median", "trimean", "best25_mean", "worst25_mean")
+        assert table == [
+            [row["method"], *(f"{float(row[column]):.1f}" for column in columns)]
+            for row in recovery
+        ]
+        assert [row[0] for row in table] == ["grey-world", "shades-of-grey", "g-net", "m-net",
+                                             "mcde-linear", "mcde-log", "ideal"]
         assert (out / "config.json").is_file()
         assert (out / "summary.csv").is_file()
         assert (out / "per_sample.csv").is_file()

@@ -3,8 +3,9 @@
 No other test runs ``demos/``, so a public name removed from the
 package, or a changed signature, would otherwise break a demo silently.
 Every demo is parsed; the ones that train nothing (about 0.2 s each)
-also run to the end.  Demos 03 and 05 train for seconds, so they are
-only parsed.
+also run to the end, and so does demo 05, which reads a bench report's
+fields and takes about 2 s.  Demo 03 trains for longer, so it is only
+parsed.
 """
 
 import ast
@@ -68,3 +69,17 @@ def test_training_free_demo_runs(name, tmp_path):
     )
     assert done.returncode == 0, done.stderr
     assert not any(tmp_path.iterdir())
+
+
+def test_band_shift_demo_runs(tmp_path):
+    """Demo 05 exits 0 and writes only demo_report/, with the four report files."""
+    env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
+    done = subprocess.run(
+        [sys.executable, str(ROOT / "demos" / "05_band_shift_benchmark.py")],
+        cwd=tmp_path, env=env, capture_output=True, text=True, timeout=300,
+    )
+    assert done.returncode == 0, done.stderr
+    assert [p.name for p in tmp_path.iterdir()] == ["demo_report"]
+    assert sorted(p.name for p in (tmp_path / "demo_report").iterdir()) == [
+        "config.json", "per_sample.csv", "summary.csv", "uncertainty_per_sample.csv",
+    ]
