@@ -49,6 +49,7 @@ from mcde.nn.training import TrainConfig, train
 from mcde.seeding import MAX_SEED, derive_seed
 
 __all__ = [
+    "fill",
     "ErrorStats",
     "stats",
     "TrainableSpec",
@@ -61,6 +62,14 @@ __all__ = [
     "ScenarioConfig",
     "band_shift_scenario",
 ]
+
+
+def fill(config_class, source, **given):
+    """A ``config_class`` with the fields ``given``, and every other field
+    set to ``source``'s attribute of the same name."""
+    names = [field.name for field in fields(config_class) if field.name not in given]
+    return config_class(**given, **{name: getattr(source, name) for name in names})
+
 
 @dataclass(frozen=True)
 class ErrorStats:
@@ -129,12 +138,7 @@ class TrainableSpec:
 
     def train_config(self, base_seed: int) -> TrainConfig:
         """The ``TrainConfig`` this member trains with, from ``base_seed``."""
-        return TrainConfig(
-            epochs=self.epochs,
-            learning_rate=self.learning_rate,
-            batch_size=self.batch_size,
-            base_seed=base_seed,
-        )
+        return fill(TrainConfig, self, base_seed=base_seed)
 
 
 DEFAULT_TRAINABLES = tuple(TrainableSpec(name=arch, arch=arch) for arch in ARCHITECTURES)
@@ -166,6 +170,13 @@ class BenchConfig:
         for name in names:
             if name in _BASELINE_ROWS + _FUSED_ROWS:
                 raise ValueError(f"member name {name!r} is taken by a report row")
+            # The name is a CSV field of the report, written unquoted.
+            csv_safe = isinstance(name, str) and name.isprintable() and not set(',"') & set(name)
+            if not name or not csv_safe:
+                raise ValueError(
+                    f"member name {name!r} must be a non-empty printable string "
+                    "without ',' or '\"'"
+                )
 
 
 @dataclass
@@ -416,16 +427,7 @@ class ScenarioConfig:
     def specs(self) -> tuple[TrainableSpec, ...]:
         """One member per row of ``SCENARIO_MEMBERS``, with this config's training fields."""
         return tuple(
-            TrainableSpec(
-                name=arch,
-                arch=arch,
-                channels=self.channels,
-                dropout_rate=self.dropout_rate,
-                epochs=self.epochs,
-                learning_rate=self.learning_rate,
-                batch_size=self.batch_size,
-            )
-            for arch, _ in SCENARIO_MEMBERS
+            fill(TrainableSpec, self, name=arch, arch=arch) for arch, _ in SCENARIO_MEMBERS
         )
 
 

@@ -9,9 +9,13 @@ is the name of one of the subcommand's flags with ``_`` for ``-``
 (``noise_std`` for ``--noise-std``), and its value is checked exactly
 like that flag given on the command line: a string or a number, or a
 list of strings for ``--models``.  Required flags may come from the
-file, and explicit flags override config values.  All randomness flows
-from ``--seed``; derived sub-seeds are stable hashes of (seed, purpose),
-so every run is reproducible from its echoed configuration alone.
+file, and explicit flags override config values.
+
+A flag that sets a config field has the field's name as its dest, so
+``bench.fill`` builds the config from the parsed flags and ``_defaults``
+gives the flags the config's defaults.  All randomness flows from
+``--seed``; derived sub-seeds are stable hashes of (seed, purpose), so
+every run is reproducible from its echoed configuration alone.
 """
 
 from __future__ import annotations
@@ -19,14 +23,14 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import asdict, fields
+from dataclasses import MISSING, asdict, fields
 from pathlib import Path
 
 import numpy as np
 
 from mcde import datagen, fusion
 from mcde._check import check_int, check_real
-from mcde.bench import BenchConfig, TrainableSpec, crossval, stats, train_member, write_report
+from mcde.bench import BenchConfig, TrainableSpec, crossval, fill, stats, train_member, write_report
 from mcde.color import METRICS, apply_von_kries
 from mcde.datagen import MAX_SIDE, POOLS, DatasetFormatError, GenConfig
 from mcde.mc import MAX_NU
@@ -83,9 +87,9 @@ def _flag(check, *bounds):
 def _config_tokens(parser: argparse.ArgumentParser, path: str) -> list[str]:
     """Flag tokens equivalent to the config file at ``path``.
 
-    Each key names one of ``parser``'s flags by its dest; the tokens go
-    through the same parser, so they get the same type, range and
-    choices checks as typed flags.
+    Each key names one of ``parser``'s flags, with ``_`` for ``-``; the
+    tokens go through the same parser, so they get the same type, range
+    and choices checks as typed flags.
     """
     try:
         values = json.loads(Path(path).read_text(encoding="utf-8"))
@@ -96,7 +100,7 @@ def _config_tokens(parser: argparse.ArgumentParser, path: str) -> list[str]:
     if not isinstance(values, dict):
         parser.error("config file must hold a JSON object")
     actions = {
-        action.dest: action
+        action.option_strings[0].removeprefix("--").replace("-", "_"): action
         for action in parser._actions
         if action.dest not in ("help", "config")
     }
@@ -127,35 +131,13 @@ def _config_tokens(parser: argparse.ArgumentParser, path: str) -> list[str]:
 
 
 def _cmd_gen_data(args) -> None:
-    config = GenConfig(
-        n_scenes=args.scenes,
-        width=args.width,
-        height=args.height,
-        n_patches=args.patches,
-        pool=args.pool,
-        noise_std=args.noise_std,
-        base_seed=args.seed,
-    )
-    dataset = datagen.gen_dataset(config)
+    dataset = datagen.gen_dataset(fill(GenConfig, args))
     datagen.save(dataset, args.out)
     spec = POOLS[args.pool]
     print(f"wrote {len(dataset.scenes)} scenes to {args.out}")
     print(
         f"illuminant pool {args.pool}: azimuth {spec.phi_deg[0]:g}-{spec.phi_deg[1]:g} deg, "
         f"inclination {spec.varphi_deg[0]:g}-{spec.varphi_deg[1]:g} deg"
-    )
-
-
-def _trainable(args, arch: str) -> TrainableSpec:
-    """The member ``arch`` with the training flags of ``args``."""
-    return TrainableSpec(
-        name=arch,
-        arch=arch,
-        channels=args.channels,
-        dropout_rate=args.dropout,
-        epochs=args.epochs,
-        learning_rate=args.lr,
-        batch_size=args.batch_size,
     )
 
 
@@ -171,16 +153,16 @@ def _cmd_train(args) -> None:
                 f"(dataset has {len(scenes)} scenes)"
             )
         scenes = scenes[start:stop]
-    spec = _trainable(args, args.arch)
+    spec = fill(TrainableSpec, args, name=args.arch)
     net, trace = train_member(
         spec,
         scenes,
-        init_seed=derive_seed("init", args.seed, args.arch),
-        train_seed=derive_seed("train", args.seed, args.arch),
+        init_seed=derive_seed("init", args.base_seed, args.arch),
+        train_seed=derive_seed("train", args.base_seed, args.arch),
     )
     training_meta = {
         **asdict(spec),
-        "seed": args.seed,
+        "seed": args.base_seed,
         "data": str(args.data),
         "subset": list(subset) if subset is not None else None,
         "n_scenes": len(scenes),
@@ -207,7 +189,7 @@ def _cmd_estimate(args) -> None:
         )
     scene = dataset.scenes[args.index]
     result = fusion.mcde(
-        nets, scene.pixels, nu=args.nu, base_seed=args.seed, variant=args.variant
+        nets, scene.pixels, nu=args.nu, base_seed=args.base_seed, variant=args.variant
     )
     record = {
         "config": {
@@ -215,7 +197,7 @@ def _cmd_estimate(args) -> None:
             "data": str(args.data),
             "index": args.index,
             "nu": args.nu,
-            "seed": args.seed,
+            "seed": args.base_seed,
             "variant": args.variant,
         },
         "fused": [float(v) for v in result.fused],
@@ -245,17 +227,10 @@ def _cmd_estimate(args) -> None:
 
 def _cmd_bench(args) -> None:
     dataset = datagen.load(args.data)
-    config = BenchConfig(
-        folds=args.k,
-        nu=args.nu,
-        base_seed=args.seed,
-        sog_p=args.sog_p,
-        workers=args.workers,
-        trainables=tuple(_trainable(args, arch) for arch in ARCHITECTURES),
-    )
-    report = crossval(dataset, config)
+    trainables = tuple(fill(TrainableSpec, args, name=arch, arch=arch) for arch in ARCHITECTURES)
+    report = crossval(dataset, fill(BenchConfig, args, trainables=trainables))
     write_report(report, args.out)
-    print(f"benchmark: {len(dataset.scenes)} scenes, {args.k} folds, nu={args.nu}")
+    print(f"benchmark: {len(dataset.scenes)} scenes, {args.folds} folds, nu={args.nu}")
     print(f"{'method':>16}  {'mean':>6} {'med':>6} {'tri':>6} {'b25':>6} {'w25':>6}  (recovery, deg)")
     for (method, metric), errors in report.errors.items():
         if metric == "recovery":
@@ -275,24 +250,29 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--config", metavar="FILE", default=None,
                         help="JSON file with flag defaults (flags override)")
     parser.add_argument("--seed", type=_flag(check_int, 0, MAX_SEED), default=0,
-                        help="master seed")
+                        dest="base_seed", metavar="SEED", help="master seed")
 
 
-def _defaults(config_class) -> dict:
-    """``config_class``'s field defaults by field name."""
-    return {field.name: field.default for field in fields(config_class)}
+def _defaults(parser: argparse.ArgumentParser, config_class) -> None:
+    """Default each of ``parser``'s flags whose dest is a field of
+    ``config_class`` to that field's default."""
+    dests = {action.dest for action in parser._actions}
+    parser.set_defaults(**{
+        field.name: field.default
+        for field in fields(config_class)
+        if field.name in dests and field.default is not MISSING
+    })
 
 
 def _add_training(parser: argparse.ArgumentParser) -> None:
-    defaults = _defaults(TrainableSpec)
-    parser.add_argument("--epochs", type=_flag(check_int, 0), default=defaults["epochs"])
+    parser.add_argument("--epochs", type=_flag(check_int, 0))
     parser.add_argument("--lr", type=_flag(check_real, 0.0, MAX_LEARNING_RATE),
-                        default=defaults["learning_rate"])
-    parser.add_argument("--batch-size", type=_flag(check_int, 1), default=defaults["batch_size"])
-    parser.add_argument("--channels", type=_flag(check_int, 1, MAX_CHANNELS),
-                        default=defaults["channels"])
+                        dest="learning_rate", metavar="LR")
+    parser.add_argument("--batch-size", type=_flag(check_int, 1))
+    parser.add_argument("--channels", type=_flag(check_int, 1, MAX_CHANNELS))
     parser.add_argument("--dropout", type=_flag(check_real, 0.0, 1.0),
-                        default=defaults["dropout_rate"])
+                        dest="dropout_rate", metavar="DROPOUT")
+    _defaults(parser, TrainableSpec)
 
 
 def _build_parser():
@@ -301,18 +281,18 @@ def _build_parser():
         description="Monte Carlo dropout ensembles for illuminant estimation.",
     )
     sub = parser.add_subparsers(dest="command", required=True, metavar="command")
-    gen, bench = _defaults(GenConfig), _defaults(BenchConfig)
 
     p = sub.add_parser("gen-data", help="generate a synthetic scene dataset")
-    p.add_argument("--scenes", type=_flag(check_int, 1), required=True, help="number of scenes")
+    p.add_argument("--scenes", type=_flag(check_int, 1), required=True, dest="n_scenes",
+                   metavar="SCENES", help="number of scenes")
     p.add_argument("--out", required=True, help="output dataset directory")
-    p.add_argument("--width", type=_flag(check_int, 8, MAX_SIDE), default=gen["width"])
-    p.add_argument("--height", type=_flag(check_int, 8, MAX_SIDE), default=gen["height"])
-    p.add_argument("--patches", type=_flag(check_int, 1), default=gen["n_patches"])
-    p.add_argument("--pool", choices=sorted(POOLS), default=gen["pool"],
-                   help="illuminant pool to draw labels from")
-    p.add_argument("--noise-std", type=_flag(check_real, 0.0, 1.0), default=gen["noise_std"])
+    p.add_argument("--width", type=_flag(check_int, 8, MAX_SIDE))
+    p.add_argument("--height", type=_flag(check_int, 8, MAX_SIDE))
+    p.add_argument("--patches", type=_flag(check_int, 1), dest="n_patches", metavar="PATCHES")
+    p.add_argument("--pool", choices=sorted(POOLS), help="illuminant pool to draw labels from")
+    p.add_argument("--noise-std", type=_flag(check_real, 0.0, 1.0))
     _add_common(p)
+    _defaults(p, GenConfig)
     p.set_defaults(func=_cmd_gen_data)
 
     p = sub.add_parser("train", help="train one stock architecture")
@@ -340,14 +320,16 @@ def _build_parser():
     p = sub.add_parser("bench", help="cross-validated benchmark report")
     p.add_argument("--data", required=True, help="dataset directory")
     p.add_argument("--out", required=True, help="output report directory")
-    p.add_argument("--k", type=_flag(check_int, 2), default=bench["folds"], help="number of folds")
-    p.add_argument("--nu", type=_flag(check_int, 1, MAX_NU), default=bench["nu"])
+    p.add_argument("--k", type=_flag(check_int, 2), dest="folds", metavar="K",
+                   help="number of folds")
+    p.add_argument("--nu", type=_flag(check_int, 1, MAX_NU))
     _add_training(p)
-    p.add_argument("--sog-p", type=_flag(check_real, 1.0), default=bench["sog_p"],
+    p.add_argument("--sog-p", type=_flag(check_real, 1.0),
                    help="Minkowski norm for the shades-of-grey baseline")
-    p.add_argument("--workers", type=_flag(check_int, 1), default=bench["workers"],
+    p.add_argument("--workers", type=_flag(check_int, 1),
                    help="parallel fold workers (does not change results)")
     _add_common(p)
+    _defaults(p, BenchConfig)
     p.set_defaults(func=_cmd_bench)
 
     return parser, sub.choices

@@ -16,7 +16,8 @@ Dataset directory layout:
     manifest          JSON: format version, generation config, scene
                       count, file names, SHA-256 checksums of every
                       scene file and of labels.csv
-    labels.csv        index,r,g,b with 17-significant-digit decimals
+    labels.csv        index,r,g,b with 17-significant-digit decimals; each
+                      label is a unit vector, checked on load
     scene_00000.f32   raw little-endian float32 pixel blob, C order,
                       shape (height, width, 3)
 
@@ -212,8 +213,9 @@ _MANIFEST_FIELDS = {
 
 def load(path) -> Dataset:
     """Read a dataset directory back, verifying checksums, sizes, the
-    scene count, pixel shape and pixel dtype that its config implies, and
-    that every pixel is finite and non-negative."""
+    scene count, pixel shape and pixel dtype that its config implies, that
+    every label is a positive unit vector, and that every pixel is finite
+    and non-negative."""
     root = Path(path)
     manifest_path = root / "manifest.json"
     if not manifest_path.is_file():
@@ -282,6 +284,11 @@ def load(path) -> Dataset:
         if not np.all(np.isfinite(label) & (label > 0.0)):
             raise DatasetFormatError(
                 f"bad labels.csv row {row}: components must be finite and positive"
+            )
+        norm = float(np.linalg.norm(label))
+        if abs(norm - 1.0) > 1e-9:
+            raise DatasetFormatError(
+                f"bad labels.csv row {row}: label must have unit norm, got {norm}"
             )
         labels.append(label)
 

@@ -4,6 +4,8 @@ import csv
 import dataclasses
 import math
 import multiprocessing
+import re
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -23,6 +25,7 @@ from mcde.color import METRICS, Scene, normalize
 from mcde.datagen import MAX_PIXELS, Dataset, GenConfig, folds, gen_dataset
 from mcde.mc import MAX_NU
 from mcde.nn.archs import MAX_CHANNELS, build
+from mcde.nn.training import TrainConfig
 from mcde.seeding import derive_seed
 
 
@@ -108,6 +111,15 @@ def tiny_report():
         GenConfig(n_scenes=8, width=8, height=8, pool="full", base_seed=301)
     )
     return crossval(dataset, tiny_config())
+
+
+def test_fill_takes_every_field_not_given_from_the_source():
+    source = SimpleNamespace(epochs=3, learning_rate=0.02, batch_size=4, base_seed=9, arch="x")
+    assert bench.fill(TrainConfig, source, base_seed=5) == TrainConfig(
+        epochs=3, learning_rate=0.02, batch_size=4, base_seed=5
+    )
+    with pytest.raises(AttributeError, match="batch_size"):
+        bench.fill(TrainConfig, SimpleNamespace(epochs=3, learning_rate=0.02))
 
 
 class TestStats:
@@ -490,6 +502,20 @@ class TestCrossval:
         specs = tuple(TrainableSpec(name=name, arch="g-net") for name in names)
         with pytest.raises(ValueError, match="member name"):
             BenchConfig(trainables=specs)
+
+    @pytest.mark.parametrize(
+        "name",
+        ["", "g,net", 'g"net', "g\nnet", "g\rnet", "g\x1fnet", 7],
+        ids=["empty", "comma", "quote", "newline", "return", "unit-separator", "integer"],
+    )
+    def test_member_name_must_be_a_plain_csv_field(self, name):
+        """The report's CSV files hold the name unquoted, so a name that
+        would split or merge their rows is refused, and quoted in the
+        error."""
+        BenchConfig(trainables=(TrainableSpec(name="g net", arch="g-net"),))
+        spec = TrainableSpec(name=name, arch="g-net")
+        with pytest.raises(ValueError, match=re.escape(f"member name {name!r} must be")):
+            BenchConfig(trainables=(spec,))
 
     @pytest.mark.parametrize(
         "bad",

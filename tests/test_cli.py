@@ -536,6 +536,49 @@ class TestConfigFile:
         assert cli.main(["gen-data", "--config", str(conf)]) == 2
         assert "shape" in capsys.readouterr().err
 
+    def test_keys_are_flag_names(self, dataset_dir, tmp_path, monkeypatch):
+        """``scenes``, ``patches``, ``lr``, ``dropout``, ``k`` and ``seed``
+        set the config fields their flags set."""
+        conf = tmp_path / "gen.json"
+        out = tmp_path / "d"
+        conf.write_text(json.dumps({
+            "scenes": 2, "patches": 4, "seed": 3, "width": 8, "height": 8, "out": str(out),
+        }))
+        assert cli.main(["gen-data", "--config", str(conf)]) == 0
+        assert datagen.load(out).config == datagen.GenConfig(
+            n_scenes=2, n_patches=4, base_seed=3, width=8, height=8
+        )
+        built = []
+
+        def stop(dataset, config):
+            built.append(config)
+            raise RuntimeError("stop before training")
+
+        monkeypatch.setattr(cli, "crossval", stop)
+        conf = tmp_path / "bench.json"
+        conf.write_text(json.dumps({
+            "data": str(dataset_dir), "out": str(tmp_path / "r"),
+            "k": 3, "lr": 0.02, "dropout": 0.1, "seed": 4,
+        }))
+        assert cli.main(["bench", "--config", str(conf)]) == 1
+        specs = tuple(
+            TrainableSpec(name=arch, arch=arch, learning_rate=0.02, dropout_rate=0.1)
+            for arch in ARCHITECTURES
+        )
+        assert built == [BenchConfig(folds=3, base_seed=4, trainables=specs)]
+
+    @pytest.mark.parametrize(
+        "command, key",
+        [("gen-data", "n_scenes"), ("bench", "folds"), ("gen-data", "base_seed"),
+         ("bench", "learning_rate")],
+    )
+    def test_field_name_is_unknown_key(self, command, key, tmp_path, capsys):
+        """A config field's name is no key unless it is also a flag's name."""
+        conf = tmp_path / "conf.json"
+        conf.write_text(json.dumps({key: 3}))
+        assert cli.main([command, "--config", str(conf)]) == 2
+        assert f"unknown config key {key!r}" in capsys.readouterr().err
+
     def test_malformed_json_is_usage_error(self, tmp_path, capsys):
         conf = tmp_path / "gen.json"
         conf.write_text("{scenes: 3")
@@ -699,6 +742,20 @@ class TestTopLevel:
         assert cli.main(["bench", "--help"]) == 0
         assert "--workers" in capsys.readouterr().out
 
+    def test_help_and_usage_text_is_pinned(self, monkeypatch, capsys):
+        """Help goes to stdout and a usage error to stderr, word for word:
+        a flag's metavar, not its dest, names its value."""
+        monkeypatch.setenv("COLUMNS", "80")
+        commands = [[command, "--help"] for command in ("gen-data", "train", "estimate", "bench")]
+        transcript = ""
+        for argv in [["--help"], *commands, ["gen-data"], ["bench"]]:
+            code = cli.main(argv)
+            out, err = capsys.readouterr()
+            text, other = (out, err) if code == 0 else (err, out)
+            assert other == ""
+            transcript += f"$ mcde {' '.join(argv)}\n{text}exit {code}\n"
+        assert transcript == HELP_TRANSCRIPT
+
     def test_seed_scheme_matches_library(self, dataset_dir, tmp_path, capsys):
         """For every architecture, ``mcde train --seed 11`` writes the
         same model file, byte for byte, as ``build`` and ``train`` called
@@ -726,3 +783,117 @@ class TestTopLevel:
             assert out.read_bytes() == ref.read_bytes(), arch
             sidecar = json.loads(Path(f"{out}.json").read_text(encoding="utf-8"))
             assert sidecar["loss_trace"] == trace, arch
+
+
+# `mcde --help`, each subcommand's `--help` and two usage errors, at
+# COLUMNS=80: what TestTopLevel.test_help_and_usage_text_is_pinned prints.
+HELP_TRANSCRIPT = """\
+$ mcde --help
+usage: mcde [-h] command ...
+
+Monte Carlo dropout ensembles for illuminant estimation.
+
+positional arguments:
+  command
+    gen-data  generate a synthetic scene dataset
+    train     train one stock architecture
+    estimate  fused illuminant estimate for one scene
+    bench     cross-validated benchmark report
+
+options:
+  -h, --help  show this help message and exit
+exit 0
+$ mcde gen-data --help
+usage: mcde gen-data [-h] --scenes SCENES --out OUT [--width WIDTH]
+                     [--height HEIGHT] [--patches PATCHES]
+                     [--pool {band-a,band-b,full}] [--noise-std NOISE_STD]
+                     [--config FILE] [--seed SEED]
+
+options:
+  -h, --help            show this help message and exit
+  --scenes SCENES       number of scenes
+  --out OUT             output dataset directory
+  --width WIDTH
+  --height HEIGHT
+  --patches PATCHES
+  --pool {band-a,band-b,full}
+                        illuminant pool to draw labels from
+  --noise-std NOISE_STD
+  --config FILE         JSON file with flag defaults (flags override)
+  --seed SEED           master seed
+exit 0
+$ mcde train --help
+usage: mcde train [-h] --arch {g-net,m-net} --data DATA --out OUT
+                  [--epochs EPOCHS] [--lr LR] [--batch-size BATCH_SIZE]
+                  [--channels CHANNELS] [--dropout DROPOUT]
+                  [--subset START:STOP] [--config FILE] [--seed SEED]
+
+options:
+  -h, --help            show this help message and exit
+  --arch {g-net,m-net}
+  --data DATA           dataset directory
+  --out OUT             output model path
+  --epochs EPOCHS
+  --lr LR
+  --batch-size BATCH_SIZE
+  --channels CHANNELS
+  --dropout DROPOUT
+  --subset START:STOP   train on a half-open scene range
+  --config FILE         JSON file with flag defaults (flags override)
+  --seed SEED           master seed
+exit 0
+$ mcde estimate --help
+usage: mcde estimate [-h] --models MODELS [MODELS ...] --data DATA
+                     [--index INDEX] [--nu NU] [--variant {linear,log}]
+                     [--save-corrected FILE] [--config FILE] [--seed SEED]
+
+options:
+  -h, --help            show this help message and exit
+  --models MODELS [MODELS ...]
+                        model paths
+  --data DATA           dataset directory
+  --index INDEX         scene index
+  --nu NU               MC passes per model, at most 1000
+  --variant {linear,log}
+  --save-corrected FILE
+                        write the corrected scene as little-endian float32
+  --config FILE         JSON file with flag defaults (flags override)
+  --seed SEED           master seed
+exit 0
+$ mcde bench --help
+usage: mcde bench [-h] --data DATA --out OUT [--k K] [--nu NU]
+                  [--epochs EPOCHS] [--lr LR] [--batch-size BATCH_SIZE]
+                  [--channels CHANNELS] [--dropout DROPOUT] [--sog-p SOG_P]
+                  [--workers WORKERS] [--config FILE] [--seed SEED]
+
+options:
+  -h, --help            show this help message and exit
+  --data DATA           dataset directory
+  --out OUT             output report directory
+  --k K                 number of folds
+  --nu NU
+  --epochs EPOCHS
+  --lr LR
+  --batch-size BATCH_SIZE
+  --channels CHANNELS
+  --dropout DROPOUT
+  --sog-p SOG_P         Minkowski norm for the shades-of-grey baseline
+  --workers WORKERS     parallel fold workers (does not change results)
+  --config FILE         JSON file with flag defaults (flags override)
+  --seed SEED           master seed
+exit 0
+$ mcde gen-data
+usage: mcde gen-data [-h] --scenes SCENES --out OUT [--width WIDTH]
+                     [--height HEIGHT] [--patches PATCHES]
+                     [--pool {band-a,band-b,full}] [--noise-std NOISE_STD]
+                     [--config FILE] [--seed SEED]
+mcde gen-data: error: the following arguments are required: --scenes, --out
+exit 2
+$ mcde bench
+usage: mcde bench [-h] --data DATA --out OUT [--k K] [--nu NU]
+                  [--epochs EPOCHS] [--lr LR] [--batch-size BATCH_SIZE]
+                  [--channels CHANNELS] [--dropout DROPOUT] [--sog-p SOG_P]
+                  [--workers WORKERS] [--config FILE] [--seed SEED]
+mcde bench: error: the following arguments are required: --data, --out
+exit 2
+"""

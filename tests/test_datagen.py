@@ -389,6 +389,7 @@ class TestDatasetIO:
             ("1,0.5,0.0,0.5", "row 1: components must be finite and positive"),
             ("1,0.5,0.5", "row 1$"),
             ("2,0.5,0.5,0.5", "row 1$"),
+            ("1,0.5,0.5,0.5", "row 1: label must have unit norm, got 0.866"),
         ],
     )
     def test_bad_label_row_is_rejected(self, tmp_path, row, message):

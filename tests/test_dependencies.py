@@ -77,6 +77,21 @@ def test_exports_are_defined_and_imports_are_used():
     assert not problems
 
 
+def test_no_module_imports_a_private_name():
+    """A name that starts with ``_`` is private to its module: no other
+    ``mcde`` module imports it, so what modules share is public."""
+    private = [
+        f"{path.relative_to(PACKAGE)}: {alias.name}"
+        for path in sorted(PACKAGE.rglob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path)))
+        if isinstance(node, ast.ImportFrom)
+        and (node.level > 0 or (node.module or "").split(".")[0] == "mcde")
+        for alias in node.names
+        if alias.name.startswith("_")
+    ]
+    assert not private
+
+
 def test_every_bound_is_named_in_the_readme():
     """Each module-level ``MAX_*`` constant appears in README.md under its
     full dotted name, e.g. ``mcde.mc.MAX_NU``."""
