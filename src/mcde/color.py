@@ -32,6 +32,7 @@ __all__ = [
     "Scene",
     "SphericalDir",
     "normalize",
+    "check_label",
     "recovery_error",
     "reproduction_error",
     "METRICS",
@@ -61,7 +62,7 @@ class Scene:
 
     pixels: (H, W, 3) float32 array, all values >= 0.
     label:  (3,) float64 unit-norm illuminant with strictly positive
-            components.
+            components, as ``check_label`` checks.
     """
 
     pixels: np.ndarray
@@ -86,6 +87,20 @@ def normalize(v) -> np.ndarray:
     if np.any(v <= 0.0):
         raise ValueError("illuminant components must be strictly positive")
     return v / np.linalg.norm(v, axis=-1, keepdims=True)
+
+
+def check_label(label, where: str = "") -> None:
+    """Raise ValueError, its message led by ``where``, unless ``label`` is
+    an illuminant: three finite, strictly positive components whose L2
+    norm lies within 1e-9 of 1."""
+    label = np.asarray(label, dtype=np.float64)
+    if label.shape != (3,):
+        raise ValueError(f"{where}label must have shape (3,), got {label.shape}")
+    if not np.all(np.isfinite(label) & (label > 0.0)):
+        raise ValueError(f"{where}components must be finite and positive")
+    norm = float(np.linalg.norm(label))
+    if abs(norm - 1.0) > 1e-9:
+        raise ValueError(f"{where}label must have unit norm, got {norm}")
 
 
 def _check_norms(name: str, norm) -> None:

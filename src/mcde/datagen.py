@@ -35,7 +35,7 @@ from pathlib import Path
 import numpy as np
 
 from mcde._check import check_int, check_real
-from mcde.color import Scene, SphericalDir, from_spherical
+from mcde.color import Scene, SphericalDir, check_label, from_spherical
 from mcde.seeding import MAX_SEED, derive_seed
 
 __all__ = [
@@ -281,15 +281,10 @@ def load(path) -> Dataset:
             raise DatasetFormatError(f"bad labels.csv row {row}: {exc}") from exc
         if len(fields) != 4 or index != row:
             raise DatasetFormatError(f"bad labels.csv row {row}")
-        if not np.all(np.isfinite(label) & (label > 0.0)):
-            raise DatasetFormatError(
-                f"bad labels.csv row {row}: components must be finite and positive"
-            )
-        norm = float(np.linalg.norm(label))
-        if abs(norm - 1.0) > 1e-9:
-            raise DatasetFormatError(
-                f"bad labels.csv row {row}: label must have unit norm, got {norm}"
-            )
+        try:
+            check_label(label, f"bad labels.csv row {row}: ")
+        except ValueError as exc:
+            raise DatasetFormatError(str(exc)) from exc
         labels.append(label)
 
     expected_len = config.height * config.width * 3 * 4

@@ -7,13 +7,13 @@ or loaded network, float64 for a test's float64 copy.  Only
 and the loss are float64.  Activations carry one leading row axis, one
 image or MC pass per row: channels-last (R, H, W, C) maps and pooled
 (R, C) vectors.  Row k of a forward is bit for bit the forward of row k
-alone.  Every layer
-has ``forward(x) -> (y, cache)`` and ``backward(dy, cache, need_dx=True)
--> (dx, grads)``, with ``grads`` keyed like ``params`` and holding one
-gradient per row, (R, *param shape), which ``Network.backward`` sums in
-row order.  With ``need_dx`` false the input gradient is neither
-computed nor returned (``dx`` is None): the first layer of a network has
-no one to pass it to.  The cache holds only what the forward computes
+alone.  Every layer has ``forward(x) -> (y, cache)`` and ``backward(dy,
+cache) -> (dx, grads)``, with ``grads`` keyed like ``params`` and holding
+one gradient per row, (R, *param shape), which ``Network.backward`` sums
+in row order.  A backward pass ends at the lowest layer with parameters:
+no layer below it is called, and it has no one to pass its input
+gradient to, so the layers with parameters, ``Conv3x3`` and ``Affine``,
+can be asked to skip it.  The cache holds only what the forward computes
 anyway, so it is always returned.  ``Dropout`` alone takes one more
 argument, the keep mask, which ``Network`` draws and shapes; it is the
 identity without one.  Layers are pure functions of their input and
@@ -56,10 +56,10 @@ class Conv3x3:
     The forward multiplies each row's (H*W, 9*c_in) matrix of 3x3
     windows (``_windows``) by the weights as a (9*c_in, c_out) matrix and
     adds the bias.  The backward rebuilds the windows from the cached
-    padded input for each row's weight gradient; the input gradient,
-    which layer 0 is not asked for, takes one product per tap.  A row's
-    bytes depend neither on the other rows nor on the blocks the windows
-    are copied in.
+    padded input for each row's weight gradient; the input gradient, not
+    asked of a network's lowest layer with parameters, takes one product
+    per tap.  A row's bytes depend neither on the other rows nor on the
+    blocks the windows are copied in.
     """
 
     kind = "conv3x3"
@@ -171,8 +171,8 @@ class Relu:
         y = np.maximum(x, 0.0)
         return y, y
 
-    def backward(self, dy, cache, need_dx=True):
-        return (dy * (cache > 0.0) if need_dx else None), {}
+    def backward(self, dy, cache):
+        return dy * (cache > 0.0), {}
 
 
 def _pixel_sums(x):
@@ -195,9 +195,7 @@ class MeanPool:
         *_, h, w, _ = x.shape
         return _pixel_sums(x) / (h * w), x.shape
 
-    def backward(self, dy, cache, need_dx=True):
-        if not need_dx:
-            return None, {}
+    def backward(self, dy, cache):
         *_, h, w, _ = cache
         return np.repeat((dy / (h * w))[..., None, :], h * w, axis=-2).reshape(cache), {}
 
@@ -220,9 +218,7 @@ class MaxPool:
         y = np.take_along_axis(flat, idx[..., None, :], axis=-2)[..., 0, :]
         return y, (x.shape, idx)
 
-    def backward(self, dy, cache, need_dx=True):
-        if not need_dx:
-            return None, {}
+    def backward(self, dy, cache):
         shape, idx = cache
         dflat = np.zeros((*shape[:-3], shape[-3] * shape[-2], shape[-1]), dy.dtype)
         np.put_along_axis(dflat, idx[..., None, :], dy[..., None, :], axis=-2)
@@ -254,9 +250,7 @@ class Dropout:
         scale = np.multiply(keep, 1.0 / (1.0 - self.rate), dtype=x.dtype)
         return x * scale, scale
 
-    def backward(self, dy, cache, need_dx=True):
-        if not need_dx:
-            return None, {}
+    def backward(self, dy, cache):
         return (dy if cache is None else dy * cache), {}
 
 
@@ -284,9 +278,7 @@ class PositiveHead:
         y = e / norm
         return y, (e, y, norm, x.dtype)
 
-    def backward(self, dy, cache, need_dx=True):
-        if not need_dx:
-            return None, {}
+    def backward(self, dy, cache):
         e, y, norm, dtype = cache
         radial = np.sum(y * dy, axis=-1, keepdims=True)
         return (e * (dy - y * radial) / norm).astype(dtype, copy=False), {}

@@ -218,9 +218,9 @@ class Network:
         ``_BLOCK_BYTES``: only a block is stacked.  The whole batch's
         pass range is checked before the first block.  ``grads``
         parallels ``layers``: name -> the images' gradients summed in
-        image order, so the bytes do not depend on the blocks.  Nothing
-        consumes the gradient with respect to the pixels, so layer 0 is
-        asked not to compute it (``need_dx=False``).
+        image order, so the bytes do not depend on the blocks.  The pass
+        ends at the lowest layer with parameters and asks it for no input
+        gradient (``need_dx=False``): no layer below it reads one.
         """
         if not len(pixels):
             raise ValueError("backward needs at least one image")
@@ -230,18 +230,20 @@ class Network:
         gts = np.asarray(gts, dtype=np.float64)
         image_bytes = self._dtype().itemsize * np.size(pixels[0])  # _images checks each block
         step = max(1, _BLOCK_BYTES // max(image_bytes, 1))
+        lowest = next((i for i, layer in enumerate(self.layers) if layer.params), len(self.layers))
         losses, per_row = [], [[] for _ in self.layers]
         for r in range(0, len(pixels), step):
             x = self._images(pixels[r : r + step])
             pred, caches = self._run(x, PassSeed(seed.base_seed, seed.pass_index + r), len(x))
             losses.append(cosine_loss(pred, gts[r : r + step]))
             grad = -gts[r : r + step]
-            for i in range(len(self.layers) - 1, -1, -1):  # pop: free each cache once used
-                grad, layer_grads = self.layers[i].backward(grad, caches.pop(), need_dx=i > 0)
+            for i in range(len(self.layers) - 1, lowest - 1, -1):  # pop: free each cache once used
+                skip = {"need_dx": False} if i == lowest else {}
+                grad, layer_grads = self.layers[i].backward(grad, caches.pop(), **skip)
                 per_row[i].append(layer_grads)
         grads: list[dict] = [{} for _ in self.layers]
         for i, blocks in enumerate(per_row):
-            for name in blocks[0]:
+            for name in self.layers[i].params:
                 grads[i][name] = np.concatenate([g[name] for g in blocks]).sum(axis=0)
                 if not np.all(np.isfinite(grads[i][name])):
                     raise NumericError(f"non-finite gradient for parameter {name!r} of layer {i}")

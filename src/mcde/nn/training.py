@@ -9,6 +9,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from mcde._check import check_int, check_real
+from mcde.color import check_label
 from mcde.nn.layers import PARAM_DTYPE
 from mcde.nn.network import Network, NumericError, PassSeed
 from mcde.seeding import MAX_SEED, derive_seed
@@ -72,7 +73,8 @@ def train(net: Network, scenes, config: TrainConfig):
     visited in a per-epoch shuffled order derived from the base seed, and
     each sample's dropout masks come from its position in the whole run,
     so identical (network, data, config) runs produce bit-identical
-    weights.  Returns (net, per-epoch mean loss trace); the network is
+    weights.  Every label must pass ``check_label``, or nothing is
+    trained.  Returns (net, per-epoch mean loss trace); the network is
     updated in place.
     """
     _pad_heap()
@@ -80,9 +82,10 @@ def train(net: Network, scenes, config: TrainConfig):
     if not scenes:
         raise ValueError("training set is empty")
     shape = np.shape(scenes[0].pixels)
-    for scene in scenes:
+    for i, scene in enumerate(scenes):
         if np.shape(scene.pixels) != shape:
             raise ValueError(f"scenes differ in shape: {shape} and {np.shape(scene.pixels)}")
+        check_label(scene.label, f"scene {i}: ")
     pass_base = derive_seed("train-pass", config.base_seed)
     trace: list[float] = []
     for epoch in range(config.epochs):

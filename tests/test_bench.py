@@ -456,6 +456,15 @@ class TestCrossval:
         with pytest.raises(RuntimeError, match=r"^fold 1 failed: sample 4: illuminant"):
             crossval(dataset, tiny_config(trainables=()))
 
+    def test_label_that_is_no_illuminant_fails_its_fold(self):
+        """Scene 5 is the third training scene of fold 0."""
+        dataset = grey_scene_dataset(n=6)
+        dataset.scenes[5].label = np.ones(3)
+        with pytest.raises(
+            RuntimeError, match=r"^fold 0 failed: scene 2: label must have unit norm, got 1\.73"
+        ):
+            crossval(dataset, tiny_config())
+
     @pytest.mark.parametrize("make", [BenchConfig, ScenarioConfig], ids=["bench", "scenario"])
     def test_too_many_passes_fail_at_construction(self, make):
         with pytest.raises(ValueError, match="nu must lie in"):

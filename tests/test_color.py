@@ -5,6 +5,7 @@ math module, independent of the vectorized implementations under test.
 """
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -17,6 +18,7 @@ from mcde.color import (
     NEUTRAL,
     SphericalDir,
     apply_von_kries,
+    check_label,
     from_spherical,
     normalize,
     recovery_error,
@@ -80,6 +82,20 @@ class TestNormalize:
     def test_rejects_wrong_trailing_axis(self):
         with pytest.raises(ValueError):
             normalize(np.ones((4, 2)))
+
+
+class TestCheckLabel:
+    """Its value rules are pinned through ``datagen.load`` and ``train``."""
+
+    def test_accepts_illuminants(self):
+        check_label(NEUTRAL)
+        check_label(normalize([0.2, 0.5, 0.9]), "scene 0: ")
+
+    @pytest.mark.parametrize("label, shape", [([0.6, 0.8], "(2,)"), ([NEUTRAL], "(1, 3)")])
+    def test_refuses_any_shape_but_three(self, label, shape):
+        message = re.escape(f"scene 7: label must have shape (3,), got {shape}")
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            check_label(label, "scene 7: ")
 
 
 class TestRecoveryError:

@@ -389,6 +389,17 @@ def test_backward_gives_each_row_its_own_gradients_bit_for_bit(make, item, size)
             assert grad[k : k + 1].tobytes() == row_grads[name].tobytes()
 
 
+def test_every_layer_class_defines_its_own_forward_and_backward():
+    """perfbench's tracer wraps a layer class's ``forward`` and
+    ``backward`` as it finds them in the class's own ``__dict__``, so a
+    layer that inherited either would break every traced run."""
+    classes = [getattr(layers, name) for name in layers.__all__]
+    kinds = [cls for cls in classes if isinstance(cls, type) and hasattr(cls, "kind")]
+    assert kinds
+    for cls in kinds:
+        assert {"forward", "backward"} <= set(vars(cls)), cls.__name__
+
+
 class TestPassSeed:
     def test_rejects_negative_pass_index(self):
         with pytest.raises(ValueError):

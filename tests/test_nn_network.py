@@ -12,7 +12,6 @@ from mcde.nn import (
     Affine,
     Conv3x3,
     Dropout,
-    MaxPool,
     MeanPool,
     Mode,
     Network,
@@ -380,23 +379,54 @@ class TestInputGradientSkip:
         conv, affine = Conv3x3(3, 3), Affine(3, 3)
         conv.init(rng)
         affine.init(rng)
-        cases = [
-            (conv, fmap, ()),
-            (affine, vec, ()),
-            (Relu(), fmap, ()),
-            (MeanPool(), fmap, ()),
-            (MaxPool(), fmap, ()),
-            (Dropout(0.4), fmap, (np.array([True, False, True]),)),
-            (PositiveHead(), vec, ()),
-        ]
-        for layer, x, mask in cases:
-            y, cache = layer.forward(x, *mask)
+        for layer, x in [(conv, fmap), (affine, vec)]:
+            y, cache = layer.forward(x)
             dy = rng.normal(size=y.shape)
             dx, grads = layer.backward(dy, cache, need_dx=False)
             full_dx, full_grads = layer.backward(dy, cache)
             assert dx is None and full_dx.shape == x.shape, layer.kind
             for name, grad in grads.items():
                 assert grad.tobytes() == full_grads[name].tobytes(), layer.kind
+
+
+def test_backward_ends_at_the_lowest_layer_with_parameters(monkeypatch):
+    """A parameter-free layer below the lowest one with parameters is
+    never called, and that layer is asked for no input gradient; the
+    gradients are those of the stack without it, byte for byte."""
+
+    def stack(*head):
+        rng = np.random.default_rng(72)
+        layers = [*head, Conv3x3(3, 4), Relu(), MeanPool(), Affine(4, 3), PositiveHead()]
+        for layer in layers:
+            if layer.params:
+                layer.init(rng)
+        return Network(layers)
+
+    net, bare = stack(Relu()), stack()
+    called = []
+    relu_backward, conv_backward = Relu.backward, Conv3x3.backward
+
+    def recording_relu(self, *args, **kwargs):
+        called.append((self, None))
+        return relu_backward(self, *args, **kwargs)
+
+    def recording_conv(self, dy, cache, need_dx=True):
+        called.append((self, need_dx))
+        return conv_backward(self, dy, cache, need_dx)
+
+    monkeypatch.setattr(Relu, "backward", recording_relu)
+    monkeypatch.setattr(Conv3x3, "backward", recording_conv)
+    rng = np.random.default_rng(73)
+    pixels, gts = rng.normal(size=(3, 6, 5, 3)), [unit(rng) for _ in range(3)]
+    loss, grads = net.backward(pixels, gts, PassSeed(36))
+    assert called == [(net.layers[2], None), (net.layers[1], False)]
+    bare_loss, bare_grads = bare.backward(np.maximum(pixels, 0.0), gts, PassSeed(36))
+    assert loss.tobytes() == bare_loss.tobytes()
+    assert grads[0] == {} and len(grads) == len(bare_grads) + 1
+    for layer_grads, bare_layer_grads in zip(grads[1:], bare_grads):
+        assert set(layer_grads) == set(bare_layer_grads)
+        for name, grad in layer_grads.items():
+            assert grad.tobytes() == bare_layer_grads[name].tobytes()
 
 
 def handed_masks(monkeypatch, net, run):

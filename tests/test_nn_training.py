@@ -176,6 +176,25 @@ class TestTrainingErrors:
             train(net, tiny_dataset(n=3) + odd, TrainConfig(epochs=1, batch_size=8))
         assert params_equal(net, saved)
 
+    @pytest.mark.parametrize(
+        "arch, label, message",
+        [
+            ("g-net", (1.0, 1.0, 1.0), "label must have unit norm, got 1.732050807568877"),
+            ("m-net", (0.6, 0.8, 0.0), "components must be finite and positive"),
+        ],
+        ids=["g-net-ones", "m-net-zero-blue"],
+    )
+    def test_label_that_is_no_illuminant_fails_before_the_first_step(self, arch, label, message):
+        """The cosine loss lies in [0, 2] only for unit labels: four
+        scenes labelled (1, 1, 1) used to train to a mean loss of -0.72."""
+        scenes = tiny_dataset(n=3)
+        scenes[2].label = np.array(label)
+        net = build(arch, seed=29, channels=4)
+        saved = snapshot(net)
+        with pytest.raises(ValueError, match=f"^scene 2: {re.escape(message)}"):
+            train(net, scenes, TrainConfig(epochs=1, batch_size=8))
+        assert params_equal(net, saved)
+
 
 def reference_train(net, scenes, config):
     """``train`` as one backward per sample: each sample's gradients are
