@@ -94,12 +94,15 @@ def stats(errors) -> ErrorStats:
 
     Quantiles use linear interpolation between order statistics; the
     best/worst tail means average the ceil(q * n) smallest/largest
-    values; the trimean is (Q1 + 2 * median + Q3) / 4.
+    values; the trimean is (Q1 + 2 * median + Q3) / 4.  A NaN or
+    infinite error is refused by name.
     """
     arr = np.sort(np.asarray(errors, dtype=np.float64).ravel())
     n = arr.size
     if n == 0:
         raise ValueError("cannot summarize an empty error sample")
+    if not np.isfinite(arr).all():
+        raise ValueError(f"errors must be finite, got {arr[~np.isfinite(arr)][0]}")
     q1, q2, q3 = np.quantile(arr, [0.25, 0.5, 0.75])
     c25 = _tail_count(n, 1, 4)
     c10 = _tail_count(n, 1, 10)

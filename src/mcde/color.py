@@ -33,6 +33,7 @@ __all__ = [
     "SphericalDir",
     "normalize",
     "check_label",
+    "check_pixels",
     "recovery_error",
     "reproduction_error",
     "METRICS",
@@ -60,7 +61,8 @@ class SphericalDir(NamedTuple):
 class Scene:
     """Linear-RGB image paired with its ground-truth illuminant.
 
-    pixels: (H, W, 3) float32 array, all values >= 0.
+    pixels: (H, W, 3) float32 array, all values finite and >= 0, as
+            ``check_pixels`` checks.
     label:  (3,) float64 unit-norm illuminant with strictly positive
             components, as ``check_label`` checks.
     """
@@ -73,34 +75,45 @@ def _scalar(a: np.ndarray):
     return a[()] if a.ndim == 0 else a
 
 
-def normalize(v) -> np.ndarray:
-    """Scale a strictly positive RGB vector to unit L2 norm.
-
-    Raises ValueError if any component is non-positive or non-finite
-    (this also rejects the zero vector).
-    """
+def _rgb(v, where: str = "", one: str = "") -> np.ndarray:
+    """``v`` as float64 if it holds strictly positive RGB vectors: a last
+    axis of 3, or exactly shape (3,) when ``one`` names a single vector,
+    and every component finite and > 0.  Otherwise ValueError, its
+    message led by ``where``.  The one rule for the package's data type."""
     v = np.asarray(v, dtype=np.float64)
-    if v.shape[-1] != 3:
-        raise ValueError("expected RGB input with a trailing axis of size 3")
-    if not np.all(np.isfinite(v)):
-        raise ValueError("illuminant components must be finite")
-    if np.any(v <= 0.0):
-        raise ValueError("illuminant components must be strictly positive")
+    if one and v.shape != (3,):
+        raise ValueError(f"{where}{one} must have shape (3,), got {v.shape}")
+    if v.shape[-1:] != (3,):
+        raise ValueError(f"{where}vectors must have a last axis of 3, got shape {v.shape}")
+    if not ((v > 0.0) & (v < np.inf)).all():  # NaN fails both bounds
+        raise ValueError(f"{where}components must be finite and positive")
+    return v
+
+
+def normalize(v) -> np.ndarray:
+    """Scale strictly positive RGB vectors to unit L2 norm; anything else
+    (a last axis not 3, a component not finite and > 0) raises ValueError."""
+    v = _rgb(v, "illuminant ")
     return v / np.linalg.norm(v, axis=-1, keepdims=True)
 
 
 def check_label(label, where: str = "") -> None:
     """Raise ValueError, its message led by ``where``, unless ``label`` is
-    an illuminant: three finite, strictly positive components whose L2
-    norm lies within 1e-9 of 1."""
-    label = np.asarray(label, dtype=np.float64)
-    if label.shape != (3,):
-        raise ValueError(f"{where}label must have shape (3,), got {label.shape}")
-    if not np.all(np.isfinite(label) & (label > 0.0)):
-        raise ValueError(f"{where}components must be finite and positive")
-    norm = float(np.linalg.norm(label))
+    an illuminant: one strictly positive RGB vector of shape (3,) whose
+    L2 norm lies within 1e-9 of 1."""
+    norm = float(np.linalg.norm(_rgb(label, where, "label")))
     if abs(norm - 1.0) > 1e-9:
         raise ValueError(f"{where}label must have unit norm, got {norm}")
+
+
+def check_pixels(pixels, where: str = "") -> None:
+    """Raise ValueError, its message led by ``where``, unless ``pixels`` is
+    an image: shape (H, W, 3) with H, W >= 1 and every value finite and >= 0."""
+    pixels = np.asarray(pixels)
+    if pixels.ndim != 3 or pixels.shape[2] != 3 or 0 in pixels.shape:
+        raise ValueError(f"{where}must have shape (H, W, 3) with H, W >= 1, got {pixels.shape}")
+    if not ((pixels >= 0.0) & (pixels < np.inf)).all():  # NaN fails both bounds
+        raise ValueError(f"{where}holds a pixel that is negative, infinite or NaN")
 
 
 def _check_norms(name: str, norm) -> None:
@@ -170,8 +183,9 @@ METRICS = {"recovery": recovery_error, "reproduction": reproduction_error}
 
 
 def to_spherical(illuminant) -> SphericalDir:
-    """Map a strictly positive direction to (azimuth, inclination) radians."""
-    v = np.asarray(illuminant, dtype=np.float64)
+    """Map strictly positive directions to (azimuth, inclination) radians
+    in the open octant; anything else raises ValueError, as in ``normalize``."""
+    v = _rgb(illuminant, "illuminant ")
     r, g, b = v[..., 0], v[..., 1], v[..., 2]
     phi = np.arctan2(g, r)
     varphi = np.arctan2(np.hypot(r, g), b)
@@ -211,11 +225,7 @@ def apply_von_kries(pixels, est) -> np.ndarray:
     correction with NEUTRAL is idempotent.
     """
     pixels = np.asarray(pixels, dtype=np.float64)
-    est = np.asarray(est, dtype=np.float64)
-    if est.shape != (3,):
-        raise ValueError("estimate must be a single RGB vector of shape (3,)")
-    if np.any(est <= 0.0) or not np.all(np.isfinite(est)):
-        raise ValueError("estimate components must be strictly positive")
+    est = _rgb(est, "estimate ", "vector")
     corrected = pixels / est
     peak = corrected.max()
     if peak > 0.0:

@@ -35,7 +35,7 @@ from pathlib import Path
 import numpy as np
 
 from mcde._check import check_int, check_real
-from mcde.color import Scene, SphericalDir, check_label, from_spherical
+from mcde.color import Scene, SphericalDir, check_label, check_pixels, from_spherical
 from mcde.seeding import MAX_SEED, derive_seed
 
 __all__ = [
@@ -133,6 +133,7 @@ def gen_scene(config: GenConfig, index: int) -> Scene:
 
     Draw order is fixed: patch colors, then the illuminant, then noise.
     """
+    check_int("index", index, 0, MAX_SEED)
     rng = np.random.default_rng(derive_seed("scene", config.base_seed, index))
     colors = rng.uniform(REFLECTANCE_LOW, REFLECTANCE_HIGH, (config.n_patches, 3))
     label = sample_illuminant(config.pool, rng)
@@ -306,10 +307,10 @@ def load(path) -> Dataset:
             .reshape(config.height, config.width, 3)
             .copy()
         )
-        if not ((pixels >= 0.0) & (pixels < np.inf)).all():
-            raise DatasetFormatError(
-                f"scene file {name} holds a pixel that is negative, infinite or NaN"
-            )
+        try:
+            check_pixels(pixels, f"scene file {name} ")
+        except ValueError as exc:
+            raise DatasetFormatError(str(exc)) from exc
         scenes.append(Scene(pixels=pixels, label=labels[i]))
     return Dataset(scenes, config)
 

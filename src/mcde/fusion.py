@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from mcde.color import METRICS, from_spherical, to_spherical
+from mcde.color import METRICS, check_pixels, from_spherical, to_spherical
 from mcde.mc import MCEstimate, mc_estimate
 from mcde.seeding import derive_seed
 
@@ -76,8 +76,9 @@ def raw_confidence(uncertainties, variant: str = "log") -> np.ndarray:
 def aggregate(means, weights) -> np.ndarray:
     """Weighted angular average of unit estimates, in spherical coordinates.
 
-    Takes (..., K, 3) means and (..., K) weights, each row on the
-    simplex, and returns (..., 3) inside the members' angular envelope.
+    Takes (..., K, 3) means, which ``to_spherical`` checks, and (..., K)
+    weights, each row on the simplex, and returns (..., 3) inside the
+    members' angular envelope.
     A (1, K) @ (K, 1) product per row rounds as an unbatched call does.
     A fused direction that ``from_spherical`` refuses, on the octant's
     edge, is named by its first such row, as ``raw_confidence`` names
@@ -87,8 +88,6 @@ def aggregate(means, weights) -> np.ndarray:
     weights = np.asarray(weights, dtype=np.float64)
     if means.ndim < 2 or means.shape[-1] != 3 or weights.shape != means.shape[:-1]:
         raise ValueError("expected (..., K, 3) means and (..., K) weights")
-    if not np.isfinite(means).all():
-        raise ValueError("means must be finite")
     # Asked in the positive form, so NaN weights fail too.
     if not (np.all(weights >= 0.0) and np.all(abs(weights.sum(axis=-1) - 1.0) <= 1e-9)):
         raise ValueError("weights must be non-negative and sum to 1")
@@ -135,10 +134,11 @@ def mcde(nets, pixels, nu: int = 30, base_seed: int = 0, variant: str = "log") -
 
     With a single member the fused output is that member's MC mean (up
     to the spherical round-trip); with one member far more certain than
-    the rest the fusion follows it.  An unknown ``variant`` fails before
-    any pass runs.
+    the rest the fusion follows it.  An unknown ``variant`` and pixels
+    that ``check_pixels`` refuses fail before any pass runs.
     """
     _g(variant)
+    check_pixels(pixels, "image ")
     return fuse(ensemble_estimates(nets, pixels, nu, base_seed), variant)
 
 

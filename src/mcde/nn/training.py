@@ -9,7 +9,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from mcde._check import check_int, check_real
-from mcde.color import check_label
+from mcde.color import check_label, check_pixels
 from mcde.nn.layers import PARAM_DTYPE
 from mcde.nn.network import Network, NumericError, PassSeed
 from mcde.seeding import MAX_SEED, derive_seed
@@ -73,9 +73,9 @@ def train(net: Network, scenes, config: TrainConfig):
     visited in a per-epoch shuffled order derived from the base seed, and
     each sample's dropout masks come from its position in the whole run,
     so identical (network, data, config) runs produce bit-identical
-    weights.  Every label must pass ``check_label``, or nothing is
-    trained.  Returns (net, per-epoch mean loss trace); the network is
-    updated in place.
+    weights.  Every scene must pass ``check_pixels`` and ``check_label``,
+    or nothing is trained.  Returns (net, per-epoch mean loss trace);
+    the network is updated in place.
     """
     _pad_heap()
     scenes = list(scenes)
@@ -85,6 +85,7 @@ def train(net: Network, scenes, config: TrainConfig):
     for i, scene in enumerate(scenes):
         if np.shape(scene.pixels) != shape:
             raise ValueError(f"scenes differ in shape: {shape} and {np.shape(scene.pixels)}")
+        check_pixels(scene.pixels, f"scene {i} ")
         check_label(scene.label, f"scene {i}: ")
     pass_base = derive_seed("train-pass", config.base_seed)
     trace: list[float] = []

@@ -4,6 +4,8 @@ from __future__ import annotations
 
 import hashlib
 
+from mcde._check import check_int
+
 _SEP = b"\x1f"
 
 # The largest seed a config or flag takes: every seed is uint64 key material.
@@ -16,7 +18,15 @@ def derive_seed(*parts: int | str) -> int:
     Every random stream in the library is keyed by an explicit
     (purpose, identifiers...) tuple.  Hashing keeps the mapping stable
     across platforms and sessions, and independent streams never share
-    state, so adding one consumer never perturbs another.
+    state, so adding one consumer never perturbs another.  Each part is
+    a ``str`` or an ``int`` in [0, MAX_SEED], encoded as its decimal
+    string, so ``derive_seed(1) == derive_seed("1")``; at least one part
+    is required.
     """
+    if not parts:
+        raise ValueError("derive_seed needs at least one part")
+    for part in parts:
+        if not isinstance(part, str):
+            check_int("seed part", part, 0, MAX_SEED)
     blob = _SEP.join(str(p).encode() for p in parts)
     return int.from_bytes(hashlib.sha256(blob).digest()[:8], "little")

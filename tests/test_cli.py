@@ -475,7 +475,7 @@ class TestBench:
         assert code == 1
         assert capsys.readouterr().err == (
             "error: fold 1 failed: sample 3: "
-            "illuminant components must be strictly positive\n"
+            "illuminant components must be finite and positive\n"
         )
 
     def test_flags_default_to_the_config(self, dataset_dir, tmp_path, monkeypatch, capsys):

@@ -187,8 +187,8 @@ class TestAggregate:
             ([[1.0, 1.0, 1.0], [1.0, 2.0, 3.0]], [0.5, math.nan], "weights must be non-negative"),
             ([[1.0, 1.0, 1.0], [1.0, 2.0, 3.0]], [math.inf, -math.inf], "weights must be non-negative"),
             ([[1.0, 1.0, 1.0], [1.0, 2.0, 3.0]], [math.inf, 0.0], "weights must be non-negative"),
-            ([[1.0, 1.0, 1.0], [1.0, math.nan, 3.0]], [0.5, 0.5], "means must be finite"),
-            ([[1.0, 1.0, math.inf], [1.0, 2.0, 3.0]], [1.0, 0.0], "means must be finite"),
+            ([[1.0, 1.0, 1.0], [1.0, math.nan, 3.0]], [0.5, 0.5], "illuminant components must be finite and positive"),
+            ([[1.0, 1.0, math.inf], [1.0, 2.0, 3.0]], [1.0, 0.0], "illuminant components must be finite and positive"),
         ],
         ids=["nan-weights", "one-nan-weight", "inf-weights", "inf-weight", "nan-mean", "inf-mean"],
     )
