@@ -34,7 +34,6 @@ from __future__ import annotations
 import json
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, astuple, dataclass, fields
-from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -43,7 +42,7 @@ from mcde import baselines, fusion
 from mcde._check import check_int, check_real
 from mcde.color import METRICS
 from mcde.datagen import MAX_PIXELS, Dataset, GenConfig, folds, gen_dataset
-from mcde.mc import MAX_NU
+from mcde.mc import MAX_NU, mc_estimates
 from mcde.nn.archs import ARCHITECTURES, build, stack
 from mcde.nn.training import TrainConfig, train
 from mcde.seeding import MAX_SEED, derive_seed
@@ -202,51 +201,75 @@ class BenchReport:
     loss_traces: dict
 
 
-def _evaluate_samples(models, scenes, sample_ids, nu, base_seed, sog_p):
+def _evaluate_samples(models, scenes, sample_ids, nu, base_seed, sog_p, estimates=None):
     """Per-sample errors and uncertainties for one batch of scenes.
 
-    ``models`` is a list of (name, network) pairs; MC seeds are keyed
-    by each sample's global id so results are independent of batching.
-    Each fusion variant fuses the whole batch in one ``fusion.combine``
-    call (once per fold), and each metric scores a method's estimates
-    in one call; the ideal row is the members' least error.  An error
-    is re-raised naming its sample id, and from a fusion or a metric
-    also the method.
+    ``models`` is a list of (name, network) pairs, and ``estimates``
+    their ``_member_estimates`` on ``scenes``, computed here if not
+    given.  Each fusion variant fuses the whole batch in one
+    ``fusion.combine`` call (once per fold), and each metric scores a
+    method's estimates in one call; the ideal row is the members' least
+    error.  An error is re-raised naming its sample id, and from a
+    fusion or a metric also the method.
     """
     model_names = [name for name, _ in models]
-    nets = [net for _, net in models]
-    rows, mus = [], []
+    if estimates is None:
+        estimates = [
+            _member_estimates(net, k, scenes, sample_ids, nu, base_seed)
+            for k, (_, net) in enumerate(models)
+        ]
+    rows = []
     for sample_id, scene in zip(sample_ids, scenes):
         try:
-            row = [baselines.grey_world(scene.pixels), baselines.shades_of_grey(scene.pixels, sog_p)]
-            if nets:
-                members = fusion.ensemble_estimates(
-                    nets, scene.pixels, nu, derive_seed("sample-mc", base_seed, sample_id)
-                )
-                mus.append([est.mu for est in members])
-                row += [est.mean for est in members]
-            rows.append(row)
+            rows.append(
+                [baselines.grey_world(scene.pixels), baselines.shades_of_grey(scene.pixels, sog_p)]
+            )
         except Exception as exc:
             raise RuntimeError(f"sample {sample_id}: {exc}") from exc
     labels = np.array([scene.label for scene in scenes])
-    estimates = np.stack(rows, axis=1)  # (method, sample, 3)
-    if nets:
-        means = estimates[len(_BASELINE_ROWS) :].swapaxes(0, 1)
+    columns = np.stack(rows, axis=1)  # (method, sample, 3)
+    mus = [mu for _, mu in estimates]
+    if models:
+        members = np.stack([means for means, _ in estimates])  # (member, sample, 3)
+        means, sample_mus = members.swapaxes(0, 1), np.stack(mus, axis=1)
         fused = [
             _per_sample(lambda m, u: fusion.combine(m, u, variant)[0],
-                        sample_ids, f"mcde-{variant}", means, mus)
+                        sample_ids, f"mcde-{variant}", means, sample_mus)
             for variant in fusion.VARIANTS
         ]
-        estimates = np.concatenate([estimates, fused])
+        columns = np.concatenate([columns, members, fused])
     errors = {}
     # zip stops before the fusion rows when there is no member, and
     # before the ideal row, which has no estimate, when there is one.
-    for method, column in zip((*_BASELINE_ROWS, *model_names, *_FUSED_ROWS), estimates):
+    for method, column in zip((*_BASELINE_ROWS, *model_names, *_FUSED_ROWS), columns):
         for metric, fn in METRICS.items():
             errors[(method, metric)] = _per_sample(fn, sample_ids, method, labels, column)
-    for metric in METRICS if nets else ():
+    for metric in METRICS if models else ():
         errors[("ideal", metric)] = np.min([errors[(m, metric)] for m in model_names], axis=0)
-    return errors, dict(zip(model_names, np.array(mus).T))
+    return errors, dict(zip(model_names, mus))
+
+
+def _member_estimates(net, k, scenes, sample_ids, nu, base_seed):
+    """Member k's (S, 3) MC means and (S,) mu on ``scenes``, from one
+    ``mc_estimates`` call over the scene axis.
+
+    A sample's MC seed is keyed by its global id, so results are
+    independent of batching, and a row holds the bytes of member k's
+    ``fusion.ensemble_estimates`` of that sample alone.  An error is
+    re-raised naming the first sample that fails on its own.
+    """
+    pixels = [scene.pixels for scene in scenes]
+    seeds = [fusion.member_seed(derive_seed("sample-mc", base_seed, i), k) for i in sample_ids]
+    try:
+        means, _, mus = mc_estimates(net, pixels, nu, seeds)
+    except Exception:
+        for sample_id, one, seed in zip(sample_ids, pixels, seeds):
+            try:
+                mc_estimates(net, [one], nu, [seed])
+            except Exception as exc:
+                raise RuntimeError(f"sample {sample_id}: {exc}") from exc
+        raise
+    return means, mus
 
 
 def _per_sample(fn, sample_ids, method, *columns):
@@ -309,16 +332,16 @@ def _run_fold(dataset: Dataset, config: BenchConfig, spans, fold_index: int):
         raise RuntimeError(f"fold {fold_index} failed: {exc}") from exc
 
 
-_fold_args = None  # a fold worker's (dataset, config, spans)
+_worker_args = None  # a pool worker's arguments, shared by all of its tasks
 
 
-def _init_fold_worker(dataset: Dataset, config: BenchConfig, spans) -> None:
-    global _fold_args
-    _fold_args = (dataset, config, spans)
+def _init_worker(*args) -> None:
+    global _worker_args
+    _worker_args = args
 
 
 def _run_pooled_fold(fold_index: int):
-    return _run_fold(*_fold_args, fold_index)
+    return _run_fold(*_worker_args, fold_index)
 
 
 def crossval(dataset: Dataset, config: BenchConfig = BenchConfig()) -> BenchReport:
@@ -335,7 +358,7 @@ def crossval(dataset: Dataset, config: BenchConfig = BenchConfig()) -> BenchRepo
     if workers > 1:
         with ProcessPoolExecutor(
             max_workers=workers,
-            initializer=_init_fold_worker,
+            initializer=_init_worker,
             initargs=(dataset, config, spans),
         ) as pool:
             results = list(pool.map(_run_pooled_fold, range(len(spans))))
@@ -439,52 +462,65 @@ def _band_scenes(config: ScenarioConfig, n_scenes: int, band: str, purpose: str)
     return gen_dataset(GenConfig(n_scenes=n_scenes, pool=band, base_seed=seed)).scenes
 
 
-def _train_scenario_member(config: ScenarioConfig, spec: TrainableSpec, band: str):
-    """Generate member ``spec``'s training scenes and train it on them.
+def _scenario_member(config: ScenarioConfig, eval_scenes, index: int):
+    """Train member ``index`` of ``SCENARIO_MEMBERS`` on scenes of its band,
+    which it generates itself, and evaluate it on ``eval_scenes``.
 
-    Runs in a worker process and returns ``train_member``'s (net, loss
-    trace); an error is re-raised naming the member.
+    Runs in a worker process and returns (net, loss trace, its
+    ``_member_estimates``); an error is re-raised naming the member.
     """
+    spec, (_, band) = config.specs()[index], SCENARIO_MEMBERS[index]
     try:
-        return train_member(
+        net, trace = train_member(
             spec,
             _band_scenes(config, config.train_per_band, band, "scenario-train"),
             init_seed=derive_seed("scenario-init", config.seed, spec.name),
             train_seed=derive_seed("scenario-train-loop", config.seed, spec.name),
         )
+        mc_seed = derive_seed("scenario-mc", config.seed)
+        ids = range(len(eval_scenes))
+        return net, trace, _member_estimates(net, index, eval_scenes, ids, config.nu, mc_seed)
     except Exception as exc:
         raise RuntimeError(f"member {spec.name} failed: {exc}") from exc
+
+
+def _run_pooled_member(index: int):
+    return _scenario_member(*_worker_args, index)
 
 
 def band_shift_scenario(config: ScenarioConfig = ScenarioConfig()) -> BenchReport:
     """Train one member per band, evaluate on the union of both bands.
 
-    The members are independent until fusion, so each trains in its own
-    forked worker process, which generates its band's training scenes
-    itself: only the trained network travels back.  Meanwhile this
-    process generates the evaluation scenes; it then runs the MC
-    evaluation.  Every seed is fixed by the config, so the report is
-    the same, bit for bit, as training the members one after the other.
+    This process generates the evaluation scenes first.  The members
+    are independent until fusion, so each then trains in its own forked
+    worker process, which inherits the evaluation scenes, generates its
+    band's training scenes itself and runs its MC passes on every
+    evaluation scene: only the network, its loss trace and its
+    estimates travel back.  This process then scores the baselines,
+    the members and the fusion.  Every seed is fixed by the config, so
+    the report is the same, bit for bit, as training and evaluating the
+    members one after the other here.
     """
     specs, bands = config.specs(), [band for _, band in SCENARIO_MEMBERS]
-    with ProcessPoolExecutor(max_workers=len(specs)) as pool:
-        trained = pool.map(partial(_train_scenario_member, config), specs, bands)
-        eval_scenes = [
-            scene
-            for band in bands
-            for scene in _band_scenes(config, config.eval_per_band, band, "scenario-eval")
-        ]
-        trained = list(trained)
-        models = [(spec.name, net) for spec, (net, _) in zip(specs, trained)]
+    eval_scenes = [
+        scene
+        for band in bands
+        for scene in _band_scenes(config, config.eval_per_band, band, "scenario-eval")
+    ]
+    with ProcessPoolExecutor(
+        max_workers=len(specs), initializer=_init_worker, initargs=(config, eval_scenes)
+    ) as pool:
+        trained = list(pool.map(_run_pooled_member, range(len(specs))))
     batch = _evaluate_samples(
-        models,
+        [(spec.name, net) for spec, (net, _, _) in zip(specs, trained)],
         eval_scenes,
         range(len(eval_scenes)),
         config.nu,
         derive_seed("scenario-mc", config.seed),
         config.sog_p,
+        estimates=[estimates for _, _, estimates in trained],
     )
     echo = {"protocol": "band-shift-scenario", "format_version": 1, **asdict(config)}
     echo["members"] = [list(member) for member in SCENARIO_MEMBERS]
-    traces = {spec.name: trace for spec, (_, trace) in zip(specs, trained)}
+    traces = {spec.name: trace for spec, (_, trace, _) in zip(specs, trained)}
     return _report(echo, [batch], traces)

@@ -220,10 +220,11 @@ def apply_von_kries(pixels, est) -> np.ndarray:
 
     Each channel is divided by the matching component of ``est``, then
     the whole image is rescaled so its maximum channel value matches
-    the input's.  Takes an (H, W, 3) array and returns float64 pixels.
-    A neutral estimate leaves the image unchanged up to round-off, so
-    correction with NEUTRAL is idempotent.
+    the input's.  Takes an (H, W, 3) image that ``check_pixels`` accepts
+    and returns float64 pixels.  A neutral estimate leaves the image
+    unchanged up to round-off, so correction with NEUTRAL is idempotent.
     """
+    check_pixels(pixels, "image ")
     pixels = np.asarray(pixels, dtype=np.float64)
     est = _rgb(est, "estimate ", "vector")
     corrected = pixels / est

@@ -34,6 +34,7 @@ __all__ = [
     "raw_confidence",
     "aggregate",
     "combine",
+    "member_seed",
     "ensemble_estimates",
     "fuse",
     "mcde",
@@ -112,12 +113,15 @@ class FusionResult:
     raw_scores: np.ndarray
 
 
+def member_seed(base_seed: int, k: int) -> int:
+    """Member k's MC base seed under the ensemble's ``base_seed``: its own,
+    so adding a member perturbs no other."""
+    return derive_seed("ensemble-member", base_seed, k)
+
+
 def ensemble_estimates(nets, pixels, nu: int = 30, base_seed: int = 0) -> list[MCEstimate]:
-    """MC estimate per member under its own derived seed: adding one perturbs no other."""
-    return [
-        mc_estimate(net, pixels, nu, derive_seed("ensemble-member", base_seed, k))
-        for k, net in enumerate(nets)
-    ]
+    """MC estimate per member under its ``member_seed``."""
+    return [mc_estimate(net, pixels, nu, member_seed(base_seed, k)) for k, net in enumerate(nets)]
 
 
 def fuse(estimates, variant: str = "log") -> FusionResult:

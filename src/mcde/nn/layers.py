@@ -43,9 +43,10 @@ PARAM_DTYPE = np.float32
 
 # Conv3x3's 3x3 windows take nine times its input, so ``_windows`` copies
 # them in blocks of rows of at most this many bytes.  A stock call is one
-# image, or a training block of at most 64 KiB of pixels
-# (``network._BLOCK_BYTES``), so it is one block; a conv after a Dropout,
-# with one row per MC pass, is not.
+# block of at most 64 KiB of pixels (``network._BLOCK_BYTES``): a training
+# block, whose windows the backward reuses (221 KB at 16x16 with 8 rows,
+# 442 KB at 64x64), or a block of MC scenes.  A conv after a Dropout, with
+# one row per MC pass, is several.
 _WINDOW_BYTES = 1024 * 1024
 
 
@@ -55,8 +56,11 @@ class Conv3x3:
 
     The forward multiplies each row's (H*W, 9*c_in) matrix of 3x3
     windows (``_windows``) by the weights as a (9*c_in, c_out) matrix and
-    adds the bias.  The backward rebuilds the windows from the cached
-    padded input for each row's weight gradient; the input gradient, not
+    adds the bias.  The backward multiplies the same windows by the
+    output gradient for each row's weight gradient: the forward's, which
+    its cache keeps when they form one block (every stock training
+    step), or else rebuilt block by block from the cached padded input,
+    so a large input holds no extra memory.  The input gradient, not
     asked of a network's lowest layer with parameters, takes one product
     per tap.  A row's bytes depend neither on the other rows nor on the
     blocks the windows are copied in.
@@ -83,15 +87,17 @@ class Conv3x3:
         for rows, windows in _windows(xp, h, w):
             np.matmul(windows, weight, out=y[rows])
         y += self.params["b"]
-        return y.reshape(*lead, h, w, self.c_out), xp
+        one_block = windows if rows.start == 0 else None  # the last block is the first
+        return y.reshape(*lead, h, w, self.c_out), (xp, one_block)
 
     def backward(self, dy, cache, need_dx=True):
-        xp = cache
+        xp, one_block = cache
         n, h, w, _ = dy.shape
         weight = self.params["W"]
         d_weight = np.empty((n, 9 * self.c_in, self.c_out), xp.dtype)
         dy_rows = dy.reshape(n, -1, self.c_out)
-        for rows, windows in _windows(xp, h, w):
+        blocks = _windows(xp, h, w) if one_block is None else [(slice(0, n), one_block)]
+        for rows, windows in blocks:
             np.matmul(windows.transpose(0, 2, 1), dy_rows[rows], out=d_weight[rows])
         grads = {"W": d_weight.reshape(n, *weight.shape), "b": _pixel_sums(dy)}
         if not need_dx:

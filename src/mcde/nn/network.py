@@ -20,7 +20,9 @@ __all__ = ["Mode", "Network", "NumericError", "PassSeed", "cosine_loss"]
 # (g-net) and 0.94-1.16 ms (m-net) per image one by one against 1.04-1.31
 # and 0.88-1.01 ms in whole batches of 8, peaking at 39 against 44-45 MiB
 # (2-core VM, one thread, 5 runs each): a gain inside the spread, for 15%
-# more peak.
+# more peak.  ``scene_passes`` runs MC scenes in blocks by the same rule,
+# 21 scenes of 16x16 or one of 64x64: all 400 of band-shift's 16x16 scenes
+# in one block took its perfbench peak RSS from 45.1 to 59.5 MiB.
 _BLOCK_BYTES = 64 * 1024
 
 # Mask keys are numpy uint64 arrays, which wrap mod 2**64 by themselves,
@@ -64,13 +66,13 @@ class PassSeed:
         check_int("pass_index", self.pass_index, 0, MAX_SEED)
 
 
-def _check_passes(seed: PassSeed, count) -> None:
-    """Keys are uint64: passes ``seed.pass_index`` to ``+ count - 1`` must
-    end by 2**64 - 1."""
+def _check_passes(first, count) -> None:
+    """Keys are uint64: passes ``first`` to ``first + count - 1`` must lie
+    in [0, 2**64)."""
+    check_int("first", first, 0, MAX_SEED)
     check_int("count", count, 1)
-    if seed.pass_index + count > _KEY_LIMIT:
-        last = seed.pass_index + count - 1
-        raise ValueError(f"passes {seed.pass_index} to {last} must lie in [0, 2**64)")
+    if first + count > _KEY_LIMIT:
+        raise ValueError(f"passes {first} to {first + count - 1} must lie in [0, 2**64)")
 
 
 class Mode(Enum):
@@ -96,10 +98,11 @@ def cosine_loss(pred, gt):
 class Network:
     """Ordered layer stack mapping (H, W, 3) images to illuminants.
 
-    ``_run`` is the one layer loop behind ``forward``, ``forward_passes``
-    and ``backward``.  Its activations carry one leading row axis: a row
-    is one image of a mini-batch, or one image that MC passes share
-    until a Dropout's masks split it.  The pass seed alone turns dropout
+    ``_run`` is the one layer loop behind ``forward``, ``scene_passes``
+    (and its one-scene case ``forward_passes``) and ``backward``.  Its
+    activations carry one leading row axis: a row is one image of a
+    mini-batch, or one scene that its MC passes share until a Dropout's
+    masks split it.  The pass seed alone turns dropout
     on: under a ``PassSeed`` the network draws each ``Dropout``'s mask
     from (seed, layer index), in training and MC inference alike, and
     hands it to the layer shaped to broadcast against its input; without
@@ -122,25 +125,58 @@ class Network:
         """
         if mode is Mode.MC and seed is None:
             raise ValueError("mc forward passes require a PassSeed")
-        seed = seed if mode is Mode.MC else None
-        return self._run(self._images(np.asarray(pixels)[None]), seed, 1)[0][0]
+        x = self._images(np.asarray(pixels)[None])
+        if mode is not Mode.MC:
+            return self._run(x, None, 0, 1)[0][0]
+        return self._run(x, [seed.base_seed], seed.pass_index, 1)[0][0]
 
     def forward_passes(self, pixels, seed: PassSeed, count: int) -> np.ndarray:
         """MC passes ``seed.pass_index`` to ``seed.pass_index + count - 1``
-        of ``seed.base_seed``, as a (count, 3) array.
+        of ``seed.base_seed``, as a (count, 3) array: ``scene_passes`` of
+        the one scene ``pixels``.
 
         Row k equals ``forward(pixels, Mode.MC, PassSeed(seed.base_seed,
         seed.pass_index + k))`` bit for bit; each layer runs once for all passes.
         """
-        _check_passes(seed, count)
-        out, _ = self._run(self._images(np.asarray(pixels)[None]), seed, count)
-        return out if len(out) == count else np.repeat(out, count, axis=0)
+        pixels = np.asarray(pixels)[None]
+        return self.scene_passes(pixels, [seed.base_seed], count, seed.pass_index)[0]
+
+    def scene_passes(self, pixels, base_seeds, count: int, first: int = 0) -> np.ndarray:
+        """MC passes ``first`` to ``first + count - 1`` of each scene under
+        its own base seed, as an (S, count, 3) array.
+
+        Row (s, k) of scene s of ``pixels`` (a list or a stacked array)
+        equals ``forward(pixels[s], Mode.MC, PassSeed(base_seeds[s],
+        first + k))`` bit for bit.  Scenes run in blocks of rows sized as
+        ``backward``'s, and each layer runs once per block for all of its
+        scenes' passes.
+        """
+        if not len(pixels):
+            raise ValueError("scene_passes needs at least one scene")
+        if len(base_seeds) != len(pixels):
+            raise ValueError(f"one seed per scene: got {len(base_seeds)} for {len(pixels)} scenes")
+        for base in base_seeds:
+            check_int("base_seed", base, 0, MAX_SEED)
+        _check_passes(first, count)
+        step, outs = self._block_rows(pixels), []
+        for r in range(0, len(pixels), step):
+            x = self._images(pixels[r : r + step])
+            out = self._run(x, base_seeds[r : r + step], first, count)[0]  # frees the caches now
+            outs.append(out.reshape(len(x), -1, *out.shape[1:]))  # (r, count or 1, ...)
+        out = outs[0] if len(outs) == 1 else np.concatenate(outs)
+        return out if out.shape[1] == count else np.repeat(out, count, axis=1)
 
     def _dtype(self):
         """The dtype of the parameters, which every layer computes in
         (``PARAM_DTYPE`` for a network without any)."""
         dtypes = (p.dtype for layer in self.layers for p in layer.params.values())
         return next(dtypes, np.dtype(PARAM_DTYPE))
+
+    def _block_rows(self, pixels) -> int:
+        """Images of ``pixels`` per block: as many as fit in ``_BLOCK_BYTES``
+        in the parameters' dtype, and at least one."""
+        image_bytes = self._dtype().itemsize * np.size(pixels[0])  # _images checks each block
+        return max(1, _BLOCK_BYTES // max(image_bytes, 1))
 
     def _images(self, pixels) -> np.ndarray:
         """``pixels`` in ``_dtype()``, checked to stack non-empty (H, W, c_in)
@@ -155,56 +191,67 @@ class Network:
             raise ValueError(f"expected non-empty {want} pixels, got shape {x.shape[1:]}")
         return x
 
-    def _keeps(self, i, seed, count, size):
-        """(count, size) keep masks for ``layers[i]``, one row per pass.
+    def _keeps(self, i, bases, first, count, size):
+        """(S * count, size) keep masks for ``layers[i]``: row s * count + k
+        for pass ``first + k`` of base seed ``bases[s]``, a grid of the S
+        base seeds and the passes.
 
         Each row is one Bernoulli per entry of the activation's last
         axis: a channel of a feature map, or an element of a vector.
         None unless the layer is a Dropout with a nonzero rate and
-        there is a seed.
+        there are base seeds.
 
         The draw is a stateless counter hash (Salmon et al. 2011): pass
         p's (base seed, p, layer) is mixed into a row key, and entry e
         keeps iff the mix of (row key + (e + 1) * gamma), uniform on
         [0, 2**64), is at least rate * 2**64.  A row depends on its own
         key alone, so the masks do not depend on pass order, on the
-        count or on the worker count.
+        count, on the other scenes or on the worker count.
         """
         layer = self.layers[i]
-        if not (seed is not None and isinstance(layer, Dropout) and layer.rate > 0.0):
+        if not (bases is not None and isinstance(layer, Dropout) and layer.rate > 0.0):
             return None
-        passes = np.arange(seed.pass_index, seed.pass_index + count, dtype=np.uint64)
+        passes = np.arange(first, first + count, dtype=np.uint64)
         layer_key = np.uint64(i * _LAYER_GAMMA % _KEY_LIMIT)
-        rows = _mix(np.uint64(seed.base_seed) ^ (passes * _GAMMA + layer_key))
+        bases = np.array(bases, dtype=np.uint64)[:, None]
+        rows = _mix(bases ^ (passes * _GAMMA + layer_key)).ravel()
         bits = _mix(rows[:, None] + np.arange(1, size + 1, dtype=np.uint64) * _GAMMA)
         return bits >= int(layer.rate * 2.0**64)
 
-    def _run(self, x, seed, count):
+    def _run(self, x, bases, first, count):
         """All layers on the rows of ``x``; returns (activation, caches).
 
-        Under ``seed``, whose pass range the caller checks, with one row
-        per pass, row k runs under pass ``seed.pass_index + k``'s masks;
-        one row meeting ``count`` passes broadcasts against their masks
-        into one row per pass.  Right before a pool it is not broadcast:
-        the pool runs on the map with every channel some pass keeps
-        kept, and on the map with all dropped, and each pass picks its
-        channels from the two, so g-net builds no (ν, H, W, C) array.  A
-        channel no pass keeps is dropped in both, so the checks stay exact.
+        Under ``bases``, with passes ``first`` to ``first + count - 1``
+        of each, whose range the caller checks, the masks are
+        ``_keeps``' grid.  With one row per pass, a row runs under its
+        pass's masks.  With one row per base seed, shared by its passes,
+        the row broadcasts against their masks into one row per pass.
+        Right before a pool it is not broadcast: the pool runs on the
+        map with every channel some pass of the seed keeps kept, and on
+        the map with all dropped, and each pass picks its channels from
+        the two, so g-net builds no (count, H, W, C) array per scene.  A
+        channel no pass keeps is dropped in both, so the checks stay
+        exact.
         """
         caches, dropped = [], None
         for i, (layer, after) in enumerate(zip(self.layers, [*self.layers[1:], None])):
-            keep = self._keeps(i, seed, count, x.shape[-1])
+            keep = self._keeps(i, bases, first, count, x.shape[-1])
             if dropped is not None:  # the pool after a shared spatial Dropout
-                x, cache = np.where(kept, layer.forward(x)[0], layer.forward(dropped)[0]), None
+                pooled = layer.forward(x)[0][:, None], layer.forward(dropped)[0][:, None]
+                x, cache = np.where(kept, *pooled).reshape(-1, x.shape[-1]), None
                 dropped = None
             elif keep is None:  # not a Dropout, or one that drops nothing
                 x, cache = layer.forward(x)
-            elif x.ndim == 4 and len(x) < count and isinstance(after, (MeanPool, MaxPool)):
-                kept, dropped = keep, layer.forward(x, False)[0]
-                x, cache = layer.forward(x, keep.any(axis=0))
+            elif len(x) < len(keep) and x.ndim == 4 and isinstance(after, (MeanPool, MaxPool)):
+                kept, dropped = keep.reshape(len(x), count, -1), layer.forward(x, False)[0]
+                x, cache = layer.forward(x, kept.any(axis=1)[:, None, None])
+            elif len(x) < len(keep):  # one row per base seed meets its passes' masks
+                shape = (len(x), count, 1, 1, -1) if x.ndim == 4 else (len(x), count, -1)
+                x, cache = layer.forward(x[:, None], keep.reshape(shape))
+                x = x.reshape(-1, *x.shape[2:])  # x alone holds it, so the next layer frees it
             else:
                 x, cache = layer.forward(x, keep[:, None, None, :] if x.ndim == 4 else keep)
-            if not np.all(np.isfinite(x)):
+            if not np.isfinite(x).all():
                 raise NumericError(f"non-finite activations after layer {i} ({layer.kind})")
             caches.append(cache)
         return x, caches
@@ -226,15 +273,14 @@ class Network:
             raise ValueError("backward needs at least one image")
         if len(gts) != len(pixels):
             raise ValueError(f"one label per image: got {len(gts)} for {len(pixels)} images")
-        _check_passes(seed, len(pixels))
+        _check_passes(seed.pass_index, len(pixels))
         gts = np.asarray(gts, dtype=np.float64)
-        image_bytes = self._dtype().itemsize * np.size(pixels[0])  # _images checks each block
-        step = max(1, _BLOCK_BYTES // max(image_bytes, 1))
+        step = self._block_rows(pixels)
         lowest = next((i for i, layer in enumerate(self.layers) if layer.params), len(self.layers))
         losses, per_row = [], [[] for _ in self.layers]
         for r in range(0, len(pixels), step):
             x = self._images(pixels[r : r + step])
-            pred, caches = self._run(x, PassSeed(seed.base_seed, seed.pass_index + r), len(x))
+            pred, caches = self._run(x, [seed.base_seed], seed.pass_index + r, len(x))
             losses.append(cosine_loss(pred, gts[r : r + step]))
             grad = -gts[r : r + step]
             for i in range(len(self.layers) - 1, lowest - 1, -1):  # pop: free each cache once used

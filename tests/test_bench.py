@@ -1,7 +1,6 @@
 """Benchmark statistics, cross-validation protocol, and report files."""
 
 import csv
-import dataclasses
 import math
 import multiprocessing
 import re
@@ -24,6 +23,7 @@ from mcde.bench import (
 from mcde.color import METRICS, Scene, normalize
 from mcde.datagen import MAX_PIXELS, Dataset, GenConfig, folds, gen_dataset
 from mcde.mc import MAX_NU
+from mcde.nn import NumericError
 from mcde.nn.archs import MAX_CHANNELS, build
 from mcde.nn.training import TrainConfig
 from mcde.seeding import derive_seed
@@ -278,15 +278,15 @@ class TestCrossval:
         reproduction error.  Scoring a whole fold at once, the run still
         stops naming the fold, the sample and the method."""
         monkeypatch.setattr(bench, "train_member", built_member)
-        ensemble_estimates = fusion.ensemble_estimates
+        member_estimates = bench._member_estimates
 
-        def stand_in(nets, pixels, nu, base_seed):
-            members = ensemble_estimates(nets, pixels, nu, base_seed)
-            if base_seed == derive_seed("sample-mc", 17, 4):
-                members[1] = dataclasses.replace(members[1], mean=normalize([1e-13, 0.6, 0.8]))
-            return members
+        def stand_in(net, k, scenes, sample_ids, nu, base_seed):
+            means, mus = member_estimates(net, k, scenes, sample_ids, nu, base_seed)
+            if k == 1 and 4 in sample_ids:
+                means[list(sample_ids).index(4)] = normalize([1e-13, 0.6, 0.8])
+            return means, mus
 
-        monkeypatch.setattr(fusion, "ensemble_estimates", stand_in)
+        monkeypatch.setattr(bench, "_member_estimates", stand_in)
         with pytest.raises(
             RuntimeError,
             match=r"^fold 1 failed: sample 4: m-net: estimate components must exceed 1e-12 ",
@@ -299,16 +299,17 @@ class TestCrossval:
         Fusing a whole fold at once, the run still stops naming the fold,
         the sample and the variant."""
         monkeypatch.setattr(bench, "train_member", built_member)
-        ensemble_estimates = fusion.ensemble_estimates
+        member_estimates = bench._member_estimates
         edge = normalize([1e-300, 0.6, 0.8])
 
-        def stand_in(nets, pixels, nu, base_seed):
-            members = ensemble_estimates(nets, pixels, nu, base_seed)
-            if base_seed == derive_seed("sample-mc", 17, 4):
-                members = [dataclasses.replace(m, mean=edge, mu=0.0) for m in members]
-            return members
+        def stand_in(net, k, scenes, sample_ids, nu, base_seed):
+            means, mus = member_estimates(net, k, scenes, sample_ids, nu, base_seed)
+            if 4 in sample_ids:
+                at = list(sample_ids).index(4)
+                means[at], mus[at] = edge, 0.0
+            return means, mus
 
-        monkeypatch.setattr(fusion, "ensemble_estimates", stand_in)
+        monkeypatch.setattr(bench, "_member_estimates", stand_in)
         with pytest.raises(
             RuntimeError,
             match=r"^fold 1 failed: sample 4: mcde-linear: phi must lie strictly inside \(0, pi/2\)$",
@@ -388,7 +389,7 @@ class TestCrossval:
                 return map(fn, items)
 
         monkeypatch.setattr(bench, "ProcessPoolExecutor", RecordingPool)
-        monkeypatch.setattr(bench, "_fold_args", None)
+        monkeypatch.setattr(bench, "_worker_args", None)
         dataset = grey_scene_dataset(n=6)
         report = crossval(dataset, tiny_config(folds=3, workers=workers, trainables=()))
         assert pools == started
@@ -717,9 +718,9 @@ class TestBandShiftScenario:
         calls = []
         evaluate = bench._evaluate_samples
 
-        def recording(models, *args):
+        def recording(models, *args, estimates):
             calls.append((models, args))
-            return evaluate(models, *args)
+            return evaluate(models, *args, estimates=estimates)
 
         monkeypatch.setattr(bench, "_evaluate_samples", recording)
         report = band_shift_scenario(config)
@@ -779,3 +780,45 @@ class TestBandShiftScenario:
             band_shift_scenario(config)
         assert type(info.value) is RuntimeError
         assert str(info.value).startswith("member g-net failed: training diverged at epoch 0: ")
+
+    def test_evaluation_scenes_are_generated_in_the_calling_process(self, monkeypatch):
+        """A recorder in place of ``gen_dataset``, as perfbench's
+        grey-world check installs one, sees the evaluation scenes of each
+        band in member order; the workers' training scenes stay in the
+        workers."""
+        made = []
+
+        def recording(config):
+            made.append(config)
+            return gen_dataset(config)
+
+        monkeypatch.setattr(bench, "gen_dataset", recording)
+        config = ScenarioConfig(
+            seed=5, eval_per_band=3, train_per_band=4, nu=2, epochs=1, channels=4
+        )
+        band_shift_scenario(config)
+        assert [(c.pool, c.n_scenes) for c in made] == [
+            (band, config.eval_per_band) for _, band in bench.SCENARIO_MEMBERS
+        ]
+
+    @pytest.mark.skipif(
+        multiprocessing.get_start_method() != "fork",
+        reason="only forked workers inherit the stand-in",
+    )
+    def test_member_failing_in_its_evaluation_is_named(self, monkeypatch):
+        """A member whose MC passes fail in its worker reaches the caller
+        as a plain RuntimeError naming it and the first sample."""
+
+        def failing(net, pixels, nu, base_seeds):
+            raise NumericError("non-finite activations after layer 0 (conv3x3)")
+
+        monkeypatch.setattr(bench, "mc_estimates", failing)
+        config = ScenarioConfig(
+            seed=5, eval_per_band=2, train_per_band=4, nu=2, epochs=1, channels=4
+        )
+        with pytest.raises(RuntimeError) as info:
+            band_shift_scenario(config)
+        assert type(info.value) is RuntimeError
+        assert str(info.value) == (
+            "member g-net failed: sample 0: non-finite activations after layer 0 (conv3x3)"
+        )

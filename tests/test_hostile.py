@@ -73,6 +73,13 @@ ROWS = {
     "apply_von_kries-zero-component": (
         lambda: apply_von_kries(image(), [1.0, 0.0, 1.0]), ValueError,
         "^estimate " + RGB_COMPONENTS),
+    "apply_von_kries-nan-pixel": (
+        lambda: apply_von_kries(image(math.nan), NEUTRAL), ValueError, "^image " + BAD_PIXEL),
+    "apply_von_kries-matrix": (
+        lambda: apply_von_kries(np.ones((5, 3)), NEUTRAL), ValueError,
+        r"^image must have shape \(H, W, 3\) with H, W >= 1, got \(5, 3\)$"),
+    "apply_von_kries-negative-pixel": (
+        lambda: apply_von_kries(image(-1.0), NEUTRAL), ValueError, "^image " + BAD_PIXEL),
     "check_label-stacked": (
         lambda: color.check_label([[0.6, 0.8, 1e-3]], "scene 7: "), ValueError,
         r"^scene 7: label must have shape \(3,\), got \(1, 3\)$"),

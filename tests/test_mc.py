@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 from mcde import mc
-from mcde.mc import MAX_NU, mc_estimate
+from mcde.mc import MAX_NU, mc_estimate, mc_estimates
 from mcde.nn import (
     Affine,
     Conv3x3,
@@ -27,6 +27,7 @@ from mcde.nn import (
     Relu,
     build,
 )
+from mcde.nn import network
 
 
 class StubNet:
@@ -371,3 +372,99 @@ class TestPrefixSharing:
             pass_by_pass(net, pixels, [PassSeed(0, i) for i in range(30)])
         with pytest.raises(NumericError, match=match):
             mc_estimate(net, pixels, nu=30)
+
+
+SCENE_NETS = {
+    "g-net": lambda: build("g-net", seed=120, channels=5, dropout_rate=0.4),
+    "m-net": lambda: build("m-net", seed=121, channels=5, dropout_rate=0.4),
+    "rate-0": lambda: build("g-net", seed=122, channels=5, dropout_rate=0.0),
+}
+
+
+class TestSceneAxis:
+    """``scene_passes`` and ``mc_estimates`` over S stacked scenes hold
+    the bytes of S one-scene calls, whatever blocks the scenes run in."""
+
+    @pytest.mark.parametrize("size,scenes", [(16, 7), (64, 3)])
+    @pytest.mark.parametrize("block_images", [None, 2])
+    @pytest.mark.parametrize("make", SCENE_NETS.values(), ids=SCENE_NETS.keys())
+    def test_stacked_scenes_equal_one_scene_calls(self, make, size, scenes, block_images,
+                                                  monkeypatch):
+        """By default 7 scenes of 16x16 run as one block and 64x64 scenes
+        one by one; with the budget shrunk to two images, in blocks of
+        two.  One base seed is 2**64 - 1, and one pass range ends there."""
+        if block_images is not None:
+            monkeypatch.setattr(network, "_BLOCK_BYTES", block_images * size * size * 3 * 4)
+        net = make()
+        rng = np.random.default_rng(size + scenes)
+        pixels = rng.uniform(0.0, 1.0, (scenes, size, size, 3)).astype(np.float32)
+        bases = [2**64 - 1, *range(1, scenes)]
+        for first in (0, 7, 2**64 - 30):
+            want = [net.forward_passes(one, PassSeed(base, first), 30)
+                    for one, base in zip(pixels, bases)]
+            got = net.scene_passes(pixels, bases, 30, first)
+            assert got.tobytes() == np.stack(want).tobytes()
+            assert net.scene_passes(list(pixels), bases, 30, first).tobytes() == got.tobytes()
+
+        mean, sigma, mu = mc_estimates(net, list(pixels), 30, bases)
+        for s, (p, base) in enumerate(zip(pixels, bases)):
+            one = mc_estimate(net, p, 30, base)
+            assert mean[s].tobytes() == one.mean.tobytes()
+            assert sigma[s].tobytes() == one.sigma.tobytes()
+            assert mu[s] == one.mu
+
+    def test_reduction_matches_the_one_scene_formula_bytewise(self):
+        """Scene by scene, the reduction over the scene axis gives the
+        bytes of the per-scene formula with ``np.mean`` and
+        ``np.linalg.norm``, including scenes whose passes all agree."""
+        rng = np.random.default_rng(130)
+        outs = rng.uniform(0.05, 1.0, (40, 30, 3))
+        outs[::7] = outs[::7, :1]
+        outs[3::5] = outs[3::5].astype(np.float32)
+        mean, sigma, mu = mc._reduce(outs)
+        for s, passes in enumerate(outs):
+            raw = passes.mean(axis=0)
+            spread = np.sqrt(np.mean((passes - raw) ** 2, axis=0))
+            if np.all(passes == passes[0]):
+                raw, spread = passes[0], np.zeros(3)
+            assert mean[s].tobytes() == (raw / np.linalg.norm(raw)).tobytes()
+            assert sigma[s].tobytes() == spread.tobytes()
+            assert mu[s] == float(spread.prod())
+
+    def test_one_seed_per_scene(self):
+        net = build("g-net", seed=124, channels=4, dropout_rate=0.3)
+        pixels = np.random.default_rng(125).uniform(0.0, 1.0, (3, 6, 6, 3))
+        with pytest.raises(ValueError, match="^one seed per scene: got 2 for 3 scenes$"):
+            net.scene_passes(pixels, [1, 2], 4)
+        with pytest.raises(ValueError, match="^one seed per scene: got 4 for 3 scenes$"):
+            mc_estimates(net, pixels, 4, [1, 2, 3, 4])
+        with pytest.raises(ValueError, match="^scene_passes needs at least one scene$"):
+            net.scene_passes(pixels[:0], [], 4)
+
+    def test_seeds_and_pass_range_are_checked(self):
+        net = build("m-net", seed=126, channels=4, dropout_rate=0.3)
+        pixels = np.random.default_rng(127).uniform(0.0, 1.0, (2, 6, 6, 3))
+        past = r"^passes 18446744073709551614 to 18446744073709551616 must lie in \[0, 2\*\*64\)$"
+        with pytest.raises(ValueError, match=past):
+            net.scene_passes(pixels, [1, 2], 3, 2**64 - 2)
+        with pytest.raises(ValueError, match=r"^base_seed must lie in \[0, 18446744073709551615\]"):
+            net.scene_passes(pixels, [1, 2**64], 3)
+        with pytest.raises(TypeError, match="^base_seed must be an integer"):
+            mc_estimates(net, pixels, 3, [1, 2.0])
+
+    @pytest.mark.parametrize("arch", ["g-net", "m-net"])
+    def test_scene_blocks_bound_the_peak(self, arch):
+        """Scenes run in ``_BLOCK_BYTES`` blocks, one 64x64 scene each:
+        32 scenes peaked at 1.03-1.04 times one scene (tracemalloc), and
+        at 16-19 times when run as one block."""
+        net = build(arch, seed=128, channels=12, dropout_rate=0.45)
+        pixels = np.random.default_rng(129).uniform(0.0, 1.0, (32, 64, 64, 3)).astype(np.float32)
+        peaks = []
+        for count in (1, 32):
+            tracemalloc.start()
+            try:
+                mc_estimates(net, pixels[:count], 30, list(range(count)))
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert peaks[1] <= 1.25 * peaks[0]

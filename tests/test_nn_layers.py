@@ -133,6 +133,29 @@ def test_conv_in_row_blocks_gives_the_one_block_bytes(window_bytes, monkeypatch)
         assert got.tobytes() == ref.tobytes()
 
 
+@pytest.mark.parametrize("window_bytes", [None, 9000])
+def test_conv_backward_reuses_one_block_of_windows_bit_for_bit(window_bytes, monkeypatch):
+    """The forward keeps its windows for the backward when they form one
+    block, and the parameter gradients are the bytes of windows rebuilt
+    from the padded input.  In several blocks, none are kept, and the
+    rebuilt blocks give the bytes of the one-block gradients."""
+    rng = np.random.default_rng(117)
+    layer = initialised(Conv3x3(4, 6), 118)
+    x = rng.normal(size=(7, 5, 6, 4)).astype(np.float32)
+    dy = rng.normal(size=(7, 5, 6, 6)).astype(np.float32)
+    _, (xp, windows) = layer.forward(x)
+    assert windows.shape == (7, 5 * 6, 9 * 4)
+    cached = layer.backward(dy, (xp, windows), need_dx=False)[1]
+    rebuilt = layer.backward(dy, (xp, None), need_dx=False)[1]
+    if window_bytes is not None:
+        monkeypatch.setattr(layers, "_WINDOW_BYTES", window_bytes)
+        _, (xp, windows) = layer.forward(x)
+        assert windows is None
+        rebuilt = layer.backward(dy, (xp, windows), need_dx=False)[1]
+    for name in layer.params:
+        assert cached[name].tobytes() == rebuilt[name].tobytes()
+
+
 class TestAffine:
     def test_matches_manual_matmul(self):
         rng = np.random.default_rng(34)

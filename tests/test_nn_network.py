@@ -200,9 +200,9 @@ class TestBackward:
         rows = []
         original = Network._run
 
-        def recording(self, x, seed, count):
+        def recording(self, x, *keys):
             rows.append(len(x))
-            return original(self, x, seed, count)
+            return original(self, x, *keys)
 
         monkeypatch.setattr(Network, "_run", recording)
         rng = np.random.default_rng(65)
@@ -302,7 +302,7 @@ def reference_backward(net, pixels, gt, seed):
     """Network.backward as a plain loop over all rows at once that asks
     every layer, layer 0 included, for its input gradient and sums the
     per-row gradients; returns (losses, grads, layer 0's dx)."""
-    pred, caches = net._run(net._images(pixels), seed, len(pixels))
+    pred, caches = net._run(net._images(pixels), [seed.base_seed], seed.pass_index, len(pixels))
     gt = np.asarray(gt, dtype=np.float64)
     grad = -gt
     grads = [None] * len(net.layers)
