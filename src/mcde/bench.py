@@ -201,23 +201,16 @@ class BenchReport:
     loss_traces: dict
 
 
-def _evaluate_samples(models, scenes, sample_ids, nu, base_seed, sog_p, estimates=None):
+def _evaluate_samples(names, scenes, sample_ids, estimates, sog_p):
     """Per-sample errors and uncertainties for one batch of scenes.
 
-    ``models`` is a list of (name, network) pairs, and ``estimates``
-    their ``_member_estimates`` on ``scenes``, computed here if not
-    given.  Each fusion variant fuses the whole batch in one
+    ``estimates`` holds member ``names[k]``'s ``_member_estimates`` on
+    ``scenes`` at k.  Each fusion variant fuses the whole batch in one
     ``fusion.combine`` call (once per fold), and each metric scores a
     method's estimates in one call; the ideal row is the members' least
     error.  An error is re-raised naming its sample id, and from a
     fusion or a metric also the method.
     """
-    model_names = [name for name, _ in models]
-    if estimates is None:
-        estimates = [
-            _member_estimates(net, k, scenes, sample_ids, nu, base_seed)
-            for k, (_, net) in enumerate(models)
-        ]
     rows = []
     for sample_id, scene in zip(sample_ids, scenes):
         try:
@@ -229,7 +222,7 @@ def _evaluate_samples(models, scenes, sample_ids, nu, base_seed, sog_p, estimate
     labels = np.array([scene.label for scene in scenes])
     columns = np.stack(rows, axis=1)  # (method, sample, 3)
     mus = [mu for _, mu in estimates]
-    if models:
+    if names:
         members = np.stack([means for means, _ in estimates])  # (member, sample, 3)
         means, sample_mus = members.swapaxes(0, 1), np.stack(mus, axis=1)
         fused = [
@@ -241,12 +234,12 @@ def _evaluate_samples(models, scenes, sample_ids, nu, base_seed, sog_p, estimate
     errors = {}
     # zip stops before the fusion rows when there is no member, and
     # before the ideal row, which has no estimate, when there is one.
-    for method, column in zip((*_BASELINE_ROWS, *model_names, *_FUSED_ROWS), columns):
+    for method, column in zip((*_BASELINE_ROWS, *names, *_FUSED_ROWS), columns):
         for metric, fn in METRICS.items():
             errors[(method, metric)] = _per_sample(fn, sample_ids, method, labels, column)
-    for metric in METRICS if models else ():
-        errors[("ideal", metric)] = np.min([errors[(m, metric)] for m in model_names], axis=0)
-    return errors, dict(zip(model_names, mus))
+    for metric in METRICS if names else ():
+        errors[("ideal", metric)] = np.min([errors[(m, metric)] for m in names], axis=0)
+    return errors, dict(zip(names, mus))
 
 
 def _member_estimates(net, k, scenes, sample_ids, nu, base_seed):
@@ -310,29 +303,35 @@ def train_member(spec: TrainableSpec, scenes, init_seed: int, train_seed: int):
 
 
 def _run_fold(dataset: Dataset, config: BenchConfig, spans, fold_index: int):
-    """(errors, uncertainties) of the fold's samples, and member -> loss trace."""
+    """(errors, uncertainties) of the fold's samples, and member -> loss trace.
+
+    Each member is evaluated right after it trains; an error from either
+    step is re-raised naming the member."""
     span = spans[fold_index]
     try:
         train_scenes = dataset.scenes[: span.start] + dataset.scenes[span.stop :]
-        models, traces = [], {}
-        for spec in config.trainables:
-            net, traces[spec.name] = train_member(
-                spec,
-                train_scenes,
-                init_seed=derive_seed("fold-init", config.base_seed, fold_index, spec.name),
-                train_seed=derive_seed("fold-train", config.base_seed, fold_index, spec.name),
-            )
-            models.append((spec.name, net))
         eval_scenes = dataset.scenes[span.start : span.stop]
-        batch = _evaluate_samples(
-            models, eval_scenes, list(span), config.nu, config.base_seed, config.sog_p
-        )
+        estimates, traces = [], {}
+        for k, spec in enumerate(config.trainables):
+            try:
+                net, traces[spec.name] = train_member(
+                    spec,
+                    train_scenes,
+                    init_seed=derive_seed("fold-init", config.base_seed, fold_index, spec.name),
+                    train_seed=derive_seed("fold-train", config.base_seed, fold_index, spec.name),
+                )
+                estimates.append(
+                    _member_estimates(net, k, eval_scenes, span, config.nu, config.base_seed)
+                )
+            except Exception as exc:
+                raise RuntimeError(f"{spec.name}: {exc}") from exc
+        batch = _evaluate_samples(list(traces), eval_scenes, span, estimates, config.sog_p)
         return batch, traces
     except Exception as exc:
         raise RuntimeError(f"fold {fold_index} failed: {exc}") from exc
 
 
-_worker_args = None  # a pool worker's arguments, shared by all of its tasks
+_worker_args = None  # a pool worker's task and its arguments, shared by all of its calls
 
 
 def _init_worker(*args) -> None:
@@ -340,30 +339,35 @@ def _init_worker(*args) -> None:
     _worker_args = args
 
 
-def _run_pooled_fold(fold_index: int):
-    return _run_fold(*_worker_args, fold_index)
+def _call_worker(i: int):
+    task, *args = _worker_args
+    return task(*args, i)
+
+
+def _map(task, args, n: int, workers: int) -> list:
+    """``[task(*args, i) for i in range(n)]``: here with one worker, else in
+    at most ``min(workers, n)`` forked worker processes.  A worker gets
+    ``task`` and ``args`` once, when it starts (it inherits them), and
+    each call only its index ``i``."""
+    workers = min(workers, n)
+    if workers <= 1:
+        return [task(*args, i) for i in range(n)]
+    with ProcessPoolExecutor(
+        max_workers=workers, initializer=_init_worker, initargs=(task, *args)
+    ) as pool:
+        return list(pool.map(_call_worker, range(n)))
 
 
 def crossval(dataset: Dataset, config: BenchConfig = BenchConfig()) -> BenchReport:
     """k-fold protocol: train members on the other k-1 folds, score the rest.
 
-    Folds are independent, so ``config.workers`` > 1 fans them out to
-    at most one worker process per fold.  A worker gets the dataset
-    once, when it starts (a forked one inherits it), and each task
-    only its fold index.  Results are merged in fold order and are
+    Folds are independent, so ``config.workers`` > 1 fans them out
+    through ``_map`` to at most one worker process per fold, which
+    inherits the dataset.  Results are merged in fold order and are
     identical for any worker count.
     """
     spans = folds(len(dataset.scenes), config.folds)
-    workers = min(config.workers, len(spans))
-    if workers > 1:
-        with ProcessPoolExecutor(
-            max_workers=workers,
-            initializer=_init_worker,
-            initargs=(dataset, config, spans),
-        ) as pool:
-            results = list(pool.map(_run_pooled_fold, range(len(spans))))
-    else:
-        results = [_run_fold(dataset, config, spans, i) for i in range(len(spans))]
+    results = _map(_run_fold, (dataset, config, spans), len(spans), config.workers)
     traces = {
         (i, name): trace
         for i, (_, by_name) in enumerate(results)
@@ -466,8 +470,9 @@ def _scenario_member(config: ScenarioConfig, eval_scenes, index: int):
     """Train member ``index`` of ``SCENARIO_MEMBERS`` on scenes of its band,
     which it generates itself, and evaluate it on ``eval_scenes``.
 
-    Runs in a worker process and returns (net, loss trace, its
-    ``_member_estimates``); an error is re-raised naming the member.
+    Runs in a worker process and returns (loss trace, its
+    ``_member_estimates``); the network stays there.  An error is
+    re-raised naming the member.
     """
     spec, (_, band) = config.specs()[index], SCENARIO_MEMBERS[index]
     try:
@@ -479,27 +484,23 @@ def _scenario_member(config: ScenarioConfig, eval_scenes, index: int):
         )
         mc_seed = derive_seed("scenario-mc", config.seed)
         ids = range(len(eval_scenes))
-        return net, trace, _member_estimates(net, index, eval_scenes, ids, config.nu, mc_seed)
+        return trace, _member_estimates(net, index, eval_scenes, ids, config.nu, mc_seed)
     except Exception as exc:
         raise RuntimeError(f"member {spec.name} failed: {exc}") from exc
-
-
-def _run_pooled_member(index: int):
-    return _scenario_member(*_worker_args, index)
 
 
 def band_shift_scenario(config: ScenarioConfig = ScenarioConfig()) -> BenchReport:
     """Train one member per band, evaluate on the union of both bands.
 
     This process generates the evaluation scenes first.  The members
-    are independent until fusion, so each then trains in its own forked
-    worker process, which inherits the evaluation scenes, generates its
-    band's training scenes itself and runs its MC passes on every
-    evaluation scene: only the network, its loss trace and its
-    estimates travel back.  This process then scores the baselines,
-    the members and the fusion.  Every seed is fixed by the config, so
-    the report is the same, bit for bit, as training and evaluating the
-    members one after the other here.
+    are independent until fusion, so ``_map`` then runs each in its own
+    forked worker process, which inherits the evaluation scenes,
+    generates its band's training scenes itself, trains its member and
+    runs its MC passes on every evaluation scene: only the loss trace
+    and the estimates travel back.  This process then scores the
+    baselines, the members and the fusion.  Every seed is fixed by the
+    config, so the report is the same, bit for bit, as training and
+    evaluating the members one after the other here.
     """
     specs, bands = config.specs(), [band for _, band in SCENARIO_MEMBERS]
     eval_scenes = [
@@ -507,20 +508,10 @@ def band_shift_scenario(config: ScenarioConfig = ScenarioConfig()) -> BenchRepor
         for band in bands
         for scene in _band_scenes(config, config.eval_per_band, band, "scenario-eval")
     ]
-    with ProcessPoolExecutor(
-        max_workers=len(specs), initializer=_init_worker, initargs=(config, eval_scenes)
-    ) as pool:
-        trained = list(pool.map(_run_pooled_member, range(len(specs))))
-    batch = _evaluate_samples(
-        [(spec.name, net) for spec, (net, _, _) in zip(specs, trained)],
-        eval_scenes,
-        range(len(eval_scenes)),
-        config.nu,
-        derive_seed("scenario-mc", config.seed),
-        config.sog_p,
-        estimates=[estimates for _, _, estimates in trained],
-    )
+    trained = _map(_scenario_member, (config, eval_scenes), len(specs), len(specs))
+    traces, estimates = zip(*trained)
+    names = [spec.name for spec in specs]
+    batch = _evaluate_samples(names, eval_scenes, range(len(eval_scenes)), estimates, config.sog_p)
     echo = {"protocol": "band-shift-scenario", "format_version": 1, **asdict(config)}
     echo["members"] = [list(member) for member in SCENARIO_MEMBERS]
-    traces = {spec.name: trace for spec, (_, trace, _) in zip(specs, trained)}
-    return _report(echo, [batch], traces)
+    return _report(echo, [batch], dict(zip(names, traces)))

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from mcde.color import METRICS, check_pixels, from_spherical, to_spherical
+from mcde.color import METRICS, from_spherical, to_spherical
 from mcde.mc import MCEstimate, mc_estimate
 from mcde.seeding import derive_seed
 
@@ -139,10 +139,10 @@ def mcde(nets, pixels, nu: int = 30, base_seed: int = 0, variant: str = "log") -
     With a single member the fused output is that member's MC mean (up
     to the spherical round-trip); with one member far more certain than
     the rest the fusion follows it.  An unknown ``variant`` and pixels
-    that ``check_pixels`` refuses fail before any pass runs.
+    that ``check_pixels`` refuses fail before any pass runs: the first
+    member's ``mc_estimate`` checks them.
     """
     _g(variant)
-    check_pixels(pixels, "image ")
     return fuse(ensemble_estimates(nets, pixels, nu, base_seed), variant)
 
 

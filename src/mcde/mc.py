@@ -21,6 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from mcde._check import check_int
+from mcde.color import check_pixels
 from mcde.nn.network import PassSeed
 
 __all__ = ["MAX_NU", "MCEstimate", "mc_estimate", "mc_estimates"]
@@ -57,9 +58,11 @@ def mc_estimate(net, pixels, nu: int = 30, base_seed: int = 0) -> MCEstimate:
     returns bit-identical outputs (dropout rate 0, or a single pass)
     the spread is exactly zero; the short-circuit avoids spurious
     round-off from averaging identical values.  This is the one-scene
-    case of ``mc_estimates``.
+    case of ``mc_estimates``.  Pixels that ``check_pixels`` refuses fail
+    before any pass runs.
     """
     check_int("nu", nu, 1, MAX_NU)
+    check_pixels(pixels, "image ")
     mean, sigma, mu = _reduce(net.forward_passes(pixels, PassSeed(base_seed), nu)[None])
     return MCEstimate(mean=mean[0], sigma=sigma[0], mu=float(mu[0]))
 
@@ -71,9 +74,12 @@ def mc_estimates(net, pixels, nu: int, base_seeds) -> tuple[np.ndarray, np.ndarr
     ``pixels`` is a list or a stacked array of scenes of one shape, and
     scene s's row holds the bytes of ``mc_estimate(net, pixels[s], nu,
     base_seeds[s])``: the passes run in ``Network.scene_passes``' blocks
-    of scenes.
+    of scenes.  Every scene is checked by ``check_pixels`` before any
+    pass runs, and a refused one is named by its index.
     """
     check_int("nu", nu, 1, MAX_NU)
+    for s, scene in enumerate(pixels):
+        check_pixels(scene, f"scene {s} ")
     return _reduce(net.scene_passes(pixels, base_seeds, nu))
 
 

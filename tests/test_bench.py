@@ -105,6 +105,31 @@ def built_member(spec, scenes, init_seed, train_seed):
     return net, []
 
 
+def in_process_pool(monkeypatch):
+    """Put a recording stand-in for ``ProcessPoolExecutor`` into ``bench``,
+    which runs the pool's initializer and map in this process, and
+    return the list of each pool's ``max_workers``."""
+    pools = []
+
+    class InProcessPool:
+        def __init__(self, max_workers, initializer, initargs):
+            pools.append(max_workers)
+            initializer(*initargs)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, items):
+            return map(fn, items)
+
+    monkeypatch.setattr(bench, "ProcessPoolExecutor", InProcessPool)
+    monkeypatch.setattr(bench, "_worker_args", None)
+    return pools
+
+
 @pytest.fixture(scope="module")
 def tiny_report():
     dataset = gen_dataset(
@@ -368,34 +393,53 @@ class TestCrossval:
         for name in one.uncertainties:
             np.testing.assert_array_equal(one.uncertainties[name], two.uncertainties[name])
 
-    @pytest.mark.parametrize("workers,started", [(1, []), (2, [2]), (5000, [3])])
+    @pytest.mark.parametrize(
+        "workers,started",
+        [(1, []), (2, [2]), (5000, [3]),
+         pytest.param(None, [len(bench.SCENARIO_MEMBERS)], id="scenario")],
+    )
     def test_at_most_one_worker_per_fold(self, workers, started, monkeypatch):
         """A recording stand-in for the pool: 5000 workers for 3 folds
-        start 3 processes, and one worker starts none."""
-        pools = []
-
-        class RecordingPool:
-            def __init__(self, max_workers, initializer, initargs):
-                pools.append(max_workers)
-                initializer(*initargs)
-
-            def __enter__(self):
-                return self
-
-            def __exit__(self, *exc):
-                return False
-
-            def map(self, fn, items):
-                return map(fn, items)
-
-        monkeypatch.setattr(bench, "ProcessPoolExecutor", RecordingPool)
-        monkeypatch.setattr(bench, "_worker_args", None)
+        start 3 processes, and one worker starts none.  The scenario
+        (``workers`` None), which has no worker count, starts one pool of
+        one worker per member.  Each report equals the one run without
+        the stand-in."""
         dataset = grey_scene_dataset(n=6)
-        report = crossval(dataset, tiny_config(folds=3, workers=workers, trainables=()))
+        scenario = ScenarioConfig(
+            seed=5, eval_per_band=2, train_per_band=4, nu=2, epochs=1, channels=4
+        )
+
+        def run(**kw):
+            if workers is None:
+                return band_shift_scenario(scenario)
+            return crossval(dataset, tiny_config(folds=3, trainables=(), **kw))
+
+        reference = run()
+        pools = in_process_pool(monkeypatch)
+        report = run(workers=workers)
         assert pools == started
-        reference = crossval(dataset, tiny_config(folds=3, trainables=()))
+        assert report.errors.keys() == reference.errors.keys()
         for key in reference.errors:
-            np.testing.assert_array_equal(report.errors[key], reference.errors[key])
+            assert report.errors[key].tobytes() == reference.errors[key].tobytes()
+        for name in reference.uncertainties:
+            assert report.uncertainties[name].tobytes() == reference.uncertainties[name].tobytes()
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_runs_the_fold_function_it_finds_at_call_time(self, workers, monkeypatch):
+        """``crossval`` looks ``bench._run_fold`` up when it is called and
+        runs it once per fold, in fold order, as ``perfbench/tracer.py``
+        relies on when it wraps that attribute.  The pool is a recording
+        stand-in, so its calls are seen here."""
+        run_fold, seen = bench._run_fold, []
+
+        def recording(dataset, config, spans, fold_index):
+            seen.append(fold_index)
+            return run_fold(dataset, config, spans, fold_index)
+
+        in_process_pool(monkeypatch)
+        monkeypatch.setattr(bench, "_run_fold", recording)
+        crossval(grey_scene_dataset(n=6), tiny_config(folds=3, workers=workers, trainables=()))
+        assert seen == [0, 1, 2]
 
     @pytest.mark.parametrize(
         "value,error,message",
@@ -462,9 +506,20 @@ class TestCrossval:
         dataset = grey_scene_dataset(n=6)
         dataset.scenes[5].label = np.ones(3)
         with pytest.raises(
-            RuntimeError, match=r"^fold 0 failed: scene 2: label must have unit norm, got 1\.73"
+            RuntimeError,
+            match=r"^fold 0 failed: g-net: scene 2: label must have unit norm, got 1\.73",
         ):
             crossval(dataset, tiny_config())
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_diverging_member_is_named_with_its_fold(self):
+        """g-net trains; m-net, at a learning rate of 1e30, does not."""
+        g_net, m_net = tiny_config().trainables
+        m_net = bench.fill(TrainableSpec, m_net, learning_rate=1e30)
+        with pytest.raises(
+            RuntimeError, match="^fold 0 failed: m-net: training diverged at epoch "
+        ):
+            crossval(grey_scene_dataset(n=6), tiny_config(trainables=(g_net, m_net)))
 
     @pytest.mark.parametrize("make", [BenchConfig, ScenarioConfig], ids=["bench", "scenario"])
     def test_too_many_passes_fail_at_construction(self, make):
@@ -707,27 +762,28 @@ class TestBandShiftScenario:
             assert report.uncertainties[name].shape == (6,)
 
     def test_members_match_in_process_training_bitwise(self, monkeypatch):
-        """The members trained in worker processes equal, byte for byte,
-        ``train_member`` run here on the same scenes and seeds, and so
-        do the report's errors and uncertainties.  The reference spells
-        out the member table and generates scenes at ``GenConfig``'s
-        defaults."""
+        """The loss traces of the members trained in worker processes
+        equal, byte for byte, ``train_member`` run here on the same scenes
+        and seeds, and the report's errors and uncertainties equal
+        ``_evaluate_samples`` of those members' ``_member_estimates``.
+        The reference spells out the member table and generates scenes
+        at ``GenConfig``'s defaults."""
         config = ScenarioConfig(
             seed=6, eval_per_band=3, train_per_band=6, nu=2, epochs=2, channels=4
         )
         calls = []
         evaluate = bench._evaluate_samples
 
-        def recording(models, *args, estimates):
-            calls.append((models, args))
-            return evaluate(models, *args, estimates=estimates)
+        def recording(*args):
+            calls.append(args)
+            return evaluate(*args)
 
         monkeypatch.setattr(bench, "_evaluate_samples", recording)
         report = band_shift_scenario(config)
-        ((models, eval_args),) = calls
+        ((names, eval_scenes, sample_ids, _, sog_p),) = calls
 
-        reference = []
-        for name, band in (("g-net", "band-a"), ("m-net", "band-b")):
+        estimates = []
+        for k, (name, band) in enumerate((("g-net", "band-a"), ("m-net", "band-b"))):
             spec = TrainableSpec(
                 name=name,
                 arch=name,
@@ -750,18 +806,14 @@ class TestBandShiftScenario:
                 init_seed=derive_seed("scenario-init", config.seed, name),
                 train_seed=derive_seed("scenario-train-loop", config.seed, name),
             )
-            reference.append((name, net))
             assert report.loss_traces[name] == trace
+            mc_seed = derive_seed("scenario-mc", config.seed)
+            estimates.append(
+                bench._member_estimates(net, k, eval_scenes, sample_ids, config.nu, mc_seed)
+            )
 
-        assert [name for name, _ in models] == [name for name, _ in reference]
-        for (_, net), (_, ref) in zip(models, reference):
-            assert len(net.layers) == len(ref.layers)
-            for layer, ref_layer in zip(net.layers, ref.layers):
-                assert set(layer.params) == set(ref_layer.params)
-                for key, value in layer.params.items():
-                    assert value.tobytes() == ref_layer.params[key].tobytes()
-
-        errors, uncertainties = evaluate(reference, *eval_args)
+        assert names == ["g-net", "m-net"]
+        errors, uncertainties = evaluate(names, eval_scenes, sample_ids, estimates, sog_p)
         assert set(report.errors) == set(errors)
         for key, values in errors.items():
             assert report.errors[key].tobytes() == np.array(values).tobytes()

@@ -17,6 +17,7 @@ from mcde.bench import stats
 from mcde.color import NEUTRAL, Scene, apply_von_kries, normalize, to_spherical
 from mcde.datagen import GenConfig, gen_scene
 from mcde.fusion import aggregate, mcde
+from mcde.mc import mc_estimate, mc_estimates
 from mcde.nn import TrainConfig, build, train
 from mcde.seeding import derive_seed
 
@@ -34,8 +35,12 @@ def image(bad=None, shape=(8, 8, 3)):
     return pixels
 
 
+def net():
+    return build("g-net", seed=3, channels=4, dropout_rate=0.3)
+
+
 def estimate(pixels):
-    return mcde([build("g-net", seed=3, channels=4, dropout_rate=0.3)], pixels, nu=2)
+    return mcde([net()], pixels, nu=2)
 
 
 def fit(pixels):
@@ -105,6 +110,13 @@ ROWS = {
     "mcde-4-channels": (
         lambda: estimate(image(shape=(8, 8, 4))), ValueError,
         r"^image must have shape \(H, W, 3\) with H, W >= 1, got \(8, 8, 4\)$"),
+    "mc_estimate-negative-pixel": (
+        lambda: mc_estimate(net(), image(-5.0), nu=2), ValueError, "^image " + BAD_PIXEL),
+    "mc_estimate-inf-pixel": (
+        lambda: mc_estimate(net(), image(math.inf), nu=2), ValueError, "^image " + BAD_PIXEL),
+    "mc_estimates-bad-second-scene": (
+        lambda: mc_estimates(net(), [image(), image(-5.0)], 2, [1, 2]), ValueError,
+        "^scene 1 " + BAD_PIXEL),
     "train-negative-pixel": (lambda: fit(image(-5.0)), ValueError, "^scene 0 " + BAD_PIXEL),
     "train-nan-pixel": (lambda: fit(image(math.nan)), ValueError, "^scene 0 " + BAD_PIXEL),
     "train-4-channels": (

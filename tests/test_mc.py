@@ -30,6 +30,9 @@ from mcde.nn import (
 from mcde.nn import network
 
 
+GREY = np.full((2, 2, 3), 0.5)  # pixels for a stub, which ignores them
+
+
 class StubNet:
     """Scripted stand-in for a Network: output depends only on pass index."""
 
@@ -68,7 +71,7 @@ class TestReduction:
             [0.75, 0.75, 0.5],
             [0.25, 1.0, 0.25],
         ]
-        est = mc_estimate(StubNet(outputs), None, nu=4, base_seed=0)
+        est = mc_estimate(StubNet(outputs), GREY, nu=4, base_seed=0)
         want_mean, want_sigma, want_mu = brute_force(outputs)
         np.testing.assert_allclose(est.mean, want_mean, atol=1e-15)
         np.testing.assert_allclose(est.sigma, want_sigma, atol=1e-15)
@@ -76,35 +79,35 @@ class TestReduction:
 
     def test_population_convention_two_passes(self):
         """With two passes the spread is |a - b| / 2, not |a - b| / sqrt(2)."""
-        est = mc_estimate(StubNet([[0.2, 0.4, 0.6], [0.6, 0.2, 0.6]]), None, nu=2)
+        est = mc_estimate(StubNet([[0.2, 0.4, 0.6], [0.6, 0.2, 0.6]]), GREY, nu=2)
         np.testing.assert_allclose(est.sigma, [0.2, 0.1, 0.0], atol=1e-15)
 
     def test_matches_brute_force_on_random_outputs(self):
         rng = np.random.default_rng(70)
         outputs = rng.uniform(0.1, 1.0, (30, 3))
-        est = mc_estimate(StubNet(outputs), None, nu=30)
+        est = mc_estimate(StubNet(outputs), GREY, nu=30)
         want_mean, want_sigma, want_mu = brute_force(list(outputs))
         np.testing.assert_allclose(est.mean, want_mean, atol=1e-12)
         np.testing.assert_allclose(est.sigma, want_sigma, atol=1e-12)
         assert est.mu == pytest.approx(want_mu, abs=1e-12)
 
     def test_identical_outputs_give_exactly_zero_sigma(self):
-        est = mc_estimate(StubNet([[0.3, 0.3, 0.9]]), None, nu=7)
+        est = mc_estimate(StubNet([[0.3, 0.3, 0.9]]), GREY, nu=7)
         assert np.all(est.sigma == 0.0)
         assert est.mu == 0.0
 
     def test_single_pass_sigma_is_zero(self):
-        est = mc_estimate(StubNet([[0.1, 0.2, 0.9], [0.5, 0.5, 0.5]]), None, nu=1)
+        est = mc_estimate(StubNet([[0.1, 0.2, 0.9], [0.5, 0.5, 0.5]]), GREY, nu=1)
         assert np.all(est.sigma == 0.0)
 
     def test_mean_is_unit_norm(self):
         rng = np.random.default_rng(71)
-        est = mc_estimate(StubNet(rng.uniform(0.1, 1.0, (8, 3))), None, nu=8)
+        est = mc_estimate(StubNet(rng.uniform(0.1, 1.0, (8, 3))), GREY, nu=8)
         assert np.linalg.norm(est.mean) == pytest.approx(1.0, abs=1e-12)
 
     def test_nu_must_be_positive(self):
         with pytest.raises(ValueError):
-            mc_estimate(StubNet([[1.0, 1.0, 1.0]]), None, nu=0)
+            mc_estimate(StubNet([[1.0, 1.0, 1.0]]), GREY, nu=0)
 
     def test_nu_above_max_is_rejected_before_any_pass_seed(self, monkeypatch):
         """An unbounded nu would draw one mask row per pass up front."""
@@ -114,12 +117,12 @@ class TestReduction:
 
         monkeypatch.setattr(mc, "PassSeed", no_seeds)
         with pytest.raises(ValueError, match=f"nu must lie in \\[1, {MAX_NU}\\]"):
-            mc_estimate(StubNet([[1.0, 1.0, 1.0]]), None, nu=MAX_NU + 1)
+            mc_estimate(StubNet([[1.0, 1.0, 1.0]]), GREY, nu=MAX_NU + 1)
 
     @pytest.mark.parametrize("nu", [True, False, 2.5, 3.0, "30", None])
     def test_nu_must_be_an_integer(self, nu):
         with pytest.raises(TypeError, match="nu must be an integer"):
-            mc_estimate(StubNet([[1.0, 1.0, 1.0]]), None, nu=nu)
+            mc_estimate(StubNet([[1.0, 1.0, 1.0]]), GREY, nu=nu)
 
 
 class TestRealNetworks:
