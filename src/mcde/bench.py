@@ -40,7 +40,7 @@ import numpy as np
 
 from mcde import baselines, fusion
 from mcde._check import check_int, check_real
-from mcde.color import METRICS
+from mcde.color import METRICS, check_label, check_pixels
 from mcde.datagen import MAX_PIXELS, Dataset, GenConfig, folds, gen_dataset
 from mcde.mc import MAX_NU, mc_estimates
 from mcde.nn.archs import ARCHITECTURES, build, stack
@@ -364,8 +364,13 @@ def crossval(dataset: Dataset, config: BenchConfig = BenchConfig()) -> BenchRepo
     Folds are independent, so ``config.workers`` > 1 fans them out
     through ``_map`` to at most one worker process per fold, which
     inherits the dataset.  Results are merged in fold order and are
-    identical for any worker count.
+    identical for any worker count.  Every scene is checked by
+    ``check_pixels`` and ``check_label`` before any fold starts, and a
+    refused one is named by its index in the dataset.
     """
+    for i, scene in enumerate(dataset.scenes):
+        check_pixels(scene.pixels, f"scene {i} ")
+        check_label(scene.label, f"scene {i}: ")
     spans = folds(len(dataset.scenes), config.folds)
     results = _map(_run_fold, (dataset, config, spans), len(spans), config.workers)
     traces = {

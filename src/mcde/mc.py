@@ -22,18 +22,14 @@ import numpy as np
 
 from mcde._check import check_int
 from mcde.color import check_pixels
+from mcde.nn import network
 from mcde.nn.network import PassSeed
 
 __all__ = ["MAX_NU", "MCEstimate", "mc_estimate", "mc_estimates"]
 
-# MC passes per model, about 30x the default.  Masks are drawn layer by
-# layer inside the one layer loop, and from the first Dropout on the
-# activations hold one row per pass of each scene of a block: at nu=1000,
-# g-net and m-net peak at 1.2 and 0.9 MiB on one 64x64 scene and at
-# 4.9 MiB on a block of 21 16x16 scenes (tracemalloc), but a 12-channel
-# conv after a Dropout (only in a network built in Python) at 578 and
-# 807 MiB, and an unbounded nu scales that.
-MAX_NU = 1000
+# MC passes per model: ``Network.scene_passes``' bound, kept here for the
+# callers that check nu up front.
+MAX_NU = network.MAX_NU
 
 
 @dataclass(frozen=True)

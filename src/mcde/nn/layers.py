@@ -41,29 +41,19 @@ __all__ = [
 # whatever this is.
 PARAM_DTYPE = np.float32
 
-# Conv3x3's 3x3 windows take nine times its input, so ``_windows`` copies
-# them in blocks of rows of at most this many bytes.  A stock call is one
-# block of at most 64 KiB of pixels (``network._BLOCK_BYTES``): a training
-# block, whose windows the backward reuses (221 KB at 16x16 with 8 rows,
-# 442 KB at 64x64), or a block of MC scenes.  A conv after a Dropout, with
-# one row per MC pass, is several.
-_WINDOW_BYTES = 1024 * 1024
-
 
 class Conv3x3:
     """3x3 same-padding convolution, stride 1, channels-last, as one
     matrix product per row (Chellapilla, Puri & Simard 2006).
 
-    The forward multiplies each row's (H*W, 9*c_in) matrix of 3x3
-    windows (``_windows``) by the weights as a (9*c_in, c_out) matrix and
-    adds the bias.  The backward multiplies the same windows by the
-    output gradient for each row's weight gradient: the forward's, which
-    its cache keeps when they form one block (every stock training
-    step), or else rebuilt block by block from the cached padded input,
-    so a large input holds no extra memory.  The input gradient, not
-    asked of a network's lowest layer with parameters, takes one product
-    per tap.  A row's bytes depend neither on the other rows nor on the
-    blocks the windows are copied in.
+    The forward copies each row's (H*W, 9*c_in) matrix of 3x3 windows
+    (``_windows``) once, multiplies it by the weights as a (9*c_in,
+    c_out) matrix and adds the bias.  The windows are its cache, and the
+    backward multiplies them by the output gradient for each row's
+    weight gradient.  The input gradient, not asked of a network's
+    lowest layer with parameters, takes one product per tap.  Windows
+    take nine times the input; ``Network`` sizes its blocks of rows by
+    them.  A row's bytes do not depend on the other rows.
     """
 
     kind = "conv3x3"
@@ -81,28 +71,19 @@ class Conv3x3:
         *lead, h, w, _ = x.shape
         xp = np.zeros((*lead, h + 2, w + 2, self.c_in), x.dtype)
         xp[..., 1:-1, 1:-1, :] = x
-        xp = xp.reshape(-1, h + 2, w + 2, self.c_in)
-        weight = self.params["W"].reshape(-1, self.c_out)
-        y = np.empty((len(xp), h * w, self.c_out), x.dtype)
-        for rows, windows in _windows(xp, h, w):
-            np.matmul(windows, weight, out=y[rows])
+        windows = _windows(xp.reshape(-1, h + 2, w + 2, self.c_in), h, w)
+        y = windows @ self.params["W"].reshape(-1, self.c_out)
         y += self.params["b"]
-        one_block = windows if rows.start == 0 else None  # the last block is the first
-        return y.reshape(*lead, h, w, self.c_out), (xp, one_block)
+        return y.reshape(*lead, h, w, self.c_out), windows
 
-    def backward(self, dy, cache, need_dx=True):
-        xp, one_block = cache
+    def backward(self, dy, windows, need_dx=True):
         n, h, w, _ = dy.shape
         weight = self.params["W"]
-        d_weight = np.empty((n, 9 * self.c_in, self.c_out), xp.dtype)
-        dy_rows = dy.reshape(n, -1, self.c_out)
-        blocks = _windows(xp, h, w) if one_block is None else [(slice(0, n), one_block)]
-        for rows, windows in blocks:
-            np.matmul(windows.transpose(0, 2, 1), dy_rows[rows], out=d_weight[rows])
+        d_weight = windows.transpose(0, 2, 1) @ dy.reshape(n, -1, self.c_out)
         grads = {"W": d_weight.reshape(n, *weight.shape), "b": _pixel_sums(dy)}
         if not need_dx:
             return None, grads
-        dxp = np.zeros_like(xp)
+        dxp = np.zeros((n, h + 2, w + 2, self.c_in), windows.dtype)
         for ki in range(3):
             for kj in range(3):
                 dxp[:, ki : ki + h, kj : kj + w] += dy @ weight[ki, kj].T
@@ -110,23 +91,19 @@ class Conv3x3:
 
 
 def _windows(xp, h, w):
-    """(rows, windows) per block of rows of padded (R, h + 2, w + 2, C) maps.
+    """An (R, h * w, 9 * C) copy of each pixel's 3x3 window in padded
+    (R, h + 2, w + 2, C) maps, ordered (ki, kj, c) like a conv weight's
+    first three axes.
 
-    ``windows`` is an (r, h * w, 9 * C) copy of each pixel's 3x3 window,
-    ordered (ki, kj, c) like a conv weight's first three axes.  It comes
-    from one strided view of ``xp`` whose elements are the 3 * C values
-    of a window's row, contiguous in ``xp``, so numpy copies a row of a
-    window at a time, not a channel.  A block holds as many rows as fit
-    in ``_WINDOW_BYTES``, and at least one.
+    It comes from one strided view of ``xp`` whose elements are the
+    3 * C values of a window's row, contiguous in ``xp``, so numpy
+    copies a row of a window at a time, not a channel.
     """
     n, _, _, c = xp.shape
     s_r, s_h, s_w, _ = xp.strides
     run = np.dtype((np.void, 3 * c * xp.itemsize))
-    step = max(1, _WINDOW_BYTES // (3 * h * w * run.itemsize))
-    for r in range(0, n, step):
-        k = min(step, n - r)
-        view = np.ndarray((k, h, w, 3), run, xp, r * s_r, (s_r, s_h, s_w, s_h))
-        yield slice(r, r + k), view.copy().view(xp.dtype).reshape(k, h * w, 9 * c)
+    view = np.ndarray((n, h, w, 3), run, xp, 0, (s_r, s_h, s_w, s_h))
+    return view.copy().view(xp.dtype).reshape(n, h * w, 9 * c)
 
 
 class Affine:

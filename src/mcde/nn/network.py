@@ -2,28 +2,34 @@
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from enum import Enum
 
 import numpy as np
 
 from mcde._check import check_int
-from mcde.nn.layers import PARAM_DTYPE, Dropout, MaxPool, MeanPool
+from mcde.nn.layers import PARAM_DTYPE, Conv3x3, Dropout, MaxPool, MeanPool
 from mcde.seeding import MAX_SEED
 
-__all__ = ["Mode", "Network", "NumericError", "PassSeed", "cosine_loss"]
+__all__ = ["MAX_NU", "Mode", "Network", "NumericError", "PassSeed", "cosine_loss"]
 
-# Network.backward runs a mini-batch in blocks of rows whose pixels, in the
-# parameters' dtype, fit in about this many bytes: float32 16x16 batches of
-# 8 run whole, 64x64 images (48 KiB) one by one.  With the heap set up as
-# ``train`` sets it, neither way faults, and 64x64 training took 1.09-1.38
-# (g-net) and 0.94-1.16 ms (m-net) per image one by one against 1.04-1.31
-# and 0.88-1.01 ms in whole batches of 8, peaking at 39 against 44-45 MiB
-# (2-core VM, one thread, 5 runs each): a gain inside the spread, for 15%
-# more peak.  ``scene_passes`` runs MC scenes in blocks by the same rule,
-# 21 scenes of 16x16 or one of 64x64: all 400 of band-shift's 16x16 scenes
-# in one block took its perfbench peak RSS from 45.1 to 59.5 MiB.
-_BLOCK_BYTES = 64 * 1024
+# The one memory budget of a pass: ``_block_rows`` fits in it the largest
+# array that one row of a block builds.  A stock network's is its first
+# conv's windows, 27 float32 values a pixel, so 16x16 training batches of
+# 8 (221 KB) run whole and 64x64 images (442 KB) one by one: 1.09-1.38
+# (g-net) and 0.94-1.16 ms (m-net) per image, against 1.04-1.31 and
+# 0.88-1.01 ms in batches of 8, peaking at 39 against 44-45 MiB (2-core
+# VM, one thread, 5 runs each).  MC scenes run 21 at 16x16 or one at
+# 64x64: all 400 of band-shift's in one block took its perfbench peak RSS
+# from 45.1 to 59.5 MiB.
+_BLOCK_BYTES = 9 * 64 * 1024
+
+# MC passes per ``scene_passes`` call, about 30x the default nu: from the
+# first Dropout on, masks and activations hold one row per pass.  At
+# nu=1000, g-net and m-net peak at 0.7 MiB on one 64x64 scene and at 4.3
+# and 4.0 MiB on 21 16x16 scenes (tracemalloc).
+MAX_NU = 1000
 
 # Mask keys are numpy uint64 arrays, which wrap mod 2**64 by themselves,
 # and take their constants as numpy scalars, which a ufunc does not
@@ -127,8 +133,8 @@ class Network:
             raise ValueError("mc forward passes require a PassSeed")
         x = self._images(np.asarray(pixels)[None])
         if mode is not Mode.MC:
-            return self._run(x, None, 0, 1)[0][0]
-        return self._run(x, [seed.base_seed], seed.pass_index, 1)[0][0]
+            return self._run(x, None, 0, 1)[0]
+        return self._run(x, [seed.base_seed], seed.pass_index, 1)[0]
 
     def forward_passes(self, pixels, seed: PassSeed, count: int) -> np.ndarray:
         """MC passes ``seed.pass_index`` to ``seed.pass_index + count - 1``
@@ -147,9 +153,9 @@ class Network:
 
         Row (s, k) of scene s of ``pixels`` (a list or a stacked array)
         equals ``forward(pixels[s], Mode.MC, PassSeed(base_seeds[s],
-        first + k))`` bit for bit.  Scenes run in blocks of rows sized as
-        ``backward``'s, and each layer runs once per block for all of its
-        scenes' passes.
+        first + k))`` bit for bit.  ``count`` is at most ``MAX_NU``.  Each
+        layer runs once per block for all passes of ``_block_rows``' rows
+        of scenes, or, where it splits them, of a scene's rows of passes.
         """
         if not len(pixels):
             raise ValueError("scene_passes needs at least one scene")
@@ -158,12 +164,18 @@ class Network:
         for base in base_seeds:
             check_int("base_seed", base, 0, MAX_SEED)
         _check_passes(first, count)
-        step, outs = self._block_rows(pixels), []
-        for r in range(0, len(pixels), step):
-            x = self._images(pixels[r : r + step])
-            out = self._run(x, base_seeds[r : r + step], first, count)[0]  # frees the caches now
-            outs.append(out.reshape(len(x), -1, *out.shape[1:]))  # (r, count or 1, ...)
-        out = outs[0] if len(outs) == 1 else np.concatenate(outs)
+        if count > MAX_NU:
+            raise ValueError(f"count must be at most MAX_NU = {MAX_NU}, got {count}")
+        step, split = self._block_rows(pixels)
+        scenes, passes = (1, step) if split else (step, count)
+        outs = []
+        for r in range(0, len(pixels), scenes):
+            x, bases = self._images(pixels[r : r + scenes]), base_seeds[r : r + scenes]
+            for k in range(first, first + count, passes):
+                out = self._run(x, bases, k, min(passes, first + count - k))
+                outs.append(out.reshape(len(x), -1, *out.shape[1:]))  # (r, passes or 1, ...)
+        joined = np.concatenate(outs, axis=int(split)) if len(outs) > 1 else outs[0]
+        out = joined.reshape(len(pixels), -1, *out.shape[1:])  # (S, count or 1, ...)
         return out if out.shape[1] == count else np.repeat(out, count, axis=1)
 
     def _dtype(self):
@@ -172,11 +184,24 @@ class Network:
         dtypes = (p.dtype for layer in self.layers for p in layer.params.values())
         return next(dtypes, np.dtype(PARAM_DTYPE))
 
-    def _block_rows(self, pixels) -> int:
-        """Images of ``pixels`` per block: as many as fit in ``_BLOCK_BYTES``
-        in the parameters' dtype, and at least one."""
-        image_bytes = self._dtype().itemsize * np.size(pixels[0])  # _images checks each block
-        return max(1, _BLOCK_BYTES // max(image_bytes, 1))
+    def _block_rows(self, pixels) -> tuple[int, bool]:
+        """(rows, split) for images shaped like ``pixels[0]``.  A block of
+        ``rows`` keeps the largest array one row builds before the first
+        pool (per pixel, its channels, a conv's ``9 * c_in`` window values
+        or a layer's ``c_out``) within ``_BLOCK_BYTES``, and has one row
+        at least.  ``split``: a Dropout that no pool directly follows
+        turns a scene's row into one row per MC pass there."""
+        shape, pools = np.shape(pixels[0]), (MeanPool, MaxPool)  # _images checks each block
+        widths, split = [*shape[-1:]], False
+        for layer, after in zip(self.layers, [*self.layers[1:], None]):
+            if isinstance(layer, pools):
+                break
+            if isinstance(layer, Conv3x3):
+                widths.append(9 * layer.c_in)
+            widths.append(getattr(layer, "c_out", 0))
+            split |= getattr(layer, "rate", 0.0) > 0.0 and not isinstance(after, pools)
+        row_bytes = self._dtype().itemsize * math.prod(shape[:-1]) * max(widths, default=1)
+        return max(1, _BLOCK_BYTES // max(row_bytes, 1)), split
 
     def _images(self, pixels) -> np.ndarray:
         """``pixels`` in ``_dtype()``, checked to stack non-empty (H, W, c_in)
@@ -218,8 +243,9 @@ class Network:
         bits = _mix(rows[:, None] + np.arange(1, size + 1, dtype=np.uint64) * _GAMMA)
         return bits >= int(layer.rate * 2.0**64)
 
-    def _run(self, x, bases, first, count):
-        """All layers on the rows of ``x``; returns (activation, caches).
+    def _run(self, x, bases, first, count, caches=None):
+        """All layers on the rows of ``x``; returns the activation, and
+        appends each layer's cache to ``caches`` if given, for a backward.
 
         Under ``bases``, with passes ``first`` to ``first + count - 1``
         of each, whose range the caller checks, the masks are
@@ -233,7 +259,7 @@ class Network:
         channel no pass keeps is dropped in both, so the checks stay
         exact.
         """
-        caches, dropped = [], None
+        dropped = None
         for i, (layer, after) in enumerate(zip(self.layers, [*self.layers[1:], None])):
             keep = self._keeps(i, bases, first, count, x.shape[-1])
             if dropped is not None:  # the pool after a shared spatial Dropout
@@ -253,16 +279,17 @@ class Network:
                 x, cache = layer.forward(x, keep[:, None, None, :] if x.ndim == 4 else keep)
             if not np.isfinite(x).all():
                 raise NumericError(f"non-finite activations after layer {i} ({layer.kind})")
-            caches.append(cache)
-        return x, caches
+            if caches is not None:
+                caches.append(cache)
+            del cache  # no MC pass holds a conv's windows past the conv
+        return x
 
     def backward(self, pixels, gts, seed: PassSeed):
         """Per-image losses and summed gradients for a mini-batch.
 
         Image k of ``pixels`` (a list or a stacked array), with label
         ``gts[k]``, runs under pass ``seed.pass_index + k``'s masks, in
-        blocks of rows whose pixels, in the parameters' dtype, fit in
-        ``_BLOCK_BYTES``: only a block is stacked.  The whole batch's
+        ``_block_rows``' blocks: only a block is stacked.  The whole batch's
         pass range is checked before the first block.  ``grads``
         parallels ``layers``: name -> the images' gradients summed in
         image order, so the bytes do not depend on the blocks.  The pass
@@ -275,12 +302,13 @@ class Network:
             raise ValueError(f"one label per image: got {len(gts)} for {len(pixels)} images")
         _check_passes(seed.pass_index, len(pixels))
         gts = np.asarray(gts, dtype=np.float64)
-        step = self._block_rows(pixels)
+        step = self._block_rows(pixels)[0]
         lowest = next((i for i, layer in enumerate(self.layers) if layer.params), len(self.layers))
         losses, per_row = [], [[] for _ in self.layers]
         for r in range(0, len(pixels), step):
             x = self._images(pixels[r : r + step])
-            pred, caches = self._run(x, [seed.base_seed], seed.pass_index + r, len(x))
+            caches = []
+            pred = self._run(x, [seed.base_seed], seed.pass_index + r, len(x), caches)
             losses.append(cosine_loss(pred, gts[r : r + step]))
             grad = -gts[r : r + step]
             for i in range(len(self.layers) - 1, lowest - 1, -1):  # pop: free each cache once used

@@ -502,12 +502,20 @@ class TestCrossval:
             crossval(dataset, tiny_config(trainables=()))
 
     def test_label_that_is_no_illuminant_fails_its_fold(self):
-        """Scene 5 is the third training scene of fold 0."""
+        """Scene 5 is named by its index in the dataset, before any fold runs."""
         dataset = grey_scene_dataset(n=6)
         dataset.scenes[5].label = np.ones(3)
+        with pytest.raises(ValueError, match=r"^scene 5: label must have unit norm, got 1\.73"):
+            crossval(dataset, tiny_config())
+
+    def test_negative_pixel_is_named_by_its_dataset_index(self, monkeypatch):
+        """Scene 4 is the second training scene of fold 0, and no fold
+        starts: the check comes before any worker."""
+        dataset = grey_scene_dataset(n=6)
+        dataset.scenes[4].pixels[1, 2, 0] = -1.0
+        monkeypatch.setattr(bench, "_run_fold", None)
         with pytest.raises(
-            RuntimeError,
-            match=r"^fold 0 failed: g-net: scene 2: label must have unit norm, got 1\.73",
+            ValueError, match="^scene 4 holds a pixel that is negative, infinite or NaN$"
         ):
             crossval(dataset, tiny_config())
 

@@ -18,7 +18,8 @@ from mcde.color import NEUTRAL, Scene, apply_von_kries, normalize, to_spherical
 from mcde.datagen import GenConfig, gen_scene
 from mcde.fusion import aggregate, mcde
 from mcde.mc import mc_estimate, mc_estimates
-from mcde.nn import TrainConfig, build, train
+from mcde.nn import PassSeed, TrainConfig, build, train
+from mcde.nn.network import MAX_NU
 from mcde.seeding import derive_seed
 
 pytestmark = pytest.mark.filterwarnings("error")
@@ -117,6 +118,12 @@ ROWS = {
     "mc_estimates-bad-second-scene": (
         lambda: mc_estimates(net(), [image(), image(-5.0)], 2, [1, 2]), ValueError,
         "^scene 1 " + BAD_PIXEL),
+    "forward_passes-too-many": (
+        lambda: net().forward_passes(image(), PassSeed(0), MAX_NU + 1), ValueError,
+        rf"^count must be at most MAX_NU = {MAX_NU}, got {MAX_NU + 1}$"),
+    "scene_passes-too-many": (
+        lambda: net().scene_passes([image(), image()], [1, 2], MAX_NU + 1), ValueError,
+        rf"^count must be at most MAX_NU = {MAX_NU}, got {MAX_NU + 1}$"),
     "train-negative-pixel": (lambda: fit(image(-5.0)), ValueError, "^scene 0 " + BAD_PIXEL),
     "train-nan-pixel": (lambda: fit(image(math.nan)), ValueError, "^scene 0 " + BAD_PIXEL),
     "train-4-channels": (

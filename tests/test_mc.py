@@ -225,6 +225,23 @@ STACKS = {
 }
 
 
+def conv_after_dropout():
+    return custom_stack(
+        Conv3x3(3, 12), Relu(), Dropout(0.3), Conv3x3(12, 12), Relu(), MeanPool(),
+        Affine(12, 3), PositiveHead(),
+    )
+
+
+def traced_peak(run):
+    """The peak bytes tracemalloc sees while ``run()`` runs."""
+    tracemalloc.start()
+    try:
+        run()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
 def pass_by_pass(net, pixels, seeds):
     return np.stack([net.forward(pixels, Mode.MC, seed) for seed in seeds])
 
@@ -270,22 +287,30 @@ class TestPrefixSharing:
 
     def test_conv_after_a_dropout_copies_its_windows_in_blocks(self):
         """A conv after a Dropout meets one row per pass, and its 3x3
-        windows take nine times its input: at nu=200 and 64x64, formed
-        for all 200 rows at once they peaked at 453 MiB.  A block of rows
-        at a time keeps the peak at or below the 153 MiB that the
-        tap-by-tap conv took."""
-        net = custom_stack(
-            Conv3x3(3, 12), Relu(), Dropout(0.3), Conv3x3(12, 12), Relu(), MeanPool(),
-            Affine(12, 3), PositiveHead(),
-        )
+        windows take nine times its input.  A scene's passes run in
+        chunks whose windows fit ``_BLOCK_BYTES``: at nu=200 and 64x64 the
+        peak was 2.3 MiB, and 118.9 MiB with all passes in one block
+        (tracemalloc)."""
         pixels = np.random.default_rng(107).uniform(0.0, 1.0, (64, 64, 3)).astype(np.float32)
-        tracemalloc.start()
-        try:
-            mc_estimate(net, pixels, nu=200)
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
-        assert peak <= 153 * 2**20
+        assert traced_peak(lambda: mc_estimate(conv_after_dropout(), pixels, nu=200)) <= 4 * 2**20
+
+    def test_conv_after_a_dropout_bounds_a_block_of_scenes(self):
+        """21 16x16 scenes make one block of the stock networks, but with a
+        conv after a Dropout each scene runs alone, in chunks of its
+        passes: the peak was 0.8 MiB at nu=100, and 83.2 MiB with the 21
+        scenes' passes in one block (807 MiB at nu=1000), by tracemalloc."""
+        pixels = np.random.default_rng(108).uniform(0.0, 1.0, (21, 16, 16, 3)).astype(np.float32)
+        net = conv_after_dropout()
+        assert traced_peak(lambda: mc_estimates(net, pixels, 100, list(range(21)))) <= 4 * 2**20
+
+    def test_passes_keep_no_layer_caches(self):
+        """An MC pass runs no backward, so it holds no layer's cache, a
+        conv's windows among them, past that layer: g-net at nu=1000 on
+        one 64x64 scene peaked at 0.69 MiB, and at 1.16 MiB while the
+        windows lived to the end of the pass (tracemalloc)."""
+        net = build("g-net", seed=108, channels=12, dropout_rate=0.3)
+        pixels = np.random.default_rng(109).uniform(0.0, 1.0, (64, 64, 3)).astype(np.float32)
+        assert traced_peak(lambda: mc_estimate(net, pixels, nu=MAX_NU)) <= 0.9 * 2**20
 
     def test_mean_pool_runs_at_most_twice_per_estimate(self, monkeypatch):
         calls = []
@@ -397,7 +422,8 @@ class TestSceneAxis:
         one by one; with the budget shrunk to two images, in blocks of
         two.  One base seed is 2**64 - 1, and one pass range ends there."""
         if block_images is not None:
-            monkeypatch.setattr(network, "_BLOCK_BYTES", block_images * size * size * 3 * 4)
+            windows = size * size * 9 * 3 * 4  # a row's largest array, the conv's windows
+            monkeypatch.setattr(network, "_BLOCK_BYTES", block_images * windows)
         net = make()
         rng = np.random.default_rng(size + scenes)
         pixels = rng.uniform(0.0, 1.0, (scenes, size, size, 3)).astype(np.float32)
@@ -454,6 +480,30 @@ class TestSceneAxis:
             net.scene_passes(pixels, [1, 2**64], 3)
         with pytest.raises(TypeError, match="^base_seed must be an integer"):
             mc_estimates(net, pixels, 3, [1, 2.0])
+
+    @pytest.mark.parametrize("budget,chunk", [(None, 30), (4 * 8 * 7 * 9 * 4 * 4, 4), (1, 1)])
+    def test_pass_chunks_give_the_one_block_bytes(self, budget, chunk, monkeypatch):
+        """A conv after a Dropout meets one row per pass, so each scene
+        runs alone, its passes in chunks of a block's rows, sized by the
+        conv's windows: all 30 at once by default, 4 or 1 with the budget
+        shrunk.  The chunks hold the bytes of one block."""
+        net = STACKS["spatial-layer-after-dropout"]()
+        pixels = np.random.default_rng(131).uniform(0.0, 1.0, (3, 8, 7, 3)).astype(np.float32)
+        bases = [2**64 - 1, 1, 2]
+        want = np.stack([pass_by_pass(net, p, [PassSeed(b, 5 + k) for k in range(30)])
+                         for p, b in zip(pixels, bases)])
+        runs, original = [], Network._run
+
+        def recording(self, x, bases, first, count, caches=None):
+            runs.append((len(x), count))
+            return original(self, x, bases, first, count, caches)
+
+        monkeypatch.setattr(Network, "_run", recording)
+        if budget is not None:
+            monkeypatch.setattr(network, "_BLOCK_BYTES", budget)
+        assert net.scene_passes(pixels, bases, 30, 5).tobytes() == want.tobytes()
+        chunks = [chunk] * (30 // chunk) + [30 % chunk] * (30 % chunk > 0)
+        assert runs == [(1, count) for count in chunks] * 3
 
     @pytest.mark.parametrize("arch", ["g-net", "m-net"])
     def test_scene_blocks_bound_the_peak(self, arch):

@@ -113,47 +113,21 @@ def test_conv_matches_a_float64_direct_convolution(shape):
         np.testing.assert_allclose(got, ref, rtol=1e-5, atol=1e-5 * max(1, h * w), err_msg=name)
 
 
-@pytest.mark.parametrize("window_bytes", [1, 9000])
-def test_conv_in_row_blocks_gives_the_one_block_bytes(window_bytes, monkeypatch):
-    """Windows formed a block of rows at a time, down to one row, give
-    the bytes of one block: each row is its own matrix product."""
-    rng = np.random.default_rng(115)
-    layer = initialised(Conv3x3(4, 6), 116)
-    x = rng.normal(size=(7, 5, 6, 4)).astype(np.float32)
-    dy = rng.normal(size=(7, 5, 6, 6)).astype(np.float32)
-
-    def run():
-        y, cache = layer.forward(x)
-        dx, grads = layer.backward(dy, cache)
-        return [y, dx, grads["W"], grads["b"]]
-
-    want = run()
-    monkeypatch.setattr(layers, "_WINDOW_BYTES", window_bytes)
-    for got, ref in zip(run(), want):
-        assert got.tobytes() == ref.tobytes()
-
-
-@pytest.mark.parametrize("window_bytes", [None, 9000])
-def test_conv_backward_reuses_one_block_of_windows_bit_for_bit(window_bytes, monkeypatch):
-    """The forward keeps its windows for the backward when they form one
-    block, and the parameter gradients are the bytes of windows rebuilt
-    from the padded input.  In several blocks, none are kept, and the
-    rebuilt blocks give the bytes of the one-block gradients."""
+def test_conv_caches_the_windows_of_its_padded_input():
+    """The forward's cache is ``_windows`` of the zero-padded input, and
+    the backward's weight gradient is, row by row, the bytes of those
+    windows' product with the output gradient."""
     rng = np.random.default_rng(117)
     layer = initialised(Conv3x3(4, 6), 118)
     x = rng.normal(size=(7, 5, 6, 4)).astype(np.float32)
     dy = rng.normal(size=(7, 5, 6, 6)).astype(np.float32)
-    _, (xp, windows) = layer.forward(x)
-    assert windows.shape == (7, 5 * 6, 9 * 4)
-    cached = layer.backward(dy, (xp, windows), need_dx=False)[1]
-    rebuilt = layer.backward(dy, (xp, None), need_dx=False)[1]
-    if window_bytes is not None:
-        monkeypatch.setattr(layers, "_WINDOW_BYTES", window_bytes)
-        _, (xp, windows) = layer.forward(x)
-        assert windows is None
-        rebuilt = layer.backward(dy, (xp, windows), need_dx=False)[1]
-    for name in layer.params:
-        assert cached[name].tobytes() == rebuilt[name].tobytes()
+    _, windows = layer.forward(x)
+    padded = np.pad(x, ((0, 0), (1, 1), (1, 1), (0, 0)))
+    assert windows.tobytes() == layers._windows(padded, 5, 6).tobytes()
+    d_weight = layer.backward(dy, windows, need_dx=False)[1]["W"]
+    for k in range(7):
+        want = windows[k].T @ dy[k].reshape(-1, 6)
+        assert d_weight[k].tobytes() == want.tobytes()
 
 
 class TestAffine:

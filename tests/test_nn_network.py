@@ -194,9 +194,10 @@ class TestBackward:
         "size,blocks", [(8, [5]), (32, [5]), (64, [1] * 5), (48, [2, 2, 1])]
     )
     def test_backward_runs_row_blocks_that_fit_the_budget(self, size, blocks, monkeypatch):
-        """Whole batches of small images, 64x64 images one by one.  The
-        pixels are counted in float32: a 32x32 image is 12 KiB, so a
-        batch of 5 runs whole, and two 48x48 images of 27 KiB fit."""
+        """Whole batches of small images, 64x64 images one by one.  A
+        row's largest array is the conv's float32 windows, nine times the
+        pixels: a 32x32 image's are 108 KiB, so a batch of 5 runs whole,
+        and two 48x48 images' of 243 KiB fit."""
         rows = []
         original = Network._run
 
@@ -212,6 +213,31 @@ class TestBackward:
             PassSeed(0, 0),
         )
         assert rows == blocks
+
+    @pytest.mark.parametrize("arch", ["g-net", "m-net"])
+    def test_stock_blocks(self, arch, monkeypatch):
+        """At the stock 12 channels, MC runs 21 16x16 scenes or one 64x64
+        scene per block, and training five 32x32 images per block and a
+        16x16 mini-batch of 8 whole: the blocks that the budget's pixel
+        bytes gave before it counted the conv's windows."""
+        blocks = []
+        original = Network._run
+
+        def recording(self, x, *keys):
+            blocks.append(len(x))
+            return original(self, x, *keys)
+
+        monkeypatch.setattr(Network, "_run", recording)
+        net = build(arch, seed=10)
+        rng = np.random.default_rng(67)
+        for size, n, want in [(16, 22, [21, 1]), (64, 2, [1, 1])]:
+            blocks.clear()
+            net.scene_passes(rng.uniform(0.0, 1.0, (n, size, size, 3)), list(range(n)), 2)
+            assert blocks == want
+        for size, n, want in [(32, 6, [5, 1]), (16, 8, [8])]:
+            blocks.clear()
+            net.backward(rng.uniform(0.0, 1.0, (n, size, size, 3)), [unit(rng)] * n, PassSeed(0))
+            assert blocks == want
 
     @pytest.mark.parametrize("size,blocks", [(8, [5]), (64, [1] * 5)])
     def test_backward_copies_only_its_blocks(self, size, blocks, monkeypatch):
@@ -302,7 +328,8 @@ def reference_backward(net, pixels, gt, seed):
     """Network.backward as a plain loop over all rows at once that asks
     every layer, layer 0 included, for its input gradient and sums the
     per-row gradients; returns (losses, grads, layer 0's dx)."""
-    pred, caches = net._run(net._images(pixels), [seed.base_seed], seed.pass_index, len(pixels))
+    caches = []
+    pred = net._run(net._images(pixels), [seed.base_seed], seed.pass_index, len(pixels), caches)
     gt = np.asarray(gt, dtype=np.float64)
     grad = -gt
     grads = [None] * len(net.layers)
