@@ -33,7 +33,9 @@ from __future__ import annotations
 
 import json
 from concurrent.futures import ProcessPoolExecutor
+from concurrent.futures.process import BrokenProcessPool
 from dataclasses import asdict, astuple, dataclass, fields
+from itertools import chain
 from pathlib import Path
 
 import numpy as np
@@ -352,10 +354,19 @@ def _map(task, args, n: int, workers: int) -> list:
     workers = min(workers, n)
     if workers <= 1:
         return [task(*args, i) for i in range(n)]
+    results = []
     with ProcessPoolExecutor(
         max_workers=workers, initializer=_init_worker, initargs=(task, *args)
     ) as pool:
-        return list(pool.map(_call_worker, range(n)))
+        futures = [pool.submit(_call_worker, i) for i in range(n)]
+        try:
+            for future in futures:
+                results.append(future.result())
+        except BrokenProcessPool as exc:
+            raise RuntimeError(
+                f"a worker process died: call {len(results)} of {n} returned no result"
+            ) from exc
+    return results
 
 
 def crossval(dataset: Dataset, config: BenchConfig = BenchConfig()) -> BenchReport:
@@ -385,12 +396,13 @@ def crossval(dataset: Dataset, config: BenchConfig = BenchConfig()) -> BenchRepo
 
 
 def _write_csv(path: Path, header, rows) -> None:
-    lines = [",".join(header)]
-    for row in rows:
-        lines.append(
+    """Write the header and then each row as ``rows`` yields it."""
+    with path.open("w", encoding="utf-8") as out:
+        out.writelines(
             ",".join(format(float(v), ".17g") if isinstance(v, float) else str(v) for v in row)
+            + "\n"
+            for row in chain([header], rows)
         )
-    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 
 def write_report(report: BenchReport, out_dir) -> None:
@@ -402,21 +414,23 @@ def write_report(report: BenchReport, out_dir) -> None:
     )
 
     stat_fields = [field.name for field in fields(ErrorStats)]
-    summary_rows = [
+    summary_rows = (
         (method, metric, *astuple(stats(values)))
         for (method, metric), values in report.errors.items()
-    ]
+    )
     _write_csv(out / "summary.csv", ["method", "metric", *stat_fields], summary_rows)
 
-    sample_rows = []
-    mu_rows = []
-    for i in range(len(report.errors[("grey-world", "recovery")])):
-        for (method, metric), values in report.errors.items():
-            sample_rows.append((i, method, metric, float(values[i])))
-        for name, mu in report.uncertainties.items():
-            mu_rows.append((i, name, float(mu[i])))
+    samples = range(len(report.errors[("grey-world", "recovery")]))
+    sample_rows = (
+        (i, method, metric, float(values[i]))
+        for i in samples
+        for (method, metric), values in report.errors.items()
+    )
     _write_csv(
         out / "per_sample.csv", ["sample", "method", "metric", "error_deg"], sample_rows
+    )
+    mu_rows = (
+        (i, name, float(mu[i])) for i in samples for name, mu in report.uncertainties.items()
     )
     _write_csv(out / "uncertainty_per_sample.csv", ["sample", "method", "mu"], mu_rows)
 

@@ -131,10 +131,11 @@ def _config_tokens(parser: argparse.ArgumentParser, path: str) -> list[str]:
 
 
 def _cmd_gen_data(args) -> None:
-    dataset = datagen.gen_dataset(fill(GenConfig, args))
-    datagen.save(dataset, args.out)
+    config = fill(GenConfig, args)
+    scenes = (datagen.gen_scene(config, i) for i in range(config.n_scenes))
+    datagen.save(datagen.Dataset(scenes, config), args.out)
     spec = POOLS[args.pool]
-    print(f"wrote {len(dataset.scenes)} scenes to {args.out}")
+    print(f"wrote {config.n_scenes} scenes to {args.out}")
     print(
         f"illuminant pool {args.pool}: azimuth {spec.phi_deg[0]:g}-{spec.phi_deg[1]:g} deg, "
         f"inclination {spec.varphi_deg[0]:g}-{spec.varphi_deg[1]:g} deg"

@@ -65,10 +65,11 @@ REFLECTANCE_HIGH = 1.0
 # an unbounded side asks numpy for arrays of any size.
 MAX_SIDE = 1024
 
-# Pixels a dataset may hold, summed over its scenes: ``gen_dataset``
-# holds every scene before ``save`` writes any.  At 2**25 pixels it
-# peaks at 517 MiB of RSS for 8,192 scenes at 64x64 and at 649 MiB for
-# 131,072 at 16x16; at 2**26, at 1,096 and 1,265 MiB.
+# Pixels a dataset may hold, summed over its scenes: ``mcde gen-data``
+# holds one scene, but ``gen_dataset`` and ``load`` hold them all.  At
+# 2**25, as 8,192 64x64 or 131,072 16x16 scenes, ``gen_dataset`` peaks
+# at 613 and 650 MiB of RSS and ``load`` at 423 and 540 MiB; at 2**26
+# ``gen_dataset`` peaked at 1,096 and 1,265 MiB.
 MAX_PIXELS = 2**25
 
 
@@ -162,28 +163,31 @@ def _scene_file(i: int) -> str:
 
 
 def save(dataset: Dataset, path) -> None:
-    """Write a dataset directory (manifest, labels.csv, pixel blobs)."""
+    """Write a dataset directory (manifest, labels.csv, pixel blobs) in one
+    pass over ``dataset.scenes``, so an iterator is held a scene at a time."""
     root = Path(path)
     root.mkdir(parents=True, exist_ok=True)
     names: list[str] = []
     checksums: dict[str, str] = {}
-    for i, scene in enumerate(dataset.scenes):
-        blob = np.ascontiguousarray(scene.pixels, dtype="<f4").tobytes()
-        name = _scene_file(i)
-        (root / name).write_bytes(blob)
-        names.append(name)
-        checksums[name] = hashlib.sha256(blob).hexdigest()
-    lines = ["index,r,g,b"]
-    for i, scene in enumerate(dataset.scenes):
-        r, g, b = (format(float(x), ".17g") for x in scene.label)
-        lines.append(f"{i},{r},{g},{b}")
-    labels = ("\n".join(lines) + "\n").encode("utf-8")
-    (root / "labels.csv").write_bytes(labels)
-    checksums["labels.csv"] = hashlib.sha256(labels).hexdigest()
+    header = b"index,r,g,b\n"
+    labels_sum = hashlib.sha256(header)
+    with (root / "labels.csv").open("wb") as labels:
+        labels.write(header)
+        for i, scene in enumerate(dataset.scenes):
+            blob = np.ascontiguousarray(scene.pixels, dtype="<f4").tobytes()
+            name = _scene_file(i)
+            (root / name).write_bytes(blob)
+            names.append(name)
+            checksums[name] = hashlib.sha256(blob).hexdigest()
+            r, g, b = (format(float(x), ".17g") for x in scene.label)
+            line = f"{i},{r},{g},{b}\n".encode("utf-8")
+            labels.write(line)
+            labels_sum.update(line)
+    checksums["labels.csv"] = labels_sum.hexdigest()
     manifest = {
         "format_version": FORMAT_VERSION,
         "config": asdict(dataset.config),
-        "n_scenes": len(dataset.scenes),
+        "n_scenes": len(names),
         "pixel_dtype": "<f4",
         "pixel_shape": [dataset.config.height, dataset.config.width, 3],
         "labels_file": "labels.csv",

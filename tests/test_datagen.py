@@ -16,6 +16,7 @@ from mcde.datagen import (
     POOLS,
     REFLECTANCE_HIGH,
     REFLECTANCE_LOW,
+    Dataset,
     DatasetFormatError,
     GenConfig,
     folds,
@@ -199,6 +200,19 @@ class TestDatasetIO:
         for name in files_a:
             assert (tmp_path / "a" / name).read_bytes() == (
                 tmp_path / "b" / name
+            ).read_bytes()
+
+    def test_one_pass_over_the_scenes_writes_the_lists_bytes(self, tmp_path):
+        """``save`` reads ``dataset.scenes`` once, in order, so a one-pass
+        iterator of the scenes writes the list's directory, byte for byte."""
+        dataset = gen_dataset(GenConfig(n_scenes=4, base_seed=11))
+        save(dataset, tmp_path / "list")
+        save(Dataset(iter(dataset.scenes), dataset.config), tmp_path / "iter")
+        names = sorted(p.name for p in (tmp_path / "list").iterdir())
+        assert sorted(p.name for p in (tmp_path / "iter").iterdir()) == names
+        for name in names:
+            assert (tmp_path / "iter" / name).read_bytes() == (
+                tmp_path / "list" / name
             ).read_bytes()
 
     def test_corrupted_blob_is_rejected(self, tmp_path):

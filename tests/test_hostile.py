@@ -7,6 +7,7 @@ refused up front, with a typed error whose message names the problem.
 """
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -161,16 +162,34 @@ ROWS = {
     "derive_seed-negative": (
         lambda: derive_seed("scene", -1), ValueError,
         r"^seed part must lie in \[0, 18446744073709551615\], got -1$"),
+    "derive_seed-separator": (
+        lambda: derive_seed("a\x1fb"), ValueError,
+        r"^seed part must not hold the separator '\\x1f', got 'a\\x1fb'$"),
     "stats-nan": (lambda: stats([1.0, math.nan]), ValueError, "^errors must be finite, got nan$"),
     "stats-inf": (lambda: stats([1.0, math.inf]), ValueError, "^errors must be finite, got inf$"),
     "stats-minus-inf": (lambda: stats([-math.inf, 1.0]), ValueError, "^errors must be finite, got -inf$"),
 }
 
 
+# The most a row may allocate on its way to the refusal, by tracemalloc
+# over its second call (the first pays numpy's lazy imports, 0.9 MB in
+# the first row that builds a network).  The rows peaked at 7 KB at most,
+# in those that build a network; the rest at 4 KB or less.
+ROW_PEAK_BYTES = 64 * 1024
+
+
 @pytest.mark.parametrize("call, error, message", ROWS.values(), ids=ROWS.keys())
 def test_hostile_input_is_refused_by_name(call, error, message):
     with pytest.raises(error, match=message):
         call()
+    tracemalloc.start()
+    try:
+        with pytest.raises(error, match=message):
+            call()
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < ROW_PEAK_BYTES
 
 
 def test_mcde_checks_pixels_before_any_pass(monkeypatch):
