@@ -32,8 +32,6 @@ one decimal; the files never do.
 from __future__ import annotations
 
 import json
-from concurrent.futures import ProcessPoolExecutor
-from concurrent.futures.process import BrokenProcessPool
 from dataclasses import asdict, astuple, dataclass, fields
 from itertools import chain
 from pathlib import Path
@@ -350,10 +348,14 @@ def _map(task, args, n: int, workers: int) -> list:
     """``[task(*args, i) for i in range(n)]``: here with one worker, else in
     at most ``min(workers, n)`` forked worker processes.  A worker gets
     ``task`` and ``args`` once, when it starts (it inherits them), and
-    each call only its index ``i``."""
+    each call only its index ``i``.  The pool, and with it
+    ``multiprocessing``, is imported here, by the first call that forks:
+    a process that runs everything in process never loads it."""
     workers = min(workers, n)
     if workers <= 1:
         return [task(*args, i) for i in range(n)]
+    from concurrent.futures.process import BrokenProcessPool, ProcessPoolExecutor
+
     results = []
     with ProcessPoolExecutor(
         max_workers=workers, initializer=_init_worker, initargs=(task, *args)

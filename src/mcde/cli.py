@@ -142,18 +142,24 @@ def _cmd_gen_data(args) -> None:
     )
 
 
+def _read_span(path, start: int, stop: int, what: str) -> list:
+    """Scenes ``start`` to ``stop - 1`` of the dataset at ``path``, read
+    without any other scene file; a span past the end is refused naming
+    ``what``."""
+    reader = datagen.DatasetReader(path)
+    n_scenes = reader.config.n_scenes
+    if stop > n_scenes:
+        raise IndexError(f"{what} out of range (dataset has {n_scenes} scenes)")
+    return reader.scenes(start, stop)
+
+
 def _cmd_train(args) -> None:
-    dataset = datagen.load(args.data)
-    scenes = dataset.scenes
     subset = args.subset
-    if subset is not None:
+    if subset is None:
+        scenes = datagen.load(args.data).scenes
+    else:
         start, stop = subset
-        if stop > len(scenes):
-            raise IndexError(
-                f"scene range {start}:{stop} out of range "
-                f"(dataset has {len(scenes)} scenes)"
-            )
-        scenes = scenes[start:stop]
+        scenes = _read_span(args.data, start, stop, f"scene range {start}:{stop}")
     spec = fill(TrainableSpec, args, name=args.arch)
     net, trace = train_member(
         spec,
@@ -182,13 +188,8 @@ def _cmd_estimate(args) -> None:
             nets.append(load_network(path))
         except ModelFormatError as exc:
             raise ModelFormatError(f"{path}: {exc}") from exc
-    dataset = datagen.load(args.data)
-    if not 0 <= args.index < len(dataset.scenes):
-        raise IndexError(
-            f"scene index {args.index} out of range "
-            f"(dataset has {len(dataset.scenes)} scenes)"
-        )
-    scene = dataset.scenes[args.index]
+    index = args.index
+    (scene,) = _read_span(args.data, index, index + 1, f"scene index {index}")
     result = fusion.mcde(
         nets, scene.pixels, nu=args.nu, base_seed=args.base_seed, variant=args.variant
     )
@@ -228,10 +229,12 @@ def _cmd_estimate(args) -> None:
 
 def _cmd_bench(args) -> None:
     dataset = datagen.load(args.data)
+    n_scenes = len(dataset.scenes)
     trainables = tuple(fill(TrainableSpec, args, name=arch, arch=arch) for arch in ARCHITECTURES)
     report = crossval(dataset, fill(BenchConfig, args, trainables=trainables))
+    del dataset  # the report holds no scene: write_report runs without them
     write_report(report, args.out)
-    print(f"benchmark: {len(dataset.scenes)} scenes, {args.folds} folds, nu={args.nu}")
+    print(f"benchmark: {n_scenes} scenes, {args.folds} folds, nu={args.nu}")
     print(f"{'method':>16}  {'mean':>6} {'med':>6} {'tri':>6} {'b25':>6} {'w25':>6}  (recovery, deg)")
     for (method, metric), errors in report.errors.items():
         if metric == "recovery":

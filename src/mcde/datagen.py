@@ -21,7 +21,9 @@ Dataset directory layout:
     scene_00000.f32   raw little-endian float32 pixel blob, C order,
                       shape (height, width, 3)
 
-save followed by load is the identity, bit for bit.
+save followed by load is the identity, bit for bit.  ``DatasetReader``
+verifies the manifest and labels.csv and reads only the scene files it
+is asked for; ``load`` is that reader over every scene.
 """
 
 from __future__ import annotations
@@ -47,6 +49,7 @@ __all__ = [
     "POOLS",
     "GenConfig",
     "Dataset",
+    "DatasetReader",
     "sample_illuminant",
     "gen_scene",
     "gen_dataset",
@@ -216,95 +219,121 @@ _MANIFEST_FIELDS = {
 }
 
 
-def load(path) -> Dataset:
-    """Read a dataset directory back, verifying checksums, sizes, the
-    scene count, pixel shape and pixel dtype that its config implies, that
-    every label is a positive unit vector, and that every pixel is finite
-    and non-negative."""
-    root = Path(path)
-    manifest_path = root / "manifest.json"
-    if not manifest_path.is_file():
-        raise DatasetFormatError(f"no manifest in {root}")
-    try:
-        manifest = json.loads(manifest_path.read_text(encoding="utf-8"))
-    except json.JSONDecodeError as exc:
-        raise DatasetFormatError(f"malformed manifest: {exc}") from exc
-    if not isinstance(manifest, dict):
-        raise DatasetFormatError("invalid manifest contents: not a JSON object")
-    if manifest.get("format_version") != FORMAT_VERSION:
-        raise DatasetFormatError(
-            f"unsupported dataset version {manifest.get('format_version')!r}"
-        )
-    for field, (valid, kind) in _MANIFEST_FIELDS.items():
-        if field not in manifest:
-            raise DatasetFormatError(f"invalid manifest contents: no {field!r}")
-        if not valid(manifest[field]):
-            raise DatasetFormatError(f"invalid manifest contents: {field} must be {kind}")
-    try:
-        config = GenConfig(**manifest["config"])
-    except (TypeError, ValueError) as exc:
-        raise DatasetFormatError(f"invalid manifest contents: config: {exc}") from exc
-    implied = {
-        "n_scenes": config.n_scenes,
-        "pixel_shape": [config.height, config.width, 3],
-        "pixel_dtype": "<f4",
-    }
-    for field, want in implied.items():
-        if manifest.get(field) != want:
-            raise DatasetFormatError(
-                f"invalid manifest contents: {field} is {manifest.get(field)!r}, "
-                f"but the config implies {want!r}"
-            )
-    n_scenes = manifest["n_scenes"]
-    names = manifest["scene_files"]
-    checksums = manifest["checksums"]
-    if len(names) != n_scenes:
-        raise DatasetFormatError("scene file list does not match the scene count")
-    for i, name in enumerate(names):  # scene i is the i-th row of labels.csv
-        if name != _scene_file(i):
-            raise DatasetFormatError(
-                f"invalid manifest contents: scene_files[{i}] is {name!r}, "
-                f"expected {_scene_file(i)!r}"
-            )
+class DatasetReader:
+    """A dataset directory whose manifest and whole ``labels.csv`` are
+    verified when it is opened; its scene files are read only when asked.
 
-    labels_path = root / "labels.csv"
-    if not labels_path.is_file():
-        raise DatasetFormatError(f"no labels.csv in {root}")
-    labels_blob = labels_path.read_bytes()
-    if hashlib.sha256(labels_blob).hexdigest() != checksums.get("labels.csv"):
-        raise DatasetFormatError("checksum mismatch for labels.csv")
-    labels_text = labels_blob.decode("utf-8").splitlines()
-    if len(labels_text) != n_scenes + 1 or labels_text[0] != "index,r,g,b":
-        raise DatasetFormatError("labels.csv does not match the manifest")
-    labels = []
-    for row, line in enumerate(labels_text[1:]):
-        fields = line.split(",")
-        try:
-            index = int(fields[0])
-            label = np.array([float(v) for v in fields[1:]], dtype=np.float64)
-        except ValueError as exc:
-            raise DatasetFormatError(f"bad labels.csv row {row}: {exc}") from exc
-        if len(fields) != 4 or index != row:
-            raise DatasetFormatError(f"bad labels.csv row {row}")
-        try:
-            check_label(label, f"bad labels.csv row {row}: ")
-        except ValueError as exc:
-            raise DatasetFormatError(str(exc)) from exc
-        labels.append(label)
+    Opening checks the manifest's format version, fields, config, the
+    scene count, pixel shape and pixel dtype that the config implies and
+    the scene file names, then the checksum of ``labels.csv`` and that
+    every label is a positive unit vector.  ``scenes`` reads, checksums
+    and checks the scene files of one span alone: each file's size, its
+    SHA-256 and that every pixel is finite and non-negative.
+    """
 
-    expected_len = config.height * config.width * 3 * 4
-    scenes = []
-    for i, name in enumerate(names):
-        blob_path = root / name
+    def __init__(self, path) -> None:
+        root = Path(path)
+        manifest_path = root / "manifest.json"
+        if not manifest_path.is_file():
+            raise DatasetFormatError(f"no manifest in {root}")
+        try:
+            manifest = json.loads(manifest_path.read_text(encoding="utf-8"))
+        except json.JSONDecodeError as exc:
+            raise DatasetFormatError(f"malformed manifest: {exc}") from exc
+        if not isinstance(manifest, dict):
+            raise DatasetFormatError("invalid manifest contents: not a JSON object")
+        if manifest.get("format_version") != FORMAT_VERSION:
+            raise DatasetFormatError(
+                f"unsupported dataset version {manifest.get('format_version')!r}"
+            )
+        for field, (valid, kind) in _MANIFEST_FIELDS.items():
+            if field not in manifest:
+                raise DatasetFormatError(f"invalid manifest contents: no {field!r}")
+            if not valid(manifest[field]):
+                raise DatasetFormatError(f"invalid manifest contents: {field} must be {kind}")
+        try:
+            config = GenConfig(**manifest["config"])
+        except (TypeError, ValueError) as exc:
+            raise DatasetFormatError(f"invalid manifest contents: config: {exc}") from exc
+        implied = {
+            "n_scenes": config.n_scenes,
+            "pixel_shape": [config.height, config.width, 3],
+            "pixel_dtype": "<f4",
+        }
+        for field, want in implied.items():
+            if manifest.get(field) != want:
+                raise DatasetFormatError(
+                    f"invalid manifest contents: {field} is {manifest.get(field)!r}, "
+                    f"but the config implies {want!r}"
+                )
+        n_scenes = manifest["n_scenes"]
+        names = manifest["scene_files"]
+        checksums = manifest["checksums"]
+        if len(names) != n_scenes:
+            raise DatasetFormatError("scene file list does not match the scene count")
+        for i, name in enumerate(names):  # scene i is the i-th row of labels.csv
+            if name != _scene_file(i):
+                raise DatasetFormatError(
+                    f"invalid manifest contents: scene_files[{i}] is {name!r}, "
+                    f"expected {_scene_file(i)!r}"
+                )
+
+        labels_path = root / "labels.csv"
+        if not labels_path.is_file():
+            raise DatasetFormatError(f"no labels.csv in {root}")
+        labels_blob = labels_path.read_bytes()
+        if hashlib.sha256(labels_blob).hexdigest() != checksums.get("labels.csv"):
+            raise DatasetFormatError("checksum mismatch for labels.csv")
+        labels_text = labels_blob.decode("utf-8").splitlines()
+        if len(labels_text) != n_scenes + 1 or labels_text[0] != "index,r,g,b":
+            raise DatasetFormatError("labels.csv does not match the manifest")
+        labels = []
+        for row, line in enumerate(labels_text[1:]):
+            fields = line.split(",")
+            try:
+                index = int(fields[0])
+                label = np.array([float(v) for v in fields[1:]], dtype=np.float64)
+            except ValueError as exc:
+                raise DatasetFormatError(f"bad labels.csv row {row}: {exc}") from exc
+            if len(fields) != 4 or index != row:
+                raise DatasetFormatError(f"bad labels.csv row {row}")
+            try:
+                check_label(label, f"bad labels.csv row {row}: ")
+            except ValueError as exc:
+                raise DatasetFormatError(str(exc)) from exc
+            labels.append(label)
+        self.config = config
+        self._root, self._checksums, self._labels = root, checksums, labels
+
+    def scenes(self, start: int, stop: int) -> list[Scene]:
+        """Scenes ``start`` to ``stop - 1``, read from their files alone.
+
+        The span is checked before any scene file is read: ``start`` and
+        ``stop`` are integers, ``0 <= start < stop``, and ``stop`` is at
+        most the scene count.
+        """
+        check_int("start", start, 0)
+        check_int("stop", stop, start + 1)
+        if stop > self.config.n_scenes:
+            raise IndexError(
+                f"scene span {start}:{stop} lies past the dataset's "
+                f"{self.config.n_scenes} scenes"
+            )
+        return [self._scene(i) for i in range(start, stop)]
+
+    def _scene(self, i: int) -> Scene:
+        config, name = self.config, _scene_file(i)
+        blob_path = self._root / name
         if not blob_path.is_file():
             raise DatasetFormatError(f"missing scene file {name}")
+        expected_len = config.height * config.width * 3 * 4
         size = blob_path.stat().st_size
         if size != expected_len:
             raise DatasetFormatError(
                 f"scene file {name} has {size} bytes, expected {expected_len}"
             )
         blob = blob_path.read_bytes()
-        if hashlib.sha256(blob).hexdigest() != checksums.get(name):
+        if hashlib.sha256(blob).hexdigest() != self._checksums.get(name):
             raise DatasetFormatError(f"checksum mismatch for {name}")
         pixels = (
             np.frombuffer(blob, dtype="<f4")
@@ -315,8 +344,14 @@ def load(path) -> Dataset:
             check_pixels(pixels, f"scene file {name} ")
         except ValueError as exc:
             raise DatasetFormatError(str(exc)) from exc
-        scenes.append(Scene(pixels=pixels, label=labels[i]))
-    return Dataset(scenes, config)
+        return Scene(pixels=pixels, label=self._labels[i])
+
+
+def load(path) -> Dataset:
+    """Read a whole dataset directory back: ``DatasetReader``'s checks of
+    the manifest, ``labels.csv`` and every scene file."""
+    reader = DatasetReader(path)
+    return Dataset([reader._scene(i) for i in range(reader.config.n_scenes)], reader.config)
 
 
 def folds(n: int, k: int) -> list[range]:

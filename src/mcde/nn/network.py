@@ -92,6 +92,10 @@ class NumericError(RuntimeError):
     """Non-finite activations or gradients, annotated with the layer index."""
 
 
+def _non_finite(i, layer) -> NumericError:
+    return NumericError(f"non-finite activations after layer {i} ({layer.kind})")
+
+
 def cosine_loss(pred, gt):
     """1 minus the inner product of unit vectors, per row; 0 iff they coincide.
 
@@ -155,7 +159,9 @@ class Network:
         equals ``forward(pixels[s], Mode.MC, PassSeed(base_seeds[s],
         first + k))`` bit for bit.  ``count`` is at most ``MAX_NU``.  Each
         layer runs once per block for all passes of ``_block_rows``' rows
-        of scenes, or, where it splits them, of a scene's rows of passes.
+        of scenes.  Where a Dropout splits a scene's row into one row per
+        pass, the layers before it run once per scene, and the rest once
+        per chunk of ``_block_rows``' rows of its passes.
         """
         if not len(pixels):
             raise ValueError("scene_passes needs at least one scene")
@@ -167,14 +173,20 @@ class Network:
         if count > MAX_NU:
             raise ValueError(f"count must be at most MAX_NU = {MAX_NU}, got {count}")
         step, split = self._block_rows(pixels)
-        scenes, passes = (1, step) if split else (step, count)
+        scenes, passes = (step, count) if split is None else (1, step)
+        # No layer before the split draws a mask: they run once per scene.
+        prefix, where = (self.layers[:split], {"start": split}) if split else ([], {})
         outs = []
         for r in range(0, len(pixels), scenes):
             x, bases = self._images(pixels[r : r + scenes]), base_seeds[r : r + scenes]
+            for i, layer in enumerate(prefix):
+                x = layer.forward(x)[0]
+                if not np.isfinite(x).all():
+                    raise _non_finite(i, layer)
             for k in range(first, first + count, passes):
-                out = self._run(x, bases, k, min(passes, first + count - k))
+                out = self._run(x, bases, k, min(passes, first + count - k), **where)
                 outs.append(out.reshape(len(x), -1, *out.shape[1:]))  # (r, passes or 1, ...)
-        joined = np.concatenate(outs, axis=int(split)) if len(outs) > 1 else outs[0]
+        joined = np.concatenate(outs, axis=int(split is not None)) if len(outs) > 1 else outs[0]
         out = joined.reshape(len(pixels), -1, *out.shape[1:])  # (S, count or 1, ...)
         return out if out.shape[1] == count else np.repeat(out, count, axis=1)
 
@@ -184,22 +196,24 @@ class Network:
         dtypes = (p.dtype for layer in self.layers for p in layer.params.values())
         return next(dtypes, np.dtype(PARAM_DTYPE))
 
-    def _block_rows(self, pixels) -> tuple[int, bool]:
+    def _block_rows(self, pixels) -> tuple[int, int | None]:
         """(rows, split) for images shaped like ``pixels[0]``.  A block of
         ``rows`` keeps the largest array one row builds before the first
         pool (per pixel, its channels, a conv's ``9 * c_in`` window values
         or a layer's ``c_out``) within ``_BLOCK_BYTES``, and has one row
-        at least.  ``split``: a Dropout that no pool directly follows
-        turns a scene's row into one row per MC pass there."""
+        at least.  ``split``: the index of the first Dropout that no pool
+        directly follows, which turns a scene's row into one row per MC
+        pass, or None."""
         shape, pools = np.shape(pixels[0]), (MeanPool, MaxPool)  # _images checks each block
-        widths, split = [*shape[-1:]], False
-        for layer, after in zip(self.layers, [*self.layers[1:], None]):
+        widths, split = [*shape[-1:]], None
+        for i, (layer, after) in enumerate(zip(self.layers, [*self.layers[1:], None])):
             if isinstance(layer, pools):
                 break
             if isinstance(layer, Conv3x3):
                 widths.append(9 * layer.c_in)
             widths.append(getattr(layer, "c_out", 0))
-            split |= getattr(layer, "rate", 0.0) > 0.0 and not isinstance(after, pools)
+            if split is None and getattr(layer, "rate", 0.0) > 0.0 and not isinstance(after, pools):
+                split = i
         row_bytes = self._dtype().itemsize * math.prod(shape[:-1]) * max(widths, default=1)
         return max(1, _BLOCK_BYTES // max(row_bytes, 1)), split
 
@@ -243,8 +257,9 @@ class Network:
         bits = _mix(rows[:, None] + np.arange(1, size + 1, dtype=np.uint64) * _GAMMA)
         return bits >= int(layer.rate * 2.0**64)
 
-    def _run(self, x, bases, first, count, caches=None):
-        """All layers on the rows of ``x``; returns the activation, and
+    def _run(self, x, bases, first, count, caches=None, start=0):
+        """Layers ``start`` on, from 0 by default, on the rows of ``x``, the
+        activation that enters layer ``start``; returns the activation, and
         appends each layer's cache to ``caches`` if given, for a backward.
 
         Under ``bases``, with passes ``first`` to ``first + count - 1``
@@ -259,8 +274,8 @@ class Network:
         channel no pass keeps is dropped in both, so the checks stay
         exact.
         """
-        dropped = None
-        for i, (layer, after) in enumerate(zip(self.layers, [*self.layers[1:], None])):
+        dropped, pairs = None, zip(self.layers[start:], [*self.layers[start + 1 :], None])
+        for i, (layer, after) in enumerate(pairs, start):
             keep = self._keeps(i, bases, first, count, x.shape[-1])
             if dropped is not None:  # the pool after a shared spatial Dropout
                 pooled = layer.forward(x)[0][:, None], layer.forward(dropped)[0][:, None]
@@ -278,7 +293,7 @@ class Network:
             else:
                 x, cache = layer.forward(x, keep[:, None, None, :] if x.ndim == 4 else keep)
             if not np.isfinite(x).all():
-                raise NumericError(f"non-finite activations after layer {i} ({layer.kind})")
+                raise _non_finite(i, layer)
             if caches is not None:
                 caches.append(cache)
             del cache  # no MC pass holds a conv's windows past the conv

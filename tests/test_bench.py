@@ -7,7 +7,7 @@ import os
 import re
 import time
 import tracemalloc
-from concurrent.futures import Future
+from concurrent.futures import Future, process
 from types import SimpleNamespace
 
 import numpy as np
@@ -111,7 +111,8 @@ def built_member(spec, scenes, init_seed, train_seed):
 
 
 def in_process_pool(monkeypatch):
-    """Put a recording stand-in for ``ProcessPoolExecutor`` into ``bench``,
+    """Put a recording stand-in for ``ProcessPoolExecutor`` into
+    ``concurrent.futures.process``, where ``bench._map`` imports it from,
     which runs the pool's initializer and each submitted call in this
     process, and return the list of each pool's ``max_workers``."""
     pools = []
@@ -132,7 +133,7 @@ def in_process_pool(monkeypatch):
             future.set_result(fn(*args))
             return future
 
-    monkeypatch.setattr(bench, "ProcessPoolExecutor", InProcessPool)
+    monkeypatch.setattr(process, "ProcessPoolExecutor", InProcessPool)
     monkeypatch.setattr(bench, "_worker_args", None)
     return pools
 

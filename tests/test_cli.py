@@ -43,6 +43,21 @@ def tree_bytes(root):
     }
 
 
+def damaged_copy(dataset_dir, root, damage, *indices):
+    """A copy of the dataset at ``root`` whose scene files ``indices`` are
+    deleted, or corrupted in their first byte."""
+    shutil.copytree(dataset_dir, root)
+    for i in indices:
+        path = root / f"scene_{i:05d}.f32"
+        if damage == "delete":
+            path.unlink()
+        else:
+            blob = bytearray(path.read_bytes())
+            blob[0] ^= 0xFF
+            path.write_bytes(bytes(blob))
+    return root
+
+
 GEN_FLAGS = ["--scenes", "6", "--width", "8", "--height", "8", "--seed", "11"]
 TRAIN_FLAGS = ["--epochs", "2", "--channels", "4", "--lr", "0.05", "--seed", "11"]
 
@@ -311,6 +326,31 @@ class TestTrain:
         )
         assert not out.exists()
 
+    @pytest.mark.parametrize("damage", ["corrupt", "delete"])
+    def test_subset_reads_only_its_scenes(self, dataset_dir, tmp_path, damage):
+        """``--subset 1:4`` reads scenes 1 to 3 alone: with the files of
+        scenes 0 and 5 damaged, it writes the intact dataset's model."""
+        damaged = damaged_copy(dataset_dir, tmp_path / "data", damage, 0, 5)
+        models = []
+        for data in (dataset_dir, damaged):
+            out = tmp_path / f"{data.name}-{len(models)}.net"
+            code = cli.main(["train", "--arch", "m-net", "--data", str(data), "--out", str(out),
+                             "--subset", "1:4", *TRAIN_FLAGS])
+            assert code == 0
+            models.append(out.read_bytes())
+        assert models[1] == models[0]
+
+    def test_subset_scene_that_fails_its_checksum_is_runtime_error(
+        self, dataset_dir, tmp_path, capsys
+    ):
+        data = damaged_copy(dataset_dir, tmp_path / "data", "corrupt", 3)
+        out = tmp_path / "m.net"
+        code = cli.main(["train", "--arch", "g-net", "--data", str(data), "--out", str(out),
+                         "--subset", "1:4", *TRAIN_FLAGS])
+        assert code == 1
+        assert capsys.readouterr().err == "error: checksum mismatch for scene_00003.f32\n"
+        assert not out.exists()
+
 
 class TestEstimate:
     def run_estimate(self, model_paths, dataset_dir, capsys, *extra):
@@ -365,6 +405,47 @@ class TestEstimate:
         scene = datagen.load(dataset_dir).scenes[1]
         want = apply_von_kries(scene.pixels, np.array(record["fused"]))
         assert out.read_bytes() == np.ascontiguousarray(want, dtype="<f4").tobytes()
+
+    @pytest.mark.parametrize("damage", ["corrupt", "delete"])
+    def test_reads_only_its_scene(self, model_paths, dataset_dir, tmp_path, capsys, damage):
+        """With every other scene's file damaged, scene 1's record is the
+        intact dataset's, but for the dataset path it echoes."""
+        damaged = damaged_copy(dataset_dir, tmp_path / "data", damage, 0, 2, 3, 4, 5)
+        want = self.run_estimate(model_paths, dataset_dir, capsys)
+        got = self.run_estimate(model_paths, damaged, capsys)
+        assert got["config"].pop("data") == str(damaged)
+        assert want["config"].pop("data") == str(dataset_dir)
+        assert got == want
+
+    def test_scene_that_fails_its_checksum_is_runtime_error(
+        self, model_paths, dataset_dir, tmp_path, capsys
+    ):
+        data = damaged_copy(dataset_dir, tmp_path / "data", "corrupt", 1)
+        code = cli.main(["estimate", "--models", *map(str, model_paths),
+                         "--data", str(data), "--index", "1"])
+        assert code == 1
+        assert capsys.readouterr().err == "error: checksum mismatch for scene_00001.f32\n"
+
+    @pytest.mark.parametrize("n_scenes", [64, 256])
+    def test_holds_one_scene(self, model_paths, tmp_path, capsys, n_scenes):
+        """Only the scene at ``--index`` is read.  By tracemalloc, 64 and 256
+        32x32 scenes peak at 0.25 and 0.23 MB, where reading every scene
+        peaked at 1.04 and 3.46 MB; the manifest and labels.csv, read
+        whole, take about 0.5 KB a scene."""
+        data = tmp_path / "d"
+        assert cli.main(["gen-data", "--width", "32", "--height", "32", "--seed", "3",
+                         "--scenes", str(n_scenes), "--out", str(data)]) == 0
+        argv = ["estimate", "--models", *map(str, model_paths), "--data", str(data),
+                "--index", "5", "--nu", "4"]
+        assert cli.main(argv) == 0
+        tracemalloc.start()
+        try:
+            assert cli.main(argv) == 0
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        capsys.readouterr()
+        assert peak < 600_000
 
     def test_index_out_of_range_is_runtime_error(
         self, model_paths, dataset_dir, capsys

@@ -18,6 +18,7 @@ from mcde.datagen import (
     REFLECTANCE_LOW,
     Dataset,
     DatasetFormatError,
+    DatasetReader,
     GenConfig,
     folds,
     gen_dataset,
@@ -214,6 +215,39 @@ class TestDatasetIO:
             assert (tmp_path / "iter" / name).read_bytes() == (
                 tmp_path / "list" / name
             ).read_bytes()
+
+    def test_reader_reads_only_its_span(self, tmp_path):
+        """``DatasetReader.scenes(1, 3)`` gives ``load``'s scenes 1 and 2,
+        byte for byte, with every other scene file deleted."""
+        save(gen_dataset(GenConfig(n_scenes=5, base_seed=17)), tmp_path / "ds")
+        whole = load(tmp_path / "ds")
+        for i in (0, 3, 4):
+            (tmp_path / "ds" / f"scene_{i:05d}.f32").unlink()
+        reader = DatasetReader(tmp_path / "ds")
+        assert reader.config == whole.config
+        got = reader.scenes(1, 3)
+        assert len(got) == 2
+        for a, b in zip(got, whole.scenes[1:3]):
+            assert a.pixels.tobytes() == b.pixels.tobytes()
+            assert a.label.tobytes() == b.label.tobytes()
+        with pytest.raises(DatasetFormatError, match="^missing scene file scene_00003.f32$"):
+            reader.scenes(2, 4)
+
+    def test_reader_checks_every_label_when_opened(self, tmp_path):
+        """A bad label outside the span is still refused, before any scene
+        file is read."""
+        save(gen_dataset(GenConfig(n_scenes=4, base_seed=18)), tmp_path / "ds")
+        lines = (tmp_path / "ds" / "labels.csv").read_text().splitlines()
+        lines[4] = "3,0.5,0.5,0.5"
+        write_labels(tmp_path / "ds", lines)
+        (tmp_path / "ds" / "scene_00000.f32").unlink()
+        with pytest.raises(DatasetFormatError, match="^bad labels.csv row 3: label must have"):
+            DatasetReader(tmp_path / "ds")
+
+    def test_empty_dataset_round_trips(self, tmp_path):
+        config = GenConfig(n_scenes=0)
+        save(Dataset([], config), tmp_path / "ds")
+        assert load(tmp_path / "ds") == Dataset([], config)
 
     def test_corrupted_blob_is_rejected(self, tmp_path):
         dataset = gen_dataset(GenConfig(n_scenes=2, base_seed=11))

@@ -1,6 +1,8 @@
 """The library is numpy-only: it imports the standard library, numpy and itself."""
 
 import ast
+import os
+import subprocess
 import sys
 from pathlib import Path
 
@@ -106,3 +108,49 @@ def test_every_bound_is_named_in_the_readme():
     assert "mcde.mc.MAX_NU" in bounds
     readme = (PACKAGE.parents[1] / "README.md").read_text()
     assert {bound for bound in bounds if bound not in readme} == set()
+
+
+# Loaded by the first call that forks a worker pool, never by an import:
+# a process that runs everything in process does not load them.
+POOL_MODULES = ("concurrent.futures", "multiprocessing")
+
+
+def _module_level_imports(tree):
+    """Dotted names that the module's own top-level code imports: function
+    bodies aside, class bodies and ``if``/``try`` blocks included."""
+    pending = list(tree.body)
+    while pending:
+        node = pending.pop()
+        if isinstance(node, ast.Import):
+            yield from (alias.name for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            yield node.module
+        elif not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            pending += [c for c in ast.iter_child_nodes(node) if isinstance(c, ast.stmt)]
+
+
+def test_no_module_imports_the_pool_at_module_level():
+    eager = [
+        f"{path.relative_to(PACKAGE)}: {name}"
+        for path in sorted(PACKAGE.rglob("*.py"))
+        for name in _module_level_imports(ast.parse(path.read_text(), filename=str(path)))
+        if any(name == pool or name.startswith(pool + ".") for pool in POOL_MODULES)
+    ]
+    assert not eager
+
+
+def test_importing_leaves_the_pool_unloaded():
+    """A fresh interpreter that imports ``mcde``, ``mcde.bench`` or
+    ``mcde.cli`` has loaded neither ``concurrent.futures`` nor
+    ``multiprocessing``."""
+    env = {**os.environ, "PYTHONPATH": str(PACKAGE.parent)}
+    loaded = {}
+    for module in ("mcde", "mcde.bench", "mcde.cli"):
+        code = (
+            f"import sys, {module}; "
+            f"print(sorted(m for m in sys.modules if m.startswith({POOL_MODULES!r})))"
+        )
+        loaded[module] = subprocess.run(
+            [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+        ).stdout
+    assert loaded == dict.fromkeys(loaded, "[]\n")

@@ -16,7 +16,7 @@ from mcde import color
 from mcde.baselines import grey_world, shades_of_grey
 from mcde.bench import stats
 from mcde.color import NEUTRAL, Scene, apply_von_kries, normalize, to_spherical
-from mcde.datagen import GenConfig, gen_scene
+from mcde.datagen import DatasetReader, GenConfig, gen_dataset, gen_scene, save
 from mcde.fusion import aggregate, mcde
 from mcde.mc import mc_estimate, mc_estimates
 from mcde.nn import PassSeed, TrainConfig, build, train
@@ -43,6 +43,16 @@ def net():
 
 def estimate(pixels):
     return mcde([net()], pixels, nu=2)
+
+
+# The directory of a 6-scene dataset whose scene files are all deleted,
+# set up once by ``scene_free_dataset``: a span that the reader read any
+# scene file of would fail on the missing file, not on the span.
+SCENE_FREE = []
+
+
+def span(start, stop):
+    return DatasetReader(SCENE_FREE[0]).scenes(start, stop)
 
 
 def fit(pixels):
@@ -165,6 +175,18 @@ ROWS = {
     "derive_seed-separator": (
         lambda: derive_seed("a\x1fb"), ValueError,
         r"^seed part must not hold the separator '\\x1f', got 'a\\x1fb'$"),
+    "DatasetReader-span-past-the-end": (
+        lambda: span(2, 9), IndexError, "^scene span 2:9 lies past the dataset's 6 scenes$"),
+    "DatasetReader-empty-span": (
+        lambda: span(3, 3), ValueError, "^stop must be at least 4, got 3$"),
+    "DatasetReader-reversed-span": (
+        lambda: span(4, 2), ValueError, "^stop must be at least 5, got 2$"),
+    "DatasetReader-negative-index": (
+        lambda: span(-1, 2), ValueError, "^start must be at least 0, got -1$"),
+    "DatasetReader-real-index": (
+        lambda: span(1.0, 2), TypeError, r"^start must be an integer, got 1\.0$"),
+    "DatasetReader-real-stop": (
+        lambda: span(0, 2.0), TypeError, r"^stop must be an integer, got 2\.0$"),
     "stats-nan": (lambda: stats([1.0, math.nan]), ValueError, "^errors must be finite, got nan$"),
     "stats-inf": (lambda: stats([1.0, math.inf]), ValueError, "^errors must be finite, got inf$"),
     "stats-minus-inf": (lambda: stats([-math.inf, 1.0]), ValueError, "^errors must be finite, got -inf$"),
@@ -176,6 +198,17 @@ ROWS = {
 # the first row that builds a network).  The rows peaked at 7 KB at most,
 # in those that build a network; the rest at 4 KB or less.
 ROW_PEAK_BYTES = 64 * 1024
+
+
+@pytest.fixture(scope="module", autouse=True)
+def scene_free_dataset(tmp_path_factory):
+    root = tmp_path_factory.mktemp("hostile") / "data"
+    save(gen_dataset(GenConfig(n_scenes=6, width=8, height=8)), root)
+    for path in root.glob("scene_*.f32"):
+        path.unlink()
+    SCENE_FREE.append(root)
+    yield
+    SCENE_FREE.clear()
 
 
 @pytest.mark.parametrize("call, error, message", ROWS.values(), ids=ROWS.keys())

@@ -494,9 +494,9 @@ class TestSceneAxis:
                          for p, b in zip(pixels, bases)])
         runs, original = [], Network._run
 
-        def recording(self, x, bases, first, count, caches=None):
+        def recording(self, x, bases, first, count, caches=None, **start):
             runs.append((len(x), count))
-            return original(self, x, bases, first, count, caches)
+            return original(self, x, bases, first, count, caches, **start)
 
         monkeypatch.setattr(Network, "_run", recording)
         if budget is not None:
@@ -521,3 +521,38 @@ class TestSceneAxis:
             finally:
                 tracemalloc.stop()
         assert peaks[1] <= 1.25 * peaks[0]
+
+
+def test_split_runs_the_layers_before_the_dropout_once_per_scene(monkeypatch):
+    """With a conv after the Dropout, each scene's passes run in chunks
+    of five 16x16 rows, 20 chunks at nu=100.  The conv before the
+    Dropout gives every pass of a scene the same row, so it runs once
+    per scene, not once per chunk (60 times for 3 scenes before), and
+    the conv after it once per chunk; the bytes are the pass-by-pass
+    forwards'."""
+    net = conv_after_dropout()
+    pixels = np.random.default_rng(132).uniform(0.0, 1.0, (3, 16, 16, 3)).astype(np.float32)
+    want = np.stack([pass_by_pass(net, p, [PassSeed(b, k) for k in range(100)])
+                     for p, b in zip(pixels, [4, 5, 6])])
+    calls, original = [], Conv3x3.forward
+
+    def counted(self, x, **kwargs):
+        calls.append(next(i for i, layer in enumerate(net.layers) if layer is self))
+        return original(self, x, **kwargs)
+
+    monkeypatch.setattr(Conv3x3, "forward", counted)
+    assert net.scene_passes(pixels, [4, 5, 6], 100).tobytes() == want.tobytes()
+    assert (calls.count(0), calls.count(3)) == (3, 60)
+
+
+def test_split_checks_the_layers_before_the_dropout():
+    """The layers that run once per scene are checked as in a whole-stack
+    forward: a -inf conv bias before the Dropout fails right after it."""
+    net = STACKS["spatial-layer-after-dropout"]()
+    net.layers[0].params["b"][1] = -np.inf
+    pixels = np.random.default_rng(133).uniform(0.0, 1.0, (6, 6, 3))
+    match = r"after layer 0 \(conv3x3\)"
+    with pytest.raises(NumericError, match=match):
+        pass_by_pass(net, pixels, [PassSeed(0, i) for i in range(30)])
+    with pytest.raises(NumericError, match=match):
+        mc_estimate(net, pixels, nu=30)
