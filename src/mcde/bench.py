@@ -32,6 +32,7 @@ one decimal; the files never do.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import asdict, astuple, dataclass, fields
 from itertools import chain
 from pathlib import Path
@@ -44,7 +45,7 @@ from mcde.color import METRICS, check_label, check_pixels
 from mcde.datagen import MAX_PIXELS, Dataset, GenConfig, folds, gen_dataset
 from mcde.mc import MAX_NU, mc_estimates
 from mcde.nn.archs import ARCHITECTURES, build, stack
-from mcde.nn.training import TrainConfig, train
+from mcde.nn.training import TrainConfig, TrainingError, train
 from mcde.seeding import MAX_SEED, derive_seed
 
 __all__ = [
@@ -52,6 +53,7 @@ __all__ = [
     "ErrorStats",
     "stats",
     "TrainableSpec",
+    "MAX_LOSS_RATIO",
     "train_member",
     "BenchConfig",
     "BenchReport",
@@ -88,13 +90,30 @@ def _tail_count(n: int, num: int, den: int) -> int:
     return -((-n * num) // den)
 
 
+def _quantile(x, q: float) -> float:
+    """The q-quantile of the sorted sample ``x`` by numpy's linear method:
+    ``np.quantile(x, q)`` bit for bit, its two-sided lerp included.  Only
+    a sample that mixes -0.0 and +0.0 can differ, in the sign of a zero
+    result, since ``np.sort`` and ``np.partition`` order the two zeros as
+    they please; an angular error is never -0.0."""
+    p = (len(x) - 1) * q
+    i = math.floor(p)
+    if i >= len(x) - 1:
+        return float(x[-1])
+    a, b, t = float(x[i]), float(x[i + 1]), p - i
+    return a + (b - a) * t if t < 0.5 else b - (b - a) * (1 - t)
+
+
 def stats(errors) -> ErrorStats:
     """Summary statistics of an error sample.
 
-    Quantiles use linear interpolation between order statistics; the
-    best/worst tail means average the ceil(q * n) smallest/largest
-    values; the trimean is (Q1 + 2 * median + Q3) / 4.  A NaN or
-    infinite error is refused by name.
+    Q1, the median and Q3 are numpy's linear method (Hyndman and Fan
+    1996, type 7) read off the sorted sample by ``_quantile``:
+    ``np.quantile`` reaches ``np.unique``, which imports ``numpy.ma``
+    (about 1.25 MiB and 10-16 ms) into every process that writes or
+    prints a report.  The best/worst tail means average the ceil(q * n)
+    smallest/largest values; the trimean is (Q1 + 2 * median + Q3) / 4.
+    A NaN or infinite error is refused by name.
     """
     arr = np.sort(np.asarray(errors, dtype=np.float64).ravel())
     n = arr.size
@@ -102,7 +121,7 @@ def stats(errors) -> ErrorStats:
         raise ValueError("cannot summarize an empty error sample")
     if not np.isfinite(arr).all():
         raise ValueError(f"errors must be finite, got {arr[~np.isfinite(arr)][0]}")
-    q1, q2, q3 = np.quantile(arr, [0.25, 0.5, 0.75])
+    q1, q2, q3 = (_quantile(arr, q) for q in (0.25, 0.5, 0.75))
     c25 = _tail_count(n, 1, 4)
     c10 = _tail_count(n, 1, 10)
     c5 = _tail_count(n, 1, 20)
@@ -287,11 +306,22 @@ def _report(echo: dict, batches, loss_traces: dict) -> BenchReport:
     return BenchReport(config=echo, errors=errors, uncertainties=mus, loss_traces=loss_traces)
 
 
+# A member whose last-epoch loss is more than this many times its lowest
+# has collapsed: a dead output component pins its MC passes, so its mu
+# is near 0 and fusion would trust it most.  Healthy members read at
+# most 1.76 (the test suite's 114, a 2-epoch crossval the highest), 1.10
+# (64 crossval members, 64x64, 4 epochs) and 1.06 (band-shift's two); a
+# collapsed one read 3.8.
+MAX_LOSS_RATIO = 2.5
+
+
 def train_member(spec: TrainableSpec, scenes, init_seed: int, train_seed: int):
     """Build ``spec``'s network from ``init_seed`` and train it on ``scenes``.
 
     Returns (net, per-epoch mean loss trace).  Every member, in the
-    bench, the scenario and ``mcde train``, is made here.
+    bench, the scenario and ``mcde train``, is made here.  A member whose
+    last-epoch loss is more than ``MAX_LOSS_RATIO`` times its lowest
+    raises a ``TrainingError``; an empty trace passes.
     """
     net = build(
         spec.arch,
@@ -299,7 +329,15 @@ def train_member(spec: TrainableSpec, scenes, init_seed: int, train_seed: int):
         channels=spec.channels,
         dropout_rate=spec.dropout_rate,
     )
-    return train(net, scenes, spec.train_config(train_seed))
+    net, trace = train(net, scenes, spec.train_config(train_seed))
+    lowest = min(trace, default=0.0)
+    if trace and trace[-1] > MAX_LOSS_RATIO * lowest:
+        raise TrainingError(
+            f"training collapsed: last-epoch loss {trace[-1]:.6g} is more than "
+            f"MAX_LOSS_RATIO = {MAX_LOSS_RATIO} times its lowest, "
+            f"{lowest:.6g} at epoch {trace.index(lowest)}"
+        )
+    return net, trace
 
 
 def _run_fold(dataset: Dataset, config: BenchConfig, spans, fold_index: int):

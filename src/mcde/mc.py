@@ -71,7 +71,8 @@ def mc_estimates(net, pixels, nu: int, base_seeds) -> tuple[np.ndarray, np.ndarr
     scene s's row holds the bytes of ``mc_estimate(net, pixels[s], nu,
     base_seeds[s])``: the passes run in ``Network.scene_passes``' blocks
     of scenes.  Every scene is checked by ``check_pixels`` before any
-    pass runs, and a refused one is named by its index.
+    pass runs, and a refused one is named by its index, as is the first
+    scene whose shape differs from scene 0's.
     """
     check_int("nu", nu, 1, MAX_NU)
     for s, scene in enumerate(pixels):

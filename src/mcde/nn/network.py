@@ -12,7 +12,7 @@ from mcde._check import check_int
 from mcde.nn.layers import PARAM_DTYPE, Conv3x3, Dropout, MaxPool, MeanPool
 from mcde.seeding import MAX_SEED
 
-__all__ = ["MAX_NU", "Mode", "Network", "NumericError", "PassSeed", "cosine_loss"]
+__all__ = ["MAX_NU", "Mode", "Network", "NumericError", "PassSeed", "check_shapes", "cosine_loss"]
 
 # The one memory budget of a pass: ``_block_rows`` fits in it the largest
 # array that one row of a block builds.  A stock network's is its first
@@ -96,6 +96,17 @@ def _non_finite(i, layer) -> NumericError:
     return NumericError(f"non-finite activations after layer {i} ({layer.kind})")
 
 
+def check_shapes(pixels, noun: str) -> None:
+    """Refuse images that do not all have ``pixels[0]``'s shape, naming the
+    first that differs as ``{noun} {index}``: a block stacks its images,
+    and ``_block_rows`` sizes every block by the first."""
+    shape = np.shape(pixels[0])
+    for s, image in enumerate(pixels):
+        if np.shape(image) != shape:
+            other = np.shape(image)
+            raise ValueError(f"{noun}s differ in shape: {shape} and {other} at {noun} {s}")
+
+
 def cosine_loss(pred, gt):
     """1 minus the inner product of unit vectors, per row; 0 iff they coincide.
 
@@ -157,7 +168,8 @@ class Network:
 
         Row (s, k) of scene s of ``pixels`` (a list or a stacked array)
         equals ``forward(pixels[s], Mode.MC, PassSeed(base_seeds[s],
-        first + k))`` bit for bit.  ``count`` is at most ``MAX_NU``.  Each
+        first + k))`` bit for bit.  ``count`` is at most ``MAX_NU``, and the
+        scenes share one shape, or none runs.  Each
         layer runs once per block for all passes of ``_block_rows``' rows
         of scenes.  Where a Dropout splits a scene's row into one row per
         pass, the layers before it run once per scene, and the rest once
@@ -170,6 +182,7 @@ class Network:
         for base in base_seeds:
             check_int("base_seed", base, 0, MAX_SEED)
         _check_passes(first, count)
+        check_shapes(pixels, "scene")
         if count > MAX_NU:
             raise ValueError(f"count must be at most MAX_NU = {MAX_NU}, got {count}")
         step, split = self._block_rows(pixels)
@@ -305,7 +318,8 @@ class Network:
         Image k of ``pixels`` (a list or a stacked array), with label
         ``gts[k]``, runs under pass ``seed.pass_index + k``'s masks, in
         ``_block_rows``' blocks: only a block is stacked.  The whole batch's
-        pass range is checked before the first block.  ``grads``
+        pass range, and that its images share one shape, are checked
+        before the first block.  ``grads``
         parallels ``layers``: name -> the images' gradients summed in
         image order, so the bytes do not depend on the blocks.  The pass
         ends at the lowest layer with parameters and asks it for no input
@@ -316,6 +330,7 @@ class Network:
         if len(gts) != len(pixels):
             raise ValueError(f"one label per image: got {len(gts)} for {len(pixels)} images")
         _check_passes(seed.pass_index, len(pixels))
+        check_shapes(pixels, "image")
         gts = np.asarray(gts, dtype=np.float64)
         step = self._block_rows(pixels)[0]
         lowest = next((i for i, layer in enumerate(self.layers) if layer.params), len(self.layers))

@@ -11,7 +11,7 @@ import numpy as np
 from mcde._check import check_int, check_real
 from mcde.color import check_label, check_pixels
 from mcde.nn.layers import PARAM_DTYPE
-from mcde.nn.network import Network, NumericError, PassSeed
+from mcde.nn.network import Network, NumericError, PassSeed, check_shapes
 from mcde.seeding import MAX_SEED, derive_seed
 
 __all__ = ["MAX_LEARNING_RATE", "TrainConfig", "TrainingError", "train"]
@@ -81,10 +81,8 @@ def train(net: Network, scenes, config: TrainConfig):
     scenes = list(scenes)
     if not scenes:
         raise ValueError("training set is empty")
-    shape = np.shape(scenes[0].pixels)
+    check_shapes([scene.pixels for scene in scenes], "scene")
     for i, scene in enumerate(scenes):
-        if np.shape(scene.pixels) != shape:
-            raise ValueError(f"scenes differ in shape: {shape} and {np.shape(scene.pixels)}")
         check_pixels(scene.pixels, f"scene {i} ")
         check_label(scene.label, f"scene {i}: ")
     pass_base = derive_seed("train-pass", config.base_seed)

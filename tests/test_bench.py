@@ -1,6 +1,7 @@
 """Benchmark statistics, cross-validation protocol, and report files."""
 
 import csv
+import itertools
 import math
 import multiprocessing
 import os
@@ -30,7 +31,7 @@ from mcde.datagen import MAX_PIXELS, Dataset, GenConfig, folds, gen_dataset
 from mcde.mc import MAX_NU
 from mcde.nn import NumericError
 from mcde.nn.archs import MAX_CHANNELS, build
-from mcde.nn.training import TrainConfig
+from mcde.nn.training import TrainConfig, TrainingError
 from mcde.seeding import derive_seed
 
 
@@ -191,6 +192,34 @@ class TestStats:
     def test_empty_sample_rejected(self):
         with pytest.raises(ValueError):
             stats([])
+
+    @staticmethod
+    def quantile_samples():
+        """Samples: random ones, every sample of n = 1-5 over
+        {-1, -0.0, +0.0, 1} (its ties and signed zeros, mixed), ties with
+        zeros of one sign at larger n, and magnitudes from 1e-300 to 1e300."""
+        rng = np.random.default_rng(304)
+        for n in range(1, 6):
+            yield from (np.array(v) for v in itertools.product([-1.0, -0.0, 0.0, 1.0], repeat=n))
+        for _ in range(1000):
+            n = int(rng.integers(1, 300))
+            yield rng.standard_normal(n)
+            yield rng.uniform(0.0, 60.0, n)
+            yield rng.choice([rng.choice([-0.0, 0.0]), 1.0, -2.0, 3.5], n)
+            yield rng.standard_normal(n) * 10.0 ** rng.integers(-300, 301, n)
+
+    def test_quantile_is_numpys_linear_method_bit_for_bit(self):
+        """Beyond five values, np.sort and np.partition order -0.0 and
+        +0.0 as they please, so the samples that mix them stop at n = 5."""
+        checked = 0
+        for sample in self.quantile_samples():
+            sample = np.sort(sample)
+            for q in (0.25, 0.5, 0.75):
+                got, want = bench._quantile(sample, q), np.quantile(sample, q)
+                assert type(got) is float
+                assert np.float64(got).tobytes() == want.tobytes(), (sample, q)
+                checked += 1
+        assert checked > 15_000
 
     def test_tail_counts_use_exact_ceil(self):
         """400 values: the worst-10% tail holds exactly 40, and with
@@ -792,6 +821,36 @@ class TestReportFiles:
             rows = [(int(row["sample"]), row["method"], row["metric"])
                     for row in csv.DictReader(fh)]
         assert rows == [(i, *key) for i in range(8) for key in order]
+
+
+def rising_train(net, scenes, config):
+    """Stands in for ``train``: a member whose loss ends 3x its lowest."""
+    return net, [0.1, 0.05, 0.15]
+
+
+class TestCollapsedMember:
+    @pytest.mark.parametrize("trace", [[], [0.2], [0.1, 0.04, 0.1]], ids=["0", "1", "at-bound"])
+    def test_a_trace_at_most_the_bound_passes(self, trace, monkeypatch):
+        monkeypatch.setattr(bench, "train", lambda net, scenes, config: (net, trace))
+        spec = tiny_config().trainables[0]
+        assert bench.train_member(spec, [], init_seed=1, train_seed=2)[1] == trace
+
+    def test_crossval_names_the_fold_and_member(self, monkeypatch):
+        monkeypatch.setattr(bench, "train", rising_train)
+        with pytest.raises(RuntimeError) as info:
+            crossval(grey_scene_dataset(n=4), tiny_config())
+        assert str(info.value) == (
+            "fold 0 failed: g-net: training collapsed: last-epoch loss 0.15 is more than "
+            "MAX_LOSS_RATIO = 2.5 times its lowest, 0.05 at epoch 1"
+        )
+        assert isinstance(info.value.__cause__.__cause__, TrainingError)
+
+    def test_scenario_names_the_member(self, monkeypatch):
+        """The forked member workers inherit the stand-in."""
+        monkeypatch.setattr(bench, "train", rising_train)
+        config = ScenarioConfig(seed=5, eval_per_band=2, train_per_band=2, nu=2, channels=4)
+        with pytest.raises(RuntimeError, match="^member g-net failed: training collapsed: "):
+            band_shift_scenario(config)
 
 
 class TestBandShiftScenario:

@@ -37,6 +37,12 @@ def image(bad=None, shape=(8, 8, 3)):
     return pixels
 
 
+def wide():
+    """A grey 64x64 image that allocates one pixel: 21 16x16 scenes, one
+    block of g-net's, then this one put the mismatch on a block boundary."""
+    return np.broadcast_to(image(shape=(1, 1, 3)), (64, 64, 3))
+
+
 def net():
     return build("g-net", seed=3, channels=4, dropout_rate=0.3)
 
@@ -129,6 +135,15 @@ ROWS = {
     "mc_estimates-bad-second-scene": (
         lambda: mc_estimates(net(), [image(), image(-5.0)], 2, [1, 2]), ValueError,
         "^scene 1 " + BAD_PIXEL),
+    "mc_estimates-scenes-of-two-shapes": (
+        lambda: mc_estimates(net(), [image(shape=(16, 16, 3)), image()], 5, [1, 2]), ValueError,
+        r"^scenes differ in shape: \(16, 16, 3\) and \(8, 8, 3\) at scene 1$"),
+    "scene_passes-larger-scene-after-a-block": (
+        lambda: net().scene_passes([image(shape=(16, 16, 3))] * 21 + [wide()], range(22), 2),
+        ValueError, r"^scenes differ in shape: \(16, 16, 3\) and \(64, 64, 3\) at scene 21$"),
+    "backward-images-of-two-shapes": (
+        lambda: net().backward([image(), image(shape=(8, 16, 3))], [NEUTRAL] * 2, PassSeed(0)),
+        ValueError, r"^images differ in shape: \(8, 8, 3\) and \(8, 16, 3\) at image 1$"),
     "forward_passes-too-many": (
         lambda: net().forward_passes(image(), PassSeed(0), MAX_NU + 1), ValueError,
         rf"^count must be at most MAX_NU = {MAX_NU}, got {MAX_NU + 1}$"),
@@ -137,6 +152,10 @@ ROWS = {
         rf"^count must be at most MAX_NU = {MAX_NU}, got {MAX_NU + 1}$"),
     "train-negative-pixel": (lambda: fit(image(-5.0)), ValueError, "^scene 0 " + BAD_PIXEL),
     "train-nan-pixel": (lambda: fit(image(math.nan)), ValueError, "^scene 0 " + BAD_PIXEL),
+    "train-scenes-of-two-shapes": (
+        lambda: train(net(), [Scene(image(), NEUTRAL), Scene(image(shape=(4, 8, 3)), NEUTRAL)],
+                      TrainConfig(epochs=1)),
+        ValueError, r"^scenes differ in shape: \(8, 8, 3\) and \(4, 8, 3\) at scene 1$"),
     "train-4-channels": (
         lambda: fit(image(shape=(8, 8, 4))), ValueError,
         r"^scene 0 must have shape \(H, W, 3\) with H, W >= 1, got \(8, 8, 4\)$"),
